@@ -41,7 +41,7 @@ from .grids import (
     apply_simplicial,
     compactness_failures,
     core,
-    cut_regions,
+    cut_disagreement,
     globularity_failures,
     grid_check,
     grids_equal,
@@ -54,6 +54,7 @@ from .grids import (
 from .plgeom import (
     INF,
     NEG_INF,
+    Ambient,
     Ambient1D,
     Ambient2D,
     Arc,
@@ -65,7 +66,7 @@ from .plgeom import (
     ambient_region,
     component_region,
     fr,
-    is_finite,
+    interval_rep,
     plfunc_equal,
     plfunc_integral,
     plfunc_is_positive_on,
@@ -74,17 +75,12 @@ from .plgeom import (
     region_boolean,
     region_closure,
     region_components,
-    region_difference,
     region_equal,
     region_is_empty,
     region_subset,
 )
 from .reporting import ReportEntry, ValidationReport
 from .shapes import GammaMorphism, MonotoneMap, Multisimplex
-
-Ambient = Union[Ambient1D, Ambient2D]
-
-AffineEmbedding = AffineMap
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +150,12 @@ class Bordism:
         return replace(self, mgrid=mgrid)
 
 
-def _ambient_dim(ambient: Ambient) -> int:
-    return 1 if isinstance(ambient, Ambient1D) else 2
-
-
 def _field_entries(b: Bordism) -> list[ReportEntry]:
     f = b.field
     if f.kind == "trivial":
         return [ReportEntry("field", True)]
     if f.kind == "metric":
-        if _ambient_dim(b.ambient) != 1:
+        if b.ambient.dim != 1:
             return [ReportEntry("field", False, "metric field needs d = 1")]
         amb = b.ambient
         assert isinstance(amb, Ambient1D)
@@ -188,7 +180,7 @@ def _field_entries(b: Bordism) -> list[ReportEntry]:
     # embedded
     if b.embedding is None:
         return [ReportEntry("field", False, "embedded field without a map")]
-    if b.embedding.dim != _ambient_dim(b.ambient):
+    if b.embedding.dim != b.ambient.dim:
         return [ReportEntry("field", False, "embedding dimension mismatch")]
     if f.target_dim != b.embedding.dim:
         return [ReportEntry(
@@ -273,17 +265,6 @@ def _labels_disagreement(b1: Bordism, b2: Bordism) -> list:
     return cells
 
 
-def _cuts_disagreement(cut1: Cut, amb1: Ambient, cut2: Cut, amb2: Ambient,
-                       common: PLRegion) -> PLRegion:
-    b1, l1, a1 = cut_regions(cut1, amb1)
-    b2, l2, a2 = cut_regions(cut2, amb2)
-    agree_cells: list = []
-    for ra, rb in ((b1, b2), (l1, l2), (a1, a2)):
-        agree_cells.extend(region_boolean("intersect", ra, rb).cells)
-    agree = PLRegion(common.dim, tuple(agree_cells))
-    return region_difference(common, agree)
-
-
 def equivalent(b1: Bordism, b2: Bordism) -> bool:
     """Germ-of-core equivalence of embedded bordisms: after
     normalization the cores must be equal as point sets and every
@@ -305,7 +286,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     diff_cells: list = _labels_disagreement(n1, n2)
     for t1, t2 in zip(n1.mgrid.grid.tuples, n2.mgrid.grid.tuples):
         for c1, c2 in zip(t1.cuts, t2.cuts):
-            diff_cells.extend(_cuts_disagreement(
+            diff_cells.extend(cut_disagreement(
                 c1, n1.ambient, c2, n2.ambient, common).cells)
     wobble = region_closure(PLRegion(common.dim, tuple(diff_cells)))
     return region_is_empty(region_boolean("intersect", wobble, core1))
@@ -348,7 +329,7 @@ def _fields_pull_back(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
                     return False
                 continue
             lo, hi = data
-            mid = _rep_of_interval(lo, hi)
+            mid = interval_rep(lo, hi)
             k2 = b2.ambient.component_of_line_point(
                 phi.coeffs[0] * mid + phi.shifts[0])
             expected = pullback_metric(f2.densities[k2], phi)
@@ -362,25 +343,21 @@ def _fields_pull_back(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     return b2.embedding.compose(phi) == b1.embedding
 
 
-def _rep_of_interval(lo, hi) -> Fraction:
-    if is_finite(lo) and is_finite(hi):
-        return (lo + hi) / 2
-    if is_finite(lo):
-        return lo + 1
-    if is_finite(hi):
-        return hi - 1
-    return Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # simplicial structure: composition, boundaries
 # ---------------------------------------------------------------------------
 
 
+def _direction_m(b: Bordism, direction: int) -> int:
+    if not 1 <= direction <= b.d:
+        raise ArgumentError(f"direction {direction} outside 1..{b.d}")
+    return b.mgrid.grid.tuples[direction - 1].m
+
+
 def face_compose(b: Bordism, direction: int, k: int) -> Bordism:
     """Compose the k-th composable pair in one direction by dropping
     the inner cut k (the inner face of the simplicial structure)."""
-    m = b.mgrid.grid.tuples[direction - 1].m
+    m = _direction_m(b, direction)
     if not 0 < k < m:
         raise ArgumentError(
             f"inner face index must satisfy 0 < k < {m}; "
@@ -393,7 +370,7 @@ def face_compose(b: Bordism, direction: int, k: int) -> Bordism:
 def source_target(b: Bordism, direction: int, j: int) -> Bordism:
     """The j-th vertex boundary in one direction (j = 0 is the source,
     j = m the target)."""
-    m = b.mgrid.grid.tuples[direction - 1].m
+    m = _direction_m(b, direction)
     if not 0 <= j <= m:
         raise ArgumentError(f"vertex index {j} outside 0..{m}")
     return b.with_mgrid(vertex_grid(b.mgrid, direction, j))
@@ -416,7 +393,7 @@ def monoidal_product(b1: Bordism, b2: Bordism,
     normalized first so disjointness refers to their images."""
     if b1.mgrid.shape != b2.mgrid.shape:
         raise ArgumentError("monoidal factors must share their shape")
-    if _ambient_dim(b1.ambient) != _ambient_dim(b2.ambient):
+    if b1.ambient.dim != b2.ambient.dim:
         raise ArgumentError("monoidal factors must share their dimension")
     if b1.field.kind != b2.field.kind:
         raise UnsupportedFieldError("cannot combine different field kinds")
@@ -545,7 +522,7 @@ def shrink_to_core(b: Bordism, eps) -> Bordism:
         new_ambient = _shrunk_ambient_1d(b.ambient, components, eps, amb_reg)
     else:
         new_ambient = _shrunk_ambient_2d(b.ambient, components, eps, amb_reg)
-    ident = AffineMap.identity(_ambient_dim(b.ambient))
+    ident = AffineMap.identity(b.ambient.dim)
     emb = AmbientEmbedding(new_ambient, b.ambient, ident)
     mgrid = pullback_along(b.mgrid, emb)
     field = _restrict_field(b, new_ambient)
@@ -619,7 +596,7 @@ def _restrict_field(b: Bordism, new_ambient: Ambient) -> FieldDatum:
     assert isinstance(old, Ambient1D) and isinstance(new_ambient, Ambient1D)
     dens: list[PLFunc] = []
     for lo, hi in new_ambient.intervals:
-        mid = _rep_of_interval(lo, hi)
+        mid = interval_rep(lo, hi)
         dens.append(f.densities[old.component_of_line_point(mid)])
     for j in range(len(new_ambient.circles)):
         dens.append(f.densities[len(old.intervals) + j])
@@ -659,7 +636,7 @@ def metric_core_length(b: Bordism) -> Fraction:
             if cell.lo == cell.hi:
                 continue
             ci = b.ambient.component_of_line_point(
-                _rep_of_interval(cell.lo, cell.hi))
+                interval_rep(cell.lo, cell.hi))
             total += plfunc_integral(b.field.densities[ci], cell.lo, cell.hi)
         elif isinstance(cell, CircleCell):
             ci = len(b.ambient.intervals) + cell.circle

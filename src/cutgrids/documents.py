@@ -90,6 +90,18 @@ def _sign_from_text(s, where: str) -> str:
     return s
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise DocumentSyntaxError(
+            f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
+def _is_int(v) -> bool:
+    """An integer proper: JSON true/false load as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _plf_to_json(f: PLFunc) -> dict:
     return {
         "breakpoints": [rational_to_text(b) for b in f.breakpoints],
@@ -128,78 +140,77 @@ def _val_from_json(v):
     raise DocumentSyntaxError(f"unexpected value {v!r} in a finite fixture")
 
 
-def _val_key(v) -> str:
-    return json.dumps(_val_to_json(v), sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # bordism payloads
 # ---------------------------------------------------------------------------
 
 
-def _comp1d_to_json(c: ComponentCut1D) -> dict:
-    if c.kind == "zeros":
-        return {"kind": "zeros",
-                "zeros": [[rational_to_text(p), s] for p, s in c.zeros]}
-    return {"kind": "whole", "side": c.whole_sign}
+def _component_to_json(c, level: list) -> dict:
+    """One component of a cut (1D, 2D or family): its level data under
+    its kind, or the whole-component form."""
+    if c.kind == "whole":
+        return {"kind": "whole", "side": c.whole_sign}
+    return {"kind": c.kind, c.kind: level}
 
 
-def _comp1d_from_json(obj, where: str) -> ComponentCut1D:
-    kind = obj.get("kind")
-    if kind == "zeros":
-        zeros = tuple(
-            (rational_from_text(p, where), _sign_from_text(s, where))
-            for p, s in obj.get("zeros", []))
-        return ComponentCut1D("zeros", zeros)
-    if kind == "whole":
-        side = obj.get("side", "below")
-        if side not in ("below", "above"):
-            raise DocumentSyntaxError(f"{where}: bad side {side!r}")
-        return ComponentCut1D("whole", (), side)
-    raise DocumentSyntaxError(f"{where}: unknown component kind {kind!r}")
+def _components_from_json(obj, where: str, cls, level_kind: str,
+                          parse_level) -> tuple:
+    """The components of a cut object, inverse to _component_to_json;
+    parse_level(item, where) reads one item of level data."""
+    comps = _object(obj, where).get("components")
+    if not isinstance(comps, list):
+        raise DocumentSyntaxError(f"{where}: cut needs a component list")
+    out = []
+    for k, comp in enumerate(comps):
+        at = f"{where}.components[{k}]"
+        kind = _object(comp, at).get("kind")
+        if kind == level_kind:
+            out.append(cls(kind, tuple(parse_level(x, at)
+                                       for x in comp.get(kind, []))))
+        elif kind == "whole":
+            side = comp.get("side", "below")
+            if side not in ("below", "above"):
+                raise DocumentSyntaxError(f"{at}: bad side {side!r}")
+            out.append(cls("whole", (), side))
+        else:
+            raise DocumentSyntaxError(f"{at}: unknown component kind {kind!r}")
+    return tuple(out)
 
 
-def _comp2d_to_json(c: ComponentCut2D) -> dict:
-    if c.kind == "sheets":
-        return {"kind": "sheets",
-                "sheets": [{"graph": _plf_to_json(s.graph), "sign": s.sign}
-                           for s in c.sheets]}
-    return {"kind": "whole", "side": c.whole_sign}
+def _zero_parser(position):
+    """Reader of one [position, sign] item of 1D level data."""
+    def parse(item, where: str) -> tuple:
+        p, s = item
+        return (position(p, where), _sign_from_text(s, where))
+    return parse
 
 
-def _comp2d_from_json(obj, where: str) -> ComponentCut2D:
-    kind = obj.get("kind")
-    if kind == "sheets":
-        sheets = tuple(
-            Sheet(_plf_from_json(s.get("graph"), where),
-                  _sign_from_text(s.get("sign"), where))
-            for s in obj.get("sheets", []))
-        return ComponentCut2D("sheets", sheets)
-    if kind == "whole":
-        side = obj.get("side", "below")
-        if side not in ("below", "above"):
-            raise DocumentSyntaxError(f"{where}: bad side {side!r}")
-        return ComponentCut2D("whole", (), side)
-    raise DocumentSyntaxError(f"{where}: unknown component kind {kind!r}")
+def _sheet_from_json(item, where: str) -> Sheet:
+    item = _object(item, where)
+    return Sheet(_plf_from_json(item.get("graph"), where),
+                 _sign_from_text(item.get("sign"), where))
 
 
 def _cut_to_json(cut) -> dict:
     if isinstance(cut, Cut1D):
-        return {"components": [_comp1d_to_json(c) for c in cut.components]}
-    return {"axis": cut.axis,
-            "components": [_comp2d_to_json(c) for c in cut.components]}
+        return {"components": [
+            _component_to_json(c, [[rational_to_text(p), s] for p, s in c.zeros])
+            for c in cut.components]}
+    return {"axis": cut.axis, "components": [
+        _component_to_json(c, [{"graph": _plf_to_json(s.graph), "sign": s.sign}
+                               for s in c.sheets])
+        for c in cut.components]}
 
 
 def _cut_from_json(obj, dim: int, where: str):
-    comps = obj.get("components")
-    if not isinstance(comps, list):
-        raise DocumentSyntaxError(f"{where}: cut needs a component list")
     if dim == 1:
-        return Cut1D(tuple(_comp1d_from_json(c, where) for c in comps))
-    axis = obj.get("axis")
+        return Cut1D(_components_from_json(
+            obj, where, ComponentCut1D, "zeros", _zero_parser(rational_from_text)))
+    axis = _object(obj, where).get("axis")
     if axis not in (1, 2):
         raise DocumentSyntaxError(f"{where}: 2D cut needs axis 1 or 2")
-    return Cut2D(axis, tuple(_comp2d_from_json(c, where) for c in comps))
+    return Cut2D(axis, _components_from_json(
+        obj, where, ComponentCut2D, "sheets", _sheet_from_json))
 
 
 def _field_to_json(f: FieldDatum) -> dict:
@@ -212,7 +223,7 @@ def _field_to_json(f: FieldDatum) -> dict:
 
 
 def _field_from_json(obj, where: str) -> FieldDatum:
-    kind = obj.get("kind")
+    kind = _object(obj, where).get("kind")
     if kind == "trivial":
         return FieldDatum("trivial")
     if kind == "metric":
@@ -220,7 +231,7 @@ def _field_from_json(obj, where: str) -> FieldDatum:
             _plf_from_json(w, where) for w in obj.get("densities", [])))
     if kind == "embedded":
         td = obj.get("target_dim")
-        if not isinstance(td, int):
+        if not _is_int(td):
             raise DocumentSyntaxError(f"{where}: embedded field needs target_dim")
         return FieldDatum("embedded", (), td)
     raise DocumentSyntaxError(f"{where}: unknown field kind {kind!r}")
@@ -233,6 +244,7 @@ def _affine_to_json(a: AffineMap) -> dict:
 
 
 def _affine_from_json(obj, dim: int, where: str) -> AffineMap:
+    obj = _object(obj, where)
     return AffineMap(
         dim,
         tuple(obj.get("perm", ())),
@@ -241,7 +253,7 @@ def _affine_from_json(obj, dim: int, where: str) -> AffineMap:
 
 
 def _bordism_to_json(b: Bordism) -> dict:
-    dim = 1 if isinstance(b.ambient, Ambient1D) else 2
+    dim = b.ambient.dim
     if dim == 1:
         ambient = {
             "intervals": [[rational_to_text(lo), rational_to_text(hi)]
@@ -266,9 +278,9 @@ def _bordism_to_json(b: Bordism) -> dict:
 
 def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
     dim = obj.get("dimension")
-    if dim not in (1, 2):
-        raise DocumentSyntaxError(f"{where}: dimension must be 1 or 2")
-    amb = obj.get("ambient", {})
+    if not _is_int(dim) or dim not in (1, 2):
+        raise DocumentSyntaxError(f"{where}.dimension: must be 1 or 2")
+    amb = _object(obj.get("ambient", {}), f"{where}.ambient")
     if dim == 1:
         ambient = Ambient1D(
             tuple((rational_from_text(lo, where), rational_from_text(hi, where))
@@ -282,16 +294,19 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
     if not isinstance(grid, list) or not grid:
         raise DocumentSyntaxError(f"{where}: grid needs one tuple per direction")
     tuples = tuple(
-        CutTuple(tuple(_cut_from_json(c, dim, where) for c in cuts))
-        for cuts in grid)
+        CutTuple(tuple(_cut_from_json(c, dim, f"{where}.grid[{i}][{j}]")
+                       for j, c in enumerate(cuts)))
+        for i, cuts in enumerate(grid))
     ell = obj.get("ell")
     labels = obj.get("labels")
-    if not isinstance(ell, int) or not isinstance(labels, list):
+    if not _is_int(ell) or not isinstance(labels, list):
         raise DocumentSyntaxError(f"{where}: need integer ell and a label array")
     mgrid = MonoidalCutGrid(CutGrid(tuples), ell, tuple(labels))
-    field = _field_from_json(obj.get("field", {"kind": "trivial"}), where)
+    field = _field_from_json(obj.get("field", {"kind": "trivial"}),
+                             f"{where}.field")
     emb_obj = obj.get("embedding")
-    embedding = None if emb_obj is None else _affine_from_json(emb_obj, dim, where)
+    embedding = (None if emb_obj is None
+                 else _affine_from_json(emb_obj, dim, f"{where}.embedding"))
     return Bordism(ambient, mgrid, field, embedding, bool(obj.get("uple", False)))
 
 
@@ -312,28 +327,6 @@ def _end_from_json(v, where: str):
     return rational_from_text(v, where)
 
 
-def _famcomp_to_json(c: FamComponentCut1D) -> dict:
-    if c.kind == "zeros":
-        return {"kind": "zeros",
-                "zeros": [[_plf_to_json(z), s] for z, s in c.zeros]}
-    return {"kind": "whole", "side": c.whole_sign}
-
-
-def _famcomp_from_json(obj, where: str) -> FamComponentCut1D:
-    kind = obj.get("kind")
-    if kind == "zeros":
-        zeros = tuple(
-            (_plf_from_json(z, where), _sign_from_text(s, where))
-            for z, s in obj.get("zeros", []))
-        return FamComponentCut1D("zeros", zeros)
-    if kind == "whole":
-        side = obj.get("side", "below")
-        if side not in ("below", "above"):
-            raise DocumentSyntaxError(f"{where}: bad side {side!r}")
-        return FamComponentCut1D("whole", (), side)
-    raise DocumentSyntaxError(f"{where}: unknown component kind {kind!r}")
-
-
 def _family_to_json(fam: BordismFamily) -> dict:
     return {
         "t0": rational_to_text(fam.t0),
@@ -341,9 +334,9 @@ def _family_to_json(fam: BordismFamily) -> dict:
         "intervals": [[_end_to_json(lo), _end_to_json(hi)]
                       for lo, hi in fam.intervals],
         "circles": [rational_to_text(L) for L in fam.circles],
-        "tuples": [[{"components": [_famcomp_to_json(c) for c in cut.components]}
-                    for cut in tup]
-                   for tup in fam.tuples],
+        "tuples": [[{"components": [
+            _component_to_json(c, [[_plf_to_json(z), s] for z, s in c.zeros])
+            for c in cut.components]} for cut in tup] for tup in fam.tuples],
         "ell": fam.ell,
         "labels": list(fam.labels),
         "field_kind": fam.field_kind,
@@ -356,20 +349,18 @@ def _family_to_json(fam: BordismFamily) -> dict:
 
 
 def _family_from_json(obj, where: str = "family") -> BordismFamily:
-    tuples = []
-    for tup in obj.get("tuples", []):
-        cuts = []
-        for cut in tup:
-            comps = cut.get("components")
-            if not isinstance(comps, list):
-                raise DocumentSyntaxError(f"{where}: cut needs a component list")
-            cuts.append(FamCut1D(tuple(
-                _famcomp_from_json(c, where) for c in comps)))
-        tuples.append(tuple(cuts))
+    tuples = tuple(
+        tuple(FamCut1D(_components_from_json(
+            cut, f"{where}.tuples[{i}][{j}]", FamComponentCut1D, "zeros",
+            _zero_parser(_plf_from_json))) for j, cut in enumerate(tup))
+        for i, tup in enumerate(obj.get("tuples", [])))
     ell = obj.get("ell")
     labels = obj.get("labels")
-    if not isinstance(ell, int) or not isinstance(labels, list):
-        raise DocumentSyntaxError(f"{where}: need integer ell and a label array")
+    target_dim = obj.get("target_dim", 1)
+    if not _is_int(ell) or not _is_int(target_dim) or \
+            not isinstance(labels, list):
+        raise DocumentSyntaxError(
+            f"{where}: need integer ell and target_dim and a label array")
     shift_obj = obj.get("emb_shift")
     return BordismFamily(
         t0=rational_from_text(obj.get("t0", "0"), where),
@@ -379,11 +370,11 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
             for lo, hi in obj.get("intervals", [])),
         circles=tuple(rational_from_text(L, where)
                       for L in obj.get("circles", [])),
-        tuples=tuple(tuples),
+        tuples=tuples,
         ell=ell,
         labels=tuple(labels),
         field_kind=obj.get("field_kind", "embedded"),
-        target_dim=obj.get("target_dim", 1),
+        target_dim=target_dim,
         emb_scale=rational_from_text(obj.get("emb_scale", "1"), where),
         emb_shift=None if shift_obj is None else _plf_from_json(shift_obj, where),
         densities=tuple(_plf_from_json(w, where)

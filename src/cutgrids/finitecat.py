@@ -9,9 +9,10 @@ which is the point — every carrier here is finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
+from .errors import ArgumentError
 from .shapes import (
     GammaMorphism,
     MonotoneMap,
@@ -53,14 +54,14 @@ class FinCategory:
         object.__setattr__(self, "then_table", dict(self.then_table))
         objs = set(self.objects)
         if len(self.objects) != len(objs):
-            raise ValueError("duplicate objects")
+            raise ArgumentError("duplicate objects")
         for name, (s, t) in self.arrows.items():
             if s not in objs or t not in objs:
-                raise ValueError(f"arrow {name!r} has endpoints outside the category")
+                raise ArgumentError(f"arrow {name!r} has endpoints outside the category")
         for x in self.objects:
             i = self.identity.get(x)
             if i is None or self.arrows.get(i) != (x, x):
-                raise ValueError(f"object {x!r} lacks a well-formed identity")
+                raise ArgumentError(f"object {x!r} lacks a well-formed identity")
         if not self.validate:
             return
         for f, (fs, ft) in self.arrows.items():
@@ -68,16 +69,16 @@ class FinCategory:
                 if ft == gs:
                     h = self.then_table.get((f, g))
                     if h is None:
-                        raise ValueError(f"missing composite for {f!r};{g!r}")
+                        raise ArgumentError(f"missing composite for {f!r};{g!r}")
                     if self.arrows[h] != (fs, gt):
-                        raise ValueError(f"composite {h!r} has wrong endpoints")
+                        raise ArgumentError(f"composite {h!r} has wrong endpoints")
                 elif (f, g) in self.then_table:
-                    raise ValueError(f"composite defined for non-composable {f!r};{g!r}")
+                    raise ArgumentError(f"composite defined for non-composable {f!r};{g!r}")
         for f, (fs, ft) in self.arrows.items():
             if self.then_table[(self.identity[fs], f)] != f:
-                raise ValueError(f"left identity fails at {f!r}")
+                raise ArgumentError(f"left identity fails at {f!r}")
             if self.then_table[(f, self.identity[ft])] != f:
-                raise ValueError(f"right identity fails at {f!r}")
+                raise ArgumentError(f"right identity fails at {f!r}")
         for f, (_, ft) in self.arrows.items():
             for g, (gs, gt) in self.arrows.items():
                 if ft != gs:
@@ -88,7 +89,7 @@ class FinCategory:
                     if self.then_table[(self.then_table[(f, g)], h)] != self.then_table[
                         (f, self.then_table[(g, h)])
                     ]:
-                        raise ValueError(f"associativity fails at {f!r};{g!r};{h!r}")
+                        raise ArgumentError(f"associativity fails at {f!r};{g!r};{h!r}")
 
     def src(self, f: Arrow) -> Obj:
         return self.arrows[f][0]
@@ -125,22 +126,22 @@ class FinFunctor:
         object.__setattr__(self, "on_arrows", dict(self.on_arrows))
         for x in self.source.objects:
             if self.on_objects.get(x) not in set(self.target.objects):
-                raise ValueError(f"object {x!r} has no valid image")
+                raise ArgumentError(f"object {x!r} has no valid image")
         for f, (s, t) in self.source.arrows.items():
             g = self.on_arrows.get(f)
             if g is None or self.target.arrows[g] != (
                 self.on_objects[s],
                 self.on_objects[t],
             ):
-                raise ValueError(f"arrow {f!r} has no compatible image")
+                raise ArgumentError(f"arrow {f!r} has no compatible image")
         for x in self.source.objects:
             if self.on_arrows[self.source.identity[x]] != self.target.identity[
                 self.on_objects[x]
             ]:
-                raise ValueError(f"identity of {x!r} not preserved")
+                raise ArgumentError(f"identity of {x!r} not preserved")
         for (f, g), h in self.source.then_table.items():
             if self.target.then(self.on_arrows[f], self.on_arrows[g]) != self.on_arrows[h]:
-                raise ValueError(f"composition not preserved at {f!r};{g!r}")
+                raise ArgumentError(f"composition not preserved at {f!r};{g!r}")
 
 
 @dataclass(frozen=True)
@@ -166,24 +167,24 @@ class FinPresheaf:
             return
         for x in self.base.objects:
             if x not in self.sets:
-                raise ValueError(f"no set assigned to object {x!r}")
+                raise ArgumentError(f"no set assigned to object {x!r}")
         for f, (s, t) in self.base.arrows.items():
             act = self.actions.get(f)
             if act is None:
-                raise ValueError(f"no action for arrow {f!r}")
+                raise ArgumentError(f"no action for arrow {f!r}")
             if set(act.keys()) != set(self.sets[t]) or not set(act.values()) <= set(
                 self.sets[s]
             ):
-                raise ValueError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
+                raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
         for x in self.base.objects:
             ident = self.actions[self.base.identity[x]]
             if any(ident[e] != e for e in self.sets[x]):
-                raise ValueError(f"identity action at {x!r} is not the identity")
+                raise ArgumentError(f"identity action at {x!r} is not the identity")
         for (f, g), h in self.base.then_table.items():
             af, ag, ah = self.actions[f], self.actions[g], self.actions[h]
             for e in self.sets[self.base.dst(g)]:
                 if af[ag[e]] != ah[e]:
-                    raise ValueError(f"contravariant functoriality fails at {f!r};{g!r}")
+                    raise ArgumentError(f"contravariant functoriality fails at {f!r};{g!r}")
 
     def act(self, f: Arrow, element):
         return self.actions[f][element]
@@ -215,7 +216,7 @@ class TruncSSet:
             self, "degeneracies", {k: dict(v) for k, v in self.degeneracies.items()}
         )
         if len(self.simplices) != self.level + 1:
-            raise ValueError("need one simplex set per degree 0..level")
+            raise ArgumentError("need one simplex set per degree 0..level")
         if not self.validate:
             return
         for k in range(1, self.level + 1):
@@ -224,14 +225,14 @@ class TruncSSet:
                 if m is None or set(m) != set(self.simplices[k]) or not set(
                     m.values()
                 ) <= set(self.simplices[k - 1]):
-                    raise ValueError(f"face ({k},{i}) is not a map X_{k} -> X_{k-1}")
+                    raise ArgumentError(f"face ({k},{i}) is not a map X_{k} -> X_{k-1}")
         for k in range(self.level):
             for i in range(k + 1):
                 m = self.degeneracies.get((k, i))
                 if m is None or set(m) != set(self.simplices[k]) or not set(
                     m.values()
                 ) <= set(self.simplices[k + 1]):
-                    raise ValueError(f"degeneracy ({k},{i}) is not a map X_{k} -> X_{k+1}")
+                    raise ArgumentError(f"degeneracy ({k},{i}) is not a map X_{k} -> X_{k+1}")
         self._check_simplicial_identities()
 
     def _check_simplicial_identities(self) -> None:
@@ -241,13 +242,13 @@ class TruncSSet:
                 for i in range(j):
                     for x in self.simplices[k]:
                         if d[(k - 1, i)][d[(k, j)][x]] != d[(k - 1, j - 1)][d[(k, i)][x]]:
-                            raise ValueError(f"face identity fails at degree {k}")
+                            raise ArgumentError(f"face identity fails at degree {k}")
         for k in range(self.level - 1):
             for j in range(k + 1):
                 for i in range(j + 1):
                     for x in self.simplices[k]:
                         if s[(k + 1, j + 1)][s[(k, i)][x]] != s[(k + 1, i)][s[(k, j)][x]]:
-                            raise ValueError(f"degeneracy identity fails at degree {k}")
+                            raise ArgumentError(f"degeneracy identity fails at degree {k}")
         for k in range(self.level):
             for j in range(k + 1):
                 for i in range(k + 2):
@@ -261,7 +262,7 @@ class TruncSSet:
                         else:
                             want = s[(k - 1, j)][d[(k, i - 1)][x]]
                         if got != want:
-                            raise ValueError(f"mixed identity fails at degree {k}")
+                            raise ArgumentError(f"mixed identity fails at degree {k}")
 
     def face(self, k: int, i: int, x):
         return self.faces[(k, i)][x]
@@ -297,7 +298,7 @@ def nerve(category: FinCategory, n: int) -> TruncSSet:
     (f_1, ..., f_k), faces drop an outer vertex or compose at an inner one,
     degeneracies insert identities."""
     if n < 0:
-        raise ValueError("truncation level must be nonnegative")
+        raise ArgumentError("truncation level must be nonnegative")
     simplices: list[frozenset] = [frozenset(category.objects)]
     if n >= 1:
         simplices.append(frozenset((f,) for f in category.arrows))
@@ -343,7 +344,7 @@ def pi0(sset: TruncSSet) -> list[frozenset]:
     """Connected components of the vertex set, generated by the two outer
     faces of the edges."""
     if sset.level < 1:
-        raise ValueError("need at least the edge level to form components")
+        raise ArgumentError("need at least the edge level to form components")
     parent = {v: v for v in sset.simplices[0]}
 
     def find(v):
@@ -416,9 +417,9 @@ def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
     """Strict chain decomposition: X_{a+b} -> X_a x_{X_0} X_b (initial-a and
     final-b restrictions, matching at the shared vertex) is a bijection."""
     if a < 0 or b < 0:
-        raise ValueError("chain lengths must be nonnegative")
+        raise ArgumentError("chain lengths must be nonnegative")
     if a + b > sset.level:
-        raise ValueError(f"level {sset.level} too low for a+b={a + b}")
+        raise ArgumentError(f"level {sset.level} too low for a+b={a + b}")
     init = MonotoneMap(a, a + b, tuple(range(a + 1)))
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
     pairs = {}
@@ -520,14 +521,14 @@ def check_segal_gamma(presheaf: FinPresheaf, kappa: int, ell: int) -> bool:
     """Strict label-splitting condition: X<kappa+ell> -> X<kappa> x X<ell> is
     a bijection and X<0> is a singleton."""
     if kappa < 0 or ell < 0:
-        raise ValueError("label counts must be nonnegative")
+        raise ArgumentError("label counts must be nonnegative")
     if kappa + ell not in presheaf.sets:
-        raise ValueError(f"size {kappa + ell} outside the diagram")
+        raise ArgumentError(f"size {kappa + ell} outside the diagram")
     if len(presheaf.sets[0]) != 1:
         return False
     p1, p2 = segal_projection_arrows(kappa, ell)
     if p1 not in presheaf.actions or p2 not in presheaf.actions:
-        raise ValueError("presheaf does not carry the splitting arrows")
+        raise ArgumentError("presheaf does not carry the splitting arrows")
     seen = set()
     for x in presheaf.sets[kappa + ell]:
         key = (presheaf.act(p1, x), presheaf.act(p2, x))
@@ -613,7 +614,7 @@ def representable_multisimplex_presheaf(c: Multisimplex) -> MultisimplexPresheaf
 
     def sets(m: Multisimplex) -> frozenset:
         if m.d != c.d:
-            raise ValueError("direction count mismatch")
+            raise ArgumentError("direction count mismatch")
         per_direction = [_monotone_maps(m[i], c[i]) for i in range(c.d)]
         return frozenset(
             MultisimplexOperator(combo) for combo in itertools.product(*per_direction)
@@ -669,13 +670,13 @@ def check_globularity_presheaf(presheaf: MultisimplexPresheaf, m: Multisimplex) 
     """True iff restriction along the canonical collapse operator m -> m-hat
     is a bijection X(m-hat) -> X(m)."""
     if m.d != presheaf.d:
-        raise ValueError("direction count mismatch")
+        raise ArgumentError("direction count mismatch")
     hat, op = hat_multisimplex(m)
     table = presheaf.action(op)
     source_set = presheaf.sets(hat)
     target_set = presheaf.sets(m)
     if set(table.keys()) != set(source_set):
-        raise ValueError("restriction table does not cover X(m-hat)")
+        raise ArgumentError("restriction table does not cover X(m-hat)")
     values = list(table.values())
     return len(set(values)) == len(values) == len(target_set) and set(values) == set(
         target_set
@@ -700,14 +701,14 @@ def poset_category(elements: Iterable, leq: Callable) -> FinCategory:
     arrows = {("le", x, y): (x, y) for x in objs for y in objs if leq(x, y)}
     for x in objs:
         if ("le", x, x) not in arrows:
-            raise ValueError("relation must be reflexive")
+            raise ArgumentError("relation must be reflexive")
     identity = {x: ("le", x, x) for x in objs}
     then_table = {}
     for (_, x, y) in list(arrows):
         for (_, y2, z) in list(arrows):
             if y == y2:
                 if ("le", x, z) not in arrows:
-                    raise ValueError("relation must be transitive")
+                    raise ArgumentError("relation must be transitive")
                 then_table[(("le", x, y), ("le", y2, z))] = ("le", x, z)
     return FinCategory(objs, arrows, identity, then_table)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -32,14 +31,17 @@ from .errors import (
 from .plgeom import (
     INF,
     NEG_INF,
+    Ambient,
     Ambient1D,
     Ambient2D,
+    CircleCell,
     PLFunc,
     PLRegion,
     Seg,
     Slab,
     circle_cells_from_predicate,
     fr,
+    interval_rep,
     is_finite,
     line_cells_from_predicate,
     line_region,
@@ -62,9 +64,6 @@ from .plgeom import (
 )
 from .reporting import ReportEntry, ValidationReport
 from .shapes import GammaMorphism, MonotoneMap, Multisimplex
-
-Sign = Literal["+", "-"]
-Side = Literal["below", "level", "above"]
 
 _OPPOSITE: dict[str, str] = {"+": "-", "-": "+"}
 
@@ -179,7 +178,6 @@ class Cut2D:
 
 
 Cut = Union[Cut1D, Cut2D]
-Ambient = Union[Ambient1D, Ambient2D]
 
 
 @dataclass(frozen=True)
@@ -400,7 +398,8 @@ def validate_cut(cut: Cut, ambient: Ambient) -> None:
             if comp.sheets[k].sign == comp.sheets[k - 1].sign:
                 raise ValidationError(
                     f"component {ci}: sheet signs must alternate")
-        lo, hi = _component_domain_window(ambient, ci, cut.axis)
+        lo, hi = _component_domain_window(ambient.component_boxes(ci),
+                                          cut.axis)
         dom = line_region(Seg(lo, hi, False, False))
         for k in range(1, len(comp.sheets)):
             verdict = plfunc_order(comp.sheets[k - 1].graph,
@@ -411,27 +410,11 @@ def validate_cut(cut: Cut, ambient: Ambient) -> None:
                     f"strictly ordered over the component")
 
 
-def _component_domain_window(ambient: Ambient2D, ci: int, axis: int):
-    """Open window of the graph argument coordinate over one component."""
-    lo, hi = INF, NEG_INF
-    for (x0, x1, y0, y1) in ambient.component_boxes(ci):
-        a, b = (x0, x1) if axis == 2 else (y0, y1)
-        if lo == INF or _lt(a, lo):
-            lo = a
-        if hi == NEG_INF or _lt(hi, b):
-            hi = b
-    return (lo, hi)
-
-
-def _lt(a, b) -> bool:
-    """a < b with +-inf sentinels."""
-    if a == b:
-        return False
-    if a == NEG_INF or b == INF:
-        return True
-    if a == INF or b == NEG_INF:
-        return False
-    return a < b
+def _component_domain_window(boxes, axis: int):
+    """Open window of the graph argument coordinate over a component's
+    boxes."""
+    spans = [(x0, x1) if axis == 2 else (y0, y1) for x0, x1, y0, y1 in boxes]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +434,7 @@ def _interval_cut_cells(comp: ComponentCut1D, lo, hi, target: str) -> list:
         criticals.append(hi)
 
     def pred(x: Fraction) -> bool:
-        if not (_lt(lo, x) and _lt(x, hi)):
+        if not lo < x < hi:
             return False
         return _classify_on_interval(comp, x) == target
 
@@ -460,8 +443,6 @@ def _interval_cut_cells(comp: ComponentCut1D, lo, hi, target: str) -> list:
 
 def _circle_cut_cells(comp: ComponentCut1D, idx: int, length: Fraction,
                       target: str) -> list:
-    from .plgeom import CircleCell
-
     if comp.kind == "whole":
         if target == comp.whole_sign:
             return [CircleCell(idx, length)]
@@ -538,16 +519,16 @@ def _box_band_cells_axis1(comp: ComponentCut2D, box, target: str) -> list:
     first = comp.sheets[0].sign
     if target == "level":
         for c in consts:
-            if _lt(x0, c) and _lt(c, x1):
+            if x0 < c < x1:
                 out.append(Slab(c, c, True, True, ylo, yhi, False, False))
         return out
     n = len(consts)
     for band in range(n + 1):
         if _side_of_count(first, band) != target:
             continue
-        lo = x0 if band == 0 else (consts[band - 1] if _lt(x0, consts[band - 1]) else x0)
-        hi = x1 if band == n else (consts[band] if _lt(consts[band], x1) else x1)
-        if not _lt(lo, hi):
+        lo = x0 if band == 0 else max(x0, consts[band - 1])
+        hi = x1 if band == n else min(consts[band], x1)
+        if not lo < hi:
             continue
         out.append(Slab(lo, hi, False, False, ylo, yhi, False, False))
     return out
@@ -585,11 +566,6 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
             region_normalize(PLRegion(2, tuple(parts["above"]))))
 
 
-def cut_side_region(cut: Cut, ambient: Ambient, side: str) -> PLRegion:
-    below, level, above = cut_regions(cut, ambient)
-    return {"below": below, "level": level, "above": above}[side]
-
-
 # ---------------------------------------------------------------------------
 # ordering, transversality, grid validation
 # ---------------------------------------------------------------------------
@@ -599,7 +575,7 @@ def tuple_is_ordered(tup: CutTuple, ambient: Ambient) -> bool:
     """C_j <= C_{j+1} for all consecutive cuts (below-regions nest)."""
     if tup.m == 0:
         return True
-    belows = [cut_side_region(c, ambient, "below") for c in tup.cuts]
+    belows = [cut_regions(c, ambient)[0] for c in tup.cuts]
     for j in range(tup.m):
         if not region_subset(belows[j], belows[j + 1]):
             return False
@@ -750,8 +726,7 @@ def kept_region(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     for ci, lab in enumerate(mg.labels):
         if lab != 0:
             cells.extend(component_region(ambient, ci).cells)
-    dim = 1 if isinstance(ambient, Ambient1D) else 2
-    return PLRegion(dim, tuple(cells))
+    return PLRegion(ambient.dim, tuple(cells))
 
 
 def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
@@ -769,12 +744,6 @@ def compactness_failures(mg: MonoidalCutGrid,
                          ambient: Ambient) -> list[str]:
     """Index pairs whose closed between-slice (on kept components) is
     not compact inside the ambient, as human-readable strings."""
-    return list(_compactness_failures_cached(mg, ambient))
-
-
-@lru_cache(maxsize=2048)
-def _compactness_failures_cached(mg: MonoidalCutGrid,
-                                 ambient: Ambient) -> tuple[str, ...]:
     g = mg.grid
     kept = kept_region(mg, ambient)
     dirs = list(range(1, g.d + 1))
@@ -786,7 +755,7 @@ def _compactness_failures_cached(mg: MonoidalCutGrid,
                                 [t.m for t in g.tuples], closed=True)
         if region_is_compact_in(region_boolean("intersect", widest, kept),
                                 ambient):
-            return ()
+            return []
     pair_ranges = [
         [(j, jp) for j in range(t.m + 1) for jp in range(j, t.m + 1)]
         for t in g.tuples
@@ -805,7 +774,7 @@ def _compactness_failures_cached(mg: MonoidalCutGrid,
             else:
                 why = "closure of the slice leaves the ambient"
             failures.append(f"{pairs}: {why}")
-    return tuple(failures)
+    return failures
 
 
 def is_compact(mg: MonoidalCutGrid, ambient: Ambient) -> bool:
@@ -858,17 +827,15 @@ def relabel(mg: MonoidalCutGrid, u: GammaMorphism) -> MonoidalCutGrid:
 # ---------------------------------------------------------------------------
 
 
-def _cut_disagreement(cut_a: Cut, cut_b: Cut, ambient: Ambient,
-                      within: PLRegion) -> PLRegion:
-    """Points of `within` where the two cuts classify differently."""
-    a_b, a_l, a_a = cut_regions(cut_a, ambient)
-    b_b, b_l, b_a = cut_regions(cut_b, ambient)
+def cut_disagreement(cut_a: Cut, ambient_a: Ambient, cut_b: Cut,
+                     ambient_b: Ambient, within: PLRegion) -> PLRegion:
+    """Points of `within` where the two cuts, each over its own ambient,
+    classify differently."""
     agree_cells: list = []
-    for ra, rb in ((a_b, b_b), (a_l, b_l), (a_a, b_a)):
+    for ra, rb in zip(cut_regions(cut_a, ambient_a),
+                      cut_regions(cut_b, ambient_b)):
         agree_cells.extend(region_boolean("intersect", ra, rb).cells)
-    dim = within.dim
-    agree = PLRegion(dim, tuple(agree_cells))
-    return region_difference(within, agree)
+    return region_difference(within, PLRegion(within.dim, tuple(agree_cells)))
 
 
 def globularity_failures(mg: MonoidalCutGrid,
@@ -878,19 +845,13 @@ def globularity_failures(mg: MonoidalCutGrid,
     disagreement locus is taken closed and the vertex core is compact,
     'agree on a neighborhood' is exactly 'the closed disagreement locus
     misses the core'."""
-    return list(_globularity_failures_cached(mg, ambient))
-
-
-@lru_cache(maxsize=2048)
-def _globularity_failures_cached(mg: MonoidalCutGrid,
-                                 ambient: Ambient) -> tuple[str, ...]:
     g = mg.grid
     if g.d > 2:
         raise UnsupportedDimensionError(
             "globularity test implemented for at most 2 directions")
-    failures: list[str] = []
     if g.d <= 1:
-        return ()
+        return []
+    failures: list[str] = []
     kept = kept_region(mg, ambient)
     for i in range(1, g.d):
         tup = g.tuples[i - 1]
@@ -902,12 +863,12 @@ def _globularity_failures_cached(mg: MonoidalCutGrid,
                 for l in range(k + 1, len(cuts)):
                     if cut_equal(cuts[k], cuts[l]):
                         continue  # equal cuts cannot disagree anywhere
-                    diff = _cut_disagreement(cuts[k], cuts[l], ambient, kept)
+                    diff = cut_disagreement(cuts[k], ambient, cuts[l],
+                                            ambient, kept)
                     diff_cells.extend(diff.cells)
         if not diff_cells:
             continue
-        wobble = region_closure(PLRegion(
-            1 if isinstance(ambient, Ambient1D) else 2, tuple(diff_cells)))
+        wobble = region_closure(PLRegion(ambient.dim, tuple(diff_cells)))
         for j in range(tup.m + 1):
             vertex_core = core(vertex_grid(mg, i, j), ambient)
             overlap = region_boolean("intersect", wobble, vertex_core)
@@ -916,7 +877,7 @@ def _globularity_failures_cached(mg: MonoidalCutGrid,
                 failures.append(
                     f"direction {i}, vertex {j}: later cuts disagree "
                     f"arbitrarily close to the core (e.g. at {witness})")
-    return tuple(failures)
+    return failures
 
 
 def is_globular(mg: MonoidalCutGrid, ambient: Ambient) -> bool:
@@ -999,42 +960,23 @@ class AffineMap:
                        + self.shifts[i] for i in range(self.dim))
         return AffineMap(self.dim, perm, coeffs, shifts)
 
+    def _map_range(self, i: int, lo, hi) -> tuple:
+        """Image of the open range (lo, hi) of the input coordinate that
+        output coordinate i reads (ends may be inf)."""
+        a, b = self.coeffs[i], self.shifts[i]
+        p, q = ((a * v + b) if is_finite(v) else (v if a > 0 else -v)
+                for v in (lo, hi))
+        return (p, q) if a > 0 else (q, p)
+
     def map_interval(self, lo, hi) -> tuple:
         """Image of an open interval under a 1D map (ends may be inf)."""
-        a, b = self.coeffs[0], self.shifts[0]
-
-        def send(v):
-            if v == INF:
-                return INF if a > 0 else NEG_INF
-            if v == NEG_INF:
-                return NEG_INF if a > 0 else INF
-            return a * v + b
-
-        p, q = send(lo), send(hi)
-        return (p, q) if a > 0 else (q, p)
+        return self._map_range(0, lo, hi)
 
     def map_box(self, box) -> tuple:
         """Image of an open box under a 2D map."""
-        x0, x1, y0, y1 = box
-        ranges = ((x0, x1), (y0, y1))
-        out = [None, None, None, None]
-        for i in range(2):
-            a, b = self.coeffs[i], self.shifts[i]
-            lo, hi = ranges[self.perm[i]]
-
-            def send(v):
-                if v == INF:
-                    return INF if a > 0 else NEG_INF
-                if v == NEG_INF:
-                    return NEG_INF if a > 0 else INF
-                return a * v + b
-
-            p, q = send(lo), send(hi)
-            if a < 0:
-                p, q = q, p
-            out[2 * i] = p
-            out[2 * i + 1] = q
-        return tuple(out)
+        ranges = (box[0:2], box[2:4])
+        return (self._map_range(0, *ranges[self.perm[0]])
+                + self._map_range(1, *ranges[self.perm[1]]))
 
 
 @dataclass(frozen=True)
@@ -1047,9 +989,8 @@ class AmbientEmbedding:
     map: AffineMap
 
     def __post_init__(self) -> None:
-        src_dim = 1 if isinstance(self.source, Ambient1D) else 2
-        tgt_dim = 1 if isinstance(self.target, Ambient1D) else 2
-        if src_dim != tgt_dim or self.map.dim != src_dim:
+        src_dim = self.source.dim
+        if self.target.dim != src_dim or self.map.dim != src_dim:
             raise ArgumentError("embedding dimensions do not agree")
         if src_dim == 1:
             assert isinstance(self.source, Ambient1D)
@@ -1084,18 +1025,11 @@ def image_ambient(emb: AmbientEmbedding) -> Ambient:
     return Ambient2D(boxes)
 
 
-def _component_sample(ambient: Ambient, ci: int):
-    pt = region_sample_point(component_region(ambient, ci))
-    if pt is None:
-        raise ArgumentError(f"component {ci} is empty")
-    return pt
-
-
 def _transport_component_1d(cut: Cut1D, tgt: Ambient1D,
                             emb_map: AffineMap, lo, hi) -> ComponentCut1D:
     """Pull the target's line cut data back to a source interval."""
     img_lo, img_hi = emb_map.map_interval(lo, hi)
-    mid = _interval_rep(img_lo, img_hi)
+    mid = interval_rep(img_lo, img_hi)
     try:
         tc = tgt.component_of_line_point(mid)
     except ArgumentError:
@@ -1107,7 +1041,7 @@ def _transport_component_1d(cut: Cut1D, tgt: Ambient1D,
     flip = emb_map.coeffs[0] < 0
     pulled: list[tuple[Fraction, str]] = []
     for pos, sign in comp.zeros:
-        if _lt(img_lo, pos) and _lt(pos, img_hi):
+        if img_lo < pos < img_hi:
             new_sign = _OPPOSITE[sign] if flip else sign
             pulled.append((inv.coeffs[0] * pos + inv.shifts[0], new_sign))
     if not pulled:
@@ -1115,16 +1049,6 @@ def _transport_component_1d(cut: Cut1D, tgt: Ambient1D,
         return ComponentCut1D("whole", (), side)
     pulled.sort(key=lambda z: z[0])
     return ComponentCut1D("zeros", tuple(pulled))
-
-
-def _interval_rep(lo, hi) -> Fraction:
-    if is_finite(lo) and is_finite(hi):
-        return (lo + hi) / 2
-    if is_finite(lo):
-        return lo + 1
-    if is_finite(hi):
-        return hi - 1
-    return Fraction(0)
 
 
 def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
@@ -1177,21 +1101,14 @@ def _transport_component_2d(cut: Cut2D, tgt: Ambient2D,
         return new_axis, ComponentCut2D("whole", (), side)
     # strict disjointness over the component makes the order at any one
     # shadow point the order everywhere over it
-    arg_lo, arg_hi = INF, NEG_INF
-    for (x0, x1, y0, y1) in src_boxes:
-        wlo, whi = (x0, x1) if new_axis == 2 else (y0, y1)
-        if arg_lo == INF or _lt(wlo, arg_lo):
-            arg_lo = wlo
-        if arg_hi == NEG_INF or _lt(arg_hi, whi):
-            arg_hi = whi
-    probe = _interval_rep(arg_lo, arg_hi)
+    probe = interval_rep(*_component_domain_window(src_boxes, new_axis))
     kept.sort(key=lambda s: s.graph(probe))
     return new_axis, ComponentCut2D("sheets", tuple(kept))
 
 
 def _box_rep(box) -> tuple[Fraction, Fraction]:
     x0, x1, y0, y1 = box
-    return (_interval_rep(x0, x1), _interval_rep(y0, y1))
+    return (interval_rep(x0, x1), interval_rep(y0, y1))
 
 
 def pullback_along(mg: MonoidalCutGrid,
@@ -1223,7 +1140,7 @@ def pullback_along(mg: MonoidalCutGrid,
         labels: list[int] = []
         for ci in range(n_src_line):
             lo, hi = src.intervals[ci]
-            mid = _interval_rep(*emb.map.map_interval(lo, hi))
+            mid = interval_rep(*emb.map.map_interval(lo, hi))
             try:
                 tc = tgt.component_of_line_point(mid)
             except ArgumentError:

@@ -190,10 +190,6 @@ def plfunc_equal(f: PLFunc, g: PLFunc) -> bool:
     return h.left_slope == 0 and h.right_slope == 0 and all(v == 0 for v in h.values)
 
 
-def plfunc_eval(f: PLFunc, x) -> Fraction:
-    return f(fr(x))
-
-
 def plfunc_integral(f: PLFunc, a, b) -> Fraction:
     """Exact trapezoidal integral over [a, b]."""
     a, b = fr(a), fr(b)
@@ -463,10 +459,8 @@ def _line_atoms(criticals: Sequence[Fraction]) -> list[tuple]:
     return atoms
 
 
-def _atom_rep(atom: tuple) -> Fraction:
-    if atom[0] == "pt":
-        return atom[1]
-    lo, hi = atom[1], atom[2]
+def interval_rep(lo: End, hi: End) -> Fraction:
+    """A rational point strictly inside the open interval (lo, hi)."""
     if is_finite(lo) and is_finite(hi):
         return (lo + hi) / 2
     if is_finite(lo):
@@ -474,6 +468,10 @@ def _atom_rep(atom: tuple) -> Fraction:
     if is_finite(hi):
         return hi - 1
     return Fraction(0)
+
+
+def _atom_rep(atom: tuple) -> Fraction:
+    return atom[1] if atom[0] == "pt" else interval_rep(atom[1], atom[2])
 
 
 def line_cells_from_predicate(
@@ -545,13 +543,16 @@ def circle_cells_from_predicate(
 ) -> tuple[Cell, ...]:
     L = fr(L)
     atoms = _circle_atoms(L, list(criticals))
-    if atoms == [("full",)]:
-        return (CircleCell(circle, L),) if pred(Fraction(0)) else ()
     included = [pred(_circle_atom_rep(L, a)) for a in atoms]
+    return tuple(_coalesce_circle(circle, L, atoms, included))
+
+
+def _coalesce_circle(circle: int, L: Fraction, atoms: list[tuple],
+                     included: list[bool]) -> list[Cell]:
     if all(included):
-        return (CircleCell(circle, L),)
+        return [CircleCell(circle, L)]
     if not any(included):
-        return ()
+        return []
     # rotate so the walk starts just after an excluded atom
     n = len(atoms)
     start = next(i for i in range(n) if not included[i])
@@ -559,18 +560,14 @@ def circle_cells_from_predicate(
     cells: list[Cell] = []
     t = 0
     while t < len(order):
-        idx = order[t]
-        if not included[idx]:
+        if not included[order[t]]:
             t += 1
             continue
         u = t
         while u + 1 < len(order) and included[order[u + 1]]:
             u += 1
         first, last = atoms[order[t]], atoms[order[u]]
-        if first[0] == "pt":
-            a, ac = first[1], True
-        else:
-            a, ac = first[1], False
+        a, ac = first[1], first[0] == "pt"
         if last[0] == "pt":
             b, bc = last[1], True
         else:
@@ -584,7 +581,7 @@ def circle_cells_from_predicate(
         else:
             cells.append(Arc(circle, L, a, b, ac, bc))
         t = u + 1
-    return tuple(cells)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -643,43 +640,7 @@ def _rebuild_1d(universe_atoms: dict) -> tuple[Cell, ...]:
             cells.extend(_coalesce_line(atoms, included))
         else:
             _, idx, L = universe
-            if atoms == [("full",)]:
-                if included[0]:
-                    cells.append(CircleCell(idx, L))
-                continue
-            incl_map = dict(zip(range(len(atoms)), included))
-            if all(included):
-                cells.append(CircleCell(idx, L))
-                continue
-            if not any(included):
-                continue
-            n = len(atoms)
-            start = next(i for i in range(n) if not included[i])
-            order = [(start + 1 + t) % n for t in range(n - 1)]
-            t = 0
-            while t < len(order):
-                if not incl_map[order[t]]:
-                    t += 1
-                    continue
-                u = t
-                while u + 1 < len(order) and incl_map[order[u + 1]]:
-                    u += 1
-                first, last = atoms[order[t]], atoms[order[u]]
-                a, ac = (first[1], True) if first[0] == "pt" else (first[1], False)
-                b, bc = (
-                    (last[1], True)
-                    if last[0] == "pt"
-                    else ((last[1] + last[2]) % L, False)
-                )
-                if a == b and not (ac and bc):
-                    # Full wrap minus the single excluded point: split in
-                    # two, since equal open endpoints are not representable.
-                    m = (a + L / 2) % L
-                    cells.append(Arc(idx, L, a, m, ac, True))
-                    cells.append(Arc(idx, L, m, b, False, bc))
-                else:
-                    cells.append(Arc(idx, L, a, b, ac, bc))
-                t = u + 1
+            cells.extend(_coalesce_circle(idx, L, atoms, included))
     return tuple(cells)
 
 
@@ -857,35 +818,43 @@ def _check_same_dim(a: PLRegion, b: PLRegion) -> None:
         raise ArgumentError("region dimension mismatch")
 
 
-def _combine_regions(a: PLRegion, b: PLRegion, combine: Callable[[bool, bool], bool]) -> PLRegion:
-    _check_same_dim(a, b)
-    if a.dim == 1:
+def _rebuild(regions: Sequence[PLRegion],
+             keep: Callable[[Sequence[bool]], bool]) -> PLRegion:
+    """The points whose memberships in the regions satisfy keep, rebuilt
+    from the joint refinement (adjacent 1D atoms coalesce)."""
+    if regions[0].dim == 1:
         universe_atoms: dict = {}
-        for universe, atom, _, mems in _refine_1d([a, b]):
+        for universe, atom, _, mems in _refine_1d(regions):
             atoms, incl = universe_atoms.setdefault(universe, ([], []))
             atoms.append(atom)
-            incl.append(combine(mems[0], mems[1]))
+            incl.append(keep(mems))
         return PLRegion(1, _rebuild_1d(universe_atoms))
+    which = range(len(regions))
     cells: list[Slab] = []
-    for view in _refine_2d([a, b]):
+    for view in _refine_2d(regions):
         included = [
-            combine(view.membership(0, ya), view.membership(1, ya))
-            for ya in view.y_atoms
+            keep([view.membership(k, ya) for k in which]) for ya in view.y_atoms
         ]
         cells.extend(view.build_cells(included))
     return PLRegion(2, tuple(cells))
 
 
+def _combine_regions(a: PLRegion, b: PLRegion,
+                     keep: Callable[[Sequence[bool]], bool]) -> PLRegion:
+    _check_same_dim(a, b)
+    return _rebuild([a, b], keep)
+
+
 def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
     if op == "intersect":
-        return _combine_regions(a, b, lambda x, y: x and y)
+        return _combine_regions(a, b, lambda m: m[0] and m[1])
     if op == "union":
-        return _combine_regions(a, b, lambda x, y: x or y)
+        return _combine_regions(a, b, lambda m: m[0] or m[1])
     raise ArgumentError(f"unknown boolean op {op!r}")
 
 
 def region_difference(a: PLRegion, b: PLRegion) -> PLRegion:
-    return _combine_regions(a, b, lambda x, y: x and not y)
+    return _combine_regions(a, b, lambda m: m[0] and not m[1])
 
 
 def region_subset(a: PLRegion, b: PLRegion) -> bool:
@@ -924,18 +893,7 @@ def region_is_empty(a: PLRegion) -> bool:
 
 def region_normalize(a: PLRegion) -> PLRegion:
     """Re-express through the refinement (coalescing adjacent 1D atoms)."""
-    if a.dim == 1:
-        universe_atoms: dict = {}
-        for universe, atom, _, mems in _refine_1d([a]):
-            atoms, incl = universe_atoms.setdefault(universe, ([], []))
-            atoms.append(atom)
-            incl.append(mems[0])
-        return PLRegion(1, _rebuild_1d(universe_atoms))
-    cells: list[Slab] = []
-    for view in _refine_2d([a]):
-        included = [view.membership(0, ya) for ya in view.y_atoms]
-        cells.extend(view.build_cells(included))
-    return PLRegion(2, tuple(cells))
+    return _rebuild([a], lambda m: m[0])
 
 
 def _slab_is_empty(s: Slab) -> bool:
@@ -1240,44 +1198,6 @@ def component_region(m: Ambient, k: int) -> PLRegion:
             return PLRegion(1, (Seg(data[0], data[1], False, False),))
         return PLRegion(1, (CircleCell(k - len(m.intervals), data),))
     return PLRegion(2, tuple(_box_slab(b) for b in m.component_boxes(k)))
-
-
-@dataclass(frozen=True)
-class AmbientComponent:
-    """One connected component of an ambient, with a membership test."""
-
-    index: int
-    kind: str  # "interval" | "circle" | "boxes"
-    data: tuple
-    region: PLRegion
-
-    def contains(self, point) -> bool:
-        if self.kind == "boxes":
-            return region_contains_point(self.region, point)
-        if self.kind == "circle":
-            return True  # any angle mod the circumference lies on the circle
-        return region_contains_point(self.region, point)
-
-
-def connected_components(m: Ambient) -> list[AmbientComponent]:
-    out = []
-    if isinstance(m, Ambient1D):
-        for k in range(m.n_components()):
-            kind, data = m.component_kind(k)
-            out.append(
-                AmbientComponent(
-                    k,
-                    kind,
-                    data if kind == "circle" else tuple(data),
-                    component_region(m, k),
-                )
-            )
-        return out
-    for k in range(m.n_components()):
-        out.append(
-            AmbientComponent(k, "boxes", m.component_boxes(k), component_region(m, k))
-        )
-    return out
 
 
 def region_is_compact_in(a: PLRegion, m: Ambient) -> bool:

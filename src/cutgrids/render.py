@@ -28,6 +28,7 @@ from .plgeom import (
     Arc,
     CircleCell,
     PLFunc,
+    PLRegion,
     Seg,
     Slab,
     fr,
@@ -81,9 +82,8 @@ class _View:
         return min(max(fr(y), self.y0), self.y1)
 
 
-def _default_window(b: Bordism):
-    c = bordism_core(b)
-    xr, yr = region_bbox(c)
+def _default_window(b: Bordism, core: PLRegion):
+    xr, yr = region_bbox(core)
     if xr is None:
         raise ArgumentError(
             "the core gives no finite viewport; pass an explicit window")
@@ -155,7 +155,8 @@ def _circle_point(spot, theta) -> tuple[float, float]:
             float(cy) + float(r) * math.sin(a))
 
 
-def _render_1d(b: Bordism, view: _View, out: list[str]) -> None:
+def _render_1d(b: Bordism, core: PLRegion, view: _View,
+               out: list[str]) -> None:
     amb = b.ambient
     assert isinstance(amb, Ambient1D)
     spots = _circle_layout(amb, view)
@@ -221,7 +222,7 @@ def _render_1d(b: Bordism, view: _View, out: list[str]) -> None:
                     out.append(_arrow(px, py - 12, angle))
 
     # core, highlighted
-    for comp in region_components(bordism_core(b)):
+    for comp in region_components(core):
         for cell in comp.cells:
             if isinstance(cell, Seg):
                 if cell.lo == cell.hi:
@@ -276,7 +277,8 @@ def _arc_path(cell: Union[Arc, CircleCell], spots, view: _View,
     return f'<polyline class="{cls}" points="{" ".join(pts)}" {style}/>'
 
 
-def _render_2d(b: Bordism, view: _View, out: list[str]) -> None:
+def _render_2d(b: Bordism, core: PLRegion, view: _View,
+               out: list[str]) -> None:
     amb = b.ambient
     assert isinstance(amb, Ambient2D)
     g = b.mgrid.grid
@@ -322,7 +324,7 @@ def _render_2d(b: Bordism, view: _View, out: list[str]) -> None:
                     out.append(_arrow(mx, my, angle))
 
     # core
-    for comp in region_components(bordism_core(b)):
+    for comp in region_components(core):
         xr, yr = region_bbox(comp)
         if xr is not None and yr is not None and xr[0] == xr[1] and yr[0] == yr[1]:
             out.append(f'<circle class="core-marker" '
@@ -364,8 +366,9 @@ def render_svg(b: Bordism, window=None) -> str:
     omitted, the core's bounding box padded by 1 is used, and an
     unbounded or empty core is an error.
     """
+    core = bordism_core(b)
     if window is None:
-        window = _default_window(b)
+        window = _default_window(b, core)
     window = tuple(fr(v) for v in window)
     if len(window) == 2:
         window = (window[0], window[1], Fraction(-1), Fraction(1))
@@ -384,8 +387,8 @@ def render_svg(b: Bordism, window=None) -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     if is2d:
-        _render_2d(b, view, out)
+        _render_2d(b, core, view, out)
     else:
-        _render_1d(b, view, out)
+        _render_1d(b, core, view, out)
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -9,11 +9,12 @@ they act on component labels, and level trees are stored as nested objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+
+from .errors import ArgumentError
 
 
-class CompositionError(ValueError):
+class CompositionError(ArgumentError):
     """Endpoint mismatch when composing maps."""
 
 
@@ -35,17 +36,17 @@ class MonotoneMap:
 
     def __post_init__(self) -> None:
         if self.source < 0 or self.target < 0:
-            raise ValueError("ordinal sizes must be nonnegative")
+            raise ArgumentError("ordinal sizes must be nonnegative")
         if len(self.values) != self.source + 1:
-            raise ValueError(
+            raise ArgumentError(
                 f"value table has {len(self.values)} entries, expected {self.source + 1}"
             )
         for v in self.values:
             if not (0 <= v <= self.target):
-                raise ValueError(f"value {v} outside [0, {self.target}]")
+                raise ArgumentError(f"value {v} outside [0, {self.target}]")
         for a, b in zip(self.values, self.values[1:]):
             if a > b:
-                raise ValueError(f"values not nondecreasing: {self.values}")
+                raise ArgumentError(f"values not nondecreasing: {self.values}")
 
     def __call__(self, j: int) -> int:
         return self.values[j]
@@ -62,14 +63,14 @@ class MonotoneMap:
     def face(cls, n: int, i: int) -> "MonotoneMap":
         """The injection [n-1] -> [n] skipping i (coface d^i)."""
         if not (0 <= i <= n):
-            raise ValueError(f"face index {i} outside [0, {n}]")
+            raise ArgumentError(f"face index {i} outside [0, {n}]")
         return cls(n - 1, n, tuple(j if j < i else j + 1 for j in range(n)))
 
     @classmethod
     def degeneracy(cls, n: int, i: int) -> "MonotoneMap":
         """The surjection [n+1] -> [n] repeating i (codegeneracy s^i)."""
         if not (0 <= i <= n):
-            raise ValueError(f"degeneracy index {i} outside [0, {n}]")
+            raise ArgumentError(f"degeneracy index {i} outside [0, {n}]")
         return cls(n + 1, n, tuple(j if j <= i else j - 1 for j in range(n + 2)))
 
     def is_identity(self) -> bool:
@@ -108,20 +109,20 @@ class GammaMorphism:
 
     def __post_init__(self) -> None:
         if self.source < 0 or self.target < 0:
-            raise ValueError("label set sizes must be nonnegative")
+            raise ArgumentError("label set sizes must be nonnegative")
         if len(self.action) != self.source:
-            raise ValueError(
+            raise ArgumentError(
                 f"action table has {len(self.action)} entries, expected {self.source}"
             )
         for v in self.action:
             if not (0 <= v <= self.target):
-                raise ValueError(f"label image {v} outside [0, {self.target}]")
+                raise ArgumentError(f"label image {v} outside [0, {self.target}]")
 
     def __call__(self, k: int) -> int:
         if k == BASEPOINT:
             return BASEPOINT
         if not (1 <= k <= self.source):
-            raise ValueError(f"label {k} outside <{self.source}>")
+            raise ArgumentError(f"label {k} outside <{self.source}>")
         return self.action[k - 1]
 
     @classmethod
@@ -161,7 +162,7 @@ class Multisimplex:
     def __post_init__(self) -> None:
         for m in self.entries:
             if m < 0:
-                raise ValueError("multisimplex entries must be nonnegative")
+                raise ArgumentError("multisimplex entries must be nonnegative")
 
     @property
     def d(self) -> int:
@@ -237,9 +238,9 @@ def vertex_operator(m: Multisimplex, i: int, j: int) -> MultisimplexOperator:
     components are identities.  Source is m with the i-th entry zeroed.
     """
     if not (1 <= i <= m.d):
-        raise ValueError(f"direction {i} outside 1..{m.d}")
+        raise ArgumentError(f"direction {i} outside 1..{m.d}")
     if not (0 <= j <= m[i - 1]):
-        raise ValueError(f"vertex {j} outside [0, {m[i - 1]}]")
+        raise ArgumentError(f"vertex {j} outside [0, {m[i - 1]}]")
     comps = []
     for k, mk in enumerate(m.entries):
         if k == i - 1:
@@ -263,13 +264,13 @@ class ThetaObject:
 
     def __post_init__(self) -> None:
         if self.level < 0:
-            raise ValueError("level must be nonnegative")
+            raise ArgumentError("level must be nonnegative")
         if self.level == 0:
             if self.children:
-                raise ValueError("a level-0 tree has no children")
+                raise ArgumentError("a level-0 tree has no children")
         for c in self.children:
             if c.level != self.level - 1:
-                raise ValueError(
+                raise ArgumentError(
                     f"child level {c.level} under a level-{self.level} tree"
                 )
 
@@ -309,9 +310,9 @@ class ThetaMorphism:
     def __post_init__(self) -> None:
         src, tgt = self.source_obj, self.target_obj
         if src.level != tgt.level:
-            raise ValueError("source and target trees have different levels")
+            raise ArgumentError("source and target trees have different levels")
         if self.delta.source != src.root or self.delta.target != tgt.root:
-            raise ValueError("delta endpoints do not match the tree roots")
+            raise ArgumentError("delta endpoints do not match the tree roots")
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
         expected = set()
         for i in range(1, src.root + 1):
@@ -319,14 +320,14 @@ class ThetaMorphism:
                 expected.add((i, j))
         got = {key for key, _ in self.blocks}
         if got != expected:
-            raise ValueError(
+            raise ArgumentError(
                 f"block index set {sorted(got)} differs from required {sorted(expected)}"
             )
         for (i, j), blk in self.blocks:
             if blk.source_obj != src.children[i - 1]:
-                raise ValueError(f"block ({i},{j}) has the wrong source tree")
+                raise ArgumentError(f"block ({i},{j}) has the wrong source tree")
             if blk.target_obj != tgt.children[j - 1]:
-                raise ValueError(f"block ({i},{j}) has the wrong target tree")
+                raise ArgumentError(f"block ({i},{j}) has the wrong target tree")
 
     def block(self, i: int, j: int) -> "ThetaMorphism":
         for key, blk in self.blocks:

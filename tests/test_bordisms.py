@@ -295,6 +295,11 @@ def test_face_and_vertex_index_guards():
         face_compose(tri, 1, 2)
     with pytest.raises(ArgumentError, match="outside"):
         source_target(tri, 1, 3)
+    for direction in (0, 5):
+        with pytest.raises(ArgumentError, match="outside"):
+            face_compose(tri, direction, 1)
+        with pytest.raises(ArgumentError, match="outside"):
+            source_target(tri, direction, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,27 @@ def test_boundary_extracts_a_vertex(tmp_path):
     vertex = parse_document(out.read_text()).payload
     assert vertex.mgrid.grid.tuples[0].cuts[0].components[0].zeros == \
         ((-1, "+"),)
+    assert main(["boundary", f, "--direction", "5", "--vertex", "0"]) == 1
+    assert main(["compose", f, "--direction", "0", "--face", "1"]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ambient", []),
+    ("field", []),
+    ("embedding", [1]),
+    ("dimension", True),
+    ("grid", [["not a cut"]]),
+])
+def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
+                                                  value):
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    with open(f, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["payload"][key] = value
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["validate", f]) == 2
+    assert f"bordism.{key}" in capsys.readouterr().err
 
 
 def test_classify_distinguishes_germs(tmp_path, capsys):
