@@ -40,7 +40,7 @@ from .grids import (
     MonoidalCutGrid,
     Sheet,
 )
-from .plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, is_finite
+from .plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, rational_to_text
 from .reporting import ReportEntry, ValidationReport
 
 FORMAT_NAME = "cutgrids-document"
@@ -54,18 +54,22 @@ Payload = Union[Bordism, BordismFamily, FinCategory, TruncSSet]
 # ---------------------------------------------------------------------------
 
 
-def rational_to_text(x) -> str:
-    if not is_finite(x):
-        return "+inf" if x > 0 else "-inf"
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_QUOTE_LIMIT = 40
+
+
+def _quote(s: str) -> str:
+    """s quoted for an error message, cut short when long."""
+    if len(s) <= _QUOTE_LIMIT:
+        return repr(s)
+    return f"{s[:_QUOTE_LIMIT]!r}... ({len(s)} characters)"
 
 
 def rational_from_text(s, where: str = "rational"):
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
-        raise DocumentSyntaxError(f"{where}: expected a rational string, got {s!r}")
+        raise DocumentSyntaxError(
+            f"{where}: expected a rational string, got {type(s).__name__}")
     if s == "+inf":
         return INF
     if s == "-inf":
@@ -77,11 +81,12 @@ def rational_from_text(s, where: str = "rational"):
         if len(parts) == 2:
             num, den = int(parts[0]), int(parts[1])
             if den == 0:
-                raise DocumentSyntaxError(f"{where}: zero denominator in {s!r}")
+                raise DocumentSyntaxError(
+                    f"{where}: zero denominator in {_quote(s)}")
             return Fraction(num, den)
     except ValueError:
         pass
-    raise DocumentSyntaxError(f"{where}: malformed rational {s!r}")
+    raise DocumentSyntaxError(f"{where}: malformed rational {_quote(s)}")
 
 
 def _sign_from_text(s, where: str) -> str:
@@ -100,6 +105,20 @@ def _object(obj, where: str) -> dict:
 def _is_int(v) -> bool:
     """An integer proper: JSON true/false load as bools, which are ints."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _labels(obj, where: str) -> tuple:
+    labels = obj.get("labels")
+    if not isinstance(labels, list) or not all(map(_is_int, labels)):
+        raise DocumentSyntaxError(f"{where}.labels: need an integer array")
+    return tuple(labels)
+
+
+def _uple(obj, where: str) -> bool:
+    uple = obj.get("uple", False)
+    if not isinstance(uple, bool):
+        raise DocumentSyntaxError(f"{where}.uple: must be true or false")
+    return uple
 
 
 def _plf_to_json(f: PLFunc) -> dict:
@@ -207,7 +226,7 @@ def _cut_from_json(obj, dim: int, where: str):
         return Cut1D(_components_from_json(
             obj, where, ComponentCut1D, "zeros", _zero_parser(rational_from_text)))
     axis = _object(obj, where).get("axis")
-    if axis not in (1, 2):
+    if not _is_int(axis) or axis not in (1, 2):
         raise DocumentSyntaxError(f"{where}: 2D cut needs axis 1 or 2")
     return Cut2D(axis, _components_from_json(
         obj, where, ComponentCut2D, "sheets", _sheet_from_json))
@@ -298,16 +317,15 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
                        for j, c in enumerate(cuts)))
         for i, cuts in enumerate(grid))
     ell = obj.get("ell")
-    labels = obj.get("labels")
-    if not _is_int(ell) or not isinstance(labels, list):
-        raise DocumentSyntaxError(f"{where}: need integer ell and a label array")
-    mgrid = MonoidalCutGrid(CutGrid(tuples), ell, tuple(labels))
+    if not _is_int(ell):
+        raise DocumentSyntaxError(f"{where}.ell: need an integer")
+    mgrid = MonoidalCutGrid(CutGrid(tuples), ell, _labels(obj, where))
     field = _field_from_json(obj.get("field", {"kind": "trivial"}),
                              f"{where}.field")
     emb_obj = obj.get("embedding")
     embedding = (None if emb_obj is None
                  else _affine_from_json(emb_obj, dim, f"{where}.embedding"))
-    return Bordism(ambient, mgrid, field, embedding, bool(obj.get("uple", False)))
+    return Bordism(ambient, mgrid, field, embedding, _uple(obj, where))
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +373,9 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
             _zero_parser(_plf_from_json))) for j, cut in enumerate(tup))
         for i, tup in enumerate(obj.get("tuples", [])))
     ell = obj.get("ell")
-    labels = obj.get("labels")
     target_dim = obj.get("target_dim", 1)
-    if not _is_int(ell) or not _is_int(target_dim) or \
-            not isinstance(labels, list):
-        raise DocumentSyntaxError(
-            f"{where}: need integer ell and target_dim and a label array")
+    if not _is_int(ell) or not _is_int(target_dim):
+        raise DocumentSyntaxError(f"{where}: need integer ell and target_dim")
     shift_obj = obj.get("emb_shift")
     return BordismFamily(
         t0=rational_from_text(obj.get("t0", "0"), where),
@@ -372,14 +387,14 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
                       for L in obj.get("circles", [])),
         tuples=tuples,
         ell=ell,
-        labels=tuple(labels),
+        labels=_labels(obj, where),
         field_kind=obj.get("field_kind", "embedded"),
         target_dim=target_dim,
         emb_scale=rational_from_text(obj.get("emb_scale", "1"), where),
         emb_shift=None if shift_obj is None else _plf_from_json(shift_obj, where),
         densities=tuple(_plf_from_json(w, where)
                         for w in obj.get("densities", [])),
-        uple=bool(obj.get("uple", False)))
+        uple=_uple(obj, where))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .plgeom import (
     plfunc_max,
     plfunc_min,
     plfunc_order,
+    rational_to_text,
     region_boolean,
     region_bounded,
     region_closure,
@@ -873,11 +874,21 @@ def globularity_failures(mg: MonoidalCutGrid,
             vertex_core = core(vertex_grid(mg, i, j), ambient)
             overlap = region_boolean("intersect", wobble, vertex_core)
             if not region_is_empty(overlap):
-                witness = region_sample_point(overlap)
+                witness = _point_text(region_sample_point(overlap))
                 failures.append(
                     f"direction {i}, vertex {j}: later cuts disagree "
                     f"arbitrarily close to the core (e.g. at {witness})")
     return failures
+
+
+def _point_text(p) -> str:
+    """A point from region_sample_point in exact text: x, (x, y), or a
+    point on a circle."""
+    if isinstance(p, tuple) and p[0] == "circle":
+        return f"circle {p[1]} at {rational_to_text(p[2])}"
+    if isinstance(p, tuple):
+        return "(" + ", ".join(map(rational_to_text, p)) + ")"
+    return rational_to_text(p)
 
 
 def is_globular(mg: MonoidalCutGrid, ambient: Ambient) -> bool:

@@ -14,8 +14,9 @@ exactly at one rational representative.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -38,6 +39,15 @@ def fr(x) -> Fraction:
 
 def is_finite(v: End) -> bool:
     return isinstance(v, (Fraction, int))
+
+
+def rational_to_text(x: End) -> str:
+    """Exact text of a rational ("p/q", or "p" when integral) or of an
+    infinity ("+inf"/"-inf"), as documents and failure details write it."""
+    if not is_finite(x):
+        return "+inf" if x > 0 else "-inf"
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +110,10 @@ class PLFunc:
                 return vals[i] + m * (x - bps[i])
         raise AssertionError("unreachable")
 
-    def pieces(self) -> list[tuple[End, End, Fraction, Fraction]]:
-        """Affine pieces as (lo, hi, slope, intercept) with f(x) = slope*x + intercept."""
+    @cached_property
+    def _pieces(self) -> tuple[tuple[End, End, Fraction, Fraction], ...]:
+        # Kept in the instance dict, outside the dataclass fields, so
+        # equality and hashing still see only the four fields.
         bps, vals = self.breakpoints, self.values
         out: list[tuple[End, End, Fraction, Fraction]] = []
         out.append((NEG_INF, bps[0], self.left_slope, vals[0] - self.left_slope * bps[0]))
@@ -109,17 +121,18 @@ class PLFunc:
             m = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
             out.append((bps[i], bps[i + 1], m, vals[i] - m * bps[i]))
         out.append((bps[-1], INF, self.right_slope, vals[-1] - self.right_slope * bps[-1]))
-        return out
+        return tuple(out)
+
+    def pieces(self) -> tuple[tuple[End, End, Fraction, Fraction], ...]:
+        """Affine pieces as (lo, hi, slope, intercept) with f(x) = slope*x + intercept,
+        left to right; computed once per function."""
+        return self._pieces
 
     def piece_at(self, x) -> tuple[Fraction, Fraction]:
-        """(slope, intercept) of the affine piece whose closed hull contains x,
-        preferring interior pieces; at a breakpoint either adjacent answer has
-        the same value."""
-        x = fr(x)
-        for lo, hi, m, c in self.pieces():
-            if lo <= x <= hi:
-                return (m, c)
-        raise AssertionError("unreachable")
+        """(slope, intercept) of the first piece whose closed hull contains x:
+        at a breakpoint that is the piece to its left (both agree there)."""
+        _, _, m, c = self._pieces[bisect_left(self.breakpoints, fr(x))]
+        return (m, c)
 
     def is_constant(self) -> bool:
         return (
@@ -387,6 +400,9 @@ class Slab:
             raise ValidationError("slab x-range out of order")
         if self.x_lo == self.x_hi and not (self.x_lo_closed and self.x_hi_closed):
             raise ValidationError("a degenerate x-range must be a closed point")
+        if (self.x_lo_closed and not is_finite(self.x_lo)) or (
+                self.x_hi_closed and not is_finite(self.x_hi)):
+            raise ValidationError("infinite x-end cannot be closed")
         for v, closed in ((self.lower, self.lower_closed), (self.upper, self.upper_closed)):
             if isinstance(v, float) and closed:
                 raise ValidationError("infinite graph bound cannot be closed")
@@ -654,26 +670,21 @@ def _bound_key(bound, atom, rep) -> tuple:
     return (m, c)
 
 
-def _slab_covers_atom(slab: Slab, atom: tuple) -> bool:
-    if atom[0] == "pt":
-        return slab.covers_x(atom[1])
-    lo, hi = atom[1], atom[2]
-    return slab.x_lo <= lo and hi <= slab.x_hi
-
-
 class _XAtomView:
-    """All y-structure of a family of 2D regions over one x-atom."""
+    """All y-structure of a family of 2D regions over one x-atom, given for
+    each region the slabs that cover the atom.  A region's intervals are
+    (lower, upper, lower_closed, upper_closed) with the bounds as indices
+    into the sorted keys, None for an infinite bound."""
 
-    def __init__(self, regions: Sequence[PLRegion], atom: tuple, rep: Fraction):
+    def __init__(self, covering: Sequence[Sequence[Slab]], atom: tuple,
+                 rep: Fraction):
         self.atom = atom
         self.rep = rep
-        self.intervals_per_region: list[list[tuple]] = []
+        keyed: list[list[tuple]] = []
         keyset = {}
-        for r in regions:
+        for slabs in covering:
             ivs = []
-            for slab in r.cells:
-                if not _slab_covers_atom(slab, atom):
-                    continue
+            for slab in slabs:
                 kl = (
                     None
                     if isinstance(slab.lower, float)
@@ -689,9 +700,13 @@ class _XAtomView:
                 if ku is not None:
                     keyset[ku] = True
                 ivs.append((kl, ku, slab.lower_closed, slab.upper_closed))
-            self.intervals_per_region.append(ivs)
+            keyed.append(ivs)
         self.keys = sorted(keyset, key=lambda mc: mc[0] * rep + mc[1])
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
+        index = {k: i for i, k in enumerate(self.keys)}
+        self.intervals_per_region: list[list[tuple]] = [
+            [(None if kl is None else index[kl], None if ku is None else index[ku],
+              loc, upc) for kl, ku, loc, upc in ivs]
+            for ivs in keyed]
         if self.keys:
             self.y_atoms: list[tuple] = [("low",)]
             for i in range(len(self.keys)):
@@ -702,25 +717,24 @@ class _XAtomView:
         else:
             self.y_atoms = [("all",)]
 
-    def _in_interval(self, y_atom: tuple, iv: tuple) -> bool:
-        kl, ku, loc, upc = iv
-        li = None if kl is None else self.key_index[kl]
-        ui = None if ku is None else self.key_index[ku]
+    @staticmethod
+    def _in_interval(y_atom: tuple, iv: tuple) -> bool:
+        li, ui, loc, upc = iv
         kind = y_atom[0]
         if kind == "all":
-            return kl is None and ku is None
+            return li is None and ui is None
         if kind == "low":
-            return kl is None
+            return li is None
         if kind == "high":
-            return ku is None
+            return ui is None
         if kind == "m":
             k = y_atom[1]
-            lo_ok = kl is None or li < k or (li == k and loc)
-            hi_ok = ku is None or k < ui or (ui == k and upc)
+            lo_ok = li is None or li < k or (li == k and loc)
+            hi_ok = ui is None or k < ui or (ui == k and upc)
             return lo_ok and hi_ok
         k = y_atom[1]  # band between keys k and k+1
-        lo_ok = kl is None or li <= k
-        hi_ok = ku is None or ui >= k + 1
+        lo_ok = li is None or li <= k
+        hi_ok = ui is None or ui >= k + 1
         return lo_ok and hi_ok
 
     def membership(self, region_index: int, y_atom: tuple) -> bool:
@@ -804,9 +818,28 @@ def _refine_2d(regions: Sequence[PLRegion]) -> list[_XAtomView]:
                         bounds.append(b)
     for f, g in itertools.combinations(bounds, 2):
         xs.update(plfunc_crossings(f, g))
-    return [
-        _XAtomView(regions, atom, _atom_rep(atom)) for atom in _line_atoms(xs)
-    ]
+    atoms = _line_atoms(xs)
+    # Atoms alternate open intervals and critical points, and every slab
+    # end is critical, so a slab covers one contiguous run of atoms: from
+    # its x_lo point (or the interval after it) to its x_hi point (or the
+    # interval before it), an infinite end running to the first or last atom.
+    index = {atom[1]: a for a, atom in enumerate(atoms) if atom[0] == "pt"}
+    last = len(atoms) - 1
+    covering: list[list[list[Slab]]] = [[[] for _ in regions] for _ in atoms]
+    for k, r in enumerate(regions):
+        for slab in r.cells:
+            if is_finite(slab.x_lo):
+                start = index[slab.x_lo] + (0 if slab.x_lo_closed else 1)
+            else:
+                start = 0
+            if is_finite(slab.x_hi):
+                end = index[slab.x_hi] - (0 if slab.x_hi_closed else 1)
+            else:
+                end = last
+            for a in range(start, end + 1):
+                covering[a][k].append(slab)
+    return [_XAtomView(covering[a], atom, _atom_rep(atom))
+            for a, atom in enumerate(atoms)]
 
 
 # ---------------------------------------------------------------------------

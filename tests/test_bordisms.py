@@ -558,6 +558,7 @@ def test_uple_mode_skips_globularity():
     strict_report = validate(strict)
     assert not strict_report.passed
     assert [e.name for e in strict_report.failures()] == ["globular"]
+    assert "Fraction(" not in strict_report.failures()[0].detail
     relaxed_report = validate(relaxed)
     assert relaxed_report.passed
     globular = next(e for e in relaxed_report.entries if e.name == "globular")

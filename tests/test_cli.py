@@ -119,6 +119,8 @@ def test_boundary_extracts_a_vertex(tmp_path):
     ("embedding", [1]),
     ("dimension", True),
     ("grid", [["not a cut"]]),
+    ("uple", "no"),
+    ("labels", [True]),
 ])
 def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
                                                   value):
@@ -130,6 +132,39 @@ def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
         json.dump(doc, fh)
     assert main(["validate", f]) == 2
     assert f"bordism.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, path, where", [
+    ("point2d", ["grid", 1, 0, "axis"], "bordism.grid[1][0]"),
+    ("elbow_right", ["grid", 0, 0, "components", 0, "zeros", 0, 0],
+     "bordism.grid[0][0].components[0]"),
+])
+def test_validate_rejects_bools_in_nested_fields(tmp_path, capsys, example,
+                                                 path, where):
+    f = write_doc(tmp_path, catalog(example), example)
+    with open(f, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc["payload"]
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = True
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["validate", f]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_validate_quotes_a_long_rational_briefly(tmp_path, capsys):
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    with open(f, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["payload"]["ambient"]["intervals"][0][0] = "1" * 5000
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["validate", f]) == 2
+    err = capsys.readouterr().err
+    assert "malformed rational" in err and "5000 characters" in err
+    assert len(err) < 200
 
 
 def test_classify_distinguishes_germs(tmp_path, capsys):

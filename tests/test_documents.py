@@ -96,6 +96,8 @@ def test_rational_text_rejects_malformed_input():
         rational_from_text("1/2/3")
     with pytest.raises(DocumentSyntaxError, match="expected a rational"):
         rational_from_text(1.5)
+    with pytest.raises(DocumentSyntaxError, match="expected a rational"):
+        rational_from_text(True)
 
 
 @given(st.fractions(min_value=-1000, max_value=1000))
@@ -149,6 +151,12 @@ def test_malformed_payload_values_are_syntax_errors():
     obj["payload"]["grid"][0][0]["components"][0]["zeros"] = [["0", "*"]]
     with pytest.raises(DocumentSyntaxError, match="expected '\\+' or '-'"):
         parse_document(json.dumps(obj))
+    family = serialize_document(document_for(catalog("triangle_family")))
+    for key, value in (("uple", "no"), ("labels", [True])):
+        obj = json.loads(family)
+        obj["payload"][key] = value
+        with pytest.raises(DocumentSyntaxError, match=f"family.{key}"):
+            parse_document(json.dumps(obj))
 
 
 def test_tampered_payload_fails_validation_with_a_report():

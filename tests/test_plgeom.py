@@ -17,6 +17,8 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _bound_key,
+    _refine_2d,
     ambient_region,
     component_region,
     empty_region,
@@ -114,6 +116,35 @@ def plane_regions(draw):
     return PLRegion(2, tuple(draw(st.lists(simple_slabs(), max_size=2))))
 
 
+@st.composite
+def slabs(draw):
+    """Any slab: infinite or single-point x-ranges, infinite bounds, and PL
+    bounds with breakpoints (the upper never below the lower)."""
+    a, b = sorted([draw(rationals(6, 2)), draw(rationals(6, 2))])
+    if a == b or draw(st.integers(0, 4)) == 0:
+        x_range = (a, a, True, True)
+    else:
+        lo = NEG_INF if draw(st.integers(0, 3)) == 0 else a
+        hi = INF if draw(st.integers(0, 3)) == 0 else b
+        x_range = (lo, hi, lo is not NEG_INF and draw(st.booleans()),
+                   hi is not INF and draw(st.booleans()))
+    lower = NEG_INF if draw(st.integers(0, 3)) == 0 else draw(plfuncs())
+    if draw(st.integers(0, 3)) == 0:
+        upper = INF
+    elif lower is NEG_INF:
+        upper = draw(plfuncs())
+    else:
+        upper = lower.add(plfunc_max(draw(plfuncs()), PLFunc.constant(0)))
+    return Slab(*x_range, lower, upper,
+                lower is not NEG_INF and draw(st.booleans()),
+                upper is not INF and draw(st.booleans()))
+
+
+@st.composite
+def any_plane_regions(draw):
+    return PLRegion(2, tuple(draw(st.lists(slabs(), max_size=3))))
+
+
 def probe_points_1d(*regions):
     pts = {Fraction(0)}
     circle_pts = set()
@@ -153,6 +184,21 @@ def probe_points_2d(*regions):
 def test_plfunc_rejects_unsorted_breakpoints():
     with pytest.raises(ValidationError):
         PLFunc((1, 0), (0, 0), 0, 0)
+
+
+@given(plfuncs(), st.data())
+def test_piece_at_is_the_first_piece_containing_x(f, data):
+    x = data.draw(st.one_of(rationals(), st.sampled_from(f.breakpoints)))
+    first = next((m, c) for lo, hi, m, c in f.pieces() if lo <= x <= hi)
+    assert f.piece_at(x) == first
+    assert first[0] * x + first[1] == f(x)
+
+
+def test_slab_rejects_closed_infinite_x_end():
+    with pytest.raises(ValidationError):
+        Slab(NEG_INF, 0, True, False, NEG_INF, INF, False, False)
+    with pytest.raises(ValidationError):
+        Slab(0, INF, False, True, NEG_INF, INF, False, False)
 
 
 def test_plfunc_evaluation_oracle():
@@ -298,6 +344,32 @@ def test_boolean_ops_match_membership_2d(a, b):
         in_b = region_contains_point(b, p)
         assert region_contains_point(u, p) == (in_a or in_b)
         assert region_contains_point(i, p) == (in_a and in_b)
+
+
+def _slab_covers_atom(slab, atom):
+    """Reference for the sweep in _refine_2d: one slab against one x-atom."""
+    if atom[0] == "pt":
+        return slab.covers_x(atom[1])
+    return slab.x_lo <= atom[1] and atom[2] <= slab.x_hi
+
+
+@given(st.lists(any_plane_regions(), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_refine_2d_sweep_matches_all_slab_filter(regions):
+    for view in _refine_2d(regions):
+        def key(bound):
+            if isinstance(bound, float):
+                return None
+            return _bound_key(bound, view.atom, view.rep)
+
+        def by_key(index):
+            return None if index is None else view.keys[index]
+
+        for region, ivs in zip(regions, view.intervals_per_region, strict=True):
+            expected = [(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
+                        for s in region.cells if _slab_covers_atom(s, view.atom)]
+            assert [(by_key(li), by_key(ui), loc, upc)
+                    for li, ui, loc, upc in ivs] == expected
 
 
 @given(mixed_regions(), mixed_regions())
