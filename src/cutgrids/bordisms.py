@@ -71,6 +71,7 @@ from .plgeom import (
     plfunc_integral,
     plfunc_is_positive_on,
     plfunc_min_on_closed,
+    rational_to_text,
     region_bbox,
     region_boolean,
     region_closure,
@@ -583,7 +584,8 @@ def _shrunk_ambient_2d(ambient: Ambient2D, components, eps,
             False, False),))
         if not region_subset(box_reg, amb_reg):
             raise NeighborhoodError(
-                f"the {eps}-neighborhood box {box} leaves the ambient")
+                f"the {rational_to_text(eps)}-neighborhood box "
+                f"({', '.join(map(rational_to_text, box))}) leaves the ambient")
         boxes.append(box)
     return Ambient2D(tuple(boxes))
 

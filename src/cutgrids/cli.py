@@ -22,8 +22,6 @@ from .bordisms import (
     metric_core_length,
     monoidal_product,
     source_target,
-    validate,
-    validate_family,
 )
 from .documents import (
     Document,
@@ -158,11 +156,7 @@ def _cmd_examples(args) -> int:
         return 0
     all_ok = True
     for name in CATALOG_NAMES:
-        item = catalog(name)
-        if isinstance(item, BordismFamily):
-            report = validate_family(item)
-        else:
-            report = validate(item)
+        report = payload_report(document_for(catalog(name)))
         all_ok = all_ok and report.passed
         print(f"{name}: {'pass' if report.passed else 'FAIL'}")
         if not report.passed:

@@ -151,12 +151,31 @@ def _val_to_json(v):
     raise DocumentSyntaxError(f"value {v!r} has no document encoding")
 
 
-def _val_from_json(v):
+def _val_from_json(v, where: str):
     if isinstance(v, list):
-        return tuple(_val_from_json(x) for x in v)
-    if isinstance(v, (str, int)):
+        return tuple(_val_from_json(x, where) for x in v)
+    if isinstance(v, str) or _is_int(v):
         return v
-    raise DocumentSyntaxError(f"unexpected value {v!r} in a finite fixture")
+    raise DocumentSyntaxError(f"{where}: unexpected value {v!r} in a finite fixture")
+
+
+def _rows(rows, width: int, where: str):
+    """(path, row) for each row of the array rows, every row an array of
+    exactly width entries."""
+    if not isinstance(rows, list):
+        raise DocumentSyntaxError(f"{where}: expected an array")
+    for i, row in enumerate(rows):
+        at = f"{where}[{i}]"
+        if not isinstance(row, list) or len(row) != width:
+            raise DocumentSyntaxError(f"{at}: expected an array of {width} entries")
+        yield at, row
+
+
+def _rationals(row, where: str) -> tuple:
+    """The rationals of the array row, each error naming its entry."""
+    if not isinstance(row, list):
+        raise DocumentSyntaxError(f"{where}: expected an array")
+    return tuple(rational_from_text(v, f"{where}[{j}]") for j, v in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +318,17 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
     dim = obj.get("dimension")
     if not _is_int(dim) or dim not in (1, 2):
         raise DocumentSyntaxError(f"{where}.dimension: must be 1 or 2")
-    amb = _object(obj.get("ambient", {}), f"{where}.ambient")
+    at = f"{where}.ambient"
+    amb = _object(obj.get("ambient", {}), at)
     if dim == 1:
         ambient = Ambient1D(
-            tuple((rational_from_text(lo, where), rational_from_text(hi, where))
-                  for lo, hi in amb.get("intervals", [])),
-            tuple(rational_from_text(L, where) for L in amb.get("circles", [])))
+            tuple(_rationals(iv, ivat) for ivat, iv in
+                  _rows(amb.get("intervals", []), 2, f"{at}.intervals")),
+            _rationals(amb.get("circles", []), f"{at}.circles"))
     else:
         ambient = Ambient2D(tuple(
-            tuple(rational_from_text(v, where) for v in box)
-            for box in amb.get("boxes", [])))
+            _rationals(box, boxat)
+            for boxat, box in _rows(amb.get("boxes", []), 4, f"{at}.boxes")))
     grid = obj.get("grid")
     if not isinstance(grid, list) or not grid:
         raise DocumentSyntaxError(f"{where}: grid needs one tuple per direction")
@@ -381,10 +401,10 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
         t0=rational_from_text(obj.get("t0", "0"), where),
         t1=rational_from_text(obj.get("t1", "1"), where),
         intervals=tuple(
-            (_end_from_json(lo, where), _end_from_json(hi, where))
-            for lo, hi in obj.get("intervals", [])),
-        circles=tuple(rational_from_text(L, where)
-                      for L in obj.get("circles", [])),
+            (_end_from_json(lo, f"{at}[0]"), _end_from_json(hi, f"{at}[1]"))
+            for at, (lo, hi) in _rows(obj.get("intervals", []), 2,
+                                       f"{where}.intervals")),
+        circles=_rationals(obj.get("circles", []), f"{where}.circles"),
         tuples=tuples,
         ell=ell,
         labels=_labels(obj, where),
@@ -420,16 +440,24 @@ def _fincat_to_json(c: FinCategory) -> dict:
     }
 
 
+def _val_rows(rows, width: int, where: str) -> list[tuple]:
+    """The rows of the array rows as tuples of fixture values."""
+    return [tuple(_val_from_json(v, f"{at}[{j}]") for j, v in enumerate(row))
+            for at, row in _rows(rows, width, where)]
+
+
 def _fincat_from_json(obj, where: str = "finite-category") -> FinCategory:
+    objects = tuple(_val_from_json(x, f"{where}.objects[{i}]")
+                    for i, x in enumerate(obj.get("objects", [])))
+    arrows = _val_rows(obj.get("arrows", []), 3, f"{where}.arrows")
+    identity = _val_rows(obj.get("identity", []), 2, f"{where}.identity")
+    then = _val_rows(obj.get("then", []), 3, f"{where}.then")
     try:
         return FinCategory(
-            tuple(_val_from_json(x) for x in obj.get("objects", [])),
-            {_val_from_json(f): (_val_from_json(s), _val_from_json(t))
-             for f, s, t in obj.get("arrows", [])},
-            {_val_from_json(x): _val_from_json(f)
-             for x, f in obj.get("identity", [])},
-            {(_val_from_json(f), _val_from_json(g)): _val_from_json(h)
-             for f, g, h in obj.get("then", [])})
+            objects,
+            {f: (s, t) for f, s, t in arrows},
+            dict(identity),
+            {(f, g): h for f, g, h in then})
     except ValueError as exc:
         raise DocumentValidationError(
             f"{where}: {exc}",
@@ -454,19 +482,23 @@ def _sset_to_json(x: TruncSSet) -> dict:
     }
 
 
+def _sset_maps(obj, key: str, where: str) -> dict:
+    """The face or degeneracy maps: rows [k, i, [[a, b], ...]]."""
+    return {(k, i): dict(_val_rows(m, 2, f"{at}[2]"))
+            for at, (k, i, m) in _rows(obj.get(key, []), 3, f"{where}.{key}")}
+
+
 def _sset_from_json(obj, where: str = "presheaf") -> TruncSSet:
     level = obj.get("level")
-    if not isinstance(level, int) or level < 0:
+    if not _is_int(level) or level < 0:
         raise DocumentSyntaxError(f"{where}: level must be a natural number")
+    simplices = tuple(
+        frozenset(_val_from_json(v, f"{where}.simplices[{n}]") for v in lv)
+        for n, lv in enumerate(obj.get("simplices", [])))
+    faces = _sset_maps(obj, "faces", where)
+    degeneracies = _sset_maps(obj, "degeneracies", where)
     try:
-        return TruncSSet(
-            level,
-            tuple(frozenset(_val_from_json(v) for v in lv)
-                  for lv in obj.get("simplices", [])),
-            {(k, i): {_val_from_json(a): _val_from_json(b) for a, b in m}
-             for k, i, m in obj.get("faces", [])},
-            {(k, i): {_val_from_json(a): _val_from_json(b) for a, b in m}
-             for k, i, m in obj.get("degeneracies", [])})
+        return TruncSSet(level, simplices, faces, degeneracies)
     except ValueError as exc:
         raise DocumentValidationError(
             f"{where}: {exc}",

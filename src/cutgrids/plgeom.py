@@ -7,8 +7,10 @@ endpoints (they are compared against rationals but never enter arithmetic).
 The region algebra works by joint refinement: the real line (or each circle,
 or the x-axis under a family of slabs) is chopped at every "event" coordinate
 — cell endpoints, PL breakpoints, pairwise graph crossings — into atoms on
-which membership in every region under consideration is constant, decided
-exactly at one rational representative.
+which membership in every region under consideration is constant.  Each
+fibre of the refinement (the line, a circle, or the vertical line over one
+x-atom) is atomized the same way, and the region operations loop over
+fibres without regard to the dimension.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ def fr(x) -> Fraction:
 
 
 def is_finite(v: End) -> bool:
-    return isinstance(v, (Fraction, int))
+    # Every End is a Fraction, an int or a float infinity; the concrete type
+    # test avoids the slow ABC check that isinstance(v, Fraction) makes.
+    return not isinstance(v, float)
 
 
 def rational_to_text(x: End) -> str:
@@ -447,9 +451,6 @@ class PLRegion:
             if self.dim == 2 and not isinstance(c, Slab):
                 raise ValidationError("non-slab cell in a 2D region")
 
-    def is_structurally_empty(self) -> bool:
-        return not self.cells
-
 
 def empty_region(dim: int) -> PLRegion:
     return PLRegion(dim, ())
@@ -463,16 +464,20 @@ def line_region(*segs: Seg) -> PLRegion:
 # Line atomization
 # ---------------------------------------------------------------------------
 
-def _line_atoms(criticals: Sequence[Fraction]) -> list[tuple]:
+def _line_atoms(criticals: Iterable) -> tuple[list[tuple], dict]:
+    """The line cut at the critical coordinates, as atoms from left to
+    right, and the position of each critical coordinate's point atom."""
     crit = sorted(set(criticals))
     if not crit:
-        return [("iv", NEG_INF, INF)]
+        return [("iv", NEG_INF, INF)], {}
     atoms: list[tuple] = [("iv", NEG_INF, crit[0])]
+    index = {}
     for i, c in enumerate(crit):
+        index[c] = len(atoms)
         atoms.append(("pt", c))
         nxt = crit[i + 1] if i + 1 < len(crit) else INF
         atoms.append(("iv", c, nxt))
-    return atoms
+    return atoms, index
 
 
 def interval_rep(lo: End, hi: End) -> Fraction:
@@ -490,39 +495,58 @@ def _atom_rep(atom: tuple) -> Fraction:
     return atom[1] if atom[0] == "pt" else interval_rep(atom[1], atom[2])
 
 
+def _atom_run(index: dict, last: int, lo: End, hi: End, lo_closed: bool,
+              hi_closed: bool) -> range:
+    """The positions of the line atoms that the range from lo to hi covers.
+
+    Atoms alternate open intervals and critical points, and both finite ends
+    are critical, so the run goes from the lo point (or the interval after
+    it) to the hi point (or the interval before it); an infinite end runs to
+    the first or the last atom."""
+    start = index[lo] + (0 if lo_closed else 1) if is_finite(lo) else 0
+    end = index[hi] - (0 if hi_closed else 1) if is_finite(hi) else last
+    return range(start, end + 1)
+
+
+def _mark_runs(atoms: list[tuple], index: dict,
+               ranges_per_region: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """For each atom, its membership in each region, a region being given as
+    ranges (lo, hi, lo_closed, hi_closed) whose finite ends are critical."""
+    last = len(atoms) - 1
+    rows = []
+    for ranges in ranges_per_region:
+        row = [False] * len(atoms)
+        for r in ranges:
+            for a in _atom_run(index, last, *r):
+                row[a] = True
+        rows.append(row)
+    return list(zip(*rows))
+
+
+def _line_runs(atoms: list[tuple], included: list[bool]) -> list[tuple]:
+    """Each maximal run of included atoms as (lo, hi, lo_closed, hi_closed)."""
+    runs: list[tuple] = []
+    n, i = len(atoms), 0
+    while i < n:
+        j = i  # the run is atoms[i:j]
+        while j < n and included[j]:
+            j += 1
+        if j > i:
+            first, last = atoms[i], atoms[j - 1]
+            hi = last[1] if last[0] == "pt" else last[2]
+            runs.append((first[1], hi, first[0] == "pt", last[0] == "pt"))
+        i = j + 1
+    return runs
+
+
 def line_cells_from_predicate(
     criticals: Iterable[Fraction], pred: Callable[[Fraction], bool]
 ) -> tuple[Seg, ...]:
     """The subset {x : pred(x)} as segments, assuming pred is constant between
     consecutive critical coordinates."""
-    atoms = _line_atoms(list(criticals))
+    atoms, _ = _line_atoms(criticals)
     included = [pred(_atom_rep(a)) for a in atoms]
-    return _coalesce_line(atoms, included)
-
-
-def _coalesce_line(atoms: list[tuple], included: list[bool]) -> tuple[Seg, ...]:
-    segs: list[Seg] = []
-    i = 0
-    n = len(atoms)
-    while i < n:
-        if not included[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and included[j + 1]:
-            j += 1
-        first, last = atoms[i], atoms[j]
-        if first[0] == "pt":
-            lo, lo_closed = first[1], True
-        else:
-            lo, lo_closed = first[1], False
-        if last[0] == "pt":
-            hi, hi_closed = last[1], True
-        else:
-            hi, hi_closed = last[2], False
-        segs.append(Seg(lo, hi, lo_closed, hi_closed))
-        i = j + 1
-    return tuple(segs)
+    return tuple(Seg(*run) for run in _line_runs(atoms, included))
 
 
 # ---------------------------------------------------------------------------
@@ -604,203 +628,126 @@ def _coalesce_circle(circle: int, L: Fraction, atoms: list[tuple],
 # Joint refinement of regions
 # ---------------------------------------------------------------------------
 
-def _split_1d(cells: Iterable[Cell]):
-    line: list[Seg] = []
-    circ: dict[tuple[int, Fraction], list[Cell]] = {}
-    for c in cells:
-        if isinstance(c, Seg):
-            line.append(c)
-        else:
-            key = (c.circle, c.circumference)
-            circ.setdefault(key, []).append(c)
-    return line, circ
+class _LineFibre:
+    """A line cut into atoms at its critical coordinates, given each region
+    as ranges (lo, hi, lo_closed, hi_closed) whose finite ends are critical.
+
+    Every fibre of a joint refinement (the real line, a circle, or the
+    vertical line over one x-atom) has this interface: memberships[i] holds
+    atom i's membership in each region, point(i) is a point of atom i, and
+    cells(included) coalesces the included atoms into cells."""
+
+    def __init__(self, criticals: Iterable,
+                 ranges_per_region: Sequence[Sequence[tuple]]):
+        self.atoms, index = _line_atoms(criticals)
+        self.memberships = _mark_runs(self.atoms, index, ranges_per_region)
+
+    def point(self, i: int):
+        return _atom_rep(self.atoms[i])
+
+    def cells(self, included: list[bool]) -> list[Cell]:
+        return [Seg(*run) for run in _line_runs(self.atoms, included)]
+
+
+class _CircleFibre:
+    """Circle #circle of circumference L, cut at the ends of the regions' arcs."""
+
+    def __init__(self, circle: int, L: Fraction,
+                 cells_per_region: Sequence[Sequence[Cell]]):
+        self.circle, self.L = circle, L
+        self.atoms = _circle_atoms(L, [
+            e for cells in cells_per_region for c in cells if isinstance(c, Arc)
+            for e in (c.start, c.end)])
+        reps = [_circle_atom_rep(L, atom) for atom in self.atoms]
+        self.memberships = [
+            tuple(any(c.contains(rep) for c in cells) for cells in cells_per_region)
+            for rep in reps]
+
+    def point(self, i: int):
+        return ("circle", self.circle, _circle_atom_rep(self.L, self.atoms[i]))
+
+    def cells(self, included: list[bool]) -> list[Cell]:
+        return _coalesce_circle(self.circle, self.L, self.atoms, included)
 
 
 def _refine_1d(regions: Sequence[PLRegion]):
-    """Yield (universe, atom, rep, memberships) over the joint refinement of
-    any number of 1D regions.  universe is ("line",) or ("circle", idx, L)."""
-    per = [_split_1d(r.cells) for r in regions]
-    line_crit: list[Fraction] = []
-    for line, _ in per:
-        for s in line:
-            if is_finite(s.lo):
-                line_crit.append(s.lo)
-            if is_finite(s.hi):
-                line_crit.append(s.hi)
-    for atom in _line_atoms(line_crit):
-        rep = _atom_rep(atom)
-        mems = tuple(any(s.contains(rep) for s in line) for line, _ in per)
-        yield ("line",), atom, rep, mems
-    keys = sorted({k for _, circ in per for k in circ})
-    for key in keys:
-        idx, L = key
-        crit: list[Fraction] = []
-        for _, circ in per:
-            for c in circ.get(key, []):
-                if isinstance(c, Arc):
-                    crit.append(c.start)
-                    crit.append(c.end)
-        for atom in _circle_atoms(L, crit):
-            rep = _circle_atom_rep(L, atom)
-            mems = tuple(
-                any(c.contains(rep) for c in circ.get(key, [])) for _, circ in per
-            )
-            yield ("circle", idx, L), atom, rep, mems
+    """The fibres of 1D regions: the line, then each circle in key order."""
+    lines = [[(c.lo, c.hi, c.lo_closed, c.hi_closed)
+              for c in r.cells if isinstance(c, Seg)] for r in regions]
+    circles: list[dict[tuple[int, Fraction], list[Cell]]] = [{} for _ in regions]
+    for r, circ in zip(regions, circles):
+        for c in r.cells:
+            if not isinstance(c, Seg):
+                circ.setdefault((c.circle, c.circumference), []).append(c)
+    ends = [e for line in lines for s in line for e in s[:2] if is_finite(e)]
+    yield _LineFibre(ends, lines)
+    for key in sorted({k for circ in circles for k in circ}):
+        yield _CircleFibre(*key, [circ.get(key, []) for circ in circles])
 
-
-def _rebuild_1d(universe_atoms: dict) -> tuple[Cell, ...]:
-    """universe_atoms: universe -> (atoms, included list)."""
-    cells: list[Cell] = []
-    for universe, (atoms, included) in universe_atoms.items():
-        if universe[0] == "line":
-            cells.extend(_coalesce_line(atoms, included))
-        else:
-            _, idx, L = universe
-            cells.extend(_coalesce_circle(idx, L, atoms, included))
-    return tuple(cells)
-
-
-# ----- 2D refinement -------------------------------------------------------
 
 def _bound_key(bound, atom, rep) -> tuple:
     """Canonical (slope, intercept) of a finite bound on an x-atom."""
     if atom[0] == "pt":
         return (Fraction(0), bound(atom[1]))
-    m, c = bound.piece_at(rep)
-    return (m, c)
+    return bound.piece_at(rep)
 
 
-class _XAtomView:
-    """All y-structure of a family of 2D regions over one x-atom, given for
-    each region the slabs that cover the atom.  A region's intervals are
-    (lower, upper, lower_closed, upper_closed) with the bounds as indices
-    into the sorted keys, None for an infinite bound."""
+class _YFibre(_LineFibre):
+    """The vertical line over one x-atom (atom, with representative rep),
+    given for each region the slabs that cover the atom.
+
+    Its critical coordinates are indices into keys, the (slope, intercept)
+    bounds on the atom sorted by height; intervals_per_region holds each
+    slab's range in that encoding, an infinite bound as -inf or +inf."""
 
     def __init__(self, covering: Sequence[Sequence[Slab]], atom: tuple,
                  rep: Fraction):
-        self.atom = atom
-        self.rep = rep
-        keyed: list[list[tuple]] = []
-        keyset = {}
+        self.atom, self.rep = atom, rep
+        ids: dict[tuple, int] = {}  # key -> its number in order of first sight
+        ivs_by_id: list[list[tuple]] = []
         for slabs in covering:
             ivs = []
-            for slab in slabs:
-                kl = (
-                    None
-                    if isinstance(slab.lower, float)
-                    else _bound_key(slab.lower, atom, rep)
-                )
-                ku = (
-                    None
-                    if isinstance(slab.upper, float)
-                    else _bound_key(slab.upper, atom, rep)
-                )
-                if kl is not None:
-                    keyset[kl] = True
-                if ku is not None:
-                    keyset[ku] = True
-                ivs.append((kl, ku, slab.lower_closed, slab.upper_closed))
-            keyed.append(ivs)
-        self.keys = sorted(keyset, key=lambda mc: mc[0] * rep + mc[1])
-        index = {k: i for i, k in enumerate(self.keys)}
-        self.intervals_per_region: list[list[tuple]] = [
-            [(None if kl is None else index[kl], None if ku is None else index[ku],
-              loc, upc) for kl, ku, loc, upc in ivs]
-            for ivs in keyed]
-        if self.keys:
-            self.y_atoms: list[tuple] = [("low",)]
-            for i in range(len(self.keys)):
-                self.y_atoms.append(("m", i))
-                if i + 1 < len(self.keys):
-                    self.y_atoms.append(("b", i))
-            self.y_atoms.append(("high",))
-        else:
-            self.y_atoms = [("all",)]
+            for s in slabs:
+                lo, hi = s.lower, s.upper
+                if not isinstance(lo, float):
+                    lo = ids.setdefault(_bound_key(lo, atom, rep), len(ids))
+                if not isinstance(hi, float):
+                    hi = ids.setdefault(_bound_key(hi, atom, rep), len(ids))
+                ivs.append((lo, hi, s.lower_closed, s.upper_closed))
+            ivs_by_id.append(ivs)
+        # distinct keys differ in height at rep: a crossing inside an open
+        # x-atom would have been an x-event
+        self.keys = sorted(ids, key=lambda mc: mc[0] * rep + mc[1])
+        index: dict = {ids[k]: i for i, k in enumerate(self.keys)}
+        index[NEG_INF], index[INF] = NEG_INF, INF
+        self.intervals_per_region = [
+            [(index[lo], index[hi], loc, upc) for lo, hi, loc, upc in ivs]
+            for ivs in ivs_by_id]
+        super().__init__(range(len(self.keys)), self.intervals_per_region)
 
-    @staticmethod
-    def _in_interval(y_atom: tuple, iv: tuple) -> bool:
-        li, ui, loc, upc = iv
-        kind = y_atom[0]
-        if kind == "all":
-            return li is None and ui is None
-        if kind == "low":
-            return li is None
-        if kind == "high":
-            return ui is None
-        if kind == "m":
-            k = y_atom[1]
-            lo_ok = li is None or li < k or (li == k and loc)
-            hi_ok = ui is None or k < ui or (ui == k and upc)
-            return lo_ok and hi_ok
-        k = y_atom[1]  # band between keys k and k+1
-        lo_ok = li is None or li <= k
-        hi_ok = ui is None or ui >= k + 1
-        return lo_ok and hi_ok
+    def _height(self, e: End) -> End:
+        if not is_finite(e):
+            return e
+        m, c = self.keys[e]
+        return m * self.rep + c
 
-    def membership(self, region_index: int, y_atom: tuple) -> bool:
-        return any(
-            self._in_interval(y_atom, iv)
-            for iv in self.intervals_per_region[region_index]
-        )
+    def point(self, i: int):
+        kind, *ends = self.atoms[i]
+        return (self.rep, _atom_rep((kind, *map(self._height, ends))))
 
-    def y_rep(self, y_atom: tuple) -> Fraction:
-        vals = [m * self.rep + c for (m, c) in self.keys]
-        kind = y_atom[0]
-        if kind == "all":
-            return Fraction(0)
-        if kind == "low":
-            return vals[0] - 1
-        if kind == "high":
-            return vals[-1] + 1
-        if kind == "m":
-            return vals[y_atom[1]]
-        return (vals[y_atom[1]] + vals[y_atom[1] + 1]) / 2
+    def cells(self, included: list[bool]) -> list[Cell]:
+        [x_range] = _line_runs([self.atom], [True])  # the x-atom as a run
 
-    def build_cells(self, included: list[bool]) -> list[Slab]:
-        atom = self.atom
-        if atom[0] == "pt":
-            x_lo = x_hi = atom[1]
-            xlc = xhc = True
-        else:
-            x_lo, x_hi, xlc, xhc = atom[1], atom[2], False, False
-        out: list[Slab] = []
-        i = 0
-        n = len(self.y_atoms)
+        def bound(e):
+            return e if not is_finite(e) else PLFunc.affine(*self.keys[e])
 
-        def bound_fn(key_idx: int) -> PLFunc:
-            m, c = self.keys[key_idx]
-            return PLFunc.affine(m, c)
-
-        while i < n:
-            if not included[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and included[j + 1]:
-                j += 1
-            first, last = self.y_atoms[i], self.y_atoms[j]
-            if first[0] in ("low", "all"):
-                lower, loc = NEG_INF, False
-            elif first[0] == "m":
-                lower, loc = bound_fn(first[1]), True
-            elif first[0] == "b":
-                lower, loc = bound_fn(first[1]), False
-            else:  # a run of just the "high" tail
-                lower, loc = bound_fn(len(self.keys) - 1), False
-            if last[0] in ("high", "all"):
-                upper, upc = INF, False
-            elif last[0] == "m":
-                upper, upc = bound_fn(last[1]), True
-            elif last[0] == "b":
-                upper, upc = bound_fn(last[1] + 1), False
-            else:  # a run of just the "low" tail
-                upper, upc = bound_fn(0), False
-            out.append(Slab(x_lo, x_hi, xlc, xhc, lower, upper, loc, upc))
-            i = j + 1
-        return out
+        return [Slab(*x_range, bound(lo), bound(hi), loc, hic)
+                for lo, hi, loc, hic in _line_runs(self.atoms, included)]
 
 
-def _refine_2d(regions: Sequence[PLRegion]) -> list[_XAtomView]:
+def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
+    """The x-atoms of 2D regions' joint refinement, as _line_atoms gives
+    them: cut at slab x-ends, bound breakpoints and crossings of bounds."""
     xs: set[Fraction] = set()
     bounds: list[PLFunc] = []
     seen: set[PLFunc] = set()
@@ -818,114 +765,76 @@ def _refine_2d(regions: Sequence[PLRegion]) -> list[_XAtomView]:
                         bounds.append(b)
     for f, g in itertools.combinations(bounds, 2):
         xs.update(plfunc_crossings(f, g))
-    atoms = _line_atoms(xs)
-    # Atoms alternate open intervals and critical points, and every slab
-    # end is critical, so a slab covers one contiguous run of atoms: from
-    # its x_lo point (or the interval after it) to its x_hi point (or the
-    # interval before it), an infinite end running to the first or last atom.
-    index = {atom[1]: a for a, atom in enumerate(atoms) if atom[0] == "pt"}
+    return _line_atoms(xs)
+
+
+def _refine_2d(regions: Sequence[PLRegion]):
+    """The y-fibres of 2D regions, from left to right, one over each x-atom
+    that some slab covers: no region op keeps a point where none does."""
+    atoms, index = _x_atoms(regions)
     last = len(atoms) - 1
     covering: list[list[list[Slab]]] = [[[] for _ in regions] for _ in atoms]
     for k, r in enumerate(regions):
         for slab in r.cells:
-            if is_finite(slab.x_lo):
-                start = index[slab.x_lo] + (0 if slab.x_lo_closed else 1)
-            else:
-                start = 0
-            if is_finite(slab.x_hi):
-                end = index[slab.x_hi] - (0 if slab.x_hi_closed else 1)
-            else:
-                end = last
-            for a in range(start, end + 1):
+            for a in _atom_run(index, last, slab.x_lo, slab.x_hi,
+                               slab.x_lo_closed, slab.x_hi_closed):
                 covering[a][k].append(slab)
-    return [_XAtomView(covering[a], atom, _atom_rep(atom))
-            for a, atom in enumerate(atoms)]
+    for a, atom in enumerate(atoms):
+        if any(covering[a]):
+            yield _YFibre(covering[a], atom, _atom_rep(atom))
+
+
+def _fibres(regions: Sequence[PLRegion]):
+    """The fibres of the regions' joint refinement, in cell order."""
+    dim = regions[0].dim
+    if any(r.dim != dim for r in regions):
+        raise ArgumentError("region dimension mismatch")
+    return (_refine_1d if dim == 1 else _refine_2d)(regions)
 
 
 # ---------------------------------------------------------------------------
 # Region operations
 # ---------------------------------------------------------------------------
 
-def _check_same_dim(a: PLRegion, b: PLRegion) -> None:
-    if a.dim != b.dim:
-        raise ArgumentError("region dimension mismatch")
-
-
 def _rebuild(regions: Sequence[PLRegion],
              keep: Callable[[Sequence[bool]], bool]) -> PLRegion:
     """The points whose memberships in the regions satisfy keep, rebuilt
-    from the joint refinement (adjacent 1D atoms coalesce)."""
-    if regions[0].dim == 1:
-        universe_atoms: dict = {}
-        for universe, atom, _, mems in _refine_1d(regions):
-            atoms, incl = universe_atoms.setdefault(universe, ([], []))
-            atoms.append(atom)
-            incl.append(keep(mems))
-        return PLRegion(1, _rebuild_1d(universe_atoms))
-    which = range(len(regions))
-    cells: list[Slab] = []
-    for view in _refine_2d(regions):
-        included = [
-            keep([view.membership(k, ya) for k in which]) for ya in view.y_atoms
-        ]
-        cells.extend(view.build_cells(included))
-    return PLRegion(2, tuple(cells))
-
-
-def _combine_regions(a: PLRegion, b: PLRegion,
-                     keep: Callable[[Sequence[bool]], bool]) -> PLRegion:
-    _check_same_dim(a, b)
-    return _rebuild([a, b], keep)
+    from the joint refinement (adjacent atoms of a fibre coalesce). keep
+    must reject a point in no region: _refine_2d skips where no slab lies."""
+    assert not keep((False,) * len(regions))
+    cells: list[Cell] = []
+    for fibre in _fibres(regions):
+        cells.extend(fibre.cells([keep(m) for m in fibre.memberships]))
+    return PLRegion(regions[0].dim, tuple(cells))
 
 
 def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
     if op == "intersect":
-        return _combine_regions(a, b, lambda m: m[0] and m[1])
+        return _rebuild([a, b], lambda m: m[0] and m[1])
     if op == "union":
-        return _combine_regions(a, b, lambda m: m[0] or m[1])
+        return _rebuild([a, b], lambda m: m[0] or m[1])
     raise ArgumentError(f"unknown boolean op {op!r}")
 
 
 def region_difference(a: PLRegion, b: PLRegion) -> PLRegion:
-    return _combine_regions(a, b, lambda m: m[0] and not m[1])
+    return _rebuild([a, b], lambda m: m[0] and not m[1])
 
 
 def region_subset(a: PLRegion, b: PLRegion) -> bool:
-    _check_same_dim(a, b)
-    if a.dim == 1:
-        return all(
-            (not mems[0]) or mems[1] for _, _, _, mems in _refine_1d([a, b])
-        )
-    for view in _refine_2d([a, b]):
-        for ya in view.y_atoms:
-            if view.membership(0, ya) and not view.membership(1, ya):
-                return False
-    return True
+    return all(not m[0] or m[1]
+               for fibre in _fibres([a, b]) for m in fibre.memberships)
 
 
 def region_equal(a: PLRegion, b: PLRegion) -> bool:
-    _check_same_dim(a, b)
-    if a.dim == 1:
-        return all(mems[0] == mems[1] for _, _, _, mems in _refine_1d([a, b]))
-    for view in _refine_2d([a, b]):
-        for ya in view.y_atoms:
-            if view.membership(0, ya) != view.membership(1, ya):
-                return False
-    return True
+    return all(m[0] == m[1] for fibre in _fibres([a, b]) for m in fibre.memberships)
 
 
 def region_is_empty(a: PLRegion) -> bool:
-    if a.dim == 1:
-        return all(not mems[0] for _, _, _, mems in _refine_1d([a]))
-    for view in _refine_2d([a]):
-        for ya in view.y_atoms:
-            if view.membership(0, ya):
-                return False
-    return True
+    return region_sample_point(a) is None
 
 
 def region_normalize(a: PLRegion) -> PLRegion:
-    """Re-express through the refinement (coalescing adjacent 1D atoms)."""
+    """Re-express through the refinement (coalescing adjacent atoms)."""
     return _rebuild([a], lambda m: m[0])
 
 
@@ -948,16 +857,8 @@ def _cell_closure(c: Cell) -> Cell:
         return Arc(c.circle, c.circumference, c.start, c.end, True, True)
     if isinstance(c, CircleCell):
         return c
-    return Slab(
-        c.x_lo,
-        c.x_hi,
-        is_finite(c.x_lo),
-        is_finite(c.x_hi),
-        c.lower,
-        c.upper,
-        isinstance(c.lower, PLFunc),
-        isinstance(c.upper, PLFunc),
-    )
+    return Slab(c.x_lo, c.x_hi, is_finite(c.x_lo), is_finite(c.x_hi), c.lower,
+                c.upper, isinstance(c.lower, PLFunc), isinstance(c.upper, PLFunc))
 
 
 def region_closure(a: PLRegion) -> PLRegion:
@@ -1078,17 +979,10 @@ def region_sample_point(a: PLRegion):
     1D points come back as a rational (line) or ("circle", idx, theta);
     2D points as an (x, y) pair of rationals.
     """
-    if a.dim == 1:
-        for universe, _atom, rep, mems in _refine_1d([a]):
-            if mems[0]:
-                if universe[0] == "line":
-                    return rep
-                return ("circle", universe[1], rep)
-        return None
-    for view in _refine_2d([a]):
-        for ya in view.y_atoms:
-            if view.membership(0, ya):
-                return (view.rep, view.y_rep(ya))
+    for fibre in _fibres([a]):
+        for i, m in enumerate(fibre.memberships):
+            if m[0]:
+                return fibre.point(i)
     return None
 
 
@@ -1270,12 +1164,8 @@ def plfunc_order(f: PLFunc, g: PLFunc, domain: PLRegion) -> OrderVerdict:
         raise ArgumentError("ordering domain is empty")
     h = g.sub(f)  # f <= g iff h >= 0
     neg = region_boolean("intersect", _sublevel_region(h, True), domain)
-    if not region_is_empty(neg):
-        witness = None
-        for universe, atom, rep, mems in _refine_1d([neg]):
-            if mems[0]:
-                witness = rep
-                break
+    witness = region_sample_point(neg)
+    if witness is not None:
         return OrderVerdict("incomparable", witness)
     nonpos = region_boolean("intersect", _sublevel_region(h, False), domain)
     if region_is_empty(nonpos):

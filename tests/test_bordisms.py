@@ -1,6 +1,7 @@
 """Tests for labelled bordisms: validation, equivalence, morphisms,
 composition, the monoidal product, metrics, and families."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -56,7 +57,7 @@ from cutgrids.grids import (
     pullback_along,
     pushforward_along,
 )
-from cutgrids.plgeom import INF, NEG_INF, Ambient1D, PLFunc, plfunc_equal
+from cutgrids.plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, plfunc_equal
 from cutgrids.shapes import GammaMorphism
 
 
@@ -410,6 +411,12 @@ def test_shrink_guards():
         embedded_field(1), AffineMap.identity(1))
     with pytest.raises(NeighborhoodError, match="partial arc"):
         shrink_to_core(on_circle, F(1, 4))
+    boxed = replace(catalog("composable_pair_2d"),
+                    ambient=Ambient2D(((-3, 3, -3, 3),)))
+    with pytest.raises(NeighborhoodError, match="leaves the ambient") as info:
+        shrink_to_core(boxed, 10)
+    assert "box (-12, 12, -12, 12)" in str(info.value)
+    assert "Fraction(" not in str(info.value)
 
 
 def test_shrink_restricts_metric_densities():

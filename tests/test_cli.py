@@ -64,13 +64,10 @@ def test_validate_prints_a_report_line_per_check(tmp_path, capsys):
 
 
 def test_validate_fails_on_bad_payload_data(tmp_path, capsys):
-    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
-    obj = json.loads(open(f).read())
-    comp = obj["payload"]["grid"][0][0]["components"][0]
-    comp["zeros"] = [["1", "+"], ["0", "-"]]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    assert main(["validate", str(bad)]) == 1
+    f = edit_payload(tmp_path, catalog("elbow_right"), "elbow",
+                     lambda p: p["grid"][0][0]["components"][0].__setitem__(
+                         "zeros", [["1", "+"], ["0", "-"]]))
+    assert main(["validate", f]) == 1
     assert "[FAIL]" in capsys.readouterr().out
 
 
@@ -113,6 +110,17 @@ def test_boundary_extracts_a_vertex(tmp_path):
     assert main(["compose", f, "--direction", "0", "--face", "1"]) == 1
 
 
+def edit_payload(tmp_path, payload, stem, edit):
+    """A document of payload, changed by edit(payload object) on disk."""
+    f = write_doc(tmp_path, payload, stem)
+    with open(f, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc["payload"])
+    with open(f, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return f
+
+
 @pytest.mark.parametrize("key, value", [
     ("ambient", []),
     ("field", []),
@@ -124,12 +132,8 @@ def test_boundary_extracts_a_vertex(tmp_path):
 ])
 def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
                                                   value):
-    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
-    with open(f, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["payload"][key] = value
-    with open(f, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    f = edit_payload(tmp_path, catalog("elbow_right"), "elbow",
+                     lambda p: p.__setitem__(key, value))
     assert main(["validate", f]) == 2
     assert f"bordism.{key}" in capsys.readouterr().err
 
@@ -138,29 +142,59 @@ def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
     ("point2d", ["grid", 1, 0, "axis"], "bordism.grid[1][0]"),
     ("elbow_right", ["grid", 0, 0, "components", 0, "zeros", 0, 0],
      "bordism.grid[0][0].components[0]"),
+    ("elbow_right", ["ambient", "intervals", 0, 0],
+     "bordism.ambient.intervals[0][0]"),
+    ("circle_trace", ["ambient", "circles", 0], "bordism.ambient.circles[0]"),
+    ("point2d", ["ambient", "boxes", 0, 2], "bordism.ambient.boxes[0][2]"),
 ])
 def test_validate_rejects_bools_in_nested_fields(tmp_path, capsys, example,
                                                  path, where):
-    f = write_doc(tmp_path, catalog(example), example)
-    with open(f, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    node = doc["payload"]
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = True
-    with open(f, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    def edit(node):
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = True
+
+    f = edit_payload(tmp_path, catalog(example), example, edit)
+    assert main(["validate", f]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, key, value, where", [
+    ("elbow_right", "intervals", [["0"]], "bordism.ambient.intervals[0]"),
+    ("elbow_right", "intervals", ["0"], "bordism.ambient.intervals[0]"),
+    ("point2d", "boxes", [["0", "1", "0"]], "bordism.ambient.boxes[0]"),
+    ("elbow_right", "circles", "4", "bordism.ambient.circles"),
+])
+def test_validate_rejects_misshapen_ambients(tmp_path, capsys, example, key,
+                                             value, where):
+    f = edit_payload(tmp_path, catalog(example), example,
+                     lambda p: p["ambient"].__setitem__(key, value))
+    assert main(["validate", f]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, key, value, where", [
+    (nerve(chain_poset(1), 1), "level", True, "presheaf: level"),
+    (chain_poset(1), "objects", [True], "finite-category.objects[0]"),
+    (chain_poset(1), "arrows", [["f", 0]], "finite-category.arrows[0]"),
+    (chain_poset(1), "identity", [[0]], "finite-category.identity[0]"),
+    (chain_poset(1), "then", [["f", "g"]], "finite-category.then[0]"),
+    (nerve(chain_poset(1), 1), "faces", [[1, 0]], "presheaf.faces[0]"),
+    (nerve(chain_poset(1), 1), "degeneracies", [[0, 0, [[[0]]]]],
+     "presheaf.degeneracies[0][2][0]"),
+])
+def test_validate_rejects_misshapen_fixtures(tmp_path, capsys, payload, key,
+                                             value, where):
+    f = edit_payload(tmp_path, payload, "fixture",
+                     lambda p: p.__setitem__(key, value))
     assert main(["validate", f]) == 2
     assert where in capsys.readouterr().err
 
 
 def test_validate_quotes_a_long_rational_briefly(tmp_path, capsys):
-    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
-    with open(f, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["payload"]["ambient"]["intervals"][0][0] = "1" * 5000
-    with open(f, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    f = edit_payload(tmp_path, catalog("elbow_right"), "elbow",
+                     lambda p: p["ambient"]["intervals"][0].__setitem__(
+                         0, "1" * 5000))
     assert main(["validate", f]) == 2
     err = capsys.readouterr().err
     assert "malformed rational" in err and "5000 characters" in err

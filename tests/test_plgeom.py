@@ -17,8 +17,10 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _atom_rep,
     _bound_key,
     _refine_2d,
+    _x_atoms,
     ambient_region,
     component_region,
     empty_region,
@@ -98,22 +100,6 @@ def mixed_regions(draw):
                 sc = ec = True
             cells.append(Arc(idx, length, s, e, sc, ec))
     return PLRegion(1, tuple(cells))
-
-
-@st.composite
-def simple_slabs(draw):
-    a, b = sorted([draw(rationals(6, 2)), draw(rationals(6, 2))])
-    if a == b:
-        b = a + 1
-    lo_f = PLFunc.affine(draw(rationals(2, 2)), draw(rationals(4, 2)))
-    hi_f = lo_f.add_constant(draw(st.integers(0, 3)))
-    return Slab(a, b, draw(st.booleans()), draw(st.booleans()),
-                lo_f, hi_f, draw(st.booleans()), draw(st.booleans()))
-
-
-@st.composite
-def plane_regions(draw):
-    return PLRegion(2, tuple(draw(st.lists(simple_slabs(), max_size=2))))
 
 
 @st.composite
@@ -334,16 +320,18 @@ def test_boolean_ops_match_membership(a, b):
         assert region_contains_point(d, p) == (in_a and not in_b)
 
 
-@given(plane_regions(), plane_regions())
-@settings(max_examples=40, deadline=None)
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=25, deadline=None)
 def test_boolean_ops_match_membership_2d(a, b):
     u = region_boolean("union", a, b)
     i = region_boolean("intersect", a, b)
+    d = region_difference(a, b)
     for p in probe_points_2d(a, b):
         in_a = region_contains_point(a, p)
         in_b = region_contains_point(b, p)
         assert region_contains_point(u, p) == (in_a or in_b)
         assert region_contains_point(i, p) == (in_a and in_b)
+        assert region_contains_point(d, p) == (in_a and not in_b)
 
 
 def _slab_covers_atom(slab, atom):
@@ -356,25 +344,33 @@ def _slab_covers_atom(slab, atom):
 @given(st.lists(any_plane_regions(), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_refine_2d_sweep_matches_all_slab_filter(regions):
-    for view in _refine_2d(regions):
+    views = iter(_refine_2d(regions))
+    for atom in _x_atoms(regions)[0]:
+        rep = _atom_rep(atom)
+
         def key(bound):
             if isinstance(bound, float):
-                return None
-            return _bound_key(bound, view.atom, view.rep)
+                return bound
+            return _bound_key(bound, atom, rep)
+
+        expected = [[(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
+                     for s in region.cells if _slab_covers_atom(s, atom)]
+                    for region in regions]
+        if not any(expected):
+            continue  # no fibre over an atom that no slab covers
+        view = next(views)
+        assert view.atom == atom
 
         def by_key(index):
-            return None if index is None else view.keys[index]
+            return index if isinstance(index, float) else view.keys[index]
 
-        for region, ivs in zip(regions, view.intervals_per_region, strict=True):
-            expected = [(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
-                        for s in region.cells if _slab_covers_atom(s, view.atom)]
-            assert [(by_key(li), by_key(ui), loc, upc)
-                    for li, ui, loc, upc in ivs] == expected
+        assert [[(by_key(li), by_key(ui), loc, upc)
+                 for li, ui, loc, upc in ivs]
+                for ivs in view.intervals_per_region] == expected
+    assert next(views, None) is None
 
 
-@given(mixed_regions(), mixed_regions())
-@settings(max_examples=60, deadline=None)
-def test_subset_and_difference_laws(a, b):
+def check_subset_and_difference_laws(a, b):
     assert region_subset(region_boolean("intersect", a, b), a)
     assert region_subset(a, region_boolean("union", a, b))
     assert region_is_empty(
@@ -382,22 +378,50 @@ def test_subset_and_difference_laws(a, b):
     )
 
 
-@given(mixed_regions())
-@settings(max_examples=60, deadline=None)
-def test_closure_is_monotone_idempotent(a):
+def check_closure_is_monotone_idempotent(a):
     closed = region_closure(a)
     assert region_subset(a, closed)
     assert region_equal(region_closure(closed), closed)
 
 
+def check_sample_point_is_member(a):
+    p = region_sample_point(a)
+    if p is None:
+        # region_is_empty(a) is defined as this very test
+        assert region_equal(a, empty_region(a.dim))
+    else:
+        assert region_contains_point(a, p)
+
+
+@given(mixed_regions(), mixed_regions())
+@settings(max_examples=60, deadline=None)
+def test_subset_and_difference_laws(a, b):
+    check_subset_and_difference_laws(a, b)
+
+
+@given(mixed_regions())
+@settings(max_examples=60, deadline=None)
+def test_closure_is_monotone_idempotent(a):
+    check_closure_is_monotone_idempotent(a)
+
+
 @given(mixed_regions())
 @settings(max_examples=60, deadline=None)
 def test_sample_point_is_member(a):
-    p = region_sample_point(a)
-    if p is None:
-        assert region_is_empty(a)
-    else:
-        assert region_contains_point(a, p)
+    check_sample_point_is_member(a)
+
+
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=20, deadline=None)
+def test_subset_and_difference_laws_2d(a, b):
+    check_subset_and_difference_laws(a, b)
+
+
+@given(any_plane_regions())
+@settings(max_examples=40, deadline=None)
+def test_closure_and_sample_point_laws_2d(a):
+    check_closure_is_monotone_idempotent(a)
+    check_sample_point_is_member(a)
 
 
 @given(mixed_regions())
@@ -412,6 +436,14 @@ def test_components_cover_without_overlap(a):
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             assert region_is_empty(region_boolean("intersect", comps[i], comps[j]))
+
+
+def test_region_ops_reject_mixed_dimensions():
+    line, plane = empty_region(1), empty_region(2)
+    for op in (region_subset, region_equal, region_difference,
+               lambda a, b: region_boolean("union", a, b)):
+        with pytest.raises(ArgumentError, match="dimension mismatch"):
+            op(line, plane)
 
 
 def test_region_equal_sees_through_decomposition():
