@@ -440,24 +440,32 @@ def _fincat_to_json(c: FinCategory) -> dict:
     }
 
 
-def _val_rows(rows, width: int, where: str) -> list[tuple]:
-    """The rows of the array rows as tuples of fixture values."""
-    return [tuple(_val_from_json(v, f"{at}[{j}]") for j, v in enumerate(row))
-            for at, row in _rows(rows, width, where)]
+def _put(table: dict, key, value, at: str) -> None:
+    """Enter the row at path at, which no earlier row may share a key with."""
+    if key in table:
+        raise DocumentSyntaxError(f"{at}: repeats the key {key!r} of an earlier row")
+    table[key] = value
+
+
+def _val_table(rows, width: int, where: str, keys: int = 1) -> dict:
+    """The rows of the array rows as a table of fixture values, from each
+    row's first keys entries to the rest (single entries unwrapped)."""
+    table: dict = {}
+    for at, row in _rows(rows, width, where):
+        vals = tuple(_val_from_json(v, f"{at}[{j}]") for j, v in enumerate(row))
+        key = vals[0] if keys == 1 else vals[:keys]
+        _put(table, key, vals[keys] if width - keys == 1 else vals[keys:], at)
+    return table
 
 
 def _fincat_from_json(obj, where: str = "finite-category") -> FinCategory:
     objects = tuple(_val_from_json(x, f"{where}.objects[{i}]")
                     for i, x in enumerate(obj.get("objects", [])))
-    arrows = _val_rows(obj.get("arrows", []), 3, f"{where}.arrows")
-    identity = _val_rows(obj.get("identity", []), 2, f"{where}.identity")
-    then = _val_rows(obj.get("then", []), 3, f"{where}.then")
+    arrows = _val_table(obj.get("arrows", []), 3, f"{where}.arrows")
+    identity = _val_table(obj.get("identity", []), 2, f"{where}.identity")
+    then = _val_table(obj.get("then", []), 3, f"{where}.then", keys=2)
     try:
-        return FinCategory(
-            objects,
-            {f: (s, t) for f, s, t in arrows},
-            dict(identity),
-            {(f, g): h for f, g, h in then})
+        return FinCategory(objects, arrows, identity, then)
     except ValueError as exc:
         raise DocumentValidationError(
             f"{where}: {exc}",
@@ -484,8 +492,10 @@ def _sset_to_json(x: TruncSSet) -> dict:
 
 def _sset_maps(obj, key: str, where: str) -> dict:
     """The face or degeneracy maps: rows [k, i, [[a, b], ...]]."""
-    return {(k, i): dict(_val_rows(m, 2, f"{at}[2]"))
-            for at, (k, i, m) in _rows(obj.get(key, []), 3, f"{where}.{key}")}
+    maps: dict = {}
+    for at, (k, i, m) in _rows(obj.get(key, []), 3, f"{where}.{key}"):
+        _put(maps, (k, i), _val_table(m, 2, f"{at}[2]"), at)
+    return maps
 
 
 def _sset_from_json(obj, where: str = "presheaf") -> TruncSSet:

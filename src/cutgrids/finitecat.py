@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import ArgumentError
@@ -19,7 +20,7 @@ from .shapes import (
     Multisimplex,
     MultisimplexOperator,
     compose_operators,
-    gamma_compose,
+    gamma_compose_actions,
     hat_multisimplex,
 )
 
@@ -70,6 +71,9 @@ class FinCategory:
                     h = self.then_table.get((f, g))
                     if h is None:
                         raise ArgumentError(f"missing composite for {f!r};{g!r}")
+                    if h not in self.arrows:
+                        raise ArgumentError(
+                            f"composite {h!r} of {f!r};{g!r} is not an arrow")
                     if self.arrows[h] != (fs, gt):
                         raise ArgumentError(f"composite {h!r} has wrong endpoints")
                 elif (f, g) in self.then_table:
@@ -150,7 +154,10 @@ class FinPresheaf:
 
     ``actions[f]`` for f: x -> y is the restriction map F(y) -> F(x), given
     as a dict.  Functoriality is checked by enumeration unless
-    ``validate=False`` (used for deliberately broken negative fixtures).
+    ``validate=False`` (used for deliberately broken negative fixtures): each
+    action is translated once into a list of positions, one per element of
+    F(y) in a fixed order, giving its image's position in F(x), so every
+    composable pair is checked by composing two such lists.
     """
 
     base: FinCategory
@@ -168,6 +175,9 @@ class FinPresheaf:
         for x in self.base.objects:
             if x not in self.sets:
                 raise ArgumentError(f"no set assigned to object {x!r}")
+        order = {x: tuple(self.sets[x]) for x in self.base.objects}
+        position = {x: {e: i for i, e in enumerate(es)} for x, es in order.items()}
+        table = {}
         for f, (s, t) in self.base.arrows.items():
             act = self.actions.get(f)
             if act is None:
@@ -176,15 +186,16 @@ class FinPresheaf:
                 self.sets[s]
             ):
                 raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
+            at = position[s]
+            table[f] = [at[act[e]] for e in order[t]]
         for x in self.base.objects:
             ident = self.actions[self.base.identity[x]]
             if any(ident[e] != e for e in self.sets[x]):
                 raise ArgumentError(f"identity action at {x!r} is not the identity")
         for (f, g), h in self.base.then_table.items():
-            af, ag, ah = self.actions[f], self.actions[g], self.actions[h]
-            for e in self.sets[self.base.dst(g)]:
-                if af[ag[e]] != ah[e]:
-                    raise ArgumentError(f"contravariant functoriality fails at {f!r};{g!r}")
+            af = table[f]
+            if table[h] != [af[i] for i in table[g]]:
+                raise ArgumentError(f"contravariant functoriality fails at {f!r};{g!r}")
 
     def act(self, f: Arrow, element):
         return self.actions[f][element]
@@ -488,24 +499,28 @@ def gamma_segal_category(n: int) -> FinCategory:
     carries a basepointed function <b> -> <a>, so a contravariant presheaf on
     this base pushes labels forward along its restriction maps.
 
-    Composition of functions is associative, so table validation is skipped.
+    The then-table lists only the composable pairs, and each composite in it
+    is the arrow key itself, found by looking its action up among the arrows
+    out of a (the action's length is the target).  Composition of functions
+    is associative, so table validation is skipped.
     """
     objects = tuple(range(n + 1))
     arrows: dict[Arrow, tuple[Obj, Obj]] = {}
+    out_of: dict[Obj, dict[tuple[int, ...], Arrow]] = {a: {} for a in objects}
     for a in objects:
         for b in objects:
             for action in itertools.product(range(a + 1), repeat=b):
-                arrows[("g", a, b, action)] = (a, b)
+                GammaMorphism(b, a, action)  # validates the label map
+                f = ("g", a, b, action)
+                arrows[f] = (a, b)
+                out_of[a][action] = f
     identity = {a: ("g", a, a, tuple(range(1, a + 1))) for a in objects}
     then_table: dict[tuple[Arrow, Arrow], Arrow] = {}
     for f, (a, b) in arrows.items():
-        for g, (b2, c) in arrows.items():
-            if b != b2:
-                continue
-            uf = GammaMorphism(b, a, f[3])
-            ug = GammaMorphism(c, b, g[3])
-            comp = gamma_compose(ug, uf)  # <c> -> <a>
-            then_table[(f, g)] = ("g", a, c, comp.action)
+        named = out_of[a]
+        for g in out_of[b].values():
+            # the label maps compose as <c> -> <b> -> <a>
+            then_table[(f, g)] = named[gamma_compose_actions(g[3], f[3])]
     return FinCategory(objects, arrows, identity, then_table, validate=False)
 
 
@@ -548,18 +563,13 @@ def monoid_power_presheaf(elements: Iterable, add: Callable, zero, n: int) -> Fi
     sets = {k: frozenset(itertools.product(elems, repeat=k)) for k in base.objects}
     actions = {}
     for f, (a, b) in base.arrows.items():
-        u = GammaMorphism(b, a, f[3])
-        table = {}
-        for y in sets[b]:
-            out = []
-            for j in range(1, a + 1):
-                acc = zero
-                for i in range(1, b + 1):
-                    if u(i) == j:
-                        acc = add(acc, y[i - 1])
-                out.append(acc)
-            table[y] = tuple(out)
-        actions[f] = table
+        # positions in y of the labels sent to j = 1..a, in increasing order
+        preimages = [[i for i, image in enumerate(f[3]) if image == j]
+                     for j in range(1, a + 1)]
+        actions[f] = {
+            y: tuple(reduce(add, map(y.__getitem__, pre), zero) for pre in preimages)
+            for y in sets[b]
+        }
     return FinPresheaf(base, sets, actions)
 
 

@@ -146,7 +146,16 @@ def gamma_compose(u: GammaMorphism, v: GammaMorphism) -> GammaMorphism:
         raise CompositionError(
             f"cannot compose label maps: <{u.target}> vs <{v.source}>"
         )
-    return GammaMorphism(u.source, v.target, tuple(v(x) for x in u.action))
+    return GammaMorphism(u.source, v.target, gamma_compose_actions(u.action, v.action))
+
+
+def gamma_compose_actions(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
+    """The action table of x -> second(first(x)), read off a copy of second
+    padded by the basepoint.  Each image in first must be a label of second's
+    source or the basepoint; callers that have not validated this use
+    ``gamma_compose``."""
+    padded = (BASEPOINT,) + second
+    return tuple([padded[x] for x in first])
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,12 @@ def test_validate_rejects_misshapen_ambients(tmp_path, capsys, example, key,
     assert where in capsys.readouterr().err
 
 
+LE00, LE01, LE11 = ["le", 0, 0], ["le", 0, 1], ["le", 1, 1]
+# the composition table of chain_poset(1), as its document lists it
+CHAIN_THEN = [[LE00, LE00, LE00], [LE00, LE01, LE01], [LE01, LE11, LE01],
+              [LE11, LE11, LE11]]
+
+
 @pytest.mark.parametrize("payload, key, value, where", [
     (nerve(chain_poset(1), 1), "level", True, "presheaf: level"),
     (chain_poset(1), "objects", [True], "finite-category.objects[0]"),
@@ -182,6 +188,18 @@ def test_validate_rejects_misshapen_ambients(tmp_path, capsys, example, key,
     (nerve(chain_poset(1), 1), "faces", [[1, 0]], "presheaf.faces[0]"),
     (nerve(chain_poset(1), 1), "degeneracies", [[0, 0, [[[0]]]]],
      "presheaf.degeneracies[0][2][0]"),
+    # a key repeated by a later row, which would silently replace the first
+    (chain_poset(1), "arrows", [["f", 0, 0], ["f", 0, 1]],
+     "finite-category.arrows[1]"),
+    (chain_poset(1), "identity", [[0, "f"], [0, "g"]],
+     "finite-category.identity[1]"),
+    (chain_poset(1), "then", [[LE00, LE01, LE00]] + CHAIN_THEN,
+     "finite-category.then[2]"),
+    (nerve(chain_poset(1), 1), "faces", [[1, 0, []], [1, 0, []]],
+     "presheaf.faces[1]"),
+    (nerve(chain_poset(1), 1), "degeneracies",
+     [[0, 0, [[0, [LE00]], [0, [LE00]], [1, [LE11]]]]],
+     "presheaf.degeneracies[0][2][1]"),
 ])
 def test_validate_rejects_misshapen_fixtures(tmp_path, capsys, payload, key,
                                              value, where):

@@ -36,7 +36,8 @@ from cutgrids.finitecat import (
     preorder_diagnostics,
     representable_multisimplex_presheaf,
 )
-from cutgrids.shapes import Multisimplex
+from cutgrids.errors import ArgumentError
+from cutgrids.shapes import GammaMorphism, Multisimplex, gamma_compose
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,12 @@ def test_category_rejects_composite_with_wrong_endpoints():
         FinCategory((0, 1), arrows, identity, table)
 
 
+def test_category_rejects_a_composite_that_is_not_an_arrow():
+    arrows = {"i0": (0, 0)}
+    with pytest.raises(ArgumentError, match="composite 'nope' of 'i0';'i0' is not an arrow"):
+        FinCategory((0,), arrows, {0: "i0"}, {("i0", "i0"): "nope"})
+
+
 def test_category_rejects_bad_identity():
     with pytest.raises(ValueError, match="identity"):
         FinCategory((0,), {"f": (0, 0)}, {0: "g"}, {})
@@ -197,6 +204,65 @@ def test_presheaf_rejects_broken_functoriality():
     bad_actions[("le", 0, 0)] = {("le", 0, 1): ("le", 0, 0)}  # not the identity
     with pytest.raises(ValueError):
         FinPresheaf(chain, p.sets, bad_actions)
+
+
+def test_presheaf_rejects_a_broken_composite():
+    # identities intact, but 0 <= 2 no longer acts as (0 <= 1) then (1 <= 2)
+    chain = chain_poset(2)
+    p = constant_presheaf(chain, range(2))
+    bad_actions = dict(p.actions)
+    bad_actions[("le", 0, 2)] = {0: 1, 1: 0}
+    with pytest.raises(ArgumentError, match=(
+            r"contravariant functoriality fails at \('le', 0, 1\);\('le', 1, 2\)")):
+        FinPresheaf(chain, p.sets, bad_actions)
+
+
+def reference_presheaf_error(base: FinCategory, sets, actions):
+    """The checks of FinPresheaf with functoriality tested element by
+    element: the message of the first check that fails, or None."""
+    for x in base.objects:
+        if x not in sets:
+            return f"no set assigned to object {x!r}"
+    for f, (s, t) in base.arrows.items():
+        act = actions.get(f)
+        if act is None:
+            return f"no action for arrow {f!r}"
+        if set(act) != set(sets[t]) or not set(act.values()) <= set(sets[s]):
+            return f"action of {f!r} is not a map F({t!r}) -> F({s!r})"
+    for x in base.objects:
+        ident = actions[base.identity[x]]
+        if any(ident[e] != e for e in sets[x]):
+            return f"identity action at {x!r} is not the identity"
+    for (f, g), h in base.then_table.items():
+        af, ag, ah = actions[f], actions[g], actions[h]
+        for e in sets[base.dst(g)]:
+            if af[ag[e]] != ah[e]:
+                return f"contravariant functoriality fails at {f!r};{g!r}"
+    return None
+
+
+@given(small_presheaves(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_functoriality_check_matches_the_element_loop(presheaf, data):
+    base = presheaf.base
+    identities = set(base.identity.values())
+    movable = [f for f in base.arrows if f not in identities] or list(base.arrows)
+    f = data.draw(st.sampled_from(sorted(movable, key=repr)))
+    s, t = base.arrows[f]
+    if presheaf.sets[t]:
+        e = data.draw(st.sampled_from(sorted(presheaf.sets[t], key=repr)))
+        image = data.draw(st.sampled_from(sorted(presheaf.sets[s], key=repr)))
+        actions = dict(presheaf.actions)
+        actions[f] = {**actions[f], e: image}
+    else:
+        actions = presheaf.actions
+    want = reference_presheaf_error(base, presheaf.sets, actions)
+    try:
+        FinPresheaf(base, presheaf.sets, actions)
+        got = None
+    except ArgumentError as exc:
+        got = str(exc)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +442,61 @@ def test_monoid_powers_split_strictly():
             assert check_segal_gamma(p, kappa, ell) is True
     with pytest.raises(ValueError):
         check_segal_gamma(p, 2, 2)
+
+
+def reference_gamma_then_table(base: FinCategory) -> dict:
+    """Every pair of arrows, composed through gamma_compose where composable."""
+    table = {}
+    for f, (a, b) in base.arrows.items():
+        for g, (b2, c) in base.arrows.items():
+            if b == b2:
+                comp = gamma_compose(GammaMorphism(c, b, g[3]), GammaMorphism(b, a, f[3]))
+                table[(f, g)] = ("g", a, c, comp.action)
+    return table
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_gamma_then_table_matches_the_all_pairs_reference(n):
+    base = gamma_segal_category(n)
+    want = reference_gamma_then_table(base)
+    assert list(base.then_table.items()) == list(want.items())
+    keys = {f: f for f in base.arrows}
+    assert all(keys[h] is h for h in base.then_table.values())
+
+
+def reference_monoid_actions(base: FinCategory, elems, add, zero) -> dict:
+    """The restriction maps of monoid_power_presheaf, label by label."""
+    actions = {}
+    for f, (a, b) in base.arrows.items():
+        u = GammaMorphism(b, a, f[3])
+        table = {}
+        for y in itertools.product(elems, repeat=b):
+            out = []
+            for j in range(1, a + 1):
+                acc = zero
+                for i in range(1, b + 1):
+                    if u(i) == j:
+                        acc = add(acc, y[i - 1])
+                out.append(acc)
+            table[y] = tuple(out)
+        actions[f] = table
+    return actions
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("elems, add, zero", [
+    (range(3), lambda a, b: (a + b) % 3, 0),
+    (range(2), max, 0),
+])
+def test_monoid_powers_match_the_per_label_loop(n, elems, add, zero):
+    p = monoid_power_presheaf(elems, add, zero, n)
+    assert p.actions == reference_monoid_actions(p.base, tuple(elems), add, zero)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_constant_gamma_presheaf_acts_trivially(n):
+    c = constant_gamma_presheaf({"a", "b"}, n)
+    assert c.actions == {f: {"a": "a", "b": "b"} for f in c.base.arrows}
 
 
 def test_fat_basepoint_fails_label_splitting():
