@@ -464,6 +464,11 @@ def _fincat_from_json(obj, where: str = "finite-category") -> FinCategory:
     arrows = _val_table(obj.get("arrows", []), 3, f"{where}.arrows")
     identity = _val_table(obj.get("identity", []), 2, f"{where}.identity")
     then = _val_table(obj.get("then", []), 3, f"{where}.then", keys=2)
+    # no two rows share a pair, so the table lists the pairs in row order
+    for n, (f, g) in enumerate(then):
+        if f not in arrows or g not in arrows:
+            raise DocumentSyntaxError(
+                f"{where}.then[{n}]: the pair {f!r};{g!r} names no arrow")
     try:
         return FinCategory(objects, arrows, identity, then)
     except ValueError as exc:
@@ -494,6 +499,8 @@ def _sset_maps(obj, key: str, where: str) -> dict:
     """The face or degeneracy maps: rows [k, i, [[a, b], ...]]."""
     maps: dict = {}
     for at, (k, i, m) in _rows(obj.get(key, []), 3, f"{where}.{key}"):
+        if not (_is_int(k) and _is_int(i)):
+            raise DocumentSyntaxError(f"{at}: degree and index must be integers")
         _put(maps, (k, i), _val_table(m, 2, f"{at}[2]"), at)
     return maps
 
@@ -600,7 +607,7 @@ def parse_document(text: str, check: bool = True) -> Document:
     if version != FORMAT_VERSION:
         raise DocumentSyntaxError(f"unrecognized version {version!r}")
     kind = obj.get("kind")
-    parser = _PARSERS.get(kind)
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         raise DocumentSyntaxError(f"unknown document kind {kind!r}")
     payload_obj = obj.get("payload")

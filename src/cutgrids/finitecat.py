@@ -65,6 +65,10 @@ class FinCategory:
                 raise ArgumentError(f"object {x!r} lacks a well-formed identity")
         if not self.validate:
             return
+        for f, g in self.then_table:
+            if f not in self.arrows or g not in self.arrows:
+                raise ArgumentError(
+                    f"composite defined for {f!r};{g!r}, which names no arrow")
         for f, (fs, ft) in self.arrows.items():
             for g, (gs, gt) in self.arrows.items():
                 if ft == gs:

@@ -34,16 +34,15 @@ from .plgeom import (
     Ambient,
     Ambient1D,
     Ambient2D,
+    Arc,
     CircleCell,
     PLFunc,
     PLRegion,
     Seg,
     Slab,
-    circle_cells_from_predicate,
     fr,
     interval_rep,
     is_finite,
-    line_cells_from_predicate,
     line_region,
     plfunc_equal,
     plfunc_max,
@@ -423,92 +422,94 @@ def _component_domain_window(boxes, axis: int):
 # ---------------------------------------------------------------------------
 
 
-def _interval_cut_cells(comp: ComponentCut1D, lo, hi, target: str) -> list:
-    if comp.kind == "whole":
-        if target == comp.whole_sign:
-            return [Seg(lo, hi, False, False)]
-        return []
-    criticals = [p for p, _s in comp.zeros]
-    if is_finite(lo):
-        criticals.append(lo)
-    if is_finite(hi):
-        criticals.append(hi)
+def _component_parts_1d(comp: ComponentCut1D, i: int,
+                        ambient: Ambient1D) -> tuple[list, list, list]:
+    """(below, level, above) cells of component i of a valid 1D cut.
 
-    def pred(x: Fraction) -> bool:
-        if not lo < x < hi:
-            return False
-        return _classify_on_interval(comp, x) == target
+    The zeros are the level set, and the open gap that ends at a zero of
+    sign '+' is below, one that ends at a zero of sign '-' above.  On an
+    interval the gap after the last zero lies past that zero's crossing; on
+    a circle the gap ending at the first zero starts at the last one."""
+    parts: dict[str, list] = {"below": [], "level": [], "above": []}
+    lines = len(ambient.intervals)
+    if i < lines:
+        lo, hi = ambient.intervals[i]
+        if comp.kind == "whole":
+            parts[comp.whole_sign].append(Seg(lo, hi, False, False))
+        else:
+            start = lo
+            for p, sign in comp.zeros:
+                parts[_side_of_count(sign, 0)].append(
+                    Seg(start, p, False, False))
+                parts["level"].append(Seg(p, p, True, True))
+                start = p
+            parts[_side_of_count(comp.zeros[-1][1], 1)].append(
+                Seg(start, hi, False, False))
+    else:
+        j = i - lines
+        length = ambient.circles[j]
+        if comp.kind == "whole":
+            parts[comp.whole_sign].append(CircleCell(j, length))
+        else:
+            zs = comp.zeros
+            for (p, _s), (q, sign) in zip(zs, zs[1:] + zs[:1]):
+                parts[_side_of_count(sign, 0)].append(
+                    Arc(j, length, p, q, False, False))
+                parts["level"].append(Arc(j, length, q, q, True, True))
+    return parts["below"], parts["level"], parts["above"]
 
-    return list(line_cells_from_predicate(criticals, pred))
 
-
-def _circle_cut_cells(comp: ComponentCut1D, idx: int, length: Fraction,
-                      target: str) -> list:
-    if comp.kind == "whole":
-        if target == comp.whole_sign:
-            return [CircleCell(idx, length)]
-        return []
-    criticals = [p for p, _s in comp.zeros]
-
-    def pred(theta: Fraction) -> bool:
-        return _classify_on_circle(comp, length, theta) == target
-
-    return list(circle_cells_from_predicate(idx, length, criticals, pred))
-
-
-def _box_band_cells_axis2(comp: ComponentCut2D, box, target: str) -> list:
-    """Cells of one box contributing to the target side, axis-2 cut."""
+def _box_band_cells_axis2(comp: ComponentCut2D,
+                          box) -> tuple[list, list, list]:
+    """(below, level, above) cells of one box, axis-2 cut."""
     x0, x1, y0, y1 = box
-    out: list = []
+    parts: dict[str, list] = {"below": [], "level": [], "above": []}
+    ylo = PLFunc.constant(y0) if is_finite(y0) else NEG_INF
+    yhi = PLFunc.constant(y1) if is_finite(y1) else INF
     if comp.kind == "whole":
-        if target == comp.whole_sign:
-            out.append(Slab(
-                x0, x1, False, False,
-                PLFunc.constant(y0) if is_finite(y0) else NEG_INF,
-                PLFunc.constant(y1) if is_finite(y1) else INF,
-                False, False))
-        return out
+        parts[comp.whole_sign].append(
+            Slab(x0, x1, False, False, ylo, yhi, False, False))
+        return parts["below"], parts["level"], parts["above"]
     sheets = comp.sheets
     first = sheets[0].sign
     window = line_region(Seg(x0, x1, False, False))
-    if target == "level":
-        for sheet in sheets:
-            for seg in strict_between_cells(sheet.graph, y0, y1, window):
-                out.append(Slab(seg.lo, seg.hi, seg.lo_closed, seg.hi_closed,
-                                sheet.graph, sheet.graph, True, True))
-        return out
+    for sheet in sheets:
+        for seg in strict_between_cells(sheet.graph, y0, y1, window):
+            parts["level"].append(Slab(
+                seg.lo, seg.hi, seg.lo_closed, seg.hi_closed,
+                sheet.graph, sheet.graph, True, True))
     n = len(sheets)
     for band in range(n + 1):
-        if _side_of_count(first, band) != target:
-            continue
         if band == 0:
-            lower = PLFunc.constant(y0) if is_finite(y0) else NEG_INF
+            lower = ylo
         else:
             g = sheets[band - 1].graph
-            lower = plfunc_max(g, PLFunc.constant(y0)) if is_finite(y0) else g
+            lower = plfunc_max(g, ylo) if is_finite(y0) else g
         if band == n:
-            upper = PLFunc.constant(y1) if is_finite(y1) else INF
+            upper = yhi
         else:
             g = sheets[band].graph
-            upper = plfunc_min(g, PLFunc.constant(y1)) if is_finite(y1) else g
-        out.append(Slab(x0, x1, False, False, lower, upper, False, False))
-    return out
+            upper = plfunc_min(g, yhi) if is_finite(y1) else g
+        parts[_side_of_count(first, band)].append(
+            Slab(x0, x1, False, False, lower, upper, False, False))
+    return parts["below"], parts["level"], parts["above"]
 
 
 def _constant_value(f: PLFunc) -> Optional[Fraction]:
     return f.values[0] if f.is_constant() else None
 
 
-def _box_band_cells_axis1(comp: ComponentCut2D, box, target: str) -> list:
+def _box_band_cells_axis1(comp: ComponentCut2D,
+                          box) -> tuple[list, list, list]:
     """Axis-1 analogue; sheets must be constant (vertical lines)."""
     x0, x1, y0, y1 = box
-    out: list = []
+    parts: dict[str, list] = {"below": [], "level": [], "above": []}
     ylo = PLFunc.constant(y0) if is_finite(y0) else NEG_INF
     yhi = PLFunc.constant(y1) if is_finite(y1) else INF
     if comp.kind == "whole":
-        if target == comp.whole_sign:
-            out.append(Slab(x0, x1, False, False, ylo, yhi, False, False))
-        return out
+        parts[comp.whole_sign].append(
+            Slab(x0, x1, False, False, ylo, yhi, False, False))
+        return parts["below"], parts["level"], parts["above"]
     consts = []
     for sheet in comp.sheets:
         c = _constant_value(sheet.graph)
@@ -518,53 +519,44 @@ def _box_band_cells_axis1(comp: ComponentCut2D, box, target: str) -> list:
                 "(constant) sheets")
         consts.append(c)
     first = comp.sheets[0].sign
-    if target == "level":
-        for c in consts:
-            if x0 < c < x1:
-                out.append(Slab(c, c, True, True, ylo, yhi, False, False))
-        return out
+    for c in consts:
+        if x0 < c < x1:
+            parts["level"].append(
+                Slab(c, c, True, True, ylo, yhi, False, False))
     n = len(consts)
     for band in range(n + 1):
-        if _side_of_count(first, band) != target:
-            continue
         lo = x0 if band == 0 else max(x0, consts[band - 1])
         hi = x1 if band == n else min(consts[band], x1)
-        if not lo < hi:
-            continue
-        out.append(Slab(lo, hi, False, False, ylo, yhi, False, False))
-    return out
+        if lo < hi:
+            parts[_side_of_count(first, band)].append(
+                Slab(lo, hi, False, False, ylo, yhi, False, False))
+    return parts["below"], parts["level"], parts["above"]
 
 
 def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegion]:
-    """The (below, level, above) partition of the ambient by a cut."""
+    """The (below, level, above) partition of the ambient by a cut.
+
+    Each component (or box) gives its three parts in one pass.  A 1D
+    partition is read straight from the signed zeros, which is correct only
+    for a valid cut, so an invalid 1D cut raises ValidationError."""
+    parts: tuple[list, list, list] = ([], [], [])
     if isinstance(cut, Cut1D):
         if not isinstance(ambient, Ambient1D):
             raise ArgumentError("1D cut needs a 1D ambient")
-        parts: dict[str, list] = {"below": [], "level": [], "above": []}
-        for i, (lo, hi) in enumerate(ambient.intervals):
-            for target in parts:
-                parts[target].extend(
-                    _interval_cut_cells(cut.components[i], lo, hi, target))
-        for j, length in enumerate(ambient.circles):
-            comp = cut.components[len(ambient.intervals) + j]
-            for target in parts:
-                parts[target].extend(
-                    _circle_cut_cells(comp, j, length, target))
-        return (PLRegion(1, tuple(parts["below"])),
-                PLRegion(1, tuple(parts["level"])),
-                PLRegion(1, tuple(parts["above"])))
+        validate_cut(cut, ambient)
+        for i, comp in enumerate(cut.components):
+            for part, cells in zip(parts, _component_parts_1d(comp, i, ambient)):
+                part.extend(cells)
+        return tuple(PLRegion(1, tuple(part)) for part in parts)
     if not isinstance(ambient, Ambient2D):
         raise ArgumentError("2D cut needs a 2D ambient")
     builder = _box_band_cells_axis2 if cut.axis == 2 else _box_band_cells_axis1
-    parts = {"below": [], "level": [], "above": []}
     for ci in range(ambient.n_components()):
         comp = cut.components[ci]
         for box in ambient.component_boxes(ci):
-            for target in parts:
-                parts[target].extend(builder(comp, box, target))
-    return (region_normalize(PLRegion(2, tuple(parts["below"]))),
-            region_normalize(PLRegion(2, tuple(parts["level"]))),
-            region_normalize(PLRegion(2, tuple(parts["above"]))))
+            for part, cells in zip(parts, builder(comp, box)):
+                part.extend(cells)
+    return tuple(region_normalize(PLRegion(2, tuple(part))) for part in parts)
 
 
 # ---------------------------------------------------------------------------

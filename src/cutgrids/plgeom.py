@@ -543,7 +543,8 @@ def line_cells_from_predicate(
     criticals: Iterable[Fraction], pred: Callable[[Fraction], bool]
 ) -> tuple[Seg, ...]:
     """The subset {x : pred(x)} as segments, assuming pred is constant between
-    consecutive critical coordinates."""
+    consecutive critical coordinates: the sublevel sets of a PL function
+    (`_sublevel_region`) and the strict-between sets of `strict_between_cells`."""
     atoms, _ = _line_atoms(criticals)
     included = [pred(_atom_rep(a)) for a in atoms]
     return tuple(Seg(*run) for run in _line_runs(atoms, included))
@@ -576,15 +577,6 @@ def _circle_atom_rep(L: Fraction, atom: tuple) -> Fraction:
         return Fraction(0)
     c, span = atom[1], atom[2]
     return (c + span / 2) % L
-
-
-def circle_cells_from_predicate(
-    circle: int, L, criticals: Iterable[Fraction], pred: Callable[[Fraction], bool]
-) -> tuple[Cell, ...]:
-    L = fr(L)
-    atoms = _circle_atoms(L, list(criticals))
-    included = [pred(_circle_atom_rep(L, a)) for a in atoms]
-    return tuple(_coalesce_circle(circle, L, atoms, included))
 
 
 def _coalesce_circle(circle: int, L: Fraction, atoms: list[tuple],

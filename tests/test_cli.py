@@ -77,6 +77,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["validate", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: line 2")
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    doc = json.loads(serialize_document(document_for(catalog("elbow_right"))))
+    doc["kind"] = []
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    assert "unknown document kind []" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -200,6 +205,13 @@ CHAIN_THEN = [[LE00, LE00, LE00], [LE00, LE01, LE01], [LE01, LE11, LE01],
     (nerve(chain_poset(1), 1), "degeneracies",
      [[0, 0, [[0, [LE00]], [0, [LE00]], [1, [LE11]]]]],
      "presheaf.degeneracies[0][2][1]"),
+    # a face or degeneracy degree or index that is no integer
+    (nerve(chain_poset(1), 1), "faces", [[True, 0, []]], "presheaf.faces[0]"),
+    (nerve(chain_poset(1), 1), "degeneracies", [[0, "0", []]],
+     "presheaf.degeneracies[0]"),
+    # a then row whose pair names no arrow
+    (chain_poset(1), "then", CHAIN_THEN + [["x", "y", LE00]],
+     "finite-category.then[4]"),
 ])
 def test_validate_rejects_misshapen_fixtures(tmp_path, capsys, payload, key,
                                              value, where):

@@ -166,6 +166,12 @@ def test_category_rejects_a_composite_that_is_not_an_arrow():
         FinCategory((0,), arrows, {0: "i0"}, {("i0", "i0"): "nope"})
 
 
+def test_category_rejects_a_composite_for_a_pair_that_names_no_arrow():
+    table = {("i0", "i0"): "i0", ("x", "y"): "i0"}
+    with pytest.raises(ArgumentError, match="'x';'y', which names no arrow"):
+        FinCategory((0,), {"i0": (0, 0)}, {0: "i0"}, table)
+
+
 def test_category_rejects_bad_identity():
     with pytest.raises(ValueError, match="identity"):
         FinCategory((0,), {"f": (0, 0)}, {0: "g"}, {})

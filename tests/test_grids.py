@@ -14,6 +14,7 @@ from cutgrids.plgeom import (
     Ambient2D,
     PLFunc,
     Seg,
+    interval_rep,
     line_region,
     region_contains_point,
     region_equal,
@@ -99,6 +100,60 @@ def nested_line_grids(draw):
     return MonoidalCutGrid(CutGrid((CutTuple(tuple(cuts)),)), ell, labels), ambient
 
 
+def alternating(positions, first):
+    """Zeros at the given positions, their signs alternating from `first`."""
+    other = "-" if first == "+" else "+"
+    return tuple((p, first if k % 2 == 0 else other) for k, p in enumerate(positions))
+
+
+@st.composite
+def line_cuts(draw):
+    """A 1D ambient of up to two intervals (either outer end may be infinite)
+    and up to two circles, with a valid cut: interval components carry one
+    to four zeros of either first sign, circle components an even number of
+    cyclically alternating zeros (sometimes one at 0), and any component may
+    be whole."""
+    n_lines = draw(st.integers(0, 2))
+    n_circles = draw(st.integers(0 if n_lines else 1, 2))
+    ends = sorted(draw(st.sets(st.integers(-12, 12), min_size=2 * n_lines,
+                               max_size=2 * n_lines)))
+    intervals = [[F(a), F(b)] for a, b in zip(ends[::2], ends[1::2])]
+    if intervals and draw(st.booleans()):
+        intervals[0][0] = NEG_INF
+    if intervals and draw(st.booleans()):
+        intervals[-1][1] = INF
+    circles = [F(draw(st.integers(1, 6))) for _ in range(n_circles)]
+    wholes = st.sampled_from(["below", "above"]).map(
+        lambda side: ComponentCut1D("whole", (), side))
+    comps = []
+    for lo, hi in intervals:
+        if draw(st.integers(0, 4)) == 3:  # one in five, not the shrink target
+            comps.append(draw(wholes))
+            continue
+        # zeros on the quarter grid strictly inside the interval, and within
+        # 10 of a finite end (or of 0) where it is infinite
+        finite = [int(4 * e) for e in (lo, hi) if e not in (NEG_INF, INF)] or [0]
+        zlo = int(4 * lo) + 1 if lo != NEG_INF else min(finite) - 40
+        zhi = int(4 * hi) - 1 if hi != INF else max(finite) + 40
+        quarters = sorted(draw(st.sets(st.integers(zlo, zhi), min_size=1, max_size=4)))
+        first = draw(st.sampled_from("+-"))
+        comps.append(ComponentCut1D("zeros", alternating([F(q, 4) for q in quarters], first)))
+    for length in circles:
+        if draw(st.integers(0, 4)) == 3:  # one in five, not the shrink target
+            comps.append(draw(wholes))
+            continue
+        quarters = draw(st.sets(st.integers(0, int(4 * length) - 1), min_size=2, max_size=4))
+        if draw(st.booleans()):
+            quarters.add(0)
+        quarters = sorted(quarters)
+        if len(quarters) % 2:
+            quarters.pop()
+        first = draw(st.sampled_from("+-"))
+        comps.append(ComponentCut1D("zeros", alternating([F(q, 4) for q in quarters], first)))
+    ambient = Ambient1D(tuple(map(tuple, intervals)), tuple(circles))
+    return Cut1D(tuple(comps)), ambient
+
+
 @st.composite
 def wall_plane_grids(draw):
     m1 = draw(st.integers(0, 2))
@@ -172,22 +227,47 @@ def test_classification_on_a_box():
     assert classify_point(horizontal, b.ambient, (3, 2)) == "above"
 
 
-@given(nested_line_grids(), st.integers(-40, 130))
-def test_sides_partition_the_ambient(mg_amb, num):
-    mg, ambient = mg_amb
-    x = F(num, 4)
-    cut = mg.grid.tuples[0].cuts[0]
-    below, level, above = cut_regions(cut, ambient)
-    try:
-        ambient.component_of_line_point(x)
-    except ArgumentError:
-        return
-    memberships = [
-        region_contains_point(r, x) for r in (below, level, above)
-    ]
-    assert memberships.count(True) == 1
-    side = classify_point(cut, ambient, x)
-    assert memberships[("below", "level", "above").index(side)]
+def partition_probes(cut, ambient):
+    """Every zero, a point inside every gap between zeros (or of a whole
+    component), and the finite ends of the intervals, which lie outside."""
+    probes = []
+    for i, comp in enumerate(cut.components):
+        zs = [p for p, _s in comp.zeros]
+        if i < len(ambient.intervals):
+            lo, hi = ambient.intervals[i]
+            stops = [lo, *zs, hi]
+            probes += zs + [interval_rep(a, b) for a, b in zip(stops, stops[1:])]
+            probes += [end for end in (lo, hi) if end not in (NEG_INF, INF)]
+            continue
+        j = i - len(ambient.intervals)
+        length = ambient.circles[j]
+        if not zs:
+            probes.append(("circle", j, length / 2))
+            continue
+        wrapped = zs[1:] + [zs[0] + length]  # the last gap wraps past 0
+        probes += [("circle", j, p) for p in zs]
+        probes += [("circle", j, interval_rep(a, b) % length)
+                   for a, b in zip(zs, wrapped)]
+    return probes
+
+
+@given(line_cuts(), st.integers(-120, 120))
+def test_sides_partition_the_ambient(cut_amb, num):
+    """below, level and above cover each point of the ambient exactly once,
+    as classify_point sides it, and miss every point outside."""
+    cut, ambient = cut_amb
+    parts = cut_regions(cut, ambient)
+    for point in partition_probes(cut, ambient) + [F(num, 8)]:
+        memberships = [region_contains_point(r, point) for r in parts]
+        if not isinstance(point, tuple):
+            try:
+                ambient.component_of_line_point(point)
+            except ArgumentError:
+                assert memberships.count(True) == 0
+                continue
+        assert memberships.count(True) == 1
+        side = classify_point(cut, ambient, point)
+        assert memberships[("below", "level", "above").index(side)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +298,25 @@ def test_circle_cut_needs_even_cyclically_alternating_zeros():
         validate_cut(non_cyclic, amb)
     good = Cut1D((ComponentCut1D("zeros", ((F(0), "+"), (F(2), "-"))),))
     validate_cut(good, amb)
+
+
+CIRCLE4 = Ambient1D((), (F(4),))
+
+
+@pytest.mark.parametrize("cut, ambient, message", [
+    (zeros_cut((1, "+"), (0, "-")), FULL_LINE, "strictly increase"),
+    (zeros_cut((0, "+"), (1, "+")), FULL_LINE, "alternate"),
+    (Cut1D(()), FULL_LINE, "component records"),
+    (Cut1D(whole_cut("below").components * 2), FULL_LINE, "component records"),
+    (zeros_cut((2, "+")), Ambient1D(((0, 1),)), "outside the component"),
+    (zeros_cut((1, "+")), CIRCLE4, "even number"),
+    (zeros_cut((0, "+"), (1, "-"), (2, "+"), (3, "+")), CIRCLE4, "alternate"),
+])
+def test_cut_regions_rejects_invalid_1d_cuts(cut, ambient, message):
+    """The 1D partition is read from the zeros, so an invalid cut raises
+    instead of giving a partition it does not define."""
+    with pytest.raises(ValidationError, match=message):
+        cut_regions(cut, ambient)
 
 
 def test_sheet_stack_must_be_strictly_ordered():
