@@ -102,7 +102,6 @@ from .bordisms import (
     family_at,
     is_morphism,
     metric_core_length,
-    metric_field,
     monoidal_product,
     normalize,
     pullback_metric,

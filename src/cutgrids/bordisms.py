@@ -29,7 +29,6 @@ from .errors import (
 from .grids import (
     AffineMap,
     AmbientEmbedding,
-    Cut,
     Cut1D,
     Cut2D,
     ComponentCut1D,
@@ -40,6 +39,7 @@ from .grids import (
     Sheet,
     apply_simplicial,
     compactness_failures,
+    component_targets,
     core,
     cut_disagreement,
     globularity_failures,
@@ -88,6 +88,8 @@ from .shapes import GammaMorphism, MonotoneMap, Multisimplex
 # field data
 # ---------------------------------------------------------------------------
 
+FIELD_KINDS = ("trivial", "metric", "embedded")
+
 
 @dataclass(frozen=True)
 class FieldDatum:
@@ -104,16 +106,12 @@ class FieldDatum:
     target_dim: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("trivial", "metric", "embedded"):
+        if self.kind not in FIELD_KINDS:
             raise ArgumentError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "densities", tuple(self.densities))
 
 
 TRIVIAL_FIELD = FieldDatum("trivial")
-
-
-def metric_field(*densities: PLFunc) -> FieldDatum:
-    return FieldDatum("metric", tuple(densities))
 
 
 def embedded_field(target_dim: int) -> FieldDatum:
@@ -307,33 +305,28 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     pulled = pullback_along(b2.mgrid, emb)
     if not grids_equal(pulled, b1.mgrid):
         return False
-    if not _fields_pull_back(phi, b1, b2):
+    if not _fields_pull_back(emb, b1, b2):
         return False
-    image_reg = ambient_region(image_ambient(emb))
+    image_reg = ambient_region(image_ambient(b1.ambient, phi))
     return region_subset(bordism_core(b2), image_reg)
 
 
-def _fields_pull_back(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
+def _fields_pull_back(emb: AmbientEmbedding, b1: Bordism, b2: Bordism) -> bool:
+    """Whether b1's field is b2's pulled back along the validated emb:
+    each density of b1 is the pullback of the density on the component
+    that component_targets sends it to (a circle's, which the embedding
+    fixes, is that density itself)."""
     f1, f2 = b1.field, b2.field
     if f1.kind != f2.kind:
         return False
     if f1.kind == "trivial":
         return True
     if f1.kind == "metric":
-        amb1 = b1.ambient
-        assert isinstance(amb1, Ambient1D) and isinstance(b2.ambient, Ambient1D)
-        for k in range(amb1.n_components()):
-            kind, data = amb1.component_kind(k)
-            if kind == "circle":
-                k2 = len(b2.ambient.intervals) + (k - len(amb1.intervals))
-                if not plfunc_equal(f1.densities[k], f2.densities[k2]):
-                    return False
-                continue
-            lo, hi = data
-            mid = interval_rep(lo, hi)
-            k2 = b2.ambient.component_of_line_point(
-                phi.coeffs[0] * mid + phi.shifts[0])
-            expected = pullback_metric(f2.densities[k2], phi)
+        assert isinstance(b1.ambient, Ambient1D)
+        lines = len(b1.ambient.intervals)
+        for k, t in enumerate(component_targets(emb)):
+            w = f2.densities[t]
+            expected = pullback_metric(w, emb.map) if k < lines else w
             if not plfunc_equal(f1.densities[k], expected):
                 return False
         return True
@@ -341,7 +334,7 @@ def _fields_pull_back(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
         return False
     if f1.target_dim != f2.target_dim:
         return False
-    return b2.embedding.compose(phi) == b1.embedding
+    return b2.embedding.compose(emb.map) == b1.embedding
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,9 @@ def monoidal_product(b1: Bordism, b2: Bordism,
     """Disjoint union of two bordisms of the same shape, with labels
     re-indexed through <l1>, <l2> -> <l1 + l2> (then merged by mu if
     given).  Ambients must be disjoint; embedded bordisms are
-    normalized first so disjointness refers to their images."""
+    normalized first so disjointness refers to their images.  Each
+    component of the union comes from one component of one factor, and
+    its label, cut data and density all follow that one map."""
     if b1.mgrid.shape != b2.mgrid.shape:
         raise ArgumentError("monoidal factors must share their shape")
     if b1.ambient.dim != b2.ambient.dim:
@@ -407,100 +402,60 @@ def monoidal_product(b1: Bordism, b2: Bordism,
             ambient_region(b2.ambient))):
         raise OverlapError(
             "ambients overlap; shrink_to_core the factors first")
-    if isinstance(b1.ambient, Ambient1D):
-        return _product_1d(b1, b2, mu)
-    return _product_2d(b1, b2, mu)
+    a1, a2 = b1.ambient, b2.ambient
+    if isinstance(a1, Ambient1D):
+        assert isinstance(a2, Ambient1D)
+        # the union's intervals in line order, then b1's circles, b2's
+        lines = sorted(((w, k) for w, a in enumerate((a1, a2))
+                        for k in range(len(a.intervals))),
+                       key=lambda wk: (a1, a2)[wk[0]].intervals[wk[1]][0])
+        order = lines + [(w, len(a.intervals) + j) for w, a in enumerate((a1, a2))
+                         for j in range(len(a.circles))]
+        ambient: Ambient = Ambient1D(
+            tuple((a1, a2)[w].intervals[k] for w, k in lines),
+            a1.circles + a2.circles)
+    else:
+        assert isinstance(a2, Ambient2D)
+        # disjoint ambients: the union's components are b1's then b2's
+        order = [(w, k) for w, a in enumerate((a1, a2))
+                 for k in range(a.n_components())]
+        ambient = Ambient2D(a1.boxes + a2.boxes)
+    return _product(b1, b2, ambient, order, mu)
 
 
-def _shifted_labels(b1: Bordism, b2: Bordism, order) -> tuple[int, ...]:
-    """order: list of (which, original component index)."""
+def _product(b1: Bordism, b2: Bordism, ambient: Ambient,
+             order: list[tuple[int, int]],
+             mu: Optional[GammaMorphism]) -> Bordism:
+    """The disjoint union on ambient, whose component n is component
+    order[n] = (factor, index) of one factor: labels (b2's shifted past
+    b1's), cut data and densities all follow that one map."""
+
+    def pick(first: Sequence, second: Sequence) -> tuple:
+        return tuple((first, second)[w][k] for w, k in order)
+
+    tuples = []
+    for t1, t2 in zip(b1.mgrid.grid.tuples, b2.mgrid.grid.tuples):
+        cuts = []
+        for c1, c2 in zip(t1.cuts, t2.cuts):
+            if isinstance(c1, Cut2D) and c1.axis != c2.axis:
+                raise ArgumentError(
+                    "matching cuts of the factors stratify different axes")
+            cuts.append(replace(c1, components=pick(c1.components,
+                                                    c2.components)))
+        tuples.append(CutTuple(tuple(cuts)))
     l1 = b1.mgrid.ell
-    out = []
-    for which, ci in order:
-        lab = (b1 if which == 0 else b2).mgrid.labels[ci]
-        out.append(lab if which == 0 or lab == 0 else lab + l1)
-    return tuple(out)
-
-
-def _combined_grid(b1: Bordism, b2: Bordism, order,
-                   combine_cut) -> MonoidalCutGrid:
-    g1, g2 = b1.mgrid.grid, b2.mgrid.grid
-    new_tuples = []
-    for t1, t2 in zip(g1.tuples, g2.tuples):
-        new_cuts = tuple(
-            combine_cut(c1, c2, order) for c1, c2 in zip(t1.cuts, t2.cuts))
-        new_tuples.append(CutTuple(new_cuts))
-    labels = _shifted_labels(b1, b2, order)
-    return MonoidalCutGrid(CutGrid(tuple(new_tuples)),
-                           b1.mgrid.ell + b2.mgrid.ell, labels)
-
-
-def _product_field(b1: Bordism, b2: Bordism, order) -> FieldDatum:
-    f1, f2 = b1.field, b2.field
-    if f1.kind == "trivial":
-        return TRIVIAL_FIELD
+    labels = tuple(lab + l1 if w == 1 and lab else lab for (w, _k), lab in
+                   zip(order, pick(b1.mgrid.labels, b2.mgrid.labels)))
+    mgrid = MonoidalCutGrid(CutGrid(tuple(tuples)), l1 + b2.mgrid.ell, labels)
+    f1 = b1.field
+    field, embedding = TRIVIAL_FIELD, None
     if f1.kind == "metric":
-        dens = tuple((f1 if which == 0 else f2).densities[ci]
-                     for which, ci in order)
-        return FieldDatum("metric", dens)
-    return FieldDatum("embedded", (), f1.target_dim)
-
-
-def _product_1d(b1: Bordism, b2: Bordism,
-                mu: Optional[GammaMorphism]) -> Bordism:
-    a1, a2 = b1.ambient, b2.ambient
-    assert isinstance(a1, Ambient1D) and isinstance(a2, Ambient1D)
-    tagged = [(lo, 0, k) for k, (lo, _hi) in enumerate(a1.intervals)] + \
-             [(lo, 1, k) for k, (lo, _hi) in enumerate(a2.intervals)]
-    tagged.sort(key=lambda t: t[0])
-    order = [(which, k) for _lo, which, k in tagged]
-    order += [(0, len(a1.intervals) + j) for j in range(len(a1.circles))]
-    order += [(1, len(a2.intervals) + j) for j in range(len(a2.circles))]
-    intervals = tuple(
-        (a1 if which == 0 else a2).intervals[k]
-        for _lo, which, k in tagged)
-    ambient = Ambient1D(intervals, a1.circles + a2.circles)
-
-    def combine(c1: Cut, c2: Cut, order) -> Cut:
-        assert isinstance(c1, Cut1D) and isinstance(c2, Cut1D)
-        comps = tuple(
-            (c1 if which == 0 else c2).components[ci] for which, ci in order)
-        return Cut1D(comps)
-
-    mgrid = _combined_grid(b1, b2, order, combine)
-    out = Bordism(ambient, mgrid, _product_field(b1, b2, order),
-                  _product_embedding(b1), b1.uple or b2.uple)
+        field = FieldDatum("metric", pick(f1.densities, b2.field.densities))
+    elif f1.kind == "embedded":
+        field = embedded_field(f1.target_dim)
+        embedding = AffineMap.identity(f1.target_dim)
+    out = Bordism(ambient, mgrid, field, embedding, b1.uple or b2.uple)
     return bordism_relabel(out, mu) if mu is not None else out
-
-
-def _product_2d(b1: Bordism, b2: Bordism,
-                mu: Optional[GammaMorphism]) -> Bordism:
-    a1, a2 = b1.ambient, b2.ambient
-    assert isinstance(a1, Ambient2D) and isinstance(a2, Ambient2D)
-    ambient = Ambient2D(a1.boxes + a2.boxes)
-    # disjoint ambients: the union's components are b1's then b2's
-    order = [(0, k) for k in range(a1.n_components())] + \
-            [(1, k) for k in range(a2.n_components())]
-
-    def combine(c1: Cut, c2: Cut, order) -> Cut:
-        assert isinstance(c1, Cut2D) and isinstance(c2, Cut2D)
-        if c1.axis != c2.axis:
-            raise ArgumentError(
-                "matching cuts of the factors stratify different axes")
-        comps = tuple(
-            (c1 if which == 0 else c2).components[ci] for which, ci in order)
-        return Cut2D(c1.axis, comps)
-
-    mgrid = _combined_grid(b1, b2, order, combine)
-    out = Bordism(ambient, mgrid, _product_field(b1, b2, order),
-                  _product_embedding(b1), b1.uple or b2.uple)
-    return bordism_relabel(out, mu) if mu is not None else out
-
-
-def _product_embedding(b1: Bordism) -> Optional[AffineMap]:
-    if b1.field.kind == "embedded":
-        return AffineMap.identity(b1.field.target_dim)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +481,10 @@ def shrink_to_core(b: Bordism, eps) -> Bordism:
     ident = AffineMap.identity(b.ambient.dim)
     emb = AmbientEmbedding(new_ambient, b.ambient, ident)
     mgrid = pullback_along(b.mgrid, emb)
-    field = _restrict_field(b, new_ambient)
+    field = b.field
+    if field.kind == "metric":
+        field = FieldDatum("metric", tuple(
+            field.densities[t] for t in component_targets(emb)))
     return Bordism(new_ambient, mgrid, field, b.embedding, b.uple)
 
 
@@ -588,21 +546,6 @@ def _shrunk_ambient_2d(ambient: Ambient2D, components, eps,
                 f"({', '.join(map(rational_to_text, box))}) leaves the ambient")
         boxes.append(box)
     return Ambient2D(tuple(boxes))
-
-
-def _restrict_field(b: Bordism, new_ambient: Ambient) -> FieldDatum:
-    f = b.field
-    if f.kind != "metric":
-        return f
-    old = b.ambient
-    assert isinstance(old, Ambient1D) and isinstance(new_ambient, Ambient1D)
-    dens: list[PLFunc] = []
-    for lo, hi in new_ambient.intervals:
-        mid = interval_rep(lo, hi)
-        dens.append(f.densities[old.component_of_line_point(mid)])
-    for j in range(len(new_ambient.circles)):
-        dens.append(f.densities[len(old.intervals) + j])
-    return FieldDatum("metric", tuple(dens))
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +655,8 @@ class BordismFamily:
         object.__setattr__(self, "t1", fr(self.t1))
         if self.t0 >= self.t1:
             raise ArgumentError("parameter interval is empty")
+        if self.field_kind not in FIELD_KINDS:
+            raise ArgumentError(f"unknown field kind {self.field_kind!r}")
         object.__setattr__(self, "emb_scale", fr(self.emb_scale))
 
 

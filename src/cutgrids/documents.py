@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .bordisms import (
+    FIELD_KINDS,
     Bordism,
     BordismFamily,
     FamComponentCut1D,
@@ -107,11 +108,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _labels(obj, where: str) -> tuple:
-    labels = obj.get("labels")
-    if not isinstance(labels, list) or not all(map(_is_int, labels)):
-        raise DocumentSyntaxError(f"{where}.labels: need an integer array")
-    return tuple(labels)
+def _ints(values, where: str) -> tuple:
+    if not isinstance(values, list) or not all(map(_is_int, values)):
+        raise DocumentSyntaxError(f"{where}: need an integer array")
+    return tuple(values)
 
 
 def _uple(obj, where: str) -> bool:
@@ -194,7 +194,7 @@ def _component_to_json(c, level: list) -> dict:
 def _components_from_json(obj, where: str, cls, level_kind: str,
                           parse_level) -> tuple:
     """The components of a cut object, inverse to _component_to_json;
-    parse_level(item, where) reads one item of level data."""
+    parse_level(array, where) reads the array of level data."""
     comps = _object(obj, where).get("components")
     if not isinstance(comps, list):
         raise DocumentSyntaxError(f"{where}: cut needs a component list")
@@ -203,8 +203,8 @@ def _components_from_json(obj, where: str, cls, level_kind: str,
         at = f"{where}.components[{k}]"
         kind = _object(comp, at).get("kind")
         if kind == level_kind:
-            out.append(cls(kind, tuple(parse_level(x, at)
-                                       for x in comp.get(kind, []))))
+            out.append(cls(kind, parse_level(comp.get(kind, []),
+                                             f"{at}.{kind}")))
         elif kind == "whole":
             side = comp.get("side", "below")
             if side not in ("below", "above"):
@@ -216,17 +216,24 @@ def _components_from_json(obj, where: str, cls, level_kind: str,
 
 
 def _zero_parser(position):
-    """Reader of one [position, sign] item of 1D level data."""
-    def parse(item, where: str) -> tuple:
-        p, s = item
-        return (position(p, where), _sign_from_text(s, where))
+    """Reader of 1D level data: rows [position, sign]."""
+    def parse(rows, where: str) -> tuple:
+        return tuple((position(p, f"{at}[0]"), _sign_from_text(s, f"{at}[1]"))
+                     for at, (p, s) in _rows(rows, 2, where))
     return parse
 
 
-def _sheet_from_json(item, where: str) -> Sheet:
-    item = _object(item, where)
-    return Sheet(_plf_from_json(item.get("graph"), where),
-                 _sign_from_text(item.get("sign"), where))
+def _sheets_from_json(items, where: str) -> tuple:
+    """Planar level data: an array of {graph, sign} objects."""
+    if not isinstance(items, list):
+        raise DocumentSyntaxError(f"{where}: expected an array")
+    sheets = []
+    for k, item in enumerate(items):
+        at = f"{where}[{k}]"
+        item = _object(item, at)
+        sheets.append(Sheet(_plf_from_json(item.get("graph"), at),
+                            _sign_from_text(item.get("sign"), at)))
+    return tuple(sheets)
 
 
 def _cut_to_json(cut) -> dict:
@@ -248,7 +255,7 @@ def _cut_from_json(obj, dim: int, where: str):
     if not _is_int(axis) or axis not in (1, 2):
         raise DocumentSyntaxError(f"{where}: 2D cut needs axis 1 or 2")
     return Cut2D(axis, _components_from_json(
-        obj, where, ComponentCut2D, "sheets", _sheet_from_json))
+        obj, where, ComponentCut2D, "sheets", _sheets_from_json))
 
 
 def _field_to_json(f: FieldDatum) -> dict:
@@ -285,9 +292,9 @@ def _affine_from_json(obj, dim: int, where: str) -> AffineMap:
     obj = _object(obj, where)
     return AffineMap(
         dim,
-        tuple(obj.get("perm", ())),
-        tuple(rational_from_text(c, where) for c in obj.get("coeffs", ())),
-        tuple(rational_from_text(s, where) for s in obj.get("shifts", ())))
+        _ints(obj.get("perm", []), f"{where}.perm"),
+        _rationals(obj.get("coeffs", []), f"{where}.coeffs"),
+        _rationals(obj.get("shifts", []), f"{where}.shifts"))
 
 
 def _bordism_to_json(b: Bordism) -> dict:
@@ -339,7 +346,8 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
     ell = obj.get("ell")
     if not _is_int(ell):
         raise DocumentSyntaxError(f"{where}.ell: need an integer")
-    mgrid = MonoidalCutGrid(CutGrid(tuples), ell, _labels(obj, where))
+    mgrid = MonoidalCutGrid(CutGrid(tuples), ell,
+                            _ints(obj.get("labels"), f"{where}.labels"))
     field = _field_from_json(obj.get("field", {"kind": "trivial"}),
                              f"{where}.field")
     emb_obj = obj.get("embedding")
@@ -396,6 +404,10 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
     target_dim = obj.get("target_dim", 1)
     if not _is_int(ell) or not _is_int(target_dim):
         raise DocumentSyntaxError(f"{where}: need integer ell and target_dim")
+    field_kind = obj.get("field_kind", "embedded")
+    if field_kind not in FIELD_KINDS:
+        raise DocumentSyntaxError(
+            f"{where}.field_kind: unknown field kind {field_kind!r}")
     shift_obj = obj.get("emb_shift")
     return BordismFamily(
         t0=rational_from_text(obj.get("t0", "0"), where),
@@ -407,8 +419,8 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
         circles=_rationals(obj.get("circles", []), f"{where}.circles"),
         tuples=tuples,
         ell=ell,
-        labels=_labels(obj, where),
-        field_kind=obj.get("field_kind", "embedded"),
+        labels=_ints(obj.get("labels"), f"{where}.labels"),
+        field_kind=field_kind,
         target_dim=target_dim,
         emb_scale=rational_from_text(obj.get("emb_scale", "1"), where),
         emb_shift=None if shift_obj is None else _plf_from_json(shift_obj, where),
@@ -464,11 +476,14 @@ def _fincat_from_json(obj, where: str = "finite-category") -> FinCategory:
     arrows = _val_table(obj.get("arrows", []), 3, f"{where}.arrows")
     identity = _val_table(obj.get("identity", []), 2, f"{where}.identity")
     then = _val_table(obj.get("then", []), 3, f"{where}.then", keys=2)
-    # no two rows share a pair, so the table lists the pairs in row order
-    for n, (f, g) in enumerate(then):
+    # no two rows share a pair, so the table lists the rows in order
+    for n, ((f, g), h) in enumerate(then.items()):
         if f not in arrows or g not in arrows:
             raise DocumentSyntaxError(
                 f"{where}.then[{n}]: the pair {f!r};{g!r} names no arrow")
+        if h not in arrows:
+            raise DocumentSyntaxError(
+                f"{where}.then[{n}]: the composite {h!r} names no arrow")
     try:
         return FinCategory(objects, arrows, identity, then)
     except ValueError as exc:

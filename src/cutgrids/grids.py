@@ -1008,105 +1008,20 @@ class AmbientEmbedding:
 
     def validate(self) -> None:
         """Check the image of the source lies inside the target."""
-        img = image_ambient(self)
+        img = image_ambient(self.source, self.map)
         if not region_subset(ambient_region(img), ambient_region(self.target)):
             raise ValidationError(
                 "the embedding does not map the source into the target")
 
-    def inverse_onto_image(self) -> "AmbientEmbedding":
-        return AmbientEmbedding(image_ambient(self), self.source,
-                                self.map.inverse())
 
-
-def image_ambient(emb: AmbientEmbedding) -> Ambient:
-    """The image of the source ambient, as an ambient in its own right."""
-    if isinstance(emb.source, Ambient1D):
-        ivals = sorted(emb.map.map_interval(lo, hi)
-                       for lo, hi in emb.source.intervals)
-        return Ambient1D(tuple(ivals), emb.source.circles)
-    boxes = tuple(emb.map.map_box(b) for b in emb.source.boxes)
-    return Ambient2D(boxes)
-
-
-def _transport_component_1d(cut: Cut1D, tgt: Ambient1D,
-                            emb_map: AffineMap, lo, hi) -> ComponentCut1D:
-    """Pull the target's line cut data back to a source interval."""
-    img_lo, img_hi = emb_map.map_interval(lo, hi)
-    mid = interval_rep(img_lo, img_hi)
-    try:
-        tc = tgt.component_of_line_point(mid)
-    except ArgumentError:
-        raise ValidationError("embedding image misses the target ambient")
-    comp = cut.components[tc]
-    if comp.kind == "whole":
-        return comp
-    inv = emb_map.inverse()
-    flip = emb_map.coeffs[0] < 0
-    pulled: list[tuple[Fraction, str]] = []
-    for pos, sign in comp.zeros:
-        if img_lo < pos < img_hi:
-            new_sign = _OPPOSITE[sign] if flip else sign
-            pulled.append((inv.coeffs[0] * pos + inv.shifts[0], new_sign))
-    if not pulled:
-        side = _classify_on_interval(comp, mid)
-        return ComponentCut1D("whole", (), side)
-    pulled.sort(key=lambda z: z[0])
-    return ComponentCut1D("zeros", tuple(pulled))
-
-
-def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
-    for (x0, x1, y0, y1) in boxes:
-        if axis == 2:
-            window = line_region(Seg(x0, x1, False, False))
-            if strict_between_cells(graph, y0, y1, window):
-                return True
-        else:
-            window = line_region(Seg(y0, y1, False, False))
-            if strict_between_cells(graph, x0, x1, window):
-                return True
-    return False
-
-
-def _transport_component_2d(cut: Cut2D, tgt: Ambient2D,
-                            emb_map: AffineMap,
-                            src_boxes) -> tuple[int, ComponentCut2D]:
-    """Pull the target's planar cut data back to one source component.
-
-    Returns the new axis together with the component data.
-    """
-    img_boxes = [emb_map.map_box(b) for b in src_boxes]
-    sample_src = _box_rep(src_boxes[0])
-    sample_img = emb_map.apply(sample_src)
-    try:
-        tc = tgt.component_of_point(sample_img[0], sample_img[1])
-    except ArgumentError:
-        raise ValidationError("embedding image misses the target ambient")
-    comp = cut.components[tc]
-    a = cut.axis            # target coordinate index stratified (1-based)
-    o = 3 - a               # the graph argument coordinate (1-based)
-    new_axis = emb_map.perm[a - 1] + 1
-    if comp.kind == "whole":
-        return new_axis, comp
-    coeff_a = emb_map.coeffs[a - 1]
-    coeff_o = emb_map.coeffs[o - 1]
-    shift_a = emb_map.shifts[a - 1]
-    shift_o = emb_map.shifts[o - 1]
-    flip = coeff_a < 0
-    kept: list[Sheet] = []
-    for sheet in comp.sheets:
-        if not _sheet_crosses_component(sheet.graph, a, img_boxes):
-            continue
-        g = sheet.graph.compose_affine(coeff_o, shift_o)
-        g = g.add_constant(-shift_a).scale(Fraction(1, 1) / coeff_a)
-        kept.append(Sheet(g, _OPPOSITE[sheet.sign] if flip else sheet.sign))
-    if not kept:
-        side = _classify_on_box(comp, a, sample_img)
-        return new_axis, ComponentCut2D("whole", (), side)
-    # strict disjointness over the component makes the order at any one
-    # shadow point the order everywhere over it
-    probe = interval_rep(*_component_domain_window(src_boxes, new_axis))
-    kept.sort(key=lambda s: s.graph(probe))
-    return new_axis, ComponentCut2D("sheets", tuple(kept))
+def image_ambient(ambient: Ambient, aff: AffineMap) -> Ambient:
+    """The image of an ambient under an affine map, as an ambient in its
+    own right."""
+    if isinstance(ambient, Ambient1D):
+        return Ambient1D(tuple(aff.map_interval(lo, hi)
+                               for lo, hi in ambient.intervals),
+                         ambient.circles)
+    return Ambient2D(tuple(aff.map_box(b) for b in ambient.boxes))
 
 
 def _box_rep(box) -> tuple[Fraction, Fraction]:
@@ -1114,71 +1029,121 @@ def _box_rep(box) -> tuple[Fraction, Fraction]:
     return (interval_rep(x0, x1), interval_rep(y0, y1))
 
 
+def component_targets(emb: AmbientEmbedding) -> tuple[int, ...]:
+    """For each source component, the target component that holds its
+    image: labels, cut data and field densities all follow this map.
+
+    An interval goes where the representative point of its image lies,
+    circle j to the target's circle j, and a planar component where the
+    image of its first box's representative point lies.  One sample point
+    per component decides only because the image of a connected component
+    is connected and lies inside the target, so call this on an embedding
+    that ``validate()`` has accepted."""
+    src, tgt, aff = emb.source, emb.target, emb.map
+    if isinstance(src, Ambient1D):
+        assert isinstance(tgt, Ambient1D)
+        lines = tuple(
+            tgt.component_of_line_point(interval_rep(*aff.map_interval(lo, hi)))
+            for lo, hi in src.intervals)
+        return lines + tuple(len(tgt.intervals) + j
+                             for j in range(len(src.circles)))
+    assert isinstance(tgt, Ambient2D)
+    return tuple(
+        tgt.component_of_point(*aff.apply(_box_rep(src.component_boxes(ci)[0])))
+        for ci in range(src.n_components()))
+
+
+def _transport_component_1d(comp: ComponentCut1D, aff: AffineMap,
+                            lo, hi) -> ComponentCut1D:
+    """Pull a target component's line cut data back to the source
+    interval (lo, hi)."""
+    if comp.kind == "whole":
+        return comp
+    img_lo, img_hi = aff.map_interval(lo, hi)
+    inv = aff.inverse()
+    flip = aff.coeffs[0] < 0
+    pulled: list[tuple[Fraction, str]] = []
+    for pos, sign in comp.zeros:
+        if img_lo < pos < img_hi:
+            new_sign = _OPPOSITE[sign] if flip else sign
+            pulled.append((inv.coeffs[0] * pos + inv.shifts[0], new_sign))
+    if not pulled:
+        side = _classify_on_interval(comp, interval_rep(img_lo, img_hi))
+        return ComponentCut1D("whole", (), side)
+    pulled.sort(key=lambda z: z[0])
+    return ComponentCut1D("zeros", tuple(pulled))
+
+
+def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
+    if axis == 1:
+        boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
+    return any(
+        strict_between_cells(graph, v0, v1, line_region(Seg(a0, a1, False, False)))
+        for a0, a1, v0, v1 in boxes)
+
+
+def _transport_component_2d(comp: ComponentCut2D, axis: int, src_axis: int,
+                            aff: AffineMap, src_boxes) -> ComponentCut2D:
+    """Pull a target component's planar cut data, stratifying the
+    target's ``axis``, back to the source component made of src_boxes,
+    where it stratifies ``src_axis``."""
+    if comp.kind == "whole":
+        return comp
+    a, o = axis - 1, 2 - axis   # stratified and graph-argument coordinates
+    coeff_a, shift_a = aff.coeffs[a], aff.shifts[a]
+    flip = coeff_a < 0
+    img_boxes = [aff.map_box(b) for b in src_boxes]
+    kept: list[Sheet] = []
+    for sheet in comp.sheets:
+        if not _sheet_crosses_component(sheet.graph, axis, img_boxes):
+            continue
+        g = sheet.graph.compose_affine(aff.coeffs[o], aff.shifts[o])
+        g = g.add_constant(-shift_a).scale(Fraction(1, 1) / coeff_a)
+        kept.append(Sheet(g, _OPPOSITE[sheet.sign] if flip else sheet.sign))
+    if not kept:
+        side = _classify_on_box(comp, axis, aff.apply(_box_rep(src_boxes[0])))
+        return ComponentCut2D("whole", (), side)
+    # strict disjointness over the component makes the order at any one
+    # shadow point the order everywhere over it
+    probe = interval_rep(*_component_domain_window(src_boxes, src_axis))
+    kept.sort(key=lambda s: s.graph(probe))
+    return ComponentCut2D("sheets", tuple(kept))
+
+
+def _pull_cut(cut: Cut, emb: AmbientEmbedding,
+              targets: tuple[int, ...]) -> Cut:
+    """One cut of the target rewritten on the source: source component
+    ci reads the data of target component targets[ci]."""
+    src, aff = emb.source, emb.map
+    if isinstance(cut, Cut1D):
+        assert isinstance(src, Ambient1D)
+        lines = len(src.intervals)
+        return Cut1D(tuple(
+            _transport_component_1d(cut.components[t], aff, *src.intervals[ci])
+            if ci < lines else cut.components[t]
+            for ci, t in enumerate(targets)))
+    assert isinstance(src, Ambient2D)
+    src_axis = aff.perm[cut.axis - 1] + 1
+    return Cut2D(src_axis, tuple(
+        _transport_component_2d(cut.components[t], cut.axis, src_axis, aff,
+                                src.component_boxes(ci))
+        for ci, t in enumerate(targets)))
+
+
 def pullback_along(mg: MonoidalCutGrid,
                    emb: AmbientEmbedding) -> MonoidalCutGrid:
     """Transport a monoidal grid on the embedding's target back to its
-    source: restrict the level data to the image of each source
-    component and rewrite it in source coordinates.  Labels transfer
-    componentwise through the embedding."""
+    source.  Each source component follows one map, component_targets,
+    to the target component holding its image: it takes that
+    component's label, and that component's level data restricted to
+    its image and rewritten in source coordinates."""
     emb.validate()
-    src, tgt = emb.source, emb.target
-    g = mg.grid
-    if isinstance(src, Ambient1D):
-        assert isinstance(tgt, Ambient1D)
-        n_src_line = len(src.intervals)
-        n_tgt_line = len(tgt.intervals)
-        new_tuples: list[CutTuple] = []
-        for tup in g.tuples:
-            new_cuts: list[Cut] = []
-            for cut in tup.cuts:
-                assert isinstance(cut, Cut1D)
-                comps: list[ComponentCut1D] = []
-                for (lo, hi) in src.intervals:
-                    comps.append(_transport_component_1d(
-                        cut, tgt, emb.map, lo, hi))
-                for j in range(len(src.circles)):
-                    comps.append(cut.components[n_tgt_line + j])
-                new_cuts.append(Cut1D(tuple(comps)))
-            new_tuples.append(CutTuple(tuple(new_cuts)))
-        labels: list[int] = []
-        for ci in range(n_src_line):
-            lo, hi = src.intervals[ci]
-            mid = interval_rep(*emb.map.map_interval(lo, hi))
-            try:
-                tc = tgt.component_of_line_point(mid)
-            except ArgumentError:
-                raise ValidationError(
-                    "embedding image misses the target ambient")
-            labels.append(mg.labels[tc])
-        for j in range(len(src.circles)):
-            labels.append(mg.labels[n_tgt_line + j])
-        return MonoidalCutGrid(CutGrid(tuple(new_tuples)), mg.ell,
-                               tuple(labels))
-    assert isinstance(src, Ambient2D) and isinstance(tgt, Ambient2D)
-    new_tuples = []
-    for tup in g.tuples:
-        new_cuts = []
-        for cut in tup.cuts:
-            assert isinstance(cut, Cut2D)
-            comps2: list[ComponentCut2D] = []
-            axis_for_cut = emb.map.perm[cut.axis - 1] + 1
-            for ci in range(src.n_components()):
-                ax, comp = _transport_component_2d(
-                    cut, tgt, emb.map, src.component_boxes(ci))
-                comps2.append(comp)
-                axis_for_cut = ax
-            new_cuts.append(Cut2D(axis_for_cut, tuple(comps2)))
-        new_tuples.append(CutTuple(tuple(new_cuts)))
-    labels = []
-    for ci in range(src.n_components()):
-        sample = emb.map.apply(_box_rep(src.component_boxes(ci)[0]))
-        try:
-            tc = tgt.component_of_point(sample[0], sample[1])
-        except ArgumentError:
-            raise ValidationError(
-                "embedding image misses the target ambient")
-        labels.append(mg.labels[tc])
-    return MonoidalCutGrid(CutGrid(tuple(new_tuples)), mg.ell, tuple(labels))
+    targets = component_targets(emb)
+    tuples = tuple(CutTuple(tuple(_pull_cut(cut, emb, targets)
+                                  for cut in tup.cuts))
+                   for tup in mg.grid.tuples)
+    return MonoidalCutGrid(CutGrid(tuples), mg.ell,
+                           tuple(mg.labels[t] for t in targets))
 
 
 def pushforward_along(mg: MonoidalCutGrid, ambient: Ambient,
@@ -1186,16 +1151,10 @@ def pushforward_along(mg: MonoidalCutGrid, ambient: Ambient,
     """Transport a monoidal grid forward along an invertible affine
     map: the result lives on the image ambient and is the pullback
     along the inverse."""
-    fwd = AmbientEmbedding(ambient, _full_ambient_like(ambient, aff), aff)
-    img = image_ambient(fwd)
-    back = AmbientEmbedding(img, ambient, aff.inverse())
-    return pullback_along(mg, back), img
-
-
-def _full_ambient_like(ambient: Ambient, aff: AffineMap) -> Ambient:
-    if isinstance(ambient, Ambient1D):
-        return Ambient1D(((NEG_INF, INF),), ambient.circles)
-    return Ambient2D(((NEG_INF, INF, NEG_INF, INF),))
+    if aff.dim != ambient.dim:
+        raise ArgumentError("embedding dimensions do not agree")
+    img = image_ambient(ambient, aff)
+    return pullback_along(mg, AmbientEmbedding(img, ambient, aff.inverse())), img
 
 
 # ---------------------------------------------------------------------------

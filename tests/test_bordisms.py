@@ -259,6 +259,57 @@ def test_metric_morphism_needs_the_pulled_back_density():
     assert is_morphism(AffineMap.line(2, 0), bad, target) is False
 
 
+def metric_on_two_intervals_and_a_circle():
+    """Densities 5, 1, 2, 3 on a discarded interval, two kept intervals
+    with cores [-4, -2] and [4, 6], and a circle inside the core."""
+    ambient = Ambient1D(((-10, -8), (-5, 0), (0, 10)), (F(4),))
+
+    def cut(a, b, circle_side):
+        return Cut1D((ComponentCut1D("whole", (), "below"),
+                      ComponentCut1D("zeros", ((F(a), "+"),)),
+                      ComponentCut1D("zeros", ((F(b), "+"),)),
+                      ComponentCut1D("whole", (), circle_side)))
+
+    mgrid = MonoidalCutGrid(
+        CutGrid((CutTuple((cut(-4, 4, "above"), cut(-2, 6, "below"))),)),
+        1, (0, 1, 1, 1))
+    return Bordism(ambient, mgrid, FieldDatum(
+        "metric", tuple(PLFunc.constant(w) for w in (5, 1, 2, 3))))
+
+
+def densities(b):
+    return [w.values[0] for w in b.field.densities]
+
+
+def test_shrinking_keeps_each_density_with_its_component():
+    b = metric_on_two_intervals_and_a_circle()
+    assert validate(b).passed
+    shrunk = shrink_to_core(b, 1)
+    assert shrunk.ambient.intervals == ((-5, -1), (3, 7))
+    assert densities(shrunk) == [1, 2, 3]
+    assert is_morphism(AffineMap.identity(1), shrunk, b) is True
+    swapped = replace(shrunk, field=FieldDatum(
+        "metric", tuple(PLFunc.constant(w) for w in (2, 1, 3))))
+    assert is_morphism(AffineMap.identity(1), swapped, b) is False
+
+
+def test_a_reflected_metric_morphism_pulls_each_density_back():
+    b = metric_on_two_intervals_and_a_circle()
+    phi = AffineMap.line(-2, 0)
+    # (-7/2, -3/2) lands in (0, 10) and (3/4, 9/4) in (-5, 0); both images
+    # hold the core there, and phi stretches lengths by 2
+    source = Ambient1D(((F(-7, 2), F(-3, 2)), (F(3, 4), F(9, 4))), (F(4),))
+    mgrid = pullback_along(b.mgrid, AmbientEmbedding(source, b.ambient, phi))
+
+    def with_densities(*ws):
+        return Bordism(source, mgrid, FieldDatum(
+            "metric", tuple(PLFunc.constant(w) for w in ws)))
+
+    assert is_morphism(phi, with_densities(4, 2, 3), b) is True
+    assert is_morphism(phi, with_densities(2, 4, 3), b) is False
+    assert is_morphism(phi, with_densities(4, 2, 6), b) is False
+
+
 # ---------------------------------------------------------------------------
 # composition and boundaries
 # ---------------------------------------------------------------------------
@@ -317,6 +368,9 @@ def test_monoidal_product_orders_components_along_the_line():
     assert validate(prod).passed
     # swapping the factors swaps which summand each label comes from
     assert monoidal_product(right, left).mgrid.labels == (2, 1)
+    # a discarded component stays discarded, whichever factor it is in
+    discarded = right.with_mgrid(MonoidalCutGrid(right.mgrid.grid, 1, (0,)))
+    assert monoidal_product(left, discarded).mgrid.labels == (1, 0)
 
 
 def test_monoidal_product_relabels_through_a_merge():
@@ -345,6 +399,24 @@ def test_monoidal_product_guards():
         monoidal_product(catalog("point1d"), metric_point)
     with pytest.raises(ArgumentError, match="share their shape"):
         monoidal_product(catalog("point1d"), catalog("elbow_right"))
+
+    def boxed(box, axis):
+        cut = Cut2D(axis, (ComponentCut2D("whole", (), "below"),))
+        grid = MonoidalCutGrid(CutGrid((CutTuple((cut,)),)), 1, (1,))
+        return Bordism(Ambient2D((box,)), grid)
+
+    with pytest.raises(ArgumentError, match="stratify different axes"):
+        monoidal_product(boxed((-1, 1, -1, 1), 2), boxed((4, 6, -1, 1), 1))
+    one_direction_2d = Bordism(
+        FULL_PLANE, MonoidalCutGrid(CutGrid((CutTuple((Cut2D(2, (
+            ComponentCut2D("sheets", (Sheet(PLFunc.constant(0), "+"),)),)),)),
+        )), 1, (1,)), embedded_field(2), AffineMap.identity(2))
+    assert one_direction_2d.shape == catalog("point1d").shape
+    with pytest.raises(ArgumentError, match="share their dimension"):
+        monoidal_product(catalog("point1d"), one_direction_2d)
+    into_plane = replace(catalog("point1d", 5), field=embedded_field(2))
+    with pytest.raises(ArgumentError, match="target different spaces"):
+        monoidal_product(catalog("point1d"), into_plane)
 
 
 def test_monoidal_product_in_the_plane():
@@ -524,6 +596,12 @@ def test_family_validation_localizes_failures():
     bad = report.failures()[0]
     assert bad.name == "fiber[t=1]"
     assert bad.detail == "on piece [0, 1]: ordered[1]: below-regions do not nest"
+
+
+def test_family_rejects_an_unknown_field_kind():
+    for kind in ("bogus", 5):
+        with pytest.raises(ArgumentError, match="unknown field kind"):
+            replace(catalog("triangle_family"), field_kind=kind)
 
 
 def test_isotopy_conjoint_takes_the_endpoint_positions():

@@ -151,6 +151,7 @@ def test_validate_rejects_mistyped_payload_fields(tmp_path, capsys, key,
      "bordism.ambient.intervals[0][0]"),
     ("circle_trace", ["ambient", "circles", 0], "bordism.ambient.circles[0]"),
     ("point2d", ["ambient", "boxes", 0, 2], "bordism.ambient.boxes[0][2]"),
+    ("point2d", ["embedding", "perm", 0], "bordism.embedding.perm"),
 ])
 def test_validate_rejects_bools_in_nested_fields(tmp_path, capsys, example,
                                                  path, where):
@@ -158,6 +159,34 @@ def test_validate_rejects_bools_in_nested_fields(tmp_path, capsys, example,
         for step in path[:-1]:
             node = node[step]
         node[path[-1]] = True
+
+    f = edit_payload(tmp_path, catalog(example), example, edit)
+    assert main(["validate", f]) == 2
+    assert where in capsys.readouterr().err
+
+
+ZEROS = ["components", 0, "zeros"]
+
+
+@pytest.mark.parametrize("example, path, value, where", [
+    ("point2d", ["embedding", "perm", 0], 1.0, "bordism.embedding.perm"),
+    ("point2d", ["embedding", "perm", 0], "1", "bordism.embedding.perm"),
+    ("point2d", ["embedding", "coeffs"], 5, "bordism.embedding.coeffs"),
+    ("point1d", ["grid", 0, 0] + ZEROS, [["0"]],
+     "bordism.grid[0][0].components[0].zeros[0]"),
+    ("point1d", ["grid", 0, 0] + ZEROS, 5,
+     "bordism.grid[0][0].components[0].zeros"),
+    ("point2d", ["grid", 0, 0, "components", 0, "sheets"], 5,
+     "bordism.grid[0][0].components[0].sheets"),
+    ("triangle_family", ["tuples", 0, 0] + ZEROS + [0], [{}],
+     "family.tuples[0][0].components[0].zeros[0]"),
+])
+def test_validate_names_mistyped_nested_fields(tmp_path, capsys, example,
+                                               path, value, where):
+    def edit(node):
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
 
     f = edit_payload(tmp_path, catalog(example), example, edit)
     assert main(["validate", f]) == 2
@@ -212,6 +241,9 @@ CHAIN_THEN = [[LE00, LE00, LE00], [LE00, LE01, LE01], [LE01, LE11, LE01],
     # a then row whose pair names no arrow
     (chain_poset(1), "then", CHAIN_THEN + [["x", "y", LE00]],
      "finite-category.then[4]"),
+    # a then row whose composite names no arrow
+    (chain_poset(1), "then", [[LE00, LE00, "nope"]] + CHAIN_THEN[1:],
+     "finite-category.then[0]"),
 ])
 def test_validate_rejects_misshapen_fixtures(tmp_path, capsys, payload, key,
                                              value, where):

@@ -152,7 +152,8 @@ def test_malformed_payload_values_are_syntax_errors():
     with pytest.raises(DocumentSyntaxError, match="expected '\\+' or '-'"):
         parse_document(json.dumps(obj))
     family = serialize_document(document_for(catalog("triangle_family")))
-    for key, value in (("uple", "no"), ("labels", [True])):
+    for key, value in (("uple", "no"), ("labels", [True]),
+                       ("field_kind", "bogus"), ("field_kind", 5)):
         obj = json.loads(family)
         obj["payload"][key] = value
         with pytest.raises(DocumentSyntaxError, match=f"family.{key}"):

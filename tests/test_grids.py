@@ -49,7 +49,7 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
-from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog
+from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog, shrink_to_core
 
 F = Fraction
 
@@ -650,6 +650,39 @@ def test_pushforward_then_pullback_is_identity(mg_amb, num, shift, flip):
     moved, img = pushforward_along(mg, ambient, aff)
     back = pullback_along(moved, AmbientEmbedding(ambient, img, aff))
     assert grids_equal(back, mg)
+
+
+def signed_permutations():
+    """Every axis order and reflection of the plane, with non-unit scales
+    and shifts."""
+    for perm in ((0, 1), (1, 0)):
+        for a0, a1 in ((2, F(1, 3)), (F(1, 2), 3)):
+            for s0 in (1, -1):
+                for s1 in (1, -1):
+                    yield AffineMap(2, perm, (s0 * a0, s1 * a1), (1, -3))
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("point2d", None), ("point2d", F(1, 2)),
+    ("composable_pair_2d", None), ("composable_pair_2d", F(1, 2)),
+])
+def test_planar_pushforward_then_pullback_is_identity(name, eps):
+    b = catalog(name)
+    if eps is not None:
+        b = shrink_to_core(b, eps)
+    for aff in signed_permutations():
+        moved, img = pushforward_along(b.mgrid, b.ambient, aff)
+        back = pullback_along(moved, AmbientEmbedding(b.ambient, img, aff))
+        assert grids_equal(back, b.mgrid), aff
+
+
+def test_pushforward_needs_a_map_of_the_ambient_dimension():
+    b = catalog("point2d")
+    with pytest.raises(ArgumentError, match="dimensions do not agree"):
+        pushforward_along(b.mgrid, b.ambient, AffineMap.line(1, 0))
+    with pytest.raises(ArgumentError, match="dimensions do not agree"):
+        pushforward_along(catalog("point1d").mgrid, FULL_LINE,
+                          AffineMap.identity(2))
 
 
 @given(st.integers(1, 3), st.integers(-2, 2), st.integers(1, 3), st.integers(-2, 2), st.booleans())
