@@ -299,10 +299,9 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
         raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
     try:
         emb = AmbientEmbedding(b1.ambient, b2.ambient, phi)
-        emb.validate()
+        pulled = pullback_along(b2.mgrid, emb)  # validates emb first
     except (ArgumentError, ValidationError):
         return False
-    pulled = pullback_along(b2.mgrid, emb)
     if not grids_equal(pulled, b1.mgrid):
         return False
     if not _fields_pull_back(emb, b1, b2):

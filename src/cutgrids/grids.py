@@ -313,6 +313,8 @@ def classify_point(cut: Cut, ambient: Ambient, point) -> str:
             raise ArgumentError("1D cut needs a 1D ambient")
         if isinstance(point, tuple) and point and point[0] == "circle":
             _tag, idx, theta = point
+            if idx not in range(len(ambient.circles)):
+                raise ArgumentError(f"no circle {idx} in the ambient")
             comp_idx = len(ambient.intervals) + idx
             return _classify_on_circle(
                 cut.components[comp_idx], ambient.circles[idx], fr(theta))

@@ -7,10 +7,11 @@ endpoints (they are compared against rationals but never enter arithmetic).
 The region algebra works by joint refinement: the real line (or each circle,
 or the x-axis under a family of slabs) is chopped at every "event" coordinate
 — cell endpoints, PL breakpoints, pairwise graph crossings — into atoms on
-which membership in every region under consideration is constant.  Each
-fibre of the refinement (the line, a circle, or the vertical line over one
-x-atom) is atomized the same way, and the region operations loop over
-fibres without regard to the dimension.
+which membership in every region under consideration is constant.  Every
+fibre of the refinement is a line fibre: the line itself, each circle
+unrolled onto the line at its first cut, and the vertical line over one
+x-atom.  All are atomized by the same code, and the region operations loop
+over fibres without regard to the dimension.
 """
 
 from __future__ import annotations
@@ -351,11 +352,11 @@ class Arc:
 
     def __post_init__(self) -> None:
         L = fr(self.circumference)
+        if L <= 0:
+            raise ValidationError("circumference must be positive")
         object.__setattr__(self, "circumference", L)
         object.__setattr__(self, "start", fr(self.start) % L)
         object.__setattr__(self, "end", fr(self.end) % L)
-        if L <= 0:
-            raise ValidationError("circumference must be positive")
         if self.start == self.end and not (self.start_closed and self.end_closed):
             raise ValidationError("a degenerate arc must be a closed point")
 
@@ -380,6 +381,8 @@ class CircleCell:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "circumference", fr(self.circumference))
+        if self.circumference <= 0:
+            raise ValidationError("circumference must be positive")
 
     def contains(self, theta) -> bool:
         return True
@@ -551,72 +554,6 @@ def line_cells_from_predicate(
 
 
 # ---------------------------------------------------------------------------
-# Circle atomization
-# ---------------------------------------------------------------------------
-
-def _circle_atoms(L: Fraction, criticals: Sequence[Fraction]) -> list[tuple]:
-    crit = sorted({fr(c) % L for c in criticals})
-    if not crit:
-        return [("full",)]
-    atoms: list[tuple] = []
-    k = len(crit)
-    for i, c in enumerate(crit):
-        atoms.append(("pt", c))
-        nxt = crit[(i + 1) % k]
-        span = (nxt - c) % L
-        if span == 0:
-            span = L  # single critical point: the rest of the circle
-        atoms.append(("gap", c, span))
-    return atoms
-
-
-def _circle_atom_rep(L: Fraction, atom: tuple) -> Fraction:
-    if atom[0] == "pt":
-        return atom[1]
-    if atom[0] == "full":
-        return Fraction(0)
-    c, span = atom[1], atom[2]
-    return (c + span / 2) % L
-
-
-def _coalesce_circle(circle: int, L: Fraction, atoms: list[tuple],
-                     included: list[bool]) -> list[Cell]:
-    if all(included):
-        return [CircleCell(circle, L)]
-    if not any(included):
-        return []
-    # rotate so the walk starts just after an excluded atom
-    n = len(atoms)
-    start = next(i for i in range(n) if not included[i])
-    order = [(start + 1 + t) % n for t in range(n - 1)]
-    cells: list[Cell] = []
-    t = 0
-    while t < len(order):
-        if not included[order[t]]:
-            t += 1
-            continue
-        u = t
-        while u + 1 < len(order) and included[order[u + 1]]:
-            u += 1
-        first, last = atoms[order[t]], atoms[order[u]]
-        a, ac = first[1], first[0] == "pt"
-        if last[0] == "pt":
-            b, bc = last[1], True
-        else:
-            b, bc = (last[1] + last[2]) % L, False
-        if a == b and not (ac and bc):
-            # Full wrap minus the single excluded point: split in two,
-            # since an arc with equal open endpoints is not representable.
-            m = (a + L / 2) % L
-            cells.append(Arc(circle, L, a, m, ac, True))
-            cells.append(Arc(circle, L, m, b, False, bc))
-        else:
-            cells.append(Arc(circle, L, a, b, ac, bc))
-        t = u + 1
-    return cells
-
-
-# ---------------------------------------------------------------------------
 # Joint refinement of regions
 # ---------------------------------------------------------------------------
 
@@ -624,10 +561,11 @@ class _LineFibre:
     """A line cut into atoms at its critical coordinates, given each region
     as ranges (lo, hi, lo_closed, hi_closed) whose finite ends are critical.
 
-    Every fibre of a joint refinement (the real line, a circle, or the
-    vertical line over one x-atom) has this interface: memberships[i] holds
-    atom i's membership in each region, point(i) is a point of atom i, and
-    cells(included) coalesces the included atoms into cells."""
+    Every fibre of a joint refinement is one: the real line, each circle
+    unrolled at its first cut (_CircleFibre), and the vertical line over
+    one x-atom (_YFibre).  memberships[i] holds atom i's membership in each
+    region, point(i) is a point of atom i, and cells(included) coalesces
+    the included atoms into cells."""
 
     def __init__(self, criticals: Iterable,
                  ranges_per_region: Sequence[Sequence[tuple]]):
@@ -641,25 +579,59 @@ class _LineFibre:
         return [Seg(*run) for run in _line_runs(self.atoms, included)]
 
 
-class _CircleFibre:
-    """Circle #circle of circumference L, cut at the ends of the regions' arcs."""
+class _CircleFibre(_LineFibre):
+    """Circle #circle of circumference L, unrolled onto the line from its
+    first cut c0 (the smallest arc end, or 0) to c0 + L.
+
+    Every arc end lies in [c0, L), so it maps to itself, and the line atoms
+    from the point c0 to the gap before c0 + L are the circle's atoms; an
+    arc that passes c0 becomes the range up to c0 + L and the one from c0."""
 
     def __init__(self, circle: int, L: Fraction,
                  cells_per_region: Sequence[Sequence[Cell]]):
         self.circle, self.L = circle, L
-        self.atoms = _circle_atoms(L, [
-            e for cells in cells_per_region for c in cells if isinstance(c, Arc)
-            for e in (c.start, c.end)])
-        reps = [_circle_atom_rep(L, atom) for atom in self.atoms]
-        self.memberships = [
-            tuple(any(c.contains(rep) for c in cells) for cells in cells_per_region)
-            for rep in reps]
+        ends = {e for cells in cells_per_region for c in cells
+                if isinstance(c, Arc) for e in (c.start, c.end)}
+        c0 = min(ends, default=Fraction(0))
+        ranges_per_region = []
+        for cells in cells_per_region:
+            ranges = []
+            for c in cells:
+                if isinstance(c, CircleCell):
+                    ranges.append((c0, c0 + L, True, False))
+                elif c.start <= c.end:
+                    ranges.append((c.start, c.end, c.start_closed, c.end_closed))
+                else:  # wraps past c0; an open end at c0 adds no atom
+                    ranges += [(c.start, c0 + L, c.start_closed, False),
+                               (c0, c.end, True, c.end_closed)]
+            ranges_per_region.append(ranges)
+        super().__init__(ends | {c0, c0 + L}, ranges_per_region)
+        self.atoms, self.memberships = self.atoms[1:-2], self.memberships[1:-2]
 
     def point(self, i: int):
-        return ("circle", self.circle, _circle_atom_rep(self.L, self.atoms[i]))
+        return ("circle", self.circle, super().point(i) % self.L)
 
     def cells(self, included: list[bool]) -> list[Cell]:
-        return _coalesce_circle(self.circle, self.L, self.atoms, included)
+        j, L = self.circle, self.L
+        if all(included):
+            return [CircleCell(j, L)]
+        runs = _line_runs(self.atoms, included)
+        if included[0]:  # the run from c0 comes last, joined to one ending at c0 + L
+            first = runs.pop(0)
+            if included[-1]:
+                a, _, ac, _ = runs.pop()
+                first = (a, first[1], ac, first[3])
+            runs.append(first)
+        cells: list[Cell] = []
+        for a, b, ac, bc in runs:
+            if (b - a) % L == 0 and not (ac and bc):
+                # The circle minus one point: an arc with equal open ends
+                # is not representable, so split it in two.
+                m = a + L / 2
+                cells += [Arc(j, L, a, m, ac, True), Arc(j, L, m, b, False, bc)]
+            else:
+                cells.append(Arc(j, L, a, b, ac, bc))
+        return cells
 
 
 def _refine_1d(regions: Sequence[PLRegion]):

@@ -229,6 +229,27 @@ def test_identity_and_restriction_are_morphisms():
     assert is_morphism(AffineMap.identity(1), shrink_to_core(e, 1), e) is True
 
 
+def test_is_morphism_validates_its_embedding_once(monkeypatch):
+    calls = []
+    validate_embedding = AmbientEmbedding.validate
+
+    def counted(emb):
+        calls.append(emb)
+        validate_embedding(emb)
+
+    monkeypatch.setattr(AmbientEmbedding, "validate", counted)
+    for name, phi in (("composable_pair_2d", AffineMap.identity(2)),
+                      ("elbow_right", AffineMap.identity(1))):
+        b = catalog(name)
+        core = shrink_to_core(b, 1)
+        calls.clear()
+        assert is_morphism(phi, core, b) is True
+        assert len(calls) == 1
+        calls.clear()
+        assert is_morphism(phi, b, core) is False  # b.ambient leaves core.ambient
+        assert len(calls) == 1
+
+
 def test_a_morphism_image_must_contain_the_core():
     e = catalog("elbow_right")
     window = Ambient1D(((-2, F(1, 2)),))

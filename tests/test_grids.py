@@ -214,6 +214,16 @@ def test_classification_on_a_circle():
     assert got == {0: "below", 1: "level", 2: "above", 3: "level", F(7, 2): "below"}
 
 
+def test_classification_rejects_an_unknown_circle():
+    amb = Ambient1D(((0, 10),), (F(4),))
+    cut = Cut1D((ComponentCut1D("zeros", ((F(5), "+"),)),
+                 ComponentCut1D("whole", (), "above")))
+    assert classify_point(cut, amb, ("circle", 0, 1)) == "above"
+    for idx in (-1, 1):
+        with pytest.raises(ArgumentError, match=f"no circle {idx} "):
+            classify_point(cut, amb, ("circle", idx, 1))
+
+
 def test_classification_of_whole_component():
     assert classify_point(whole_cut("above"), FULL_LINE, 17) == "above"
     assert classify_point(whole_cut("below"), FULL_LINE, 17) == "below"

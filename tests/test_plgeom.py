@@ -43,6 +43,7 @@ from cutgrids.plgeom import (
     region_equal,
     region_is_compact_in,
     region_is_empty,
+    region_normalize,
     region_sample_point,
     region_subset,
     strict_between_cells,
@@ -85,13 +86,13 @@ def line_regions(draw):
 
 @st.composite
 def mixed_regions(draw):
-    # segments plus cells on a fixed pair of circles
+    # segments plus up to two cells on each of a fixed pair of circles
     cells = list(draw(st.lists(segs(), max_size=2)))
     for idx, length in ((0, Fraction(3)), (1, Fraction(5))):
-        which = draw(st.integers(0, 2))
-        if which == 1:
-            cells.append(CircleCell(idx, length))
-        elif which == 2:
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.integers(0, 2)) == 0:
+                cells.append(CircleCell(idx, length))
+                continue
             s = draw(rationals(6, 2)) % length
             e = draw(rationals(6, 2)) % length
             sc = draw(st.booleans())
@@ -477,6 +478,31 @@ def test_bbox_oracles():
     assert region_bbox(empty_region(2)) == (None, None)
 
 
+def test_circle_cells_start_after_the_first_cut():
+    # Cell order fixes the order of elements in an SVG, so it is pinned.
+    def arc(s, e, sc=True, ec=True):
+        return Arc(0, 4, s, e, sc, ec)
+
+    def cells(*cs):
+        return PLRegion(1, cs)
+
+    whole = cells(CircleCell(0, 4))
+    # the run through the first cut 1 comes last
+    assert region_normalize(cells(arc(1, 2, True, False), arc(3, Fraction(7, 2)))) == cells(
+        arc(3, Fraction(7, 2)), arc(1, 2, True, False))
+    # a run that wraps past the first cut is one arc
+    assert region_boolean("union", cells(arc(3, 1)), cells(arc(1, 2, True, False))) == cells(
+        arc(3, 2, True, False))
+    # the circle minus one point splits half way round from it
+    assert region_difference(whole, cells(arc(1, 1))) == cells(
+        arc(1, 3, False, True), arc(3, 1, False, False))
+    assert region_normalize(cells(arc(1, 2, True, False), arc(2, 1, False, True))) == cells(
+        arc(2, 0, False, True), arc(0, 2, False, False))
+    assert region_normalize(cells(arc(3, 3))) == cells(arc(3, 3))
+    assert region_normalize(cells(arc(0, 2), arc(2, 0))) == whole
+    assert region_sample_point(cells(arc(3, 1, False, False))) == ("circle", 0, 0)
+
+
 def test_arc_membership_wraps():
     arc = Arc(0, 4, 3, 1, True, False)  # runs 3 -> 4=0 -> 1
     assert arc.contains(3) and arc.contains(Fraction(7, 2)) and arc.contains(0)
@@ -511,6 +537,11 @@ def test_ambient_intervals_sorted_and_disjoint():
         Ambient1D(((1, 1),))
     with pytest.raises(ValidationError):
         Ambient1D((), (0,))
+    with pytest.raises(ValidationError):
+        Arc(0, 0, 1, 2, True, True)
+    for length in (0, -2):
+        with pytest.raises(ValidationError):
+            CircleCell(0, length)
 
 
 def test_ambient_component_lookup():
