@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -116,9 +116,18 @@ class PLFunc:
         raise AssertionError("unreachable")
 
     @cached_property
+    def _hash(self) -> int:
+        # The hash the dataclass would give, computed once: cut and region
+        # keys hash every graph they hold, often.
+        return hash((self.breakpoints, self.values, self.left_slope, self.right_slope))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def _pieces(self) -> tuple[tuple[End, End, Fraction, Fraction], ...]:
-        # Kept in the instance dict, outside the dataclass fields, so
-        # equality and hashing still see only the four fields.
+        # Kept in the instance dict, outside the dataclass fields, as _hash
+        # is, so equality, repr and hashing still see only the four fields.
         bps, vals = self.breakpoints, self.values
         out: list[tuple[End, End, Fraction, Fraction]] = []
         out.append((NEG_INF, bps[0], self.left_slope, vals[0] - self.left_slope * bps[0]))
@@ -222,53 +231,73 @@ def plfunc_integral(f: PLFunc, a, b) -> Fraction:
     return total
 
 
+def _zeros_of_pieces(pieces: Iterable[tuple[End, End, Fraction, Fraction]]) -> list[Fraction]:
+    """Zero events of consecutive affine pieces (lo, hi, slope, intercept),
+    left to right: each piece's isolated zero in its closed hull, or its
+    finite ends when it vanishes identically.  Every event lies in its
+    piece's hull, so they come sorted and only a shared end can repeat."""
+    out: list[Fraction] = []
+    for lo, hi, m, c in pieces:
+        if m:
+            x0 = -c / m
+            xs = (x0,) if lo <= x0 <= hi else ()
+        elif c:
+            continue
+        else:
+            xs = tuple(e for e in (lo, hi) if is_finite(e))
+        for x in xs:
+            if not out or x != out[-1]:
+                out.append(x)
+    return out
+
+
 def plfunc_zeros(f: PLFunc) -> list[Fraction]:
     """Event coordinates of the zero set: isolated zeros plus the finite
     endpoints of identically-zero pieces (a refinement superset)."""
-    out: set[Fraction] = set()
-    for lo, hi, m, c in f.pieces():
-        if m == 0:
-            if c == 0:
-                if is_finite(lo):
-                    out.add(lo)
-                if is_finite(hi):
-                    out.add(hi)
-        else:
-            x0 = -c / m
-            if lo <= x0 <= hi:
-                out.add(x0)
-    return sorted(out)
+    return _zeros_of_pieces(f.pieces())
 
 
-@lru_cache(maxsize=8192)
-def _crossings_cached(f: PLFunc, g: PLFunc) -> tuple[Fraction, ...]:
-    return tuple(plfunc_zeros(f.sub(g)))
+def _difference_pieces(f: PLFunc, g: PLFunc):
+    """The affine pieces of f - g over the merged breakpoints, left to
+    right, as (lo, hi, slope, intercept)."""
+    fp, gp = f.pieces(), g.pieces()
+    i = j = 0
+    while True:
+        f_lo, f_hi, f_m, f_c = fp[i]
+        g_lo, g_hi, g_m, g_c = gp[j]
+        hi = min(f_hi, g_hi)
+        yield (max(f_lo, g_lo), hi, f_m - g_m, f_c - g_c)
+        if not is_finite(hi):
+            return
+        i += f_hi == hi
+        j += g_hi == hi
 
 
 def plfunc_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
+    """The zero events of f - g, as plfunc_zeros(f.sub(g)) gives them, and
+    none when f and g are the same function written the same way.
+
+    Walks the two functions' cached pieces over their merged breakpoints and
+    subtracts slopes and intercepts, so no difference function is built."""
     if f is g or f == g:
         return []
-    return list(_crossings_cached(f, g))
+    return _zeros_of_pieces(_difference_pieces(f, g))
 
 
 def plfunc_max_on_closed(f: PLFunc, lo: End, hi: End) -> End:
     """Supremum of f over the closed hull [lo, hi] (ends may be infinite);
     returns +inf when unbounded above there."""
-    if lo > hi:
+    if lo > hi or (lo == hi and not is_finite(lo)):
         raise ArgumentError("empty hull")
     cands: list[Fraction] = []
     if is_finite(lo):
         cands.append(f(lo))
     elif f.left_slope < 0:
         return INF
-    else:
-        cands.append(f(f.breakpoints[0]))
     if is_finite(hi):
         cands.append(f(hi))
     elif f.right_slope > 0:
         return INF
-    else:
-        cands.append(f(f.breakpoints[-1]))
     cands.extend(f(bp) for bp in f.breakpoints if lo <= bp <= hi)
     return max(cands)
 

@@ -49,7 +49,8 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
-from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog, shrink_to_core
+from cutgrids import grids
+from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog, shrink_to_core, validate
 
 F = Fraction
 
@@ -324,9 +325,39 @@ CIRCLE4 = Ambient1D((), (F(4),))
 ])
 def test_cut_regions_rejects_invalid_1d_cuts(cut, ambient, message):
     """The 1D partition is read from the zeros, so an invalid cut raises
-    instead of giving a partition it does not define."""
-    with pytest.raises(ValidationError, match=message):
-        cut_regions(cut, ambient)
+    instead of giving a partition it does not define, and raises again on
+    a second call, since the memo keeps no exception."""
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=message):
+            cut_regions(cut, ambient)
+
+
+def test_cut_regions_memo_computes_each_partition_once(monkeypatch):
+    asked = set()
+
+    def recording(cut, ambient):
+        asked.add((cut, ambient))
+        return cut_regions(cut, ambient)
+
+    monkeypatch.setattr(grids, "cut_regions", recording)
+    cut_regions.cache_clear()
+    bordism = catalog("composable_pair_2d")
+    assert validate(bordism).passed
+    info = cut_regions.cache_info()
+    assert info.misses == len(asked) > 0
+    assert info.hits > 0
+    # a value-equal cut built apart from the first is served the same parts
+    cut = bordism.mgrid.grid.tuples[0].cuts[0]
+    rebuilt = Cut2D(cut.axis, tuple(
+        ComponentCut2D(comp.kind, tuple(
+            Sheet(PLFunc(s.graph.breakpoints, s.graph.values,
+                         s.graph.left_slope, s.graph.right_slope), s.sign)
+            for s in comp.sheets), comp.whole_sign)
+        for comp in cut.components))
+    assert rebuilt == cut and rebuilt is not cut
+    parts = cut_regions(rebuilt, bordism.ambient)
+    assert parts is cut_regions(cut, bordism.ambient)
+    assert cut_regions.cache_info().misses == info.misses
 
 
 def test_sheet_stack_must_be_strictly_ordered():

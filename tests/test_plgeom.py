@@ -1,5 +1,6 @@
 """Exact piecewise-linear functions and region calculus."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from cutgrids.plgeom import (
     component_region,
     empty_region,
     line_region,
+    plfunc_crossings,
     plfunc_integral,
     plfunc_is_positive_on,
     plfunc_max,
@@ -255,6 +257,63 @@ def test_zero_set_members_vanish(f):
         assert f(x) == 0
 
 
+def reference_crossings(f, g):
+    """plfunc_crossings as the zero events of the difference function."""
+    return [] if f is g or f == g else plfunc_zeros(f.sub(g))
+
+
+@st.composite
+def plfunc_pairs(draw):
+    """f with itself, an equal copy, f with an extra breakpoint, a constant
+    shift, f plus a step-like function (parallel and coinciding pieces), or
+    an unrelated function."""
+    f = draw(plfuncs())
+    kind = draw(st.sampled_from(
+        ["same", "equal", "refined", "shifted", "parallel", "random"]))
+    if kind == "same":
+        return f, f
+    if kind == "equal":
+        return f, PLFunc(f.breakpoints, f.values, f.left_slope, f.right_slope)
+    if kind == "refined":
+        points = dict(zip(f.breakpoints, f.values))
+        x = draw(rationals())
+        points[x] = f(x)
+        return f, PLFunc.from_points(points.items(), f.left_slope, f.right_slope)
+    if kind == "shifted":
+        return f, f.add_constant(draw(rationals()))
+    if kind == "parallel":
+        xs = sorted(set(draw(st.lists(rationals(), min_size=1, max_size=4))))
+        step = PLFunc(tuple(xs), tuple(draw(st.sampled_from([0, 0, 1, -2]))
+                                       for _ in xs), 0, 0)
+        return f, f.add(step)
+    return f, draw(plfuncs())
+
+
+@given(plfunc_pairs())
+def test_crossings_match_the_difference_function(pair):
+    f, g = pair
+    for a, b in ((f, g), (g, f)):
+        got, want = plfunc_crossings(a, b), reference_crossings(a, b)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_plfunc_hash_is_the_field_hash():
+    ints = PLFunc((0, 1), (2, 3), 1, -1)
+    fracs = PLFunc((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)),
+                   Fraction(1), Fraction(-1))
+    fields = (ints.breakpoints, ints.values, ints.left_slope, ints.right_slope)
+    assert hash(ints) == hash(fields)
+    ints.pieces()
+    assert "_hash" in vars(ints) and "_pieces" in vars(ints)
+    assert "_hash" not in vars(fracs) and "_pieces" not in vars(fracs)
+    assert ints == fracs and hash(fracs) == hash(ints)
+    assert [fl.name for fl in dataclasses.fields(PLFunc)] == [
+        "breakpoints", "values", "left_slope", "right_slope"]
+    assert repr(ints) == repr(fracs) and "_hash" not in repr(ints)
+    assert "_pieces" not in repr(ints)
+
+
 @given(plfuncs(), plfuncs(), rationals())
 def test_max_min_are_pointwise(f, g, x):
     assert plfunc_max(f, g)(x) == max(f(x), g(x))
@@ -270,6 +329,17 @@ def test_extrema_on_closed_hulls():
     assert plfunc_min_on_closed(ramp, 0, INF) == 0
     assert plfunc_min_on_closed(ramp, NEG_INF, 0) == NEG_INF
     assert plfunc_max_on_closed(PLFunc.constant(2), NEG_INF, INF) == 2
+    # half-lines that miss every breakpoint: the tail alone decides
+    assert plfunc_max_on_closed(ramp, NEG_INF, -10) == -10
+    assert plfunc_max_on_closed(PLFunc.affine(-1, 0), 10, INF) == -10
+    assert plfunc_min_on_closed(PLFunc.affine(-1, 0), NEG_INF, -10) == 10
+    for end in (NEG_INF, INF):
+        with pytest.raises(ArgumentError, match="empty hull"):
+            plfunc_max_on_closed(ramp, end, end)
+    crossed = Slab(NEG_INF, -10, False, True, PLFunc.constant(0),
+                   PLFunc.affine(1, 5), True, True)
+    with pytest.raises(ValidationError, match="lower bound above upper bound"):
+        region_bounded(PLRegion(2, (crossed,)))
 
 
 def test_order_verdicts():
