@@ -6,8 +6,10 @@ endpoints (they are compared against rationals but never enter arithmetic).
 
 The region algebra works by joint refinement: the real line (or each circle,
 or the x-axis under a family of slabs) is chopped at every "event" coordinate
-— cell endpoints, PL breakpoints, pairwise graph crossings — into atoms on
-which membership in every region under consideration is constant.  Every
+— cell endpoints, PL breakpoints, graph crossings — into atoms on which
+membership in every region under consideration is constant.  Graphs that are
+one line are crossed by slope group, with one division per crossing, and
+only a pair with a bent graph walks both graphs' pieces.  Every
 fibre of the refinement is a line fibre: the line itself, each circle
 unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
@@ -103,17 +105,8 @@ class PLFunc:
 
     def __call__(self, x) -> Fraction:
         x = fr(x)
-        bps, vals = self.breakpoints, self.values
-        if x <= bps[0]:
-            return vals[0] + self.left_slope * (x - bps[0])
-        if x >= bps[-1]:
-            return vals[-1] + self.right_slope * (x - bps[-1])
-        # linear scan; cut data is small
-        for i in range(len(bps) - 1):
-            if bps[i] <= x <= bps[i + 1]:
-                m = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-                return vals[i] + m * (x - bps[i])
-        raise AssertionError("unreachable")
+        m, c = self.piece_at(x)
+        return m * x + c
 
     @cached_property
     def _hash(self) -> int:
@@ -136,6 +129,13 @@ class PLFunc:
             out.append((bps[i], bps[i + 1], m, vals[i] - m * bps[i]))
         out.append((bps[-1], INF, self.right_slope, vals[-1] - self.right_slope * bps[-1]))
         return tuple(out)
+
+    @cached_property
+    def _line(self) -> Union[tuple[Fraction, Fraction], None]:
+        # (slope, intercept) when every piece is the same line, else None;
+        # outside the dataclass fields, as _pieces is.
+        _, _, m, c = self._pieces[0]
+        return (m, c) if all(p[2:] == (m, c) for p in self._pieces) else None
 
     def pieces(self) -> tuple[tuple[End, End, Fraction, Fraction], ...]:
         """Affine pieces as (lo, hi, slope, intercept) with f(x) = slope*x + intercept,
@@ -678,11 +678,11 @@ def _refine_1d(regions: Sequence[PLRegion]):
         yield _CircleFibre(*key, [circ.get(key, []) for circ in circles])
 
 
-def _bound_key(bound, atom, rep) -> tuple:
-    """Canonical (slope, intercept) of a finite bound on an x-atom."""
-    if atom[0] == "pt":
-        return (Fraction(0), bound(atom[1]))
-    return bound.piece_at(rep)
+def _bound_key(bound: PLFunc, atom: tuple, rep: Fraction) -> tuple:
+    """Canonical (slope, intercept) of a finite bound on an x-atom: its
+    value as a constant on a point atom, its piece there on an interval."""
+    m, c = bound._line or bound.piece_at(rep)
+    return (0, m * rep + c) if atom[0] == "pt" else (m, c)
 
 
 class _YFibre(_LineFibre):
@@ -691,11 +691,16 @@ class _YFibre(_LineFibre):
 
     Its critical coordinates are indices into keys, the (slope, intercept)
     bounds on the atom sorted by height; intervals_per_region holds each
-    slab's range in that encoding, an infinite bound as -inf or +inf."""
+    slab's range in that encoding, an infinite bound as -inf or +inf.  A
+    line bound's key is its own line on every atom, read without a search.
+
+    graphs maps a key to its graph, PLFunc.affine(*key), and is shared by
+    every fibre of one refinement: the cells of one result then hold one
+    graph object per key, which hashes and builds its pieces once."""
 
     def __init__(self, covering: Sequence[Sequence[Slab]], atom: tuple,
-                 rep: Fraction):
-        self.atom, self.rep = atom, rep
+                 rep: Fraction, graphs: dict[tuple, PLFunc]):
+        self.atom, self.rep, self.graphs = atom, rep, graphs
         ids: dict[tuple, int] = {}  # key -> its number in order of first sight
         ivs_by_id: list[list[tuple]] = []
         for slabs in covering:
@@ -732,7 +737,13 @@ class _YFibre(_LineFibre):
         [x_range] = _line_runs([self.atom], [True])  # the x-atom as a run
 
         def bound(e):
-            return e if not is_finite(e) else PLFunc.affine(*self.keys[e])
+            if not is_finite(e):
+                return e
+            key = self.keys[e]
+            graph = self.graphs.get(key)
+            if graph is None:
+                graph = self.graphs[key] = PLFunc.affine(*key)
+            return graph
 
         return [Slab(*x_range, bound(lo), bound(hi), loc, hic)
                 for lo, hi, loc, hic in _line_runs(self.atoms, included)]
@@ -740,7 +751,15 @@ class _YFibre(_LineFibre):
 
 def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
     """The x-atoms of 2D regions' joint refinement, as _line_atoms gives
-    them: cut at slab x-ends, bound breakpoints and crossings of bounds."""
+    them: cut at slab x-ends, bound breakpoints and crossings of bounds.
+
+    Distinct line bounds are grouped by slope: two lines of different slope
+    cross once, at (c2 - c1) / (m1 - m2), and lines of one slope never cross
+    (two ways of writing one line meet on whole pieces, whose ends are
+    their breakpoints, events already).  A pair with a bound that is not
+    one line is crossed by plfunc_crossings on the bounds as written: where
+    the curve follows the line over a piece, the line's own breakpoints are
+    events of that pair."""
     xs: set[Fraction] = set()
     bounds: list[PLFunc] = []
     seen: set[PLFunc] = set()
@@ -756,8 +775,21 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
                     if b not in seen:
                         seen.add(b)
                         bounds.append(b)
-    for f, g in itertools.combinations(bounds, 2):
-        xs.update(plfunc_crossings(f, g))
+    slopes: dict[Fraction, set[Fraction]] = {}  # slope -> intercepts
+    lines: list[PLFunc] = []
+    curves: list[PLFunc] = []
+    for b in bounds:
+        if b._line is None:
+            curves.append(b)
+        else:
+            lines.append(b)
+            m, c = b._line
+            slopes.setdefault(m, set()).add(c)
+    for (m1, cs1), (m2, cs2) in itertools.combinations(slopes.items(), 2):
+        xs.update((c2 - c1) / (m1 - m2) for c1 in cs1 for c2 in cs2)
+    for i, f in enumerate(curves):
+        for g in itertools.chain(curves[i + 1:], lines):
+            xs.update(plfunc_crossings(f, g))
     return _line_atoms(xs)
 
 
@@ -766,6 +798,7 @@ def _refine_2d(regions: Sequence[PLRegion]):
     that some slab covers: no region op keeps a point where none does."""
     atoms, index = _x_atoms(regions)
     last = len(atoms) - 1
+    graphs: dict[tuple, PLFunc] = {}
     covering: list[list[list[Slab]]] = [[[] for _ in regions] for _ in atoms]
     for k, r in enumerate(regions):
         for slab in r.cells:
@@ -774,7 +807,7 @@ def _refine_2d(regions: Sequence[PLRegion]):
                 covering[a][k].append(slab)
     for a, atom in enumerate(atoms):
         if any(covering[a]):
-            yield _YFibre(covering[a], atom, _atom_rep(atom))
+            yield _YFibre(covering[a], atom, _atom_rep(atom), graphs)
 
 
 def _fibres(regions: Sequence[PLRegion]):

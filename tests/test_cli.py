@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cutgrids import grids, plgeom
 from cutgrids.bordisms import catalog, shrink_to_core
 from cutgrids.cli import main
 from cutgrids.documents import document_for, parse_document, serialize_document
@@ -321,6 +322,44 @@ def test_segal_check_verdicts(tmp_path, capsys):
     assert main(["segal-check", bad, "--a", "1", "--b", "1"]) == 1
     assert capsys.readouterr().out.strip() == "segal(1,1): FAIL"
     assert main(["segal-check", good, "--a", "9", "--b", "1"]) == 1
+
+
+def test_validate_of_a_fuzzed_pair_keeps_its_x_atoms_without_crossings(
+        tmp_path, monkeypatch, capsys):
+    # A fuzzer set one sheet value of composable_pair_2d from 0 to 7; the
+    # 2D refinements of its validation cross nearly a million pairs of
+    # bounds when every pair goes through plfunc_crossings.  Lines are
+    # crossed by slope instead, with the same x-atoms and the same report.
+    doc = json.loads(serialize_document(
+        document_for(catalog("composable_pair_2d"), "fuzzed")))
+    sheet = doc["payload"]["grid"][1][2]["components"][0]["sheets"][0]
+    sheet["graph"]["values"][2] = 7
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    counts = {"x_atoms": 0, "atoms": 0, "crossings": 0}
+    x_atoms, crossings = plgeom._x_atoms, plgeom.plfunc_crossings
+
+    def counting_x_atoms(regions):
+        atoms, index = x_atoms(regions)
+        counts["x_atoms"] += 1
+        counts["atoms"] += len(atoms)
+        return atoms, index
+
+    def counting_crossings(f, g):
+        counts["crossings"] += 1
+        return crossings(f, g)
+
+    monkeypatch.setattr(plgeom, "_x_atoms", counting_x_atoms)
+    monkeypatch.setattr(plgeom, "plfunc_crossings", counting_crossings)
+    grids.cut_regions.cache_clear()  # count every partition's refinements
+    assert main(["validate", str(path)]) == 1
+    failing = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("[pass]")]
+    assert len(failing) == 1
+    assert failing[0].startswith("[FAIL] globular")
+    assert failing[0].endswith("(e.g. at (0, 0))")
+    assert (counts["x_atoms"], counts["atoms"]) == (83, 33_113)
+    assert counts["crossings"] <= 1_000
 
 
 def test_render_is_deterministic(tmp_path):

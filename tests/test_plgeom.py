@@ -1,6 +1,7 @@
 """Exact piecewise-linear functions and region calculus."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from cutgrids.plgeom import (
     Seg,
     Slab,
     _atom_rep,
-    _bound_key,
+    _line_atoms,
     _refine_2d,
     _x_atoms,
     ambient_region,
@@ -188,6 +189,31 @@ def test_slab_rejects_closed_infinite_x_end():
         Slab(NEG_INF, 0, True, False, NEG_INF, INF, False, False)
     with pytest.raises(ValidationError):
         Slab(0, INF, False, True, NEG_INF, INF, False, False)
+
+
+def reference_value(f, x):
+    """PLFunc.__call__ as a search over the breakpoints and values."""
+    x = Fraction(x)
+    bps, vals = f.breakpoints, f.values
+    if x <= bps[0]:
+        return vals[0] + f.left_slope * (x - bps[0])
+    if x >= bps[-1]:
+        return vals[-1] + f.right_slope * (x - bps[-1])
+    for i in range(len(bps) - 1):
+        if bps[i] <= x <= bps[i + 1]:
+            m = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+            return vals[i] + m * (x - bps[i])
+
+
+@given(plfuncs(), st.data())
+def test_evaluation_matches_the_breakpoint_formula(f, data):
+    bps = f.breakpoints
+    between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    tails = [bps[0] - 1, bps[-1] + Fraction(1, 3)]
+    x = data.draw(st.one_of(st.sampled_from(bps + tuple(between) + tuple(tails)),
+                            rationals(), st.integers(-20, 20)))
+    got, want = f(x), reference_value(f, x)
+    assert got == want and type(got) is type(want) is Fraction
 
 
 def test_plfunc_evaluation_oracle():
@@ -405,6 +431,74 @@ def test_boolean_ops_match_membership_2d(a, b):
         assert region_contains_point(d, p) == (in_a and not in_b)
 
 
+def reference_x_atoms(regions):
+    """_x_atoms as a loop over every pair of distinct bounds: slab x-ends,
+    bound breakpoints and plfunc_crossings of each pair."""
+    xs, bounds = set(), []
+    for r in regions:
+        for slab in r.cells:
+            xs.update(e for e in (slab.x_lo, slab.x_hi) if e not in (NEG_INF, INF))
+            for b in (slab.lower, slab.upper):
+                if isinstance(b, PLFunc):
+                    xs.update(b.breakpoints)
+                    if b not in bounds:
+                        bounds.append(b)
+    for f, g in itertools.combinations(bounds, 2):
+        xs.update(plfunc_crossings(f, g))
+    return _line_atoms(xs)
+
+
+def line_through(m, c, xs):
+    """The line y = m x + c written with breakpoints at xs."""
+    return PLFunc.from_points([(x, m * x + c) for x in xs], m, m)
+
+
+@st.composite
+def line_bound_regions(draw):
+    """Regions bounded mostly by lines that share a few slopes, so many are
+    parallel; a line may be written as PLFunc.affine, through breakpoints
+    other than 0, or both ways in one refinement.  Beside them lie random
+    curves, which cross the lines, and a curve that follows one line over a
+    piece and bends away at its ends."""
+    slopes = draw(st.lists(rationals(3, 2), min_size=1, max_size=3, unique=True))
+    off_zero = rationals(6, 2).filter(lambda x: x != 0)
+    bounds = []
+    for _ in range(draw(st.integers(1, 6))):
+        m, c = draw(st.sampled_from(slopes)), draw(rationals(6, 2))
+        form = draw(st.sampled_from(["affine", "points", "both"]))
+        if form in ("affine", "both"):
+            bounds.append(PLFunc.affine(m, c))
+        if form in ("points", "both"):
+            xs = draw(st.lists(off_zero, min_size=1, max_size=3, unique=True))
+            bounds.append(line_through(m, c, xs))
+    for _ in range(draw(st.integers(0, 2))):
+        bounds.append(draw(plfuncs()))
+    if draw(st.booleans()):
+        m, c = draw(st.sampled_from(slopes)), draw(rationals(6, 2))
+        a = -draw(rationals(6, 2).filter(lambda x: x > 0))
+        b = draw(rationals(6, 2).filter(lambda x: x > 0))
+        bend = draw(rationals(3, 2).filter(lambda x: x != 0))
+        bounds.append(line_through(m, c, [a, b]))
+        bounds.append(PLFunc.from_points(
+            [(a - 1, m * (a - 1) + c + bend), (a, m * a + c), (b, m * b + c),
+             (b + 1, m * (b + 1) + c - bend)], m, -m))
+    regions = [[] for _ in range(draw(st.integers(1, 3)))]
+    for bound in draw(st.permutations(bounds)):
+        lo, hi = sorted([draw(rationals(6, 2)), draw(rationals(6, 2))])
+        slab = Slab(lo, hi, True, True, bound, INF, True, False)
+        regions[draw(st.integers(0, len(regions) - 1))].append(slab)
+    return [PLRegion(2, tuple(cells)) for cells in regions]
+
+
+@given(line_bound_regions())
+@settings(max_examples=200, deadline=None)
+def test_x_atoms_match_crossing_every_pair(regions):
+    got, _ = _x_atoms(regions)
+    want, _ = reference_x_atoms(regions)
+    assert got == want
+    assert [tuple(map(type, a)) for a in got] == [tuple(map(type, a)) for a in want]
+
+
 def _slab_covers_atom(slab, atom):
     """Reference for the sweep in _refine_2d: one slab against one x-atom."""
     if atom[0] == "pt":
@@ -422,7 +516,9 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions):
         def key(bound):
             if isinstance(bound, float):
                 return bound
-            return _bound_key(bound, atom, rep)
+            if atom[0] == "pt":
+                return (Fraction(0), bound(atom[1]))
+            return bound.piece_at(rep)
 
         expected = [[(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
                      for s in region.cells if _slab_covers_atom(s, atom)]
