@@ -17,6 +17,7 @@ from .errors import (
     DocumentSyntaxError,
     DocumentValidationError,
     NeighborhoodError,
+    NotComposableError,
     NotDirectlyConstructibleError,
     OverlapError,
     UnsupportedDimensionError,

@@ -9,6 +9,11 @@ class ArgumentError(ArtifactError, ValueError):
     """A caller violated an operation's precondition."""
 
 
+class NotComposableError(ArtifactError, KeyError):
+    """A composite was asked of two arrows that do not compose; a KeyError
+    too, so a then-table computed on demand reads as a missing entry."""
+
+
 class ValidationError(ArtifactError):
     """Structured data failed its well-formedness checks."""
 

@@ -2,8 +2,19 @@
 strict locality checkers (chain decomposition, completeness, degeneration).
 
 Composition tables are stored in diagrammatic order: ``then_table[(f, g)]``
-is the composite "f followed by g".  All validation is exhaustive enumeration,
-which is the point — every carrier here is finite.
+is the composite "f followed by g".  Validation enumerates, since every
+carrier here is finite.  A category with an explicit table checks every
+composable pair, and so does a presheaf on it.
+
+The one exception is the base of label diagrams, ``gamma_segal_category``.
+It composes on demand, and a presheaf on it is checked for functoriality on
+generators: F(s;g) = F(s)∘F(g) for each elementary pointed map s and each
+arrow g out of its target.  That is enough.  Every arrow is a composite
+f = s1;…;sk of generators (an identity when k = 0), and by induction on k,
+F(f;g) = F(s1)∘F(s2;…;sk;g) = F(s1)∘F(s2;…;sk)∘F(g) = F(f)∘F(g), because
+composition of functions is associative.  The elementary maps are Segal's
+generators of Γ, the category of finite pointed sets (G. Segal, "Categories
+and cohomology theories", Topology 13, 1974).
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NotComposableError
 from .shapes import (
     GammaMorphism,
     MonotoneMap,
@@ -108,6 +119,11 @@ class FinCategory:
     def then(self, f: Arrow, g: Arrow) -> Arrow:
         return self.then_table[(f, g)]
 
+    def functoriality_pairs(self) -> Iterable[tuple[tuple[Arrow, Arrow], Arrow]]:
+        """The composable pairs, each with its composite, on which a
+        presheaf's functoriality is checked: here every pair of the table."""
+        return self.then_table.items()
+
     def hom(self, x: Obj, y: Obj) -> list[Arrow]:
         return [f for f, (s, t) in self.arrows.items() if s == x and t == y]
 
@@ -160,8 +176,11 @@ class FinPresheaf:
     as a dict.  Functoriality is checked by enumeration unless
     ``validate=False`` (used for deliberately broken negative fixtures): each
     action is translated once into a list of positions, one per element of
-    F(y) in a fixed order, giving its image's position in F(x), so every
-    composable pair is checked by composing two such lists.
+    F(y) in a fixed order, giving its image's position in F(x), so each pair
+    the base supplies through ``functoriality_pairs`` is checked by composing
+    two such lists.  A tabled base supplies every composable pair; the Γ base
+    of ``gamma_segal_category`` supplies its generators' pairs, which the
+    module docstring shows is enough.
     """
 
     base: FinCategory
@@ -196,7 +215,7 @@ class FinPresheaf:
             ident = self.actions[self.base.identity[x]]
             if any(ident[e] != e for e in self.sets[x]):
                 raise ArgumentError(f"identity action at {x!r} is not the identity")
-        for (f, g), h in self.base.then_table.items():
+        for (f, g), h in self.base.functoriality_pairs():
             af = table[f]
             if table[h] != [af[i] for i in table[g]]:
                 raise ArgumentError(f"contravariant functoriality fails at {f!r};{g!r}")
@@ -498,15 +517,77 @@ def preorder_diagnostics(category: FinCategory) -> dict:
 # Pointed label-map diagrams and their Segal check
 # ---------------------------------------------------------------------------
 
+class _GammaBase(FinCategory):
+    """The base built by ``gamma_segal_category``, composing on demand.
+
+    ``out_of[a]`` names each arrow out of a by its action, so a composite is
+    two actions composed and looked up there; ``generators`` are the
+    elementary arrows that every arrow is a composite of.  The then-table is
+    a read-only view of the composable pairs that composes each pair when it
+    is read and stores none.
+    """
+
+    def __init__(self, objects, arrows, identity, out_of, generators) -> None:
+        object.__setattr__(self, "out_of", out_of)
+        object.__setattr__(self, "generators", generators)
+        super().__init__(objects, arrows, identity, _ComposablePairs(self),
+                         validate=False)
+
+    def __post_init__(self) -> None:
+        """Nothing to check: every arrow is built well-formed, and
+        composition of functions is associative and unital."""
+
+    def then(self, f: Arrow, g: Arrow) -> Arrow:
+        if self.dst(f) != self.src(g):
+            raise NotComposableError(f"{f!r} does not compose with {g!r}")
+        # the label maps compose as <c> -> <b> -> <a>
+        return self.out_of[f[1]][gamma_compose_actions(g[3], f[3])]
+
+    def functoriality_pairs(self) -> Iterable[tuple[tuple[Arrow, Arrow], Arrow]]:
+        """Each generator s with each arrow g out of its target."""
+        for s in self.generators:
+            for g in self.out_of[self.dst(s)].values():
+                yield (s, g), self.then(s, g)
+
+
+class _ComposablePairs(Mapping):
+    """The then-table of a ``_GammaBase``: every composable pair (f, g) in
+    arrow order, composed when it is looked up."""
+
+    def __init__(self, category: _GammaBase) -> None:
+        self._category = category
+
+    def __getitem__(self, pair: tuple[Arrow, Arrow]) -> Arrow:
+        return self._category.then(*pair)
+
+    def __iter__(self):
+        c = self._category
+        for f, (_, b) in c.arrows.items():
+            for g in c.out_of[b].values():
+                yield f, g
+
+    def __len__(self) -> int:
+        c = self._category
+        return sum(len(c.out_of[b]) for _, b in c.arrows.values())
+
+
 def gamma_segal_category(n: int) -> FinCategory:
     """The base category for label diagrams up to size n: an arrow a -> b
     carries a basepointed function <b> -> <a>, so a contravariant presheaf on
     this base pushes labels forward along its restriction maps.
 
-    The then-table lists only the composable pairs, and each composite in it
-    is the arrow key itself, found by looking its action up among the arrows
-    out of a (the action's length is the target).  Composition of functions
-    is associative, so table validation is skipped.
+    Composites are computed when asked for, by composing the two actions and
+    looking the result up among the arrows out of a (the action's length is
+    the target), so each composite is the arrow key itself.  The then-table
+    enumerates the composable pairs without storing them.
+
+    The generators, as pointed maps, are the adjacent transpositions of <b>,
+    sending the last label of <b> to the basepoint, merging the last two
+    labels of <b>, and the inclusion <b> -> <b+1>.  Every pointed map
+    <b> -> <a> factors through them without leaving sizes 0..n: drop the
+    labels sent to the basepoint, merge labels with a common image, include
+    the rest into <a> and permute, moving labels into place by
+    transpositions at each step.
     """
     objects = tuple(range(n + 1))
     arrows: dict[Arrow, tuple[Obj, Obj]] = {}
@@ -519,13 +600,18 @@ def gamma_segal_category(n: int) -> FinCategory:
                 arrows[f] = (a, b)
                 out_of[a][action] = f
     identity = {a: ("g", a, a, tuple(range(1, a + 1))) for a in objects}
-    then_table: dict[tuple[Arrow, Arrow], Arrow] = {}
-    for f, (a, b) in arrows.items():
-        named = out_of[a]
-        for g in out_of[b].values():
-            # the label maps compose as <c> -> <b> -> <a>
-            then_table[(f, g)] = named[gamma_compose_actions(g[3], f[3])]
-    return FinCategory(objects, arrows, identity, then_table, validate=False)
+    generators = []
+    for b in objects:
+        labels = tuple(range(1, b + 1))
+        for i in range(b - 1):
+            generators.append(("g", b, b, labels[:i] + (i + 2, i + 1) + labels[i + 2:]))
+        if b >= 1:
+            generators.append(("g", b - 1, b, labels[:-1] + (0,)))
+        if b >= 2:
+            generators.append(("g", b - 1, b, labels[:-1] + (b - 1,)))
+        if b < n:
+            generators.append(("g", b + 1, b, labels))
+    return _GammaBase(objects, arrows, identity, out_of, tuple(generators))
 
 
 def segal_projection_arrows(kappa: int, ell: int) -> tuple[Arrow, Arrow]:

@@ -36,7 +36,9 @@ from cutgrids.finitecat import (
     preorder_diagnostics,
     representable_multisimplex_presheaf,
 )
-from cutgrids.errors import ArgumentError
+from cutgrids import finitecat
+from cutgrids.documents import document_for, serialize_document
+from cutgrids.errors import ArgumentError, NotComposableError
 from cutgrids.shapes import GammaMorphism, Multisimplex, gamma_compose
 
 
@@ -465,9 +467,115 @@ def reference_gamma_then_table(base: FinCategory) -> dict:
 def test_gamma_then_table_matches_the_all_pairs_reference(n):
     base = gamma_segal_category(n)
     want = reference_gamma_then_table(base)
-    assert list(base.then_table.items()) == list(want.items())
     keys = {f: f for f in base.arrows}
-    assert all(keys[h] is h for h in base.then_table.values())
+    for (f, g), h in want.items():
+        got = base.then(f, g)
+        assert got == h
+        assert keys[got] is got
+    assert list(base.then_table) == list(want)
+    assert len(base.then_table) == len(want)
+
+
+def generated_arrows(base: FinCategory) -> set:
+    """The identities closed under composing a generator on the left."""
+    reached = set(base.identity.values())
+    frontier = list(reached)
+    while frontier:
+        g = frontier.pop()
+        for s in base.generators:
+            if base.dst(s) == base.src(g):
+                h = base.then(s, g)
+                if h not in reached:
+                    reached.add(h)
+                    frontier.append(h)
+    return reached
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_gamma_generators_reach_every_arrow(n):
+    base = gamma_segal_category(n)
+    assert set(base.generators) <= set(base.arrows)
+    assert generated_arrows(base) == set(base.arrows)
+
+
+def test_gamma_presheaves_at_size_five_compose_per_generator(monkeypatch):
+    calls = 0
+    compose = finitecat.gamma_compose_actions
+
+    def counted(first, second):
+        nonlocal calls
+        calls += 1
+        return compose(first, second)
+
+    monkeypatch.setattr(finitecat, "gamma_compose_actions", counted)
+    base = gamma_segal_category(5)
+    assert len(base.arrows) == 15_035
+    p = constant_gamma_presheaf({"a", "b"}, 5)
+    assert all(check_segal_gamma(p, kappa, ell) is False
+               for kappa in range(6) for ell in range(6 - kappa))
+    assert 0 < calls <= len(base.arrows) * len(base.generators)
+
+
+@st.composite
+def gamma_presheaves(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return constant_gamma_presheaf({"a", "b"}, n)
+    if kind == 1:
+        return monoid_power_presheaf(range(2), lambda a, b: (a + b) % 2, 0, n)
+    return monoid_power_presheaf(range(3), max, 0, n)
+
+
+@given(gamma_presheaves(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gamma_generator_check_matches_the_all_pairs_reference(presheaf, data):
+    # the reference walks the Gamma then-table, which lists every composable
+    # pair and composes it through base.then
+    base = presheaf.base
+    identities = set(base.identity.values())
+    f = data.draw(st.sampled_from(sorted(set(base.arrows) - identities, key=repr)))
+    s, t = base.arrows[f]
+    e = data.draw(st.sampled_from(sorted(presheaf.sets[t], key=repr)))
+    image = data.draw(st.sampled_from(sorted(presheaf.sets[s], key=repr)))
+    actions = dict(presheaf.actions)
+    actions[f] = {**actions[f], e: image}
+    want = reference_presheaf_error(base, presheaf.sets, actions)
+    try:
+        FinPresheaf(base, presheaf.sets, actions)
+        rejected = False
+    except ArgumentError:
+        rejected = True
+    assert rejected == (want is not None)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_gamma_base_reads_like_its_tabled_copy(n):
+    base = gamma_segal_category(n)
+    tabled = FinCategory(base.objects, base.arrows, base.identity,
+                         reference_gamma_then_table(base))
+    assert serialize_document(document_for(base)) == serialize_document(
+        document_for(tabled))
+    assert all(((f, g) in base.then_table) == ((f, g) in tabled.then_table)
+               for f in base.arrows for g in base.arrows)
+    if n:
+        with pytest.raises(NotComposableError):
+            base.then(base.identity[0], base.identity[n])
+    FinFunctor(base, tabled, {x: x for x in base.objects},
+               {f: f for f in base.arrows})
+    FinFunctor(tabled, base, {x: x for x in base.objects},
+               {f: f for f in base.arrows})
+    assert nerve(base, 2).faces == nerve(tabled, 2).faces
+    assert check_completeness_nerve(base) is check_completeness_nerve(tabled)
+    assert preorder_diagnostics(base) == preorder_diagnostics(tabled)
+
+
+def test_gamma_base_serves_the_category_readers():
+    base = gamma_segal_category(2)
+    assert len(nerve(base, 2).simplices[2]) == 233
+    assert check_completeness_nerve(base) is False
+    _, projection = elements_category(monoid_power_presheaf(range(2), max, 0, 2))
+    assert is_discrete_fibration(projection) is True
 
 
 def reference_monoid_actions(base: FinCategory, elems, add, zero) -> dict:
