@@ -20,6 +20,7 @@ and cohomology theories", Topology 13, 1974).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Mapping
@@ -449,27 +450,27 @@ def is_discrete_fibration(p: FinFunctor) -> bool:
 
 def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
     """Strict chain decomposition: X_{a+b} -> X_a x_{X_0} X_b (initial-a and
-    final-b restrictions, matching at the shared vertex) is a bijection."""
+    final-b restrictions, matching at the shared vertex) is a bijection.
+
+    The map is checked injective and into the fibre product, and then onto
+    it by counting: the fibre product has, for each v in X_b, as many pairs
+    as there are u in X_a ending at v's first vertex."""
     if a < 0 or b < 0:
         raise ArgumentError("chain lengths must be nonnegative")
     if a + b > sset.level:
         raise ArgumentError(f"level {sset.level} too low for a+b={a + b}")
     init = MonotoneMap(a, a + b, tuple(range(a + 1)))
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
-    pairs = {}
+    end = {u: sset.vertex(a, a, u) for u in sset.simplices[a]}
+    start = {v: sset.vertex(b, 0, v) for v in sset.simplices[b]}
+    pairs = set()
     for x in sset.simplices[a + b]:
         u, v = sset.restrict(init, x), sset.restrict(fin, x)
-        key = (u, v)
-        if key in pairs:
-            return False  # not injective
-        pairs[key] = x
-    target = {
-        (u, v)
-        for u in sset.simplices[a]
-        for v in sset.simplices[b]
-        if sset.vertex(a, a, u) == sset.vertex(b, 0, v)
-    }
-    return set(pairs.keys()) == target
+        if (u, v) in pairs or u not in end or v not in start or end[u] != start[v]:
+            return False
+        pairs.add((u, v))
+    ends = Counter(end.values())
+    return len(pairs) == sum(ends[w] for w in start.values())
 
 
 def check_completeness_nerve(category: FinCategory) -> bool:

@@ -46,8 +46,6 @@ from .plgeom import (
     is_finite,
     line_region,
     plfunc_equal,
-    plfunc_max,
-    plfunc_min,
     plfunc_order,
     rational_to_text,
     region_boolean,
@@ -56,12 +54,10 @@ from .plgeom import (
     region_difference,
     region_is_compact_in,
     region_is_empty,
-    region_normalize,
     region_sample_point,
     region_subset,
     ambient_region,
     component_region,
-    strict_between_cells,
 )
 from .reporting import ReportEntry, ValidationReport
 from .shapes import GammaMorphism, MonotoneMap, Multisimplex
@@ -462,77 +458,38 @@ def _component_parts_1d(comp: ComponentCut1D, i: int,
     return parts["below"], parts["level"], parts["above"]
 
 
-def _box_band_cells_axis2(comp: ComponentCut2D,
-                          box) -> tuple[list, list, list]:
-    """(below, level, above) cells of one box, axis-2 cut."""
-    x0, x1, y0, y1 = box
+def _component_parts_2d(comp: ComponentCut2D,
+                        axis: int) -> tuple[list, list, list]:
+    """(below, level, above) cells of a planar component's cut over the
+    whole plane, before `cut_regions` clips them to the component's boxes.
+
+    The sheets are walls w_1 < ... < w_n: graphs y = w(x) on axis 2, and
+    vertical lines x = w on axis 1, which supports only constant sheets.
+    With -inf and +inf at the ends, the open band between w_k and w_{k+1}
+    lies on the side that k crossings from the first sheet's sign give,
+    and each wall is one closed level slab."""
+    if axis == 2:
+        def slab(lo, hi, closed: bool) -> Slab:
+            return Slab(NEG_INF, INF, False, False, lo, hi, closed, closed)
+    else:
+        def slab(lo, hi, closed: bool) -> Slab:
+            return Slab(lo, hi, closed, closed, NEG_INF, INF, False, False)
     parts: dict[str, list] = {"below": [], "level": [], "above": []}
-    ylo = PLFunc.constant(y0) if is_finite(y0) else NEG_INF
-    yhi = PLFunc.constant(y1) if is_finite(y1) else INF
     if comp.kind == "whole":
-        parts[comp.whole_sign].append(
-            Slab(x0, x1, False, False, ylo, yhi, False, False))
+        parts[comp.whole_sign].append(slab(NEG_INF, INF, False))
         return parts["below"], parts["level"], parts["above"]
-    sheets = comp.sheets
-    first = sheets[0].sign
-    window = line_region(Seg(x0, x1, False, False))
-    for sheet in sheets:
-        for seg in strict_between_cells(sheet.graph, y0, y1, window):
-            parts["level"].append(Slab(
-                seg.lo, seg.hi, seg.lo_closed, seg.hi_closed,
-                sheet.graph, sheet.graph, True, True))
-    n = len(sheets)
-    for band in range(n + 1):
-        if band == 0:
-            lower = ylo
-        else:
-            g = sheets[band - 1].graph
-            lower = plfunc_max(g, ylo) if is_finite(y0) else g
-        if band == n:
-            upper = yhi
-        else:
-            g = sheets[band].graph
-            upper = plfunc_min(g, yhi) if is_finite(y1) else g
-        parts[_side_of_count(first, band)].append(
-            Slab(x0, x1, False, False, lower, upper, False, False))
-    return parts["below"], parts["level"], parts["above"]
-
-
-def _constant_value(f: PLFunc) -> Optional[Fraction]:
-    return f.values[0] if f.is_constant() else None
-
-
-def _box_band_cells_axis1(comp: ComponentCut2D,
-                          box) -> tuple[list, list, list]:
-    """Axis-1 analogue; sheets must be constant (vertical lines)."""
-    x0, x1, y0, y1 = box
-    parts: dict[str, list] = {"below": [], "level": [], "above": []}
-    ylo = PLFunc.constant(y0) if is_finite(y0) else NEG_INF
-    yhi = PLFunc.constant(y1) if is_finite(y1) else INF
-    if comp.kind == "whole":
-        parts[comp.whole_sign].append(
-            Slab(x0, x1, False, False, ylo, yhi, False, False))
-        return parts["below"], parts["level"], parts["above"]
-    consts = []
-    for sheet in comp.sheets:
-        c = _constant_value(sheet.graph)
-        if c is None:
+    walls = [sheet.graph for sheet in comp.sheets]
+    if axis == 1:
+        if not all(g.is_constant() for g in walls):
             raise UnsupportedDimensionError(
                 "region extraction for a first-axis cut needs vertical "
                 "(constant) sheets")
-        consts.append(c)
+        walls = [g.values[0] for g in walls]
+    ends = [NEG_INF, *walls, INF]
     first = comp.sheets[0].sign
-    for c in consts:
-        if x0 < c < x1:
-            parts["level"].append(
-                Slab(c, c, True, True, ylo, yhi, False, False))
-    n = len(consts)
-    for band in range(n + 1):
-        lo = x0 if band == 0 else max(x0, consts[band - 1])
-        hi = x1 if band == n else min(consts[band], x1)
-        if lo < hi:
-            parts[_side_of_count(first, band)].append(
-                Slab(lo, hi, False, False, ylo, yhi, False, False))
+    for k in range(len(ends) - 1):
+        parts[_side_of_count(first, k)].append(slab(ends[k], ends[k + 1], False))
+    parts["level"].extend(slab(w, w, True) for w in walls)
     return parts["below"], parts["level"], parts["above"]
 
 
@@ -540,9 +497,11 @@ def _box_band_cells_axis1(comp: ComponentCut2D,
 def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegion]:
     """The (below, level, above) partition of the ambient by a cut.
 
-    Each component (or box) gives its three parts in one pass.  A 1D
-    partition is read straight from the signed zeros, which is correct only
-    for a valid cut, so an invalid 1D cut raises ValidationError.
+    Each component gives its three parts in one pass.  A 1D partition is
+    read straight from the signed zeros, which is correct only for a valid
+    cut, so an invalid 1D cut raises ValidationError.  A 2D component's
+    parts are its bands and sheets over the whole plane, unclipped, each
+    intersected with the component's boxes by the region engine.
 
     The result is memoized on the value of (cut, ambient): both are frozen
     and normalized to exact rationals, and the parts are frozen regions.
@@ -564,13 +523,13 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
         return tuple(PLRegion(1, tuple(part)) for part in parts)
     if not isinstance(ambient, Ambient2D):
         raise ArgumentError("2D cut needs a 2D ambient")
-    builder = _box_band_cells_axis2 if cut.axis == 2 else _box_band_cells_axis1
     for ci in range(ambient.n_components()):
-        comp = cut.components[ci]
-        for box in ambient.component_boxes(ci):
-            for part, cells in zip(parts, builder(comp, box)):
-                part.extend(cells)
-    return tuple(region_normalize(PLRegion(2, tuple(part))) for part in parts)
+        boxes = component_region(ambient, ci)
+        comp_parts = _component_parts_2d(cut.components[ci], cut.axis)
+        for part, cells in zip(parts, comp_parts):
+            part.extend(region_boolean(
+                "intersect", PLRegion(2, tuple(cells)), boxes).cells)
+    return tuple(PLRegion(2, tuple(part)) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,11 +1048,14 @@ def _transport_component_1d(comp: ComponentCut1D, aff: AffineMap,
 
 
 def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
+    """Whether the sheet meets the open boxes: the graph of an axis-1
+    sheet is x = graph(y), so its boxes are transposed first."""
     if axis == 1:
         boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
-    return any(
-        strict_between_cells(graph, v0, v1, line_region(Seg(a0, a1, False, False)))
-        for a0, a1, v0, v1 in boxes)
+    sheet = PLRegion(2, (Slab(NEG_INF, INF, False, False,
+                              graph, graph, True, True),))
+    return not region_is_empty(region_boolean(
+        "intersect", sheet, ambient_region(Ambient2D(tuple(boxes)))))
 
 
 def _transport_component_2d(comp: ComponentCut2D, axis: int, src_axis: int,

@@ -307,33 +307,6 @@ def plfunc_min_on_closed(f: PLFunc, lo: End, hi: End) -> End:
     return NEG_INF if m == INF else -m
 
 
-def _tail_winner(f: PLFunc, g: PLFunc, x_probe: Fraction, want_max: bool) -> PLFunc:
-    fv, gv = f(x_probe), g(x_probe)
-    if fv == gv:
-        # tied on the whole tail (probe sits beyond every crossing)
-        return f
-    return (f if fv > gv else g) if want_max else (f if fv < gv else g)
-
-
-def _combine(f: PLFunc, g: PLFunc, want_max: bool) -> PLFunc:
-    xs = sorted(
-        set(f.breakpoints) | set(g.breakpoints) | set(plfunc_crossings(f, g))
-    )
-    pick = max if want_max else min
-    values = tuple(pick(f(x), g(x)) for x in xs)
-    left = _tail_winner(f, g, xs[0] - 1, want_max).left_slope
-    right = _tail_winner(f, g, xs[-1] + 1, want_max).right_slope
-    return PLFunc(tuple(xs), values, left, right)
-
-
-def plfunc_max(f: PLFunc, g: PLFunc) -> PLFunc:
-    return _combine(f, g, True)
-
-
-def plfunc_min(f: PLFunc, g: PLFunc) -> PLFunc:
-    return _combine(f, g, False)
-
-
 # ---------------------------------------------------------------------------
 # Region cells
 # ---------------------------------------------------------------------------
@@ -349,16 +322,14 @@ class Seg:
     hi_closed: bool
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValidationError("segment endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValidationError("a degenerate segment must be a closed point")
-        if not is_finite(self.lo) and self.lo_closed:
+        if not self.lo < self.hi:
+            if self.lo > self.hi:
+                raise ValidationError("segment endpoints out of order")
+            if not (self.lo_closed and self.hi_closed):
+                raise ValidationError("a degenerate segment must be a closed point")
+        if (self.lo_closed and not is_finite(self.lo)) or (
+                self.hi_closed and not is_finite(self.hi)):
             raise ValidationError("infinite endpoint cannot be closed")
-        if not is_finite(self.hi) and self.hi_closed:
-            raise ValidationError("infinite endpoint cannot be closed")
-        if self.lo == self.hi and not is_finite(self.lo):
-            raise ValidationError("degenerate segment at infinity")
 
     def contains(self, x) -> bool:
         lo_ok = self.lo < x or (self.lo == x and self.lo_closed)
@@ -575,8 +546,8 @@ def line_cells_from_predicate(
     criticals: Iterable[Fraction], pred: Callable[[Fraction], bool]
 ) -> tuple[Seg, ...]:
     """The subset {x : pred(x)} as segments, assuming pred is constant between
-    consecutive critical coordinates: the sublevel sets of a PL function
-    (`_sublevel_region`) and the strict-between sets of `strict_between_cells`."""
+    consecutive critical coordinates, as on the sublevel sets of a PL
+    function (`_sublevel_region`)."""
     atoms, _ = _line_atoms(criticals)
     included = [pred(_atom_rep(a)) for a in atoms]
     return tuple(Seg(*run) for run in _line_runs(atoms, included))
@@ -1203,30 +1174,3 @@ def plfunc_is_positive_on(f: PLFunc, domain: PLRegion) -> bool:
     """f > 0 at every point of a 1D line domain."""
     nonpos = region_boolean("intersect", _sublevel_region(f, False), domain)
     return region_is_empty(nonpos)
-
-
-def strict_between_cells(
-    f: PLFunc, y_lo: End, y_hi: End, window: PLRegion
-) -> tuple[Seg, ...]:
-    """{x in window : y_lo < f(x) < y_hi} as line segments."""
-    crit = set(f.breakpoints)
-    if is_finite(y_lo):
-        crit |= set(plfunc_zeros(f.add_constant(-fr(y_lo))))
-    if is_finite(y_hi):
-        crit |= set(plfunc_zeros(f.add_constant(-fr(y_hi))))
-    for c in window.cells:
-        if isinstance(c, Seg):
-            if is_finite(c.lo):
-                crit.add(c.lo)
-            if is_finite(c.hi):
-                crit.add(c.hi)
-
-    def pred(x: Fraction) -> bool:
-        if not region_contains_point(window, x):
-            return False
-        v = f(x)
-        return (y_lo < v if is_finite(y_lo) else True) and (
-            v < y_hi if is_finite(y_hi) else True
-        )
-
-    return line_cells_from_predicate(crit, pred)

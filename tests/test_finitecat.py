@@ -39,7 +39,7 @@ from cutgrids.finitecat import (
 from cutgrids import finitecat
 from cutgrids.documents import document_for, serialize_document
 from cutgrids.errors import ArgumentError, NotComposableError
-from cutgrids.shapes import GammaMorphism, Multisimplex, gamma_compose
+from cutgrids.shapes import GammaMorphism, MonotoneMap, Multisimplex, gamma_compose
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +302,6 @@ def test_nerve_vertices():
 
 
 def test_restrict_along_degeneracy_inserts_identity():
-    from cutgrids.shapes import MonotoneMap
-
     chain = chain_poset(1)
     n = nerve(chain, 2)
     alpha = MonotoneMap(2, 1, (0, 0, 1))
@@ -362,6 +360,58 @@ def test_nerves_satisfy_chain_decomposition(cat):
     for a in range(4):
         for b in range(4 - a):
             assert check_segal_delta(n, a, b) is True
+
+
+def segal_by_target_set(sset, a, b):
+    """Chain decomposition checked against the whole fibre product."""
+    init = MonotoneMap(a, a + b, tuple(range(a + 1)))
+    fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
+    pairs = [(sset.restrict(init, x), sset.restrict(fin, x))
+             for x in sset.simplices[a + b]]
+    target = {(u, v) for u in sset.simplices[a] for v in sset.simplices[b]
+              if sset.vertex(a, a, u) == sset.vertex(b, 0, v)}
+    return len(set(pairs)) == len(pairs) and set(pairs) == target
+
+
+def twisted_pair():
+    """Two 2-simplices whose first and last edges are the same edge, so the
+    restrictions of each disagree at the shared vertex; the map is still
+    injective and the fibre product {(f, g), (g, f)} has two pairs too."""
+    faces = {(1, 0): {"f": 1, "g": 0}, (1, 1): {"f": 0, "g": 1}}
+    for i in range(3):
+        faces[(2, i)] = {"x": "f", "y": "g"}
+    return TruncSSet(2, ({0, 1}, {"f", "g"}, {"x", "y"}), faces, {},
+                     validate=False)
+
+
+@st.composite
+def rewired_nerves(draw):
+    """A nerve up to level 3 with a few face values sent elsewhere, left
+    unvalidated."""
+    sset = nerve(draw(small_categories()), draw(st.integers(1, 3)))
+    faces = {key: dict(m) for key, m in sset.faces.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        k, i = draw(st.sampled_from(sorted(faces)))
+        x = draw(st.sampled_from(sorted(faces[(k, i)], key=repr)))
+        faces[(k, i)][x] = draw(st.sampled_from(sorted(sset.simplices[k - 1], key=repr)))
+    return TruncSSet(sset.level, sset.simplices, faces, sset.degeneracies,
+                     validate=False)
+
+
+@given(rewired_nerves(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_decomposition_counts_as_the_target_set_does(sset, data):
+    a = data.draw(st.integers(0, sset.level))
+    b = data.draw(st.integers(0, sset.level - a))
+    assert check_segal_delta(sset, a, b) is segal_by_target_set(sset, a, b)
+
+
+def test_chain_decomposition_rejects_restrictions_that_disagree_at_the_vertex():
+    twisted = twisted_pair()
+    assert check_segal_delta(twisted, 1, 1) is False
+    assert segal_by_target_set(twisted, 1, 1) is False
+    assert check_segal_delta(triangle_boundary(), 1, 1) is segal_by_target_set(
+        triangle_boundary(), 1, 1)
 
 
 @given(small_categories())

@@ -6,19 +6,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutgrids.errors import ArgumentError, ValidationError
+from cutgrids.errors import ArgumentError, UnsupportedDimensionError, ValidationError
 from cutgrids.plgeom import (
     INF,
     NEG_INF,
     Ambient1D,
     Ambient2D,
     PLFunc,
+    PLRegion,
     Seg,
+    Slab,
     interval_rep,
+    line_cells_from_predicate,
     line_region,
+    plfunc_zeros,
     region_contains_point,
     region_equal,
     region_is_empty,
+    region_normalize,
 )
 from cutgrids.grids import (
     AffineMap,
@@ -358,6 +363,172 @@ def test_cut_regions_memo_computes_each_partition_once(monkeypatch):
     parts = cut_regions(rebuilt, bordism.ambient)
     assert parts is cut_regions(cut, bordism.ambient)
     assert cut_regions.cache_info().misses == info.misses
+
+
+# ---------------------------------------------------------------------------
+# 2D partitions against clipped box bands
+# ---------------------------------------------------------------------------
+
+def positive_part(f):
+    """max(f, 0) as a PL function."""
+    xs = sorted({*f.breakpoints, F(0), *plfunc_zeros(f)})
+
+    def tail(x, slope):
+        return slope if f(x) >= 0 else 0
+
+    return PLFunc(tuple(xs), tuple(max(f(x), 0) for x in xs),
+                  tail(xs[0] - 1, f.left_slope), tail(xs[-1] + 1, f.right_slope))
+
+
+def clip_below(g, c):
+    """max(g, c) for a finite c."""
+    return positive_part(g.add_constant(-c)).add_constant(c)
+
+
+def clip_above(g, c):
+    """min(g, c) for a finite c."""
+    return positive_part(g.neg().add_constant(c)).neg().add_constant(c)
+
+
+def strict_between(f, v0, v1, a0, a1):
+    """{a0 < x < a1 : v0 < f(x) < v1} as line segments."""
+    crit = set(f.breakpoints) | {e for e in (a0, a1) if e not in (NEG_INF, INF)}
+    for v in (v0, v1):
+        if v not in (NEG_INF, INF):
+            crit |= set(plfunc_zeros(f.add_constant(-v)))
+    return line_cells_from_predicate(
+        crit, lambda x: a0 < x < a1 and v0 < f(x) < v1)
+
+
+def box_parts(comp, axis, box):
+    """(below, level, above) cells of one box, each band clipped to the box
+    by pointwise max and min and each level cut to where its graph lies
+    strictly inside the box."""
+    x0, x1, y0, y1 = box
+    ylo = PLFunc.constant(y0) if y0 != NEG_INF else NEG_INF
+    yhi = PLFunc.constant(y1) if y1 != INF else INF
+    parts = {"below": [], "level": [], "above": []}
+
+    def band(lo, hi):
+        return Slab(lo[0], hi[0], False, False, lo[1], hi[1], False, False)
+
+    if comp.kind == "whole":
+        parts[comp.whole_sign].append(band((x0, ylo), (x1, yhi)))
+        return parts["below"], parts["level"], parts["above"]
+    sign = grids._side_of_count
+    first, n = comp.sheets[0].sign, len(comp.sheets)
+    if axis == 2:
+        for sheet in comp.sheets:
+            for seg in strict_between(sheet.graph, y0, y1, x0, x1):
+                parts["level"].append(Slab(
+                    seg.lo, seg.hi, seg.lo_closed, seg.hi_closed,
+                    sheet.graph, sheet.graph, True, True))
+        for k in range(n + 1):
+            lower = ylo if k == 0 else comp.sheets[k - 1].graph
+            upper = yhi if k == n else comp.sheets[k].graph
+            if k and y0 != NEG_INF:
+                lower = clip_below(lower, y0)
+            if k < n and y1 != INF:
+                upper = clip_above(upper, y1)
+            parts[sign(first, k)].append(band((x0, lower), (x1, upper)))
+    else:
+        walls = [sheet.graph.values[0] for sheet in comp.sheets]
+        for c in walls:
+            if x0 < c < x1:
+                parts["level"].append(Slab(c, c, True, True, ylo, yhi, False, False))
+        for k in range(n + 1):
+            lo = x0 if k == 0 else max(x0, walls[k - 1])
+            hi = x1 if k == n else min(walls[k], x1)
+            if lo < hi:
+                parts[sign(first, k)].append(band((lo, ylo), (hi, yhi)))
+    return parts["below"], parts["level"], parts["above"]
+
+
+def clipped_cut_regions(cut, ambient):
+    parts = ([], [], [])
+    for ci, comp in enumerate(cut.components):
+        for box in ambient.component_boxes(ci):
+            for part, cells in zip(parts, box_parts(comp, cut.axis, box)):
+                part.extend(cells)
+    return tuple(region_normalize(PLRegion(2, tuple(p))) for p in parts)
+
+
+@st.composite
+def graphs(draw):
+    """A PL function with up to three breakpoints on the quarter grid in
+    [-4, 4] and tail slopes in [-2, 2]."""
+    xs = sorted(draw(st.sets(small_fracs(-4, 4), min_size=1, max_size=3)))
+    return PLFunc(tuple(xs), tuple(draw(small_fracs(-4, 4)) for _ in xs),
+                  draw(small_fracs(-2, 2)), draw(small_fracs(-2, 2)))
+
+
+def box_ends(draw):
+    """One side pair of a box on the integers in [-4, 4], either end
+    sometimes infinite."""
+    lo, hi = sorted(draw(st.sets(st.integers(-4, 4), min_size=2, max_size=2)))
+    return (NEG_INF if draw(st.integers(0, 3)) == 0 else F(lo),
+            INF if draw(st.integers(0, 3)) == 0 else F(hi))
+
+
+@st.composite
+def plane_cuts(draw):
+    """One to three boxes (overlapping ones form one component) and a valid
+    cut of either axis: per component, one in five whole, else one to three
+    sheets of alternating signs, constant on axis 1 and any PL graphs
+    stacked strictly upwards on axis 2."""
+    boxes = tuple((*box_ends(draw), *box_ends(draw))
+                  for _ in range(draw(st.integers(1, 3))))
+    ambient = Ambient2D(boxes)
+    axis = draw(st.sampled_from((1, 2)))
+    comps = []
+    for _ in range(ambient.n_components()):
+        if draw(st.integers(0, 4)) == 0:
+            comps.append(ComponentCut2D(
+                "whole", (), draw(st.sampled_from(("below", "above")))))
+            continue
+        n = draw(st.integers(1, 3))
+        if axis == 1:
+            walls = sorted(draw(st.sets(small_fracs(-5, 5), min_size=n, max_size=n)))
+            stack = [PLFunc.constant(w) for w in walls]
+        else:
+            stack = [draw(graphs())]
+            for _ in range(n - 1):
+                gap = positive_part(draw(graphs())).add_constant(draw(small_fracs(1, 2)))
+                stack.append(stack[-1].add(gap))
+        first = draw(st.sampled_from("+-"))
+        comps.append(ComponentCut2D("sheets", tuple(
+            Sheet(g, s) for g, (_p, s) in zip(stack, alternating(stack, first)))))
+    cut = Cut2D(axis, tuple(comps))
+    validate_cut(cut, ambient)
+    return cut, ambient
+
+
+@given(plane_cuts())
+@settings(max_examples=150, deadline=None)
+def test_plane_parts_equal_the_clipped_box_bands(cut_amb):
+    cut, ambient = cut_amb
+    got = cut_regions(cut, ambient)
+    for part, reference in zip(got, clipped_cut_regions(cut, ambient)):
+        assert region_equal(part, reference)
+
+
+@given(plane_cuts(), st.sampled_from((1, 2)))
+@settings(max_examples=150, deadline=None)
+def test_sheet_crossing_matches_the_strict_between_test(cut_amb, axis):
+    cut, ambient = cut_amb
+    boxes = ambient.boxes
+    flipped = boxes if axis == 2 else [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
+    for comp in cut.components:
+        for sheet in comp.sheets:
+            expected = any(strict_between(sheet.graph, v0, v1, a0, a1)
+                           for a0, a1, v0, v1 in flipped)
+            assert grids._sheet_crosses_component(sheet.graph, axis, boxes) == expected
+
+
+def test_first_axis_parts_need_vertical_sheets():
+    slanted = Cut2D(1, (ComponentCut2D("sheets", (Sheet(PLFunc.affine(1, 0), "+"),)),))
+    with pytest.raises(UnsupportedDimensionError, match="vertical"):
+        cut_regions(slanted, FULL_PLANE)
 
 
 def test_sheet_stack_must_be_strictly_ordered():

@@ -30,9 +30,7 @@ from cutgrids.plgeom import (
     plfunc_crossings,
     plfunc_integral,
     plfunc_is_positive_on,
-    plfunc_max,
     plfunc_max_on_closed,
-    plfunc_min,
     plfunc_min_on_closed,
     plfunc_order,
     plfunc_zeros,
@@ -49,7 +47,6 @@ from cutgrids.plgeom import (
     region_normalize,
     region_sample_point,
     region_subset,
-    strict_between_cells,
 )
 
 
@@ -106,6 +103,18 @@ def mixed_regions(draw):
     return PLRegion(1, tuple(cells))
 
 
+def positive_part(f):
+    """max(f, 0), with breakpoints at those of f, at 0 and at the zeros of
+    f, so its pieces can touch 0 over an interval."""
+    xs = sorted({*f.breakpoints, Fraction(0), *plfunc_zeros(f)})
+
+    def tail(x, slope):
+        return slope if f(x) >= 0 else 0
+
+    return PLFunc(tuple(xs), tuple(max(f(x), 0) for x in xs),
+                  tail(xs[0] - 1, f.left_slope), tail(xs[-1] + 1, f.right_slope))
+
+
 @st.composite
 def slabs(draw):
     """Any slab: infinite or single-point x-ranges, infinite bounds, and PL
@@ -124,7 +133,7 @@ def slabs(draw):
     elif lower is NEG_INF:
         upper = draw(plfuncs())
     else:
-        upper = lower.add(plfunc_max(draw(plfuncs()), PLFunc.constant(0)))
+        upper = lower.add(positive_part(draw(plfuncs())))
     return Slab(*x_range, lower, upper,
                 lower is not NEG_INF and draw(st.booleans()),
                 upper is not INF and draw(st.booleans()))
@@ -340,12 +349,6 @@ def test_plfunc_hash_is_the_field_hash():
     assert "_pieces" not in repr(ints)
 
 
-@given(plfuncs(), plfuncs(), rationals())
-def test_max_min_are_pointwise(f, g, x):
-    assert plfunc_max(f, g)(x) == max(f(x), g(x))
-    assert plfunc_min(f, g)(x) == min(f(x), g(x))
-
-
 def test_extrema_on_closed_hulls():
     vee = PLFunc.from_points([(-1, -1), (0, 1), (1, -1)])
     assert plfunc_max_on_closed(vee, -1, 1) == 1
@@ -366,6 +369,27 @@ def test_extrema_on_closed_hulls():
                    PLFunc.affine(1, 5), True, True)
     with pytest.raises(ValidationError, match="lower bound above upper bound"):
         region_bounded(PLRegion(2, (crossed,)))
+
+
+@pytest.mark.parametrize("ends, message", [
+    ((1, 0, True, True), "endpoints out of order"),
+    ((INF, NEG_INF, False, False), "endpoints out of order"),
+    ((1, 1, True, False), "degenerate segment must be a closed point"),
+    ((INF, INF, False, False), "degenerate segment must be a closed point"),
+    ((NEG_INF, 0, True, False), "infinite endpoint cannot be closed"),
+    ((0, INF, False, True), "infinite endpoint cannot be closed"),
+    ((INF, INF, True, True), "infinite endpoint cannot be closed"),
+    ((NEG_INF, NEG_INF, True, True), "infinite endpoint cannot be closed"),
+])
+def test_segment_guards(ends, message):
+    with pytest.raises(ValidationError, match=message):
+        Seg(*ends)
+
+
+def test_segments_that_pass_the_guards():
+    for ends in ((1, 1, True, True), (NEG_INF, INF, False, False),
+                 (0, 1, False, True), (NEG_INF, 0, False, True)):
+        assert Seg(*ends).contains(ends[1]) is ends[3]
 
 
 def test_order_verdicts():
@@ -390,13 +414,6 @@ def test_positivity_on_domains():
     assert plfunc_is_positive_on(bump, inner) is True
     assert plfunc_is_positive_on(bump, line) is False
     assert plfunc_is_positive_on(PLFunc.constant(1), line) is True
-
-
-def test_strict_between_cells_oracle():
-    ramp = PLFunc.affine(1, 0)
-    window = line_region(Seg(-10, 10, True, True))
-    cells = strict_between_cells(ramp, 0, 2, window)
-    assert list(cells) == [Seg(0, 2, False, False)]
 
 
 # ---------------------------------------------------------------------------
