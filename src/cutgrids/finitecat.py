@@ -51,15 +51,13 @@ class FinCategory:
     ``arrows`` maps an arrow name to its (source, target) pair,
     ``identity`` picks the identity arrow of each object, and
     ``then_table[(f, g)]`` is the composite f-then-g for every composable
-    pair.  Associativity and unitality are checked by enumeration unless
-    ``validate=False`` (for carriers that are associative by construction).
+    pair.  Associativity and unitality are checked by enumeration.
     """
 
     objects: tuple[Obj, ...]
     arrows: Mapping[Arrow, tuple[Obj, Obj]]
     identity: Mapping[Obj, Arrow]
     then_table: Mapping[tuple[Arrow, Arrow], Arrow]
-    validate: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrows", dict(self.arrows))
@@ -75,8 +73,6 @@ class FinCategory:
             i = self.identity.get(x)
             if i is None or self.arrows.get(i) != (x, x):
                 raise ArgumentError(f"object {x!r} lacks a well-formed identity")
-        if not self.validate:
-            return
         for f, g in self.then_table:
             if f not in self.arrows or g not in self.arrows:
                 raise ArgumentError(
@@ -118,7 +114,10 @@ class FinCategory:
         return self.arrows[f][1]
 
     def then(self, f: Arrow, g: Arrow) -> Arrow:
-        return self.then_table[(f, g)]
+        try:
+            return self.then_table[(f, g)]
+        except KeyError:
+            raise NotComposableError(f"{f!r} does not compose with {g!r}") from None
 
     def functoriality_pairs(self) -> Iterable[tuple[tuple[Arrow, Arrow], Arrow]]:
         """The composable pairs, each with its composite, on which a
@@ -174,12 +173,11 @@ class FinPresheaf:
     """A contravariant set-valued functor on a finite category.
 
     ``actions[f]`` for f: x -> y is the restriction map F(y) -> F(x), given
-    as a dict.  Functoriality is checked by enumeration unless
-    ``validate=False`` (used for deliberately broken negative fixtures): each
-    action is translated once into a list of positions, one per element of
-    F(y) in a fixed order, giving its image's position in F(x), so each pair
-    the base supplies through ``functoriality_pairs`` is checked by composing
-    two such lists.  A tabled base supplies every composable pair; the Γ base
+    as a dict.  Functoriality is checked by enumeration: each action is
+    translated once into a list of positions, one per element of F(y) in a
+    fixed order, giving its image's position in F(x), so each pair the base
+    supplies through ``functoriality_pairs`` is checked by composing two
+    such lists.  A tabled base supplies every composable pair; the Γ base
     of ``gamma_segal_category`` supplies its generators' pairs, which the
     module docstring shows is enough.
     """
@@ -187,15 +185,12 @@ class FinPresheaf:
     base: FinCategory
     sets: Mapping[Obj, frozenset]
     actions: Mapping[Arrow, Mapping]
-    validate: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sets", {x: frozenset(s) for x, s in self.sets.items()})
         object.__setattr__(
             self, "actions", {f: dict(a) for f, a in self.actions.items()}
         )
-        if not self.validate:
-            return
         for x in self.base.objects:
             if x not in self.sets:
                 raise ArgumentError(f"no set assigned to object {x!r}")
@@ -531,8 +526,7 @@ class _GammaBase(FinCategory):
     def __init__(self, objects, arrows, identity, out_of, generators) -> None:
         object.__setattr__(self, "out_of", out_of)
         object.__setattr__(self, "generators", generators)
-        super().__init__(objects, arrows, identity, _ComposablePairs(self),
-                         validate=False)
+        super().__init__(objects, arrows, identity, _ComposablePairs(self))
 
     def __post_init__(self) -> None:
         """Nothing to check: every arrow is built well-formed, and

@@ -651,26 +651,21 @@ def grid_check(g: CutGrid, ambient: Ambient) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _direction_between(tup: CutTuple, ambient: Ambient, j: int, jp: int,
-                       closed: bool) -> PLRegion:
+def _direction_between(tup: CutTuple, ambient: Ambient, j: int,
+                       jp: int) -> PLRegion:
     if not (0 <= j <= jp <= tup.m):
         raise ArgumentError(f"bad index pair ({j}, {jp}) for [{tup.m}]")
     lo_b, lo_l, lo_a = cut_regions(tup.cuts[j], ambient)
     hi_b, hi_l, hi_a = cut_regions(tup.cuts[jp], ambient)
-    if closed:
-        lo_part = region_boolean("union", lo_a, lo_l)
-        hi_part = region_boolean("union", hi_b, hi_l)
-    else:
-        lo_part, hi_part = lo_a, hi_b
-    return region_boolean("intersect", lo_part, hi_part)
+    return region_boolean("intersect", region_boolean("union", lo_a, lo_l),
+                          region_boolean("union", hi_b, hi_l))
 
 
 def region_between(g: CutGrid, ambient: Ambient,
                    directions: Sequence[int],
-                   j: Sequence[int], jp: Sequence[int],
-                   closed: bool = True) -> PLRegion:
-    """Intersection over the chosen directions of the (open or closed)
-    slice between cut j_i and cut jp_i.  No directions: the whole ambient."""
+                   j: Sequence[int], jp: Sequence[int]) -> PLRegion:
+    """Intersection over the chosen directions of the closed slice between
+    cut j_i and cut jp_i.  No directions: the whole ambient."""
     dirs = list(directions)
     if len(set(dirs)) != len(dirs):
         raise ArgumentError("directions must be distinct")
@@ -680,8 +675,7 @@ def region_between(g: CutGrid, ambient: Ambient,
     for k, i in enumerate(dirs):
         if not 1 <= i <= g.d:
             raise ArgumentError(f"direction {i} outside 1..{g.d}")
-        piece = _direction_between(g.tuples[i - 1], ambient,
-                                   j[k], jp[k], closed)
+        piece = _direction_between(g.tuples[i - 1], ambient, j[k], jp[k])
         out = region_boolean("intersect", out, piece)
     return out
 
@@ -702,7 +696,7 @@ def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     dirs = list(range(1, g.d + 1))
     lo = [0] * g.d
     hi = [t.m for t in g.tuples]
-    between = region_between(g, ambient, dirs, lo, hi, closed=True)
+    between = region_between(g, ambient, dirs, lo, hi)
     return region_boolean("intersect", between, kept_region(mg, ambient))
 
 
@@ -711,17 +705,14 @@ def compactness_failures(mg: MonoidalCutGrid,
     """Index pairs whose closed between-slice (on kept components) is
     not compact inside the ambient, as human-readable strings."""
     g = mg.grid
+    if all(tuple_is_ordered(t, ambient) for t in g.tuples):
+        # Ordered cuts nest, so every between-slice sits inside the
+        # widest one, the core; if that is compact, all of them are.
+        if region_is_compact_in(core(mg, ambient), ambient):
+            return []
     kept = kept_region(mg, ambient)
     dirs = list(range(1, g.d + 1))
     failures: list[str] = []
-    if all(tuple_is_ordered(t, ambient) for t in g.tuples):
-        # Ordered cuts nest, so every between-slice sits inside the
-        # widest one; if that is compact, all of them are.
-        widest = region_between(g, ambient, dirs, [0] * g.d,
-                                [t.m for t in g.tuples], closed=True)
-        if region_is_compact_in(region_boolean("intersect", widest, kept),
-                                ambient):
-            return []
     pair_ranges = [
         [(j, jp) for j in range(t.m + 1) for jp in range(j, t.m + 1)]
         for t in g.tuples
@@ -729,7 +720,7 @@ def compactness_failures(mg: MonoidalCutGrid,
     for combo in itertools.product(*pair_ranges):
         lo = [p[0] for p in combo]
         hi = [p[1] for p in combo]
-        between = region_between(g, ambient, dirs, lo, hi, closed=True)
+        between = region_between(g, ambient, dirs, lo, hi)
         restricted = region_boolean("intersect", between, kept)
         if not region_is_compact_in(restricted, ambient):
             pairs = ", ".join(

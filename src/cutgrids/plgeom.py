@@ -859,6 +859,9 @@ def _cell_closure(c: Cell) -> Cell:
 
 
 def region_closure(a: PLRegion) -> PLRegion:
+    """Each nonempty cell closed: every finite end and graph bound becomes
+    closed, and no infinite one.  The one place a slab's emptiness is
+    decided; the other derived queries read the cells of the closure."""
     kept = []
     for c in a.cells:
         if isinstance(c, Slab) and _slab_is_empty(c):
@@ -867,19 +870,21 @@ def region_closure(a: PLRegion) -> PLRegion:
     return PLRegion(a.dim, tuple(kept))
 
 
-def region_bounded(a: PLRegion) -> bool:
-    for c in a.cells:
-        if isinstance(c, Seg):
-            if not (is_finite(c.lo) and is_finite(c.hi)):
-                return False
-        elif isinstance(c, Slab):
-            if _slab_is_empty(c):
-                continue
-            if not (is_finite(c.x_lo) and is_finite(c.x_hi)):
-                return False
-            if isinstance(c.lower, float) or isinstance(c.upper, float):
-                return False
+def _closed_is_bounded(closed: PLRegion) -> bool:
+    """Whether the cells of a closure are bounded: each has all its end
+    flags closed, since closure closes exactly the finite ends."""
+    for c in closed.cells:
+        if isinstance(c, Seg) and not (c.lo_closed and c.hi_closed):
+            return False
+        if isinstance(c, Slab) and not (c.x_lo_closed and c.x_hi_closed
+                                        and c.lower_closed and c.upper_closed):
+            return False
     return True
+
+
+def region_bounded(a: PLRegion) -> bool:
+    """Whether every cell of the closure is bounded."""
+    return _closed_is_bounded(region_closure(a))
 
 
 def region_contains_point(a: PLRegion, point) -> bool:
@@ -900,36 +905,29 @@ def region_contains_point(a: PLRegion, point) -> bool:
 def region_bbox(a: PLRegion):
     """((x0, x1), (y0, y1)) over finite data; None coordinates where the
     region is unbounded or empty in that direction.  Circle cells use the
-    fundamental domain [0, L]."""
+    fundamental domain [0, L].  Read from the cells of the closure, whose
+    closed ends are exactly the finite ones."""
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     unbounded_x = unbounded_y = False
-    for c in a.cells:
-        if isinstance(c, Seg):
-            if is_finite(c.lo):
-                xs.append(c.lo)
-            else:
-                unbounded_x = True
-            if is_finite(c.hi):
-                xs.append(c.hi)
-            else:
-                unbounded_x = True
-        elif isinstance(c, (Arc, CircleCell)):
+    for c in region_closure(a).cells:
+        if isinstance(c, (Arc, CircleCell)):
             xs.extend([Fraction(0), c.circumference])
-        elif isinstance(c, Slab):
-            if _slab_is_empty(c):
-                continue
-            if is_finite(c.x_lo) and is_finite(c.x_hi):
-                xs.extend([c.x_lo, c.x_hi])
-                for b, side in ((c.lower, "lo"), (c.upper, "hi")):
-                    if isinstance(b, PLFunc):
-                        mn = plfunc_min_on_closed(b, c.x_lo, c.x_hi)
-                        mx = plfunc_max_on_closed(b, c.x_lo, c.x_hi)
-                        ys.extend([mn, mx])
-                    else:
-                        unbounded_y = True
+        elif isinstance(c, Seg):
+            if c.lo_closed and c.hi_closed:
+                xs.extend([c.lo, c.hi])
             else:
                 unbounded_x = True
+        elif c.x_lo_closed and c.x_hi_closed:
+            xs.extend([c.x_lo, c.x_hi])
+            for b in (c.lower, c.upper):
+                if isinstance(b, PLFunc):
+                    ys.extend([plfunc_min_on_closed(b, c.x_lo, c.x_hi),
+                               plfunc_max_on_closed(b, c.x_lo, c.x_hi)])
+                else:
+                    unbounded_y = True
+        else:
+            unbounded_x = True
     xr = None if (unbounded_x or not xs) else (min(xs), max(xs))
     if a.dim == 1:
         return (xr, None)
@@ -937,17 +935,10 @@ def region_bbox(a: PLRegion):
     return (xr, yr)
 
 
-def region_components(a: PLRegion) -> list[PLRegion]:
-    """Split a region into connected pieces.
-
-    Cells whose closures meet are glued; for closed regions this is exactly
-    the point-set decomposition into connected components (cells are
-    connected, and two closed connected sets meeting have connected union).
-    """
-    norm = region_normalize(a)
-    cells = list(norm.cells)
-    n = len(cells)
-    closures = [region_closure(PLRegion(a.dim, (c,))) for c in cells]
+def _groups(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of 0..n-1 under union-find, each link (i, j) putting the
+    root of i under the root of j in the order given: each class ascending,
+    the classes in the order of their roots."""
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -956,18 +947,37 @@ def region_components(a: PLRegion) -> list[PLRegion]:
             i = parent[i]
         return i
 
+    for i, j in links:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            meet = region_boolean("intersect", closures[i], closures[j])
-            if not region_is_empty(meet):
-                parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(cells[i])
-    return [PLRegion(a.dim, tuple(g))
-            for _root, g in sorted(groups.items())]
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+def region_components(a: PLRegion) -> list[PLRegion]:
+    """Split a region into connected pieces.
+
+    Cells whose closures meet are glued; for closed regions this is exactly
+    the point-set decomposition into connected components (cells are
+    connected, and two closed connected sets meeting have connected union).
+
+    The closures of the normalized cells are refined together, once; that
+    refinement holds one membership entry per closure per atom, and two
+    closures meet exactly when some atom lies in both.  The meeting pairs
+    are joined in (i, j) order, so the pieces, their order and their cells
+    are those of gluing each pair of cells in turn.
+    """
+    cells = region_normalize(a).cells
+    if not cells:
+        return []
+    closures = [region_closure(PLRegion(a.dim, (c,))) for c in cells]
+    meets: set[tuple[int, int]] = set()
+    for m in {m for fibre in _fibres(closures) for m in fibre.memberships}:
+        meets.update(itertools.combinations(
+            [i for i, inside in enumerate(m) if inside], 2))
+    return [PLRegion(a.dim, tuple(cells[i] for i in g))
+            for g in _groups(len(cells), sorted(meets))]
 
 
 def region_sample_point(a: PLRegion):
@@ -1052,26 +1062,13 @@ class Ambient2D:
         return 2
 
     def _box_components(self) -> list[list[int]]:
-        n = len(self.boxes)
-        parent = list(range(n))
+        def overlap(a, b) -> bool:
+            return (max(a[0], b[0]) < min(a[1], b[1])
+                    and max(a[2], b[2]) < min(a[3], b[3]))
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = self.boxes[i], self.boxes[j]
-                if max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(
-                    a[3], b[3]
-                ):
-                    parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
+        pairs = itertools.combinations(range(len(self.boxes)), 2)
+        return sorted(_groups(len(self.boxes), (
+            (i, j) for i, j in pairs if overlap(self.boxes[i], self.boxes[j]))))
 
     def n_components(self) -> int:
         return len(self._box_components())
@@ -1087,12 +1084,6 @@ class Ambient2D:
                 if x0 < x < x1 and y0 < y < y1:
                     return k
         raise ArgumentError(f"point ({x}, {y}) lies outside the ambient")
-
-    def contains_point(self, x, y) -> bool:
-        x, y = fr(x), fr(y)
-        return any(
-            x0 < x < x1 and y0 < y < y1 for x0, x1, y0, y1 in self.boxes
-        )
 
 
 Ambient = Union[Ambient1D, Ambient2D]
@@ -1125,12 +1116,19 @@ def component_region(m: Ambient, k: int) -> PLRegion:
 
 
 def region_is_compact_in(a: PLRegion, m: Ambient) -> bool:
+    """Whether a, which must lie in the ambient m, is bounded with its
+    closure inside m.
+
+    The closure is computed once.  A bounded closure inside m answers
+    True with one refinement; otherwise a subset test of a itself tells a
+    region outside m (ArgumentError) from one that is not compact."""
     amb = ambient_region(m)
+    closed = region_closure(a)
+    if _closed_is_bounded(closed) and region_subset(closed, amb):
+        return True
     if not region_subset(a, amb):
         raise ArgumentError("region is not contained in the ambient")
-    if not region_bounded(a):
-        return False
-    return region_subset(region_closure(a), amb)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def _render_1d(b: Bordism, core: PLRegion, view: _View,
     g = b.mgrid.grid
     for di in range(len(g.tuples)):
         m = g.tuples[di].m
-        region = region_between(g, amb, (di + 1,), (0,), (m,), closed=True)
+        region = region_between(g, amb, (di + 1,), (0,), (m,))
         fill = _DIR_FILLS[di % len(_DIR_FILLS)]
         for cell in region.cells:
             if isinstance(cell, Seg):
@@ -286,7 +286,7 @@ def _render_2d(b: Bordism, core: PLRegion, view: _View,
     # shaded between-region per direction
     for di in range(len(g.tuples)):
         m = g.tuples[di].m
-        region = region_between(g, amb, (di + 1,), (0,), (m,), closed=True)
+        region = region_between(g, amb, (di + 1,), (0,), (m,))
         fill = _DIR_FILLS[di % len(_DIR_FILLS)]
         for cell in region.cells:
             if not isinstance(cell, Slab):

@@ -342,7 +342,7 @@ class ThetaMorphism:
         for key, blk in self.blocks:
             if key == (i, j):
                 return blk
-        raise KeyError((i, j))
+        raise ArgumentError(f"no block ({i}, {j})")
 
     @classmethod
     def identity(cls, c: ThetaObject) -> "ThetaMorphism":

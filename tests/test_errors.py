@@ -24,9 +24,7 @@ def test_every_raise_names_an_artifact_error():
             if not isinstance(exc, ast.Name):
                 outside.append(f"{where}: {ast.unparse(exc)}")
                 continue
-            # unreachable branches assert; ThetaMorphism.block is a lookup
-            if exc.id == "AssertionError" or (
-                    exc.id == "KeyError" and path.stem == "shapes"):
+            if exc.id == "AssertionError":  # unreachable branches assert
                 continue
             cls = getattr(module, exc.id, None)
             if not (isinstance(cls, type) and issubclass(cls, ArtifactError)):

@@ -193,6 +193,13 @@ def test_isomorphism_detection():
     assert chain.is_isomorphism(("le", 0, 0))
 
 
+def test_tabled_then_rejects_a_pair_that_does_not_compose():
+    chain = chain_poset(2)
+    assert chain.then(("le", 0, 1), ("le", 1, 2)) == ("le", 0, 2)
+    with pytest.raises(NotComposableError, match="does not compose"):
+        chain.then(("le", 1, 2), ("le", 0, 1))
+
+
 def test_functor_rejects_unpreserved_composition():
     chain = chain_poset(1)
     disc = discrete_category(2)

@@ -23,6 +23,8 @@ from cutgrids.plgeom import (
     region_contains_point,
     region_equal,
     region_is_empty,
+    region_components,
+    region_is_compact_in,
     region_normalize,
 )
 from cutgrids.grids import (
@@ -54,7 +56,7 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
-from cutgrids import grids
+from cutgrids import grids, plgeom
 from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog, shrink_to_core, validate
 
 F = Fraction
@@ -629,8 +631,6 @@ def test_between_region_of_interval_triple():
     assert region_equal(
         lower, line_region(Seg(-1, -1, True, True), Seg(0, 1, True, True))
     )
-    open_slice = region_between(g, amb, (1,), (0,), (2,), closed=False)
-    assert region_equal(open_slice, line_region(Seg(-1, 1, False, False)))
     with pytest.raises(ArgumentError):
         region_between(g, amb, (1,), (0,), (3,))
     with pytest.raises(ArgumentError):
@@ -663,6 +663,25 @@ def test_escaping_closure_is_reported():
     )
     failures = compactness_failures(grasping, window)
     assert failures == ["direction 1: [0..1]: closure of the slice leaves the ambient"]
+
+
+def test_queries_on_a_2d_core_refine_once_each(monkeypatch):
+    b = catalog("composable_pair_2d")
+    pair_core = core(b.mgrid, b.ambient)
+    counts = {"region_boolean": 0, "_x_atoms": 0}
+    for name in counts:
+        def counting(*args, name=name, real=getattr(plgeom, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(plgeom, name, counting)
+    comps = region_components(pair_core)
+    # one refinement to normalize, one of all the cell closures together
+    assert counts == {"region_boolean": 0, "_x_atoms": 2}
+    assert len(comps) == 1
+    assert region_equal(comps[0], pair_core)
+    counts["_x_atoms"] = 0
+    assert region_is_compact_in(pair_core, b.ambient)
+    assert counts["_x_atoms"] == 1  # the closure's subset test alone
 
 
 @given(valid_grids())

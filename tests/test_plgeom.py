@@ -20,8 +20,11 @@ from cutgrids.plgeom import (
     Seg,
     Slab,
     _atom_rep,
+    _cell_closure,
+    _groups,
     _line_atoms,
     _refine_2d,
+    _slab_is_empty,
     _x_atoms,
     ambient_region,
     component_region,
@@ -706,6 +709,185 @@ def test_compactness_in_ambient():
         region_is_compact_in(line_region(Seg(-5, 5, True, True)), amb)
 
 
+# Reference versions of the derived queries: each tests slab emptiness for
+# itself, and the components glue every pair of cell closures through
+# region_boolean and region_is_empty.
+
+def reference_closure(a):
+    return PLRegion(a.dim, tuple(_cell_closure(c) for c in a.cells
+                                 if not (isinstance(c, Slab) and _slab_is_empty(c))))
+
+
+def reference_bounded(a):
+    for c in a.cells:
+        if isinstance(c, Seg):
+            if isinstance(c.lo, float) or isinstance(c.hi, float):
+                return False
+        elif isinstance(c, Slab):
+            if _slab_is_empty(c):
+                continue
+            if isinstance(c.x_lo, float) or isinstance(c.x_hi, float):
+                return False
+            if isinstance(c.lower, float) or isinstance(c.upper, float):
+                return False
+    return True
+
+
+def reference_bbox(a):
+    xs, ys = [], []
+    unbounded_x = unbounded_y = False
+    for c in a.cells:
+        if isinstance(c, Seg):
+            for e in (c.lo, c.hi):
+                if isinstance(e, float):
+                    unbounded_x = True
+                else:
+                    xs.append(e)
+        elif isinstance(c, (Arc, CircleCell)):
+            xs.extend([Fraction(0), c.circumference])
+        elif not _slab_is_empty(c):
+            if isinstance(c.x_lo, float) or isinstance(c.x_hi, float):
+                unbounded_x = True
+                continue
+            xs.extend([c.x_lo, c.x_hi])
+            for b in (c.lower, c.upper):
+                if isinstance(b, PLFunc):
+                    ys.extend([plfunc_min_on_closed(b, c.x_lo, c.x_hi),
+                               plfunc_max_on_closed(b, c.x_lo, c.x_hi)])
+                else:
+                    unbounded_y = True
+    xr = None if (unbounded_x or not xs) else (min(xs), max(xs))
+    if a.dim == 1:
+        return (xr, None)
+    return (xr, None if (unbounded_y or not ys) else (min(ys), max(ys)))
+
+
+def reference_is_compact_in(a, m):
+    amb = ambient_region(m)
+    if not region_subset(a, amb):
+        raise ArgumentError("region is not contained in the ambient")
+    if not reference_bounded(a):
+        return False
+    return region_subset(reference_closure(a), amb)
+
+
+def reference_components(a):
+    cells = region_normalize(a).cells
+    closures = [reference_closure(PLRegion(a.dim, (c,))) for c in cells]
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(cells)), 2):
+        if find(i) != find(j) and not region_is_empty(
+                region_boolean("intersect", closures[i], closures[j])):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(cells)):
+        groups.setdefault(find(i), []).append(cells[i])
+    return [PLRegion(a.dim, tuple(g)) for _, g in sorted(groups.items())]
+
+
+def outcome(query, *args):
+    try:
+        return repr(query(*args))
+    except (ArgumentError, ValidationError) as e:
+        return type(e).__name__
+
+
+AMBIENTS_1D = (Ambient1D(((NEG_INF, INF),), (Fraction(3), Fraction(5))),
+               Ambient1D(((-6, 0), (0, 6)), (Fraction(3),)))
+AMBIENTS_2D = (Ambient2D(((NEG_INF, INF, NEG_INF, INF),)),
+               Ambient2D(((-7, 7, -60, 60),)),
+               Ambient2D(((-4, 1, -5, 5), (0, 3, -20, 20))))
+
+
+# The reference glues pairs of cells one region_boolean at a time; above
+# this many normalized cells it takes seconds per region.
+REFERENCE_CELLS = 50
+
+
+def check_derived_queries_match_the_reference(a, b, ambients):
+    for r in (a, region_boolean("union", a, b),
+              region_boolean("intersect", a, b), region_difference(a, b)):
+        if len(region_normalize(r).cells) <= REFERENCE_CELLS:
+            assert repr(region_components(r)) == repr(reference_components(r))
+        if outcome(reference_closure, r) == "ValidationError":
+            # a slab whose lower bound lies above its upper bound, which no
+            # region op emits: every query that reads the closure rejects it
+            check_rejects_crossed_bounds(r, ambients)
+            continue
+        for new, ref in ((region_closure, reference_closure),
+                         (region_bounded, reference_bounded),
+                         (region_bbox, reference_bbox)):
+            assert repr(new(r)) == repr(ref(r))
+        for m in ambients:
+            assert outcome(region_is_compact_in, r, m) == outcome(
+                reference_is_compact_in, r, m)
+
+
+def check_rejects_crossed_bounds(r, ambients):
+    queries = [region_closure, region_bounded, region_bbox]
+    queries += [lambda r, m=m: region_is_compact_in(r, m) for m in ambients]
+    for query in queries:
+        with pytest.raises(ValidationError, match="lower bound above upper bound"):
+            query(r)
+
+
+@given(mixed_regions(), mixed_regions())
+@settings(max_examples=50, deadline=None)
+def test_derived_queries_match_the_reference(a, b):
+    check_derived_queries_match_the_reference(a, b, AMBIENTS_1D)
+
+
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=30, deadline=None)
+def test_derived_queries_match_the_reference_2d(a, b):
+    check_derived_queries_match_the_reference(a, b, AMBIENTS_2D)
+
+
+def test_groups_come_in_the_order_of_their_final_roots():
+    # 0-3 then 0-6 leaves 0's class under root 6, after the class {4, 5}
+    # (root 5), though it holds the smallest index; the reverse replay
+    # would leave it under root 3
+    assert _groups(7, [(0, 3), (0, 6), (4, 5)]) == [[1], [2], [4, 5], [0, 3, 6]]
+    assert _groups(7, [(0, 6), (0, 3), (4, 5)]) == [[1], [2], [0, 3, 6], [4, 5]]
+
+
+def test_components_come_in_the_order_the_pairwise_gluing_leaves():
+    # The piece of normalized cells 3, 5, 7 (the box over (5, 7)) comes
+    # before the one holding cell 0: pieces are ordered by their final root,
+    # which depends on the order in which the meeting pairs are joined.
+    def box(x0, x1, y0, y1):
+        return Slab(x0, x1, x0 == x1, x0 == x1, PLFunc.constant(y0),
+                    PLFunc.constant(y1), False, False)
+
+    r = PLRegion(2, (box(4, 6, 0, 2), box(6, 8, 2, 3), box(5, 7, 4, 5),
+                     box(6, 6, 0, 1)))
+    comps = region_components(r)
+    assert [len(c.cells) for c in comps] == [3, 7]
+    assert repr(comps) == repr(reference_components(r))
+
+
+def test_crossed_bounds_are_rejected_whatever_the_cell_order():
+    # The reference answered False (unbounded first) or raised ArgumentError
+    # (a region outside the box) before it reached the crossed slab.
+    crossed = Slab(NEG_INF, -10, False, True, PLFunc.constant(0),
+                   PLFunc.affine(1, 5), True, True)
+    half = Slab(0, INF, True, False, PLFunc.constant(0), PLFunc.constant(1),
+                True, True)
+    plane, box = AMBIENTS_2D[0], Ambient2D(((-1, 1, -1, 1),))
+    first = PLRegion(2, (half, crossed))
+    assert reference_bounded(first) is False
+    assert outcome(reference_is_compact_in, first, plane) == "False"
+    assert outcome(reference_is_compact_in, first, box) == "ArgumentError"
+    for cells in ((half, crossed), (crossed, half)):
+        check_rejects_crossed_bounds(PLRegion(2, cells), (plane, box))
+
+
 # ---------------------------------------------------------------------------
 # ambients
 # ---------------------------------------------------------------------------
@@ -741,7 +923,8 @@ def test_ambient_2d_overlapping_boxes_are_one_component():
     assert amb.n_components() == 2
     assert amb.component_of_point(Fraction(3, 2), Fraction(3, 2)) == 0
     assert amb.component_of_point(Fraction(21, 2), Fraction(1, 2)) == 1
-    assert not amb.contains_point(5, 5)
+    with pytest.raises(ArgumentError, match="outside the ambient"):
+        amb.component_of_point(5, 5)
 
 
 def test_component_region_membership():

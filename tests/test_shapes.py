@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cutgrids.errors import ArgumentError
 from cutgrids.shapes import (
     BASEPOINT,
     CompositionError,
@@ -310,6 +311,13 @@ def test_tree_morphism_rejects_missing_block():
     tgt = ThetaObject(1, (pt,))
     with pytest.raises(ValueError):
         ThetaMorphism(src, tgt, MonotoneMap.identity(1), ())
+
+
+def test_tree_morphism_block_lookup_rejects_a_missing_block():
+    ident = ThetaMorphism.identity(ThetaObject(1, (ThetaObject.point(),)))
+    assert ident.block(1, 1) == ThetaMorphism.identity(ThetaObject.point())
+    with pytest.raises(ArgumentError, match="no block"):
+        ident.block(1, 2)
 
 
 @given(tree_morphism_triples())
