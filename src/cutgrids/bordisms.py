@@ -67,17 +67,17 @@ from .plgeom import (
     component_region,
     fr,
     interval_rep,
+    line_region,
     plfunc_equal,
     plfunc_integral,
     plfunc_is_positive_on,
-    plfunc_min_on_closed,
     rational_to_text,
     region_bbox,
     region_boolean,
     region_closure,
     region_components,
     region_equal,
-    region_is_empty,
+    region_sample_point,
     region_subset,
 )
 from .reporting import ReportEntry, ValidationReport
@@ -165,13 +165,10 @@ def _field_entries(b: Bordism) -> list[ReportEntry]:
                 f"{len(f.densities)} densities for {n} components")]
         for k in range(n):
             kind, data = amb.component_kind(k)
-            w = f.densities[k]
-            if kind == "interval":
-                ok = plfunc_is_positive_on(
-                    w, component_region(amb, k))
-            else:
-                ok = plfunc_min_on_closed(w, Fraction(0), data) > 0
-            if not ok:
+            # a circle of length L is [0, L] with its ends glued: both count
+            domain = (component_region(amb, k) if kind == "interval"
+                      else line_region(Seg(Fraction(0), data, True, True)))
+            if not plfunc_is_positive_on(f.densities[k], domain):
                 return [ReportEntry(
                     "field", False,
                     f"density on component {k} is not strictly positive")]
@@ -288,7 +285,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
             diff_cells.extend(cut_disagreement(
                 c1, n1.ambient, c2, n2.ambient, common).cells)
     wobble = region_closure(PLRegion(common.dim, tuple(diff_cells)))
-    return region_is_empty(region_boolean("intersect", wobble, core1))
+    return region_sample_point(wobble, core1) is None
 
 
 def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
@@ -396,9 +393,8 @@ def monoidal_product(b1: Bordism, b2: Bordism,
         if b1.field.target_dim != b2.field.target_dim:
             raise ArgumentError("embedded factors target different spaces")
         b1, b2 = normalize(b1), normalize(b2)
-    if not region_is_empty(region_boolean(
-            "intersect", ambient_region(b1.ambient),
-            ambient_region(b2.ambient))):
+    if region_sample_point(ambient_region(b1.ambient),
+                           ambient_region(b2.ambient)) is not None:
         raise OverlapError(
             "ambients overlap; shrink_to_core the factors first")
     a1, a2 = b1.ambient, b2.ambient

@@ -46,14 +46,13 @@ from .plgeom import (
     is_finite,
     line_region,
     plfunc_equal,
-    plfunc_order,
+    plfunc_is_positive_on,
     rational_to_text,
     region_boolean,
     region_bounded,
     region_closure,
     region_difference,
     region_is_compact_in,
-    region_is_empty,
     region_sample_point,
     region_subset,
     ambient_region,
@@ -401,9 +400,8 @@ def validate_cut(cut: Cut, ambient: Ambient) -> None:
                                           cut.axis)
         dom = line_region(Seg(lo, hi, False, False))
         for k in range(1, len(comp.sheets)):
-            verdict = plfunc_order(comp.sheets[k - 1].graph,
-                                   comp.sheets[k].graph, dom)
-            if verdict.kind != "lt":
+            gap = comp.sheets[k].graph.sub(comp.sheets[k - 1].graph)
+            if not plfunc_is_positive_on(gap, dom):
                 raise ValidationError(
                     f"component {ci}: sheets {k - 1} and {k} are not "
                     f"strictly ordered over the component")
@@ -828,9 +826,9 @@ def globularity_failures(mg: MonoidalCutGrid,
         wobble = region_closure(PLRegion(ambient.dim, tuple(diff_cells)))
         for j in range(tup.m + 1):
             vertex_core = core(vertex_grid(mg, i, j), ambient)
-            overlap = region_boolean("intersect", wobble, vertex_core)
-            if not region_is_empty(overlap):
-                witness = _point_text(region_sample_point(overlap))
+            meet = region_sample_point(wobble, vertex_core)
+            if meet is not None:
+                witness = _point_text(meet)
                 failures.append(
                     f"direction {i}, vertex {j}: later cuts disagree "
                     f"arbitrarily close to the core (e.g. at {witness})")
@@ -1045,8 +1043,8 @@ def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
         boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
     sheet = PLRegion(2, (Slab(NEG_INF, INF, False, False,
                               graph, graph, True, True),))
-    return not region_is_empty(region_boolean(
-        "intersect", sheet, ambient_region(Ambient2D(tuple(boxes)))))
+    return region_sample_point(
+        sheet, ambient_region(Ambient2D(tuple(boxes)))) is not None
 
 
 def _transport_component_2d(comp: ComponentCut2D, axis: int, src_axis: int,

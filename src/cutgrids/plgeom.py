@@ -14,6 +14,11 @@ fibre of the refinement is a line fibre: the line itself, each circle
 unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
 over fibres without regard to the dimension.
+
+Only the ops that return a region (region_boolean, region_difference,
+region_normalize) build cells from a refinement.  The yes/no and one-point
+queries (region_subset, region_equal, region_sample_point,
+plfunc_is_positive_on) read the atoms' memberships and build none.
 """
 
 from __future__ import annotations
@@ -542,17 +547,6 @@ def _line_runs(atoms: list[tuple], included: list[bool]) -> list[tuple]:
     return runs
 
 
-def line_cells_from_predicate(
-    criticals: Iterable[Fraction], pred: Callable[[Fraction], bool]
-) -> tuple[Seg, ...]:
-    """The subset {x : pred(x)} as segments, assuming pred is constant between
-    consecutive critical coordinates, as on the sublevel sets of a PL
-    function (`_sublevel_region`)."""
-    atoms, _ = _line_atoms(criticals)
-    included = [pred(_atom_rep(a)) for a in atoms]
-    return tuple(Seg(*run) for run in _line_runs(atoms, included))
-
-
 # ---------------------------------------------------------------------------
 # Joint refinement of regions
 # ---------------------------------------------------------------------------
@@ -826,10 +820,6 @@ def region_equal(a: PLRegion, b: PLRegion) -> bool:
     return all(m[0] == m[1] for fibre in _fibres([a, b]) for m in fibre.memberships)
 
 
-def region_is_empty(a: PLRegion) -> bool:
-    return region_sample_point(a) is None
-
-
 def region_normalize(a: PLRegion) -> PLRegion:
     """Re-express through the refinement (coalescing adjacent atoms)."""
     return _rebuild([a], lambda m: m[0])
@@ -980,15 +970,20 @@ def region_components(a: PLRegion) -> list[PLRegion]:
             for g in _groups(len(cells), sorted(meets))]
 
 
-def region_sample_point(a: PLRegion):
-    """A representative point of the region, or None if it is empty.
+def region_sample_point(a: PLRegion, *others: PLRegion):
+    """A point that lies in a and in every one of the others, or None when
+    they have no point in common: with a alone, a point of a, or None when
+    a is empty.  So region_sample_point(a, b) is None asks whether a and b
+    are disjoint, with no intersection built.
 
-    1D points come back as a rational (line) or ("circle", idx, theta);
-    2D points as an (x, y) pair of rationals.
+    The point is that of the first atom of the regions' joint refinement
+    inside all of them; the search stops there and builds no cell.  1D
+    points come back as a rational (line) or ("circle", idx, theta); 2D
+    points as an (x, y) pair of rationals.
     """
-    for fibre in _fibres([a]):
+    for fibre in _fibres([a, *others]):
         for i, m in enumerate(fibre.memberships):
-            if m[0]:
+            if all(m):
                 return fibre.point(i)
     return None
 
@@ -996,6 +991,12 @@ def region_sample_point(a: PLRegion):
 # ---------------------------------------------------------------------------
 # Ambient manifolds
 # ---------------------------------------------------------------------------
+
+def _ambient_end(v) -> End:
+    """An ambient end: an infinity as it is, any other end as an exact
+    rational (a finite float raises ArgumentError)."""
+    return v if v in (INF, NEG_INF) else fr(v)
+
 
 @dataclass(frozen=True)
 class Ambient1D:
@@ -1007,8 +1008,7 @@ class Ambient1D:
     def __post_init__(self) -> None:
         ivs = []
         for lo, hi in self.intervals:
-            lo = lo if not is_finite(lo) else fr(lo)
-            hi = hi if not is_finite(hi) else fr(hi)
+            lo, hi = _ambient_end(lo), _ambient_end(hi)
             if lo >= hi:
                 raise ValidationError("ambient interval endpoints out of order")
             ivs.append((lo, hi))
@@ -1051,7 +1051,7 @@ class Ambient2D:
     def __post_init__(self) -> None:
         normed = []
         for x0, x1, y0, y1 in self.boxes:
-            box = tuple(v if not is_finite(v) else fr(v) for v in (x0, x1, y0, y1))
+            box = tuple(map(_ambient_end, (x0, x1, y0, y1)))
             if box[0] >= box[1] or box[2] >= box[3]:
                 raise ValidationError("empty ambient box")
             normed.append(box)
@@ -1132,43 +1132,19 @@ def region_is_compact_in(a: PLRegion, m: Ambient) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PL function comparison over a 1D domain
+# PL function sign over a 1D domain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    kind: str  # "lt" (everywhere <), "le" (everywhere <=), "incomparable"
-    witness: Union[Fraction, None] = None
-
-
-def _sublevel_region(h: PLFunc, strict: bool) -> PLRegion:
-    """{x : h(x) < 0} (strict) or {x : h(x) <= 0}."""
-    crit = set(plfunc_zeros(h)) | set(h.breakpoints)
-    pred = (lambda x: h(x) < 0) if strict else (lambda x: h(x) <= 0)
-    return PLRegion(1, line_cells_from_predicate(crit, pred))
-
-
-def plfunc_order(f: PLFunc, g: PLFunc, domain: PLRegion) -> OrderVerdict:
-    """Compare f and g over a 1D line domain: everywhere <, everywhere <=, or
-    incomparable with a rational witness where f > g."""
-    if domain.dim != 1:
-        raise ArgumentError("ordering domains are 1D")
-    if any(not isinstance(c, Seg) for c in domain.cells):
-        raise ArgumentError("ordering domains live on the line, not circles")
-    if region_is_empty(domain):
-        raise ArgumentError("ordering domain is empty")
-    h = g.sub(f)  # f <= g iff h >= 0
-    neg = region_boolean("intersect", _sublevel_region(h, True), domain)
-    witness = region_sample_point(neg)
-    if witness is not None:
-        return OrderVerdict("incomparable", witness)
-    nonpos = region_boolean("intersect", _sublevel_region(h, False), domain)
-    if region_is_empty(nonpos):
-        return OrderVerdict("lt")
-    return OrderVerdict("le")
-
-
 def plfunc_is_positive_on(f: PLFunc, domain: PLRegion) -> bool:
-    """f > 0 at every point of a 1D line domain."""
-    nonpos = region_boolean("intersect", _sublevel_region(f, False), domain)
-    return region_is_empty(nonpos)
+    """f > 0 at every point of a 1D line domain.
+
+    One line fibre, cut at the domain's finite ends and at f's breakpoints
+    and zeros: f keeps one sign on each atom, so the point of each atom in
+    the domain decides."""
+    if any(not isinstance(c, Seg) for c in domain.cells):
+        raise ArgumentError("positivity domains live on the line")
+    ranges = [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in domain.cells]
+    ends = [fr(e) for r in ranges for e in r[:2] if is_finite(e)]
+    fibre = _LineFibre([*ends, *f.breakpoints, *plfunc_zeros(f)], [ranges])
+    return all(f(fibre.point(i)) > 0
+               for i, (inside,) in enumerate(fibre.memberships) if inside)

@@ -302,6 +302,26 @@ def densities(b):
     return [w.values[0] for w in b.field.densities]
 
 
+def test_densities_are_judged_on_their_components():
+    """An interval's density only inside the open interval; a circle's on
+    the closed fundamental domain [0, L], both ends included."""
+    b = metric_on_two_intervals_and_a_circle()
+
+    def with_density(k, w):
+        ws = list(b.field.densities)
+        ws[k] = w
+        return validate(replace(b, field=FieldDatum("metric", tuple(ws))))
+
+    to_zero_at_0 = PLFunc.affine(1, 0)  # vanishes at the end of (-5, 0)
+    assert with_density(1, to_zero_at_0.neg()).passed
+    assert not with_density(2, to_zero_at_0.neg()).passed
+    assert with_density(3, PLFunc.affine(-1, 5)).passed  # 1 at L = 4
+    for w in (PLFunc.affine(-1, 4), to_zero_at_0):  # 0 at L, 0 at 0
+        report = with_density(3, w)
+        assert [e.detail for e in report.failures()] == [
+            "density on component 3 is not strictly positive"]
+
+
 def test_shrinking_keeps_each_density_with_its_component():
     b = metric_on_two_intervals_and_a_circle()
     assert validate(b).passed

@@ -358,7 +358,7 @@ def test_validate_of_a_fuzzed_pair_keeps_its_x_atoms_without_crossings(
     assert len(failing) == 1
     assert failing[0].startswith("[FAIL] globular")
     assert failing[0].endswith("(e.g. at (0, 0))")
-    assert (counts["x_atoms"], counts["atoms"]) == (82, 22_666)
+    assert (counts["x_atoms"], counts["atoms"]) == (78, 22_658)
     assert counts["crossings"] <= 1_000
 
 

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutgrids.errors import ArgumentError, UnsupportedDimensionError, ValidationError
+from cutgrids.errors import (
+    ArgumentError,
+    NeighborhoodError,
+    UnsupportedDimensionError,
+    ValidationError,
+)
 from cutgrids.plgeom import (
     INF,
     NEG_INF,
@@ -16,16 +21,18 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _atom_rep,
+    _line_atoms,
+    _line_runs,
     interval_rep,
-    line_cells_from_predicate,
     line_region,
     plfunc_zeros,
     region_contains_point,
     region_equal,
-    region_is_empty,
     region_components,
     region_is_compact_in,
     region_normalize,
+    region_sample_point,
 )
 from cutgrids.grids import (
     AffineMap,
@@ -57,7 +64,16 @@ from cutgrids.grids import (
 )
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
 from cutgrids import grids, plgeom
-from cutgrids.bordisms import FULL_LINE, FULL_PLANE, catalog, shrink_to_core, validate
+from cutgrids.bordisms import (
+    FULL_LINE,
+    FULL_PLANE,
+    Bordism,
+    catalog,
+    embedded_field,
+    equivalent,
+    shrink_to_core,
+    validate,
+)
 
 F = Fraction
 
@@ -392,13 +408,22 @@ def clip_above(g, c):
     return positive_part(g.neg().add_constant(c)).neg().add_constant(c)
 
 
+def cells_from_predicate(criticals, pred):
+    """{x : pred(x)} as segments, pred being constant between consecutive
+    critical coordinates: the predicate atomization that the clipped level
+    sets were once built by."""
+    atoms, _ = _line_atoms(criticals)
+    included = [pred(_atom_rep(a)) for a in atoms]
+    return tuple(Seg(*run) for run in _line_runs(atoms, included))
+
+
 def strict_between(f, v0, v1, a0, a1):
     """{a0 < x < a1 : v0 < f(x) < v1} as line segments."""
     crit = set(f.breakpoints) | {e for e in (a0, a1) if e not in (NEG_INF, INF)}
     for v in (v0, v1):
         if v not in (NEG_INF, INF):
             crit |= set(plfunc_zeros(f.add_constant(-v)))
-    return line_cells_from_predicate(
+    return cells_from_predicate(
         crit, lambda x: a0 < x < a1 and v0 < f(x) < v1)
 
 
@@ -643,7 +668,7 @@ def test_core_oracles():
     elbow = catalog("elbow_right")
     assert region_equal(core(elbow.mgrid, elbow.ambient), line_region(Seg(0, 1, True, True)))
     dropped = MonoidalCutGrid(pt.mgrid.grid, pt.mgrid.ell, (0,))
-    assert region_is_empty(core(dropped, pt.ambient))
+    assert region_sample_point(core(dropped, pt.ambient)) is None
 
 
 def test_unbounded_slice_is_reported():
@@ -929,3 +954,69 @@ def test_pullback_composes_contravariantly(a1, b1, a2, b2, flip):
     assert grids_equal(step, pullback_along(src, composite))
     ident = AmbientEmbedding(full, full, AffineMap.identity(1))
     assert grids_equal(pullback_along(src, ident), src)
+
+
+# ---------------------------------------------------------------------------
+# laws of germ-of-core equivalence over the grid strategies
+# ---------------------------------------------------------------------------
+
+def moved(b, shift):
+    """b's data declared to sit shifted along the first axis."""
+    dim = b.ambient.dim
+    aff = AffineMap(dim, tuple(range(dim)), (1,) * dim,
+                    (shift,) + (0,) * (dim - 1))
+    return Bordism(b.ambient, b.mgrid, b.field, aff, b.uple)
+
+
+@st.composite
+def embedded_bordisms(draw):
+    """A nested line grid embedded in the line at a small shift, point2d,
+    or composable_pair_2d at some separation width."""
+    which = draw(st.integers(0, 3))
+    if which == 2:
+        return catalog("point2d")
+    if which == 3:
+        return catalog("composable_pair_2d", F(draw(st.integers(1, 7)), 8))
+    mg, ambient = draw(nested_line_grids())
+    return moved(Bordism(ambient, mg, embedded_field(1),
+                         AffineMap.identity(1)), draw(st.integers(-2, 2)))
+
+
+@st.composite
+def same_shape_variants(draw, b):
+    """A bordism of b's shape that may or may not be equivalent to it: b
+    itself, b moved, b relabelled, or b shrunk to its core."""
+    kind = draw(st.sampled_from(["same", "moved", "relabelled", "shrunk"]))
+    if kind == "moved":
+        return moved(b, draw(st.sampled_from([F(-1, 2), F(1), F(3)])))
+    if kind == "relabelled":
+        mg = b.mgrid
+        labels = tuple(draw(st.integers(0, mg.ell)) for _ in mg.labels)
+        return b.with_mgrid(MonoidalCutGrid(mg.grid, mg.ell, labels))
+    if kind == "shrunk":
+        try:
+            return shrink_to_core(b, F(draw(st.integers(1, 4)), 2))
+        except NeighborhoodError:
+            pass
+    return b
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_equivalence_is_reflexive_and_symmetric(data):
+    b = data.draw(embedded_bordisms())
+    other = data.draw(same_shape_variants(b))
+    assert equivalent(b, b)
+    assert equivalent(b, other) is equivalent(other, b)
+
+
+@given(embedded_bordisms(), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_a_valid_bordism_is_equivalent_to_its_shrink(b, twice_eps):
+    if not validate(b).passed:
+        return
+    try:
+        shrunk = shrink_to_core(b, F(twice_eps, 2))
+    except NeighborhoodError:
+        return
+    assert equivalent(b, shrunk)

@@ -23,6 +23,7 @@ from cutgrids.plgeom import (
     _cell_closure,
     _groups,
     _line_atoms,
+    _line_runs,
     _refine_2d,
     _slab_is_empty,
     _x_atoms,
@@ -35,7 +36,6 @@ from cutgrids.plgeom import (
     plfunc_is_positive_on,
     plfunc_max_on_closed,
     plfunc_min_on_closed,
-    plfunc_order,
     plfunc_zeros,
     region_bbox,
     region_boolean,
@@ -46,7 +46,6 @@ from cutgrids.plgeom import (
     region_difference,
     region_equal,
     region_is_compact_in,
-    region_is_empty,
     region_normalize,
     region_sample_point,
     region_subset,
@@ -395,21 +394,6 @@ def test_segments_that_pass_the_guards():
         assert Seg(*ends).contains(ends[1]) is ends[3]
 
 
-def test_order_verdicts():
-    low = PLFunc.constant(0)
-    high = PLFunc.constant(1)
-    dom = line_region(Seg(0, 5, True, True))
-    assert plfunc_order(low, high, dom).kind == "lt"
-    touch = PLFunc.from_points([(0, 1), (1, 0), (2, 1)])
-    verdict = plfunc_order(low, touch, dom)
-    assert verdict.kind == "le"
-    bad = plfunc_order(high, touch, dom)
-    assert bad.kind == "incomparable"
-    assert high(bad.witness) > touch(bad.witness)
-    with pytest.raises(ArgumentError):
-        plfunc_order(low, high, empty_region(1))
-
-
 def test_positivity_on_domains():
     bump = PLFunc.from_points([(-1, 0), (0, 2), (1, 0)])
     inner = line_region(Seg(Fraction(-1, 2), Fraction(1, 2), True, True))
@@ -417,6 +401,76 @@ def test_positivity_on_domains():
     assert plfunc_is_positive_on(bump, inner) is True
     assert plfunc_is_positive_on(bump, line) is False
     assert plfunc_is_positive_on(PLFunc.constant(1), line) is True
+    # the gap g - f between two sheets: strictly positive, or touching 0
+    low, high = PLFunc.constant(0), PLFunc.constant(1)
+    touch = PLFunc.from_points([(0, 1), (1, 0), (2, 1)])
+    dom = line_region(Seg(0, 5, True, True))
+    assert plfunc_is_positive_on(high.sub(low), dom) is True
+    assert plfunc_is_positive_on(touch.sub(low), dom) is False
+    # a zero at an open end of the domain lies outside it
+    assert plfunc_is_positive_on(bump, line_region(Seg(-1, 1, False, False)))
+    assert not plfunc_is_positive_on(bump, line_region(Seg(-1, 1, True, False)))
+    assert plfunc_is_positive_on(bump, empty_region(1)) is True
+    # a sign change at 1, inside a segment with no end or breakpoint there:
+    # the segment's middle, 5/4, alone would read positive
+    ramp = PLFunc.from_points([(0, -1), (2, 1)])
+    straddle = line_region(Seg(Fraction(1, 2), 2, False, False))
+    assert not plfunc_is_positive_on(ramp, straddle)
+    for domain in (PLRegion(1, (CircleCell(0, 3),)), ambient_region(
+            Ambient2D(((0, 1, 0, 1),)))):
+        with pytest.raises(ArgumentError, match="live on the line"):
+            plfunc_is_positive_on(bump, domain)
+
+
+def cells_from_predicate(criticals, pred):
+    """{x : pred(x)} as segments, pred being constant between consecutive
+    critical coordinates: the predicate atomization that sublevel sets were
+    once built by."""
+    atoms, _ = _line_atoms(criticals)
+    included = [pred(_atom_rep(a)) for a in atoms]
+    return tuple(Seg(*run) for run in _line_runs(atoms, included))
+
+
+def reference_is_positive_on(f, domain):
+    """Positivity as an empty meet of the domain with the sublevel region
+    {x : f(x) <= 0}, which is built in full first."""
+    crit = set(plfunc_zeros(f)) | set(f.breakpoints)
+    nonpos = PLRegion(1, cells_from_predicate(crit, lambda x: f(x) <= 0))
+    return region_sample_point(region_boolean("intersect", nonpos, domain)) is None
+
+
+@st.composite
+def positivity_cases(draw):
+    """A PL function, some with identically-zero pieces and some bounded
+    away from 0, and a line domain of up to two segments with open, closed
+    and infinite ends.  Half the segments lie around a zero of the function
+    (a breakpoint if it has none), often narrowly, so that a sign change
+    may fall inside one segment with no other event in it."""
+    f = draw(plfuncs())
+    f = draw(st.sampled_from([f, f, positive_part(f),
+                              positive_part(f).add_constant(Fraction(1, 4))]))
+    special = plfunc_zeros(f) or f.breakpoints
+    offsets = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(2)])
+    cells = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(special))
+            a, b = x - draw(offsets), x + draw(offsets)
+        else:
+            a, b = sorted([draw(rationals()), draw(rationals())])
+        lo = NEG_INF if draw(st.integers(0, 3)) == 0 else a
+        hi = INF if draw(st.integers(0, 3)) == 0 else b
+        closed = (lo != NEG_INF and draw(st.booleans()),
+                  hi != INF and draw(st.booleans()))
+        cells.append(Seg(lo, hi, *((True, True) if lo == hi else closed)))
+    return f, PLRegion(1, tuple(cells))
+
+
+@given(positivity_cases())
+@settings(max_examples=300, deadline=None)
+def test_positivity_matches_the_sublevel_reference(case):
+    f, domain = case
+    assert plfunc_is_positive_on(f, domain) is reference_is_positive_on(f, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +614,8 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions):
 def check_subset_and_difference_laws(a, b):
     assert region_subset(region_boolean("intersect", a, b), a)
     assert region_subset(a, region_boolean("union", a, b))
-    assert region_is_empty(
-        region_boolean("intersect", region_difference(a, b), b)
-    )
+    assert region_sample_point(
+        region_boolean("intersect", region_difference(a, b), b)) is None
 
 
 def check_closure_is_monotone_idempotent(a):
@@ -574,7 +627,6 @@ def check_closure_is_monotone_idempotent(a):
 def check_sample_point_is_member(a):
     p = region_sample_point(a)
     if p is None:
-        # region_is_empty(a) is defined as this very test
         assert region_equal(a, empty_region(a.dim))
     else:
         assert region_contains_point(a, p)
@@ -611,18 +663,52 @@ def test_closure_and_sample_point_laws_2d(a):
     check_sample_point_is_member(a)
 
 
+def check_meet_query_matches_intersect_then_sample(a, b):
+    meet = region_sample_point(a, b)
+    built = region_sample_point(region_boolean("intersect", a, b))
+    assert (meet is None) == (built is None)
+    if meet is not None:
+        assert region_contains_point(a, meet) and region_contains_point(b, meet)
+
+
+@given(mixed_regions(), mixed_regions())
+@settings(max_examples=150, deadline=None)
+def test_meet_query_matches_intersect_then_sample(a, b):
+    check_meet_query_matches_intersect_then_sample(a, b)
+
+
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=60, deadline=None)
+def test_meet_query_matches_intersect_then_sample_2d(a, b):
+    check_meet_query_matches_intersect_then_sample(a, b)
+
+
+def test_meet_query_of_three_regions():
+    a = line_region(Seg(0, 2, True, True))
+    b = line_region(Seg(1, 3, True, True))
+    assert region_sample_point(a, b, line_region(Seg(2, 4, True, True))) == 2
+    # every pair meets, the three do not
+    c = line_region(Seg(2, 4, False, True), Seg(-1, Fraction(1, 2), True, True))
+    assert region_sample_point(a, b) is not None
+    assert region_sample_point(a, c) is not None
+    assert region_sample_point(b, c) is not None
+    assert region_sample_point(a, b, c) is None
+    with pytest.raises(ArgumentError, match="dimension mismatch"):
+        region_sample_point(a, empty_region(2))
+
+
 @given(mixed_regions())
 @settings(max_examples=40, deadline=None)
 def test_components_cover_without_overlap(a):
     comps = region_components(a)
     rebuilt = empty_region(1)
     for c in comps:
-        assert not region_is_empty(c)
+        assert region_sample_point(c) is not None
         rebuilt = region_boolean("union", rebuilt, c)
     assert region_equal(rebuilt, a)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            assert region_is_empty(region_boolean("intersect", comps[i], comps[j]))
+            assert region_sample_point(comps[i], comps[j]) is None
 
 
 def test_region_ops_reject_mixed_dimensions():
@@ -711,7 +797,7 @@ def test_compactness_in_ambient():
 
 # Reference versions of the derived queries: each tests slab emptiness for
 # itself, and the components glue every pair of cell closures through
-# region_boolean and region_is_empty.
+# region_boolean and region_sample_point.
 
 def reference_closure(a):
     return PLRegion(a.dim, tuple(_cell_closure(c) for c in a.cells
@@ -782,8 +868,8 @@ def reference_components(a):
         return i
 
     for i, j in itertools.combinations(range(len(cells)), 2):
-        if find(i) != find(j) and not region_is_empty(
-                region_boolean("intersect", closures[i], closures[j])):
+        if find(i) != find(j) and region_sample_point(
+                region_boolean("intersect", closures[i], closures[j])) is not None:
             parent[find(i)] = find(j)
     groups = {}
     for i in range(len(cells)):
@@ -907,6 +993,22 @@ def test_ambient_intervals_sorted_and_disjoint():
     for length in (0, -2):
         with pytest.raises(ValidationError):
             CircleCell(0, length)
+
+
+def test_ambient_ends_are_exact_rationals():
+    # a finite float end would pass for an infinity, and the ambient's
+    # sample point would then lie outside it
+    with pytest.raises(ArgumentError, match="not an exact rational"):
+        Ambient1D(((0, 0.5),))
+    with pytest.raises(ArgumentError, match="not an exact rational"):
+        Ambient2D(((0, 0.5, 0, 0.25),))
+    half = Ambient1D(((0, "1/2"),))
+    assert half.intervals == ((Fraction(0), Fraction(1, 2)),)
+    assert region_sample_point(ambient_region(half)) == Fraction(1, 4)
+    box = Ambient2D(((0, Fraction(1, 2), NEG_INF, Fraction(1, 4)),))
+    assert region_contains_point(ambient_region(box),
+                                 region_sample_point(ambient_region(box)))
+    assert Ambient1D(((NEG_INF, INF),)).intervals == ((NEG_INF, INF),)
 
 
 def test_ambient_component_lookup():
