@@ -201,9 +201,7 @@ class FinPresheaf:
             act = self.actions.get(f)
             if act is None:
                 raise ArgumentError(f"no action for arrow {f!r}")
-            if set(act.keys()) != set(self.sets[t]) or not set(act.values()) <= set(
-                self.sets[s]
-            ):
+            if act.keys() != self.sets[t] or not self.sets[s].issuperset(act.values()):
                 raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
             at = position[s]
             table[f] = [at[act[e]] for e in order[t]]
@@ -252,47 +250,50 @@ class TruncSSet:
         for k in range(1, self.level + 1):
             for i in range(k + 1):
                 m = self.faces.get((k, i))
-                if m is None or set(m) != set(self.simplices[k]) or not set(
-                    m.values()
-                ) <= set(self.simplices[k - 1]):
+                if m is None or m.keys() != self.simplices[k] or not self.simplices[
+                        k - 1].issuperset(m.values()):
                     raise ArgumentError(f"face ({k},{i}) is not a map X_{k} -> X_{k-1}")
         for k in range(self.level):
             for i in range(k + 1):
                 m = self.degeneracies.get((k, i))
-                if m is None or set(m) != set(self.simplices[k]) or not set(
-                    m.values()
-                ) <= set(self.simplices[k + 1]):
+                if m is None or m.keys() != self.simplices[k] or not self.simplices[
+                        k + 1].issuperset(m.values()):
                     raise ArgumentError(f"degeneracy ({k},{i}) is not a map X_{k} -> X_{k+1}")
         self._check_simplicial_identities()
 
     def _check_simplicial_identities(self) -> None:
-        d, s = self.faces, self.degeneracies
-        for k in range(2, self.level + 1):
+        """Each identity, for each (k, j, i), compares its two sides as lists
+        over X_k in one fixed order; the image of X_k under each face and
+        each degeneracy is listed once and shared by the identities."""
+        d, s, top = self.faces, self.degeneracies, self.level
+        xs = [list(x) for x in self.simplices]
+        dx = {(k, i): _images(xs[k], d[(k, i)])
+              for k in range(1, top + 1) for i in range(k + 1)}
+        sx = {(k, i): _images(xs[k], s[(k, i)])
+              for k in range(top) for i in range(k + 1)}
+        for k in range(2, top + 1):
             for j in range(k + 1):
                 for i in range(j):
-                    for x in self.simplices[k]:
-                        if d[(k - 1, i)][d[(k, j)][x]] != d[(k - 1, j - 1)][d[(k, i)][x]]:
-                            raise ArgumentError(f"face identity fails at degree {k}")
-        for k in range(self.level - 1):
+                    if _images(dx[(k, j)], d[(k - 1, i)]) != _images(
+                            dx[(k, i)], d[(k - 1, j - 1)]):
+                        raise ArgumentError(f"face identity fails at degree {k}")
+        for k in range(top - 1):
             for j in range(k + 1):
                 for i in range(j + 1):
-                    for x in self.simplices[k]:
-                        if s[(k + 1, j + 1)][s[(k, i)][x]] != s[(k + 1, i)][s[(k, j)][x]]:
-                            raise ArgumentError(f"degeneracy identity fails at degree {k}")
-        for k in range(self.level):
+                    if _images(sx[(k, i)], s[(k + 1, j + 1)]) != _images(
+                            sx[(k, j)], s[(k + 1, i)]):
+                        raise ArgumentError(f"degeneracy identity fails at degree {k}")
+        for k in range(top):
             for j in range(k + 1):
                 for i in range(k + 2):
-                    for x in self.simplices[k]:
-                        y = s[(k, j)][x]
-                        got = d[(k + 1, i)][y]
-                        if i == j or i == j + 1:
-                            want = x
-                        elif i < j:
-                            want = s[(k - 1, j - 1)][d[(k, i)][x]]
-                        else:
-                            want = s[(k - 1, j)][d[(k, i - 1)][x]]
-                        if got != want:
-                            raise ArgumentError(f"mixed identity fails at degree {k}")
+                    if i == j or i == j + 1:
+                        want = xs[k]
+                    elif i < j:
+                        want = _images(dx[(k, i)], s[(k - 1, j - 1)])
+                    else:
+                        want = _images(dx[(k, i - 1)], s[(k - 1, j)])
+                    if _images(sx[(k, j)], d[(k + 1, i)]) != want:
+                        raise ArgumentError(f"mixed identity fails at degree {k}")
 
     def face(self, k: int, i: int, x):
         return self.faces[(k, i)][x]
@@ -308,19 +309,37 @@ class TruncSSet:
             deg -= 1
         return cur
 
+    def restriction_maps(self, alpha: MonotoneMap) -> list[Mapping]:
+        """The face and degeneracy maps whose composite is X(alpha), for a
+        monotone map alpha: [a] -> [level-part], in the order they apply to
+        a simplex of X_{alpha.target}: through the epi-mono factorization,
+        first a face deleting each vertex alpha misses, top-down, then a
+        degeneracy repeating each vertex alpha hits twice, left to right.
+        Factor alpha once here and apply the maps to as many simplices as
+        needed."""
+        image = set(alpha.values)
+        maps = []
+        deg = alpha.target
+        for v in sorted(set(range(alpha.target + 1)) - image, reverse=True):
+            maps.append(self.faces[(deg, v)])
+            deg -= 1
+        for j in range(alpha.source):
+            if alpha.values[j] == alpha.values[j + 1]:
+                maps.append(self.degeneracies[(deg, j)])
+                deg += 1
+        return maps
+
     def restrict(self, alpha: MonotoneMap, x):
         """The action of an arbitrary monotone map [a] -> [level-part]: X(alpha)
-        applied to x in X_{alpha.target}, computed through the epi-mono
-        factorization (delete missed vertices top-down, then insert repeats)."""
-        image = sorted(set(alpha.values))
-        cur, deg = x, alpha.target
-        for v in sorted(set(range(alpha.target + 1)) - set(image), reverse=True):
-            cur = self.faces[(deg, v)][cur]
-            deg -= 1
-        for j in [j for j in range(alpha.source) if alpha.values[j] == alpha.values[j + 1]]:
-            cur = self.degeneracies[(deg, j)][cur]
-            deg += 1
-        return cur
+        applied to x in X_{alpha.target}."""
+        return _images([x], *self.restriction_maps(alpha))[0]
+
+
+def _images(xs: list, *maps: Mapping) -> list:
+    """The image of each element of xs under the maps, applied in turn."""
+    for m in maps:
+        xs = list(map(m.__getitem__, xs))
+    return xs
 
 
 def nerve(category: FinCategory, n: int) -> TruncSSet:
@@ -332,13 +351,14 @@ def nerve(category: FinCategory, n: int) -> TruncSSet:
     simplices: list[frozenset] = [frozenset(category.objects)]
     if n >= 1:
         simplices.append(frozenset((f,) for f in category.arrows))
+    out_of: dict[Obj, list[Arrow]] = {x: [] for x in category.objects}
+    for g, (x, _) in category.arrows.items():
+        out_of[x].append(g)
     for k in range(2, n + 1):
-        chains = set()
-        for chain in simplices[k - 1]:
-            for g in category.arrows:
-                if category.src(g) == category.dst(chain[-1]):
-                    chains.add(chain + (g,))
-        simplices.append(frozenset(chains))
+        # each chain grows by the arrows out of its end, in arrow order, so
+        # the chains reach the set in the order a scan of all arrows met them
+        simplices.append(frozenset({chain + (g,) for chain in simplices[k - 1]
+                                    for g in out_of[category.dst(chain[-1])]}))
 
     faces: dict[tuple[int, int], dict] = {}
     for k in range(1, n + 1):
@@ -458,9 +478,10 @@ def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
     end = {u: sset.vertex(a, a, u) for u in sset.simplices[a]}
     start = {v: sset.vertex(b, 0, v) for v in sset.simplices[b]}
+    xs = list(sset.simplices[a + b])
     pairs = set()
-    for x in sset.simplices[a + b]:
-        u, v = sset.restrict(init, x), sset.restrict(fin, x)
+    for u, v in zip(_images(xs, *sset.restriction_maps(init)),
+                    _images(xs, *sset.restriction_maps(fin))):
         if (u, v) in pairs or u not in end or v not in start or end[u] != start[v]:
             return False
         pairs.add((u, v))
@@ -642,19 +663,35 @@ def check_segal_gamma(presheaf: FinPresheaf, kappa: int, ell: int) -> bool:
 def monoid_power_presheaf(elements: Iterable, add: Callable, zero, n: int) -> FinPresheaf:
     """The label diagram X<k> = E^k of a commutative monoid (E, add, zero):
     a restriction map along a pointed function u sends a tuple to the tuple of
-    sums over preimages.  Strictly splitting by construction."""
+    sums over preimages.  Strictly splitting by construction.
+
+    Sums are shared between arrows.  For each size b the tuples of E^b are
+    listed once, and each preimage that occurs (the positions in <b> that
+    some pointed function sends to one label, in increasing order) gets one
+    column: for every listed tuple, the sum of its entries at those
+    positions, ``reduce(add, ..., zero)`` in position order, as the
+    label-by-label definition adds them.  An action zips the columns of its
+    preimages, so each sum is computed once per size, not once per arrow."""
     elems = tuple(elements)
     base = gamma_segal_category(n)
     sets = {k: frozenset(itertools.product(elems, repeat=k)) for k in base.objects}
+    listed = {k: list(s) for k, s in sets.items()}
+    columns: dict[int, dict[tuple[int, ...], list]] = {k: {} for k in base.objects}
     actions = {}
     for f, (a, b) in base.arrows.items():
-        # positions in y of the labels sent to j = 1..a, in increasing order
-        preimages = [[i for i, image in enumerate(f[3]) if image == j]
-                     for j in range(1, a + 1)]
-        actions[f] = {
-            y: tuple(reduce(add, map(y.__getitem__, pre), zero) for pre in preimages)
-            for y in sets[b]
-        }
+        ys, column = listed[b], columns[b]
+        if a == 0:
+            actions[f] = dict.fromkeys(ys, ())
+            continue
+        preimages: list[list[int]] = [[] for _ in range(a + 1)]
+        for i, image in enumerate(f[3]):
+            preimages[image].append(i)
+        picked = []
+        for pre in map(tuple, preimages[1:]):
+            if pre not in column:
+                column[pre] = [reduce(add, map(y.__getitem__, pre), zero) for y in ys]
+            picked.append(column[pre])
+        actions[f] = dict(zip(ys, zip(*picked)))
     return FinPresheaf(base, sets, actions)
 
 
@@ -738,7 +775,8 @@ class OneDirectionPresheaf:
     @classmethod
     def from_trunc_sset(cls, sset: TruncSSet) -> "OneDirectionPresheaf":
         def action(alpha: MonotoneMap) -> dict:
-            return {x: sset.restrict(alpha, x) for x in sset.simplices[alpha.target]}
+            xs = list(sset.simplices[alpha.target])
+            return dict(zip(xs, _images(xs, *sset.restriction_maps(alpha))))
 
         return cls(lambda k: sset.simplices[k], action)
 

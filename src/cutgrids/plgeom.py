@@ -47,6 +47,15 @@ def fr(x) -> Fraction:
     raise ArgumentError(f"not an exact rational: {x!r}")
 
 
+def _exact_end(v) -> End:
+    """An end of a segment, slab or ambient: a Fraction as it is (one type
+    test, as cells are built often), an infinity as it is, any other end as
+    an exact rational (a finite float raises ArgumentError)."""
+    if isinstance(v, Fraction):
+        return v
+    return v if v in (INF, NEG_INF) else fr(v)
+
+
 def is_finite(v: End) -> bool:
     # Every End is a Fraction, an int or a float infinity; the concrete type
     # test avoids the slow ABC check that isinstance(v, Fraction) makes.
@@ -319,7 +328,9 @@ def plfunc_min_on_closed(f: PLFunc, lo: End, hi: End) -> End:
 @dataclass(frozen=True)
 class Seg:
     """A line interval with per-endpoint inclusion flags; lo == hi (both
-    closed) is a point; infinite ends are open."""
+    closed) is a point; infinite ends are open.  Finite ends are kept as
+    Fractions: an int or string end is converted, and a finite float end
+    raises ArgumentError."""
 
     lo: End
     hi: End
@@ -327,6 +338,8 @@ class Seg:
     hi_closed: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", _exact_end(self.lo))
+        object.__setattr__(self, "hi", _exact_end(self.hi))
         if not self.lo < self.hi:
             if self.lo > self.hi:
                 raise ValidationError("segment endpoints out of order")
@@ -396,7 +409,8 @@ class CircleCell:
 @dataclass(frozen=True)
 class Slab:
     """A 2D cell {x in the x-range, lower(x) <= y <= upper(x)} with inclusion
-    flags on all four sides; lower/upper are PLFunc graphs or infinities."""
+    flags on all four sides; lower/upper are PLFunc graphs or infinities.
+    Finite x-ends are kept as Fractions, as a Seg's ends are."""
 
     x_lo: End
     x_hi: End
@@ -408,6 +422,8 @@ class Slab:
     upper_closed: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x_lo", _exact_end(self.x_lo))
+        object.__setattr__(self, "x_hi", _exact_end(self.x_hi))
         if self.x_lo > self.x_hi:
             raise ValidationError("slab x-range out of order")
         if self.x_lo == self.x_hi and not (self.x_lo_closed and self.x_hi_closed):
@@ -992,12 +1008,6 @@ def region_sample_point(a: PLRegion, *others: PLRegion):
 # Ambient manifolds
 # ---------------------------------------------------------------------------
 
-def _ambient_end(v) -> End:
-    """An ambient end: an infinity as it is, any other end as an exact
-    rational (a finite float raises ArgumentError)."""
-    return v if v in (INF, NEG_INF) else fr(v)
-
-
 @dataclass(frozen=True)
 class Ambient1D:
     """A disjoint union of open intervals of the line and circles."""
@@ -1008,7 +1018,7 @@ class Ambient1D:
     def __post_init__(self) -> None:
         ivs = []
         for lo, hi in self.intervals:
-            lo, hi = _ambient_end(lo), _ambient_end(hi)
+            lo, hi = _exact_end(lo), _exact_end(hi)
             if lo >= hi:
                 raise ValidationError("ambient interval endpoints out of order")
             ivs.append((lo, hi))
@@ -1051,7 +1061,7 @@ class Ambient2D:
     def __post_init__(self) -> None:
         normed = []
         for x0, x1, y0, y1 in self.boxes:
-            box = tuple(map(_ambient_end, (x0, x1, y0, y1)))
+            box = tuple(map(_exact_end, (x0, x1, y0, y1)))
             if box[0] >= box[1] or box[2] >= box[3]:
                 raise ValidationError("empty ambient box")
             normed.append(box)

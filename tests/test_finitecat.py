@@ -421,6 +421,187 @@ def test_chain_decomposition_rejects_restrictions_that_disagree_at_the_vertex():
         triangle_boundary(), 1, 1)
 
 
+def reference_nerve(category: FinCategory, n: int):
+    """The nerve's simplices, faces and degeneracies as nerve built them
+    when each chain was tried against every arrow."""
+    simplices = [frozenset(category.objects)]
+    if n >= 1:
+        simplices.append(frozenset((f,) for f in category.arrows))
+    for k in range(2, n + 1):
+        chains = set()
+        for chain in simplices[k - 1]:
+            for g in category.arrows:
+                if category.src(g) == category.dst(chain[-1]):
+                    chains.add(chain + (g,))
+        simplices.append(frozenset(chains))
+    faces = {}
+    for k in range(1, n + 1):
+        for i in range(k + 1):
+            table = {}
+            for chain in simplices[k]:
+                if i == 0:
+                    table[chain] = chain[1:] if k > 1 else category.dst(chain[0])
+                elif i == k:
+                    table[chain] = chain[:-1] if k > 1 else category.src(chain[0])
+                else:
+                    table[chain] = (chain[: i - 1]
+                                    + (category.then(chain[i - 1], chain[i]),)
+                                    + chain[i + 1:])
+            faces[(k, i)] = table
+    degeneracies = {}
+    for k in range(n):
+        for i in range(k + 1):
+            table = {}
+            for chain in simplices[k]:
+                if k == 0:
+                    table[chain] = (category.identity[chain],)
+                else:
+                    vert = category.src(chain[0]) if i == 0 else category.dst(chain[i - 1])
+                    table[chain] = chain[:i] + (category.identity[vert],) + chain[i:]
+            degeneracies[(k, i)] = table
+    return simplices, faces, degeneracies
+
+
+def listed_maps(maps: dict) -> list:
+    return [(key, list(m.items())) for key, m in maps.items()]
+
+
+@pytest.mark.parametrize("cat", [chain_poset(k) for k in range(4)]
+                         + [cyclic_group_category(k) for k in (1, 2, 3)]
+                         + [chaotic_groupoid(k) for k in (1, 2, 3)])
+def test_nerve_extends_chains_as_the_all_arrows_scan_did(cat):
+    # equal as lists: the same chains in the same iteration order
+    for level in range(5):
+        got = nerve(cat, level)
+        simplices, faces, degeneracies = reference_nerve(cat, level)
+        assert [list(s) for s in got.simplices] == [list(s) for s in simplices]
+        assert listed_maps(got.faces) == listed_maps(faces)
+        assert listed_maps(got.degeneracies) == listed_maps(degeneracies)
+
+
+def reference_identity_error(sset: TruncSSet):
+    """The simplicial identities checked simplex by simplex, as TruncSSet
+    checked them before; the message of the first failure, or None."""
+    d, s = sset.faces, sset.degeneracies
+    for k in range(2, sset.level + 1):
+        for j in range(k + 1):
+            for i in range(j):
+                for x in sset.simplices[k]:
+                    if d[(k - 1, i)][d[(k, j)][x]] != d[(k - 1, j - 1)][d[(k, i)][x]]:
+                        return f"face identity fails at degree {k}"
+    for k in range(sset.level - 1):
+        for j in range(k + 1):
+            for i in range(j + 1):
+                for x in sset.simplices[k]:
+                    if s[(k + 1, j + 1)][s[(k, i)][x]] != s[(k + 1, i)][s[(k, j)][x]]:
+                        return f"degeneracy identity fails at degree {k}"
+    for k in range(sset.level):
+        for j in range(k + 1):
+            for i in range(k + 2):
+                for x in sset.simplices[k]:
+                    got = d[(k + 1, i)][s[(k, j)][x]]
+                    if i == j or i == j + 1:
+                        want = x
+                    elif i < j:
+                        want = s[(k - 1, j - 1)][d[(k, i)][x]]
+                    else:
+                        want = s[(k - 1, j)][d[(k, i - 1)][x]]
+                    if got != want:
+                        return f"mixed identity fails at degree {k}"
+    return None
+
+
+@given(small_categories(max_objects=3), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_identity_check_matches_the_per_simplex_loop(cat, level, data):
+    sset = nerve(cat, level)
+    maps = {"faces": {key: dict(m) for key, m in sset.faces.items()},
+            "degeneracies": {key: dict(m) for key, m in sset.degeneracies.items()}}
+    kind = data.draw(st.sampled_from(sorted(maps)))
+    k, i = data.draw(st.sampled_from(sorted(maps[kind])))
+    x = data.draw(st.sampled_from(sorted(sset.simplices[k], key=repr)))
+    into = k - 1 if kind == "faces" else k + 1
+    maps[kind][(k, i)][x] = data.draw(
+        st.sampled_from(sorted(sset.simplices[into], key=repr)))
+    rewired = TruncSSet(level, sset.simplices, maps["faces"], maps["degeneracies"],
+                        validate=False)
+    want = reference_identity_error(rewired)
+    try:
+        TruncSSet(level, sset.simplices, maps["faces"], maps["degeneracies"])
+        got = None
+    except ArgumentError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_identity_check_reaches_a_face_away_from_the_degeneracy(j):
+    # d_2 s_0 = s_0 d_1 and d_0 s_1 = s_0 d_0 on edges are the identities
+    # that break here: in the monoid {1, e} with e;e = e, sending s_j(e) to
+    # the chain (e, e) keeps d_j s_j = d_{j+1} s_j = id and every other
+    # identity, so no one entry of a nerve of the categories above fails
+    # either alone
+    arrows = {"1": ("*", "*"), "e": ("*", "*")}
+    table = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    sset = nerve(FinCategory(("*",), arrows, {"*": "1"}, table), 2)
+    degeneracies = {key: dict(m) for key, m in sset.degeneracies.items()}
+    degeneracies[(1, j)][("e",)] = ("e", "e")
+    rewired = TruncSSet(2, sset.simplices, sset.faces, degeneracies, validate=False)
+    assert reference_identity_error(rewired) == "mixed identity fails at degree 1"
+    with pytest.raises(ArgumentError) as caught:
+        TruncSSet(2, sset.simplices, sset.faces, degeneracies)
+    assert str(caught.value) == "mixed identity fails at degree 1"
+
+
+def reference_restrict(sset: TruncSSet, alpha: MonotoneMap, x):
+    """X(alpha) on x as TruncSSet.restrict computed it, one simplex at a
+    time: delete missed vertices top-down, then insert repeats."""
+    image = sorted(set(alpha.values))
+    cur, deg = x, alpha.target
+    for v in sorted(set(range(alpha.target + 1)) - set(image), reverse=True):
+        cur = sset.faces[(deg, v)][cur]
+        deg -= 1
+    for j in [j for j in range(alpha.source) if alpha.values[j] == alpha.values[j + 1]]:
+        cur = sset.degeneracies[(deg, j)][cur]
+        deg += 1
+    return cur
+
+
+@pytest.mark.parametrize("cat", [chain_poset(2), cyclic_group_category(2),
+                                 chaotic_groupoid(2), parallel_pair_category()])
+def test_factored_restriction_matches_the_per_simplex_walk(cat):
+    sset = nerve(cat, 4)
+    simplicial = OneDirectionPresheaf.from_trunc_sset(sset)
+    for a in range(5):
+        for t in range(5):
+            for values in itertools.combinations_with_replacement(range(t + 1), a + 1):
+                alpha = MonotoneMap(a, t, values)
+                want = {x: reference_restrict(sset, alpha, x) for x in sset.simplices[t]}
+                assert list(simplicial.action(alpha).items()) == list(want.items())
+                assert all(sset.restrict(alpha, x) == y for x, y in want.items())
+
+
+def test_chain_decomposition_factors_each_restriction_once(monkeypatch):
+    factored = []
+    restriction_maps = TruncSSet.restriction_maps
+
+    def counted(self, alpha):
+        factored.append(alpha)
+        return restriction_maps(self, alpha)
+
+    def per_simplex(self, alpha, x):
+        raise AssertionError("restricted one simplex at a time")
+
+    monkeypatch.setattr(TruncSSet, "restriction_maps", counted)
+    monkeypatch.setattr(TruncSSet, "restrict", per_simplex)
+    sset = nerve(chaotic_groupoid(2), 4)
+    for a in range(5):
+        factored.clear()
+        assert check_segal_delta(sset, a, 4 - a) is True
+        assert factored == [MonotoneMap(a, 4, tuple(range(a + 1))),
+                            MonotoneMap(4 - a, 4, tuple(range(a, 5)))]
+
+
 @given(small_categories())
 @settings(max_examples=60, deadline=None)
 def test_completeness_agrees_with_isomorphism_enumeration(cat):
@@ -635,13 +816,14 @@ def test_gamma_base_serves_the_category_readers():
     assert is_discrete_fibration(projection) is True
 
 
-def reference_monoid_actions(base: FinCategory, elems, add, zero) -> dict:
-    """The restriction maps of monoid_power_presheaf, label by label."""
+def reference_monoid_actions(base: FinCategory, sets, add, zero) -> dict:
+    """The restriction maps of monoid_power_presheaf, label by label, each
+    over the tuples of its source in the order of ``sets``."""
     actions = {}
     for f, (a, b) in base.arrows.items():
         u = GammaMorphism(b, a, f[3])
         table = {}
-        for y in itertools.product(elems, repeat=b):
+        for y in sets[b]:
             out = []
             for j in range(1, a + 1):
                 acc = zero
@@ -654,14 +836,63 @@ def reference_monoid_actions(base: FinCategory, elems, add, zero) -> dict:
     return actions
 
 
+def listed_actions(actions: dict) -> list:
+    return [(f, list(act.items())) for f, act in actions.items()]
+
+
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("elems, add, zero", [
     (range(3), lambda a, b: (a + b) % 3, 0),
     (range(2), max, 0),
 ])
 def test_monoid_powers_match_the_per_label_loop(n, elems, add, zero):
+    # equal as lists: the same arrows, tuples and sums in the same order
     p = monoid_power_presheaf(elems, add, zero, n)
-    assert p.actions == reference_monoid_actions(p.base, tuple(elems), add, zero)
+    want = reference_monoid_actions(p.base, p.sets, add, zero)
+    assert listed_actions(p.actions) == listed_actions(want)
+
+
+def first_nonzero(x, y):
+    """A monoid on {0, 1, 2} that is not commutative: the first nonzero
+    entry, so a sum shows the order in which it was added."""
+    return x if x else y
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_monoid_power_sums_add_in_position_order(n, monkeypatch):
+    # the presheaf of a noncommutative monoid is not functorial, so the
+    # actions are read before FinPresheaf would reject them
+    monkeypatch.setattr(finitecat, "FinPresheaf", lambda base, sets, actions: (
+        base, sets, actions))
+    base, sets, actions = monoid_power_presheaf(range(3), first_nonzero, 0, n)
+    want = reference_monoid_actions(base, sets, first_nonzero, 0)
+    assert listed_actions(actions) == listed_actions(want)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_a_sum_outside_the_monoid_is_not_a_map(n):
+    # 1 + 1 leaves {0, 1}: first at the merge <2> -> <1>
+    if n < 2:
+        monoid_power_presheaf(range(2), lambda a, b: a + b, 0, n)
+        return
+    with pytest.raises(ArgumentError) as caught:
+        monoid_power_presheaf(range(2), lambda a, b: a + b, 0, n)
+    assert str(caught.value) == "action of ('g', 1, 2, (1, 1)) is not a map F(2) -> F(1)"
+
+
+@pytest.mark.parametrize("n, size, calls", [(4, 2, 626), (3, 3, 363), (2, 1, 5)])
+def test_monoid_powers_sum_each_preimage_once_per_size(n, size, calls):
+    # each size b has one column per subset of its positions, summed over
+    # the |E|^b tuples: sum over b of |E|^b * b * 2^(b-1) additions
+    count = 0
+
+    def add(x, y):
+        nonlocal count
+        count += 1
+        return (x + y) % size
+
+    monoid_power_presheaf(range(size), add, 0, n)
+    assert count == calls == sum(size ** b * b * 2 ** (b - 1) for b in range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", range(4))

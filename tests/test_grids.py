@@ -1,6 +1,7 @@
 """Signed cut data: classification, validity, cores, compactness,
 globularity, and transport along embeddings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -1008,6 +1009,59 @@ def test_equivalence_is_reflexive_and_symmetric(data):
     other = data.draw(same_shape_variants(b))
     assert equivalent(b, b)
     assert equivalent(b, other) is equivalent(other, b)
+
+
+def relabelled(b, c, label):
+    """b with the label of component c set to label."""
+    mg = b.mgrid
+    labels = list(mg.labels)
+    labels[c] = label
+    return b.with_mgrid(MonoidalCutGrid(mg.grid, mg.ell, tuple(labels)))
+
+
+@st.composite
+def raised_label(draw, b):
+    """b with one component's label raised by one (ell wraps to 0): two
+    raises in a row reach a label two steps away, through one that is a
+    single step from each end."""
+    mg = b.mgrid
+    if not mg.labels:  # a shrink may keep no component
+        return b
+    c = draw(st.integers(0, len(mg.labels) - 1))
+    return relabelled(b, c, (mg.labels[c] + 1) % (mg.ell + 1))
+
+
+def assert_transitive(bordisms):
+    eq = {(i, j): equivalent(bordisms[i], bordisms[j])
+          for i, j in itertools.permutations(range(len(bordisms)), 2)}
+    for i, j, k in itertools.permutations(range(len(bordisms)), 3):
+        if eq[(i, j)] and eq[(j, k)]:
+            assert eq[(i, k)], (i, j, k)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_equivalence_is_transitive(data):
+    # a chain of four, each a variant of the one before or the one before
+    # with a label raised, so that two can be equivalent through a third
+    chain = [data.draw(embedded_bordisms())]
+    for _ in range(3):
+        chain.append(data.draw(st.one_of(same_shape_variants(chain[-1]),
+                                         raised_label(chain[-1]))))
+    assert_transitive(chain)
+
+
+def test_equivalence_is_transitive_along_label_steps():
+    # labels 0..3 on the one component, whose core [2, 5] they all label;
+    # each label is one step from the next, and only equal labels agree
+    cuts = tuple(Cut1D((ComponentCut1D("zeros", ((F(z), "+"),)),)) for z in (2, 5))
+    b = Bordism(Ambient1D(((F(0), F(10)),)),
+                MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 3, (0,)),
+                embedded_field(1), AffineMap.identity(1))
+    chain = [relabelled(b, 0, label) for label in range(4)]
+    assert equivalent(chain[1], relabelled(b, 0, 1))
+    assert not equivalent(chain[0], chain[1])
+    assert_transitive(chain + [shrink_to_core(chain[2], F(1))])
 
 
 @given(embedded_bordisms(), st.integers(1, 6))

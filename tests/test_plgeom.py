@@ -1011,6 +1011,30 @@ def test_ambient_ends_are_exact_rationals():
     assert Ambient1D(((NEG_INF, INF),)).intervals == ((NEG_INF, INF),)
 
 
+def test_cell_ends_are_exact_rationals():
+    # int ends used to stay ints, so interval_rep divided them into floats
+    # that the engine's own point queries then rejected
+    seg = Seg(0, 5, False, False)
+    assert (type(seg.lo), type(seg.hi)) == (Fraction, Fraction)
+    point = region_sample_point(line_region(seg))
+    assert point == Fraction(5, 2) and type(point) is Fraction
+    assert region_contains_point(line_region(seg), point)
+    meet = region_sample_point(line_region(Seg(0, 5, False, False)),
+                               line_region(Seg(1, 5, False, False)))
+    assert meet == 3 and type(meet) is Fraction
+    slab = Slab(0, 1, False, False, PLFunc.constant(0), PLFunc.constant(1),
+                True, True)
+    x, y = region_sample_point(PLRegion(2, (slab,)))
+    assert (x, y) == (Fraction(1, 2), 0) and type(x) is Fraction
+    assert region_contains_point(PLRegion(2, (slab,)), (x, y))
+    assert Seg("1/3", 1, True, True).lo == Fraction(1, 3)
+    assert Seg(NEG_INF, INF, False, False) == Seg(NEG_INF, INF, False, False)
+    with pytest.raises(ArgumentError, match="not an exact rational"):
+        Seg(0, 0.5, False, False)
+    with pytest.raises(ArgumentError, match="not an exact rational"):
+        Slab(0.5, 1, False, False, NEG_INF, INF, False, False)
+
+
 def test_ambient_component_lookup():
     amb = Ambient1D(((0, 1), (2, 3)), (Fraction(5),))
     assert amb.n_components() == 3
