@@ -4,11 +4,11 @@ The package stacks up in layers: ``shapes`` (simplex/pointed-set/tree
 index categories), ``finitecat`` (finite categories, presheaves, nerve
 and Segal/globularity checkers), ``plgeom`` (exact piecewise-linear
 regions on lines, circles, and the plane), ``grids`` (signed cut data,
-validity, cores, compactness, globularity, pullback/pushforward),
-``bordisms`` (validated bordisms, germ-of-core classification,
-composition, products, metric and family plug-ins), ``documents`` /
-``render`` / ``cli`` (exact JSON round-trip, deterministic SVG, and the
-command-line front end).
+validity, cores, compactness, globularity, pullback along embeddings),
+``bordisms`` (validated bordisms, restriction by ``bordism_pullback``,
+germ-of-core classification, composition, products, metric and family
+plug-ins), ``documents`` / ``render`` / ``cli`` (exact JSON round-trip,
+deterministic SVG, and the command-line front end).
 """
 
 from .errors import (
@@ -83,7 +83,6 @@ from .grids import (
     is_compact,
     is_globular,
     pullback_along,
-    pushforward_along,
     relabel,
     vertex_grid,
 )
@@ -95,6 +94,7 @@ from .bordisms import (
     FamCut1D,
     FieldDatum,
     bordism_core,
+    bordism_pullback,
     catalog,
     conjoint_of_point_isotopy,
     embedded_field,

@@ -9,12 +9,18 @@ grid.  Embedded bordisms are classified up to germ-of-core equivalence:
 two are identified when, after pushing both into the reference space,
 their cores agree as point sets and all cut/label data coincides on a
 neighborhood of the core.
+
+A bordism restricts along an embedding one way, ``bordism_pullback``:
+``normalize`` pulls back along the inverse map from the image,
+``shrink_to_core`` along the inclusion of the shrunk ambient, and
+``is_morphism`` compares b1 with b2 pulled back along phi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from inspect import signature
 from typing import Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -47,7 +53,6 @@ from .grids import (
     grids_equal,
     image_ambient,
     pullback_along,
-    pushforward_along,
     relabel,
     vertex_grid,
 )
@@ -149,26 +154,34 @@ class Bordism:
         return replace(self, mgrid=mgrid)
 
 
+def _metric_densities(b: Bordism) -> tuple[PLFunc, ...]:
+    """A metric field's densities, checked to be one per component of a
+    1D ambient."""
+    if b.ambient.dim != 1:
+        raise ArgumentError("metric field needs d = 1")
+    densities, n = b.field.densities, b.ambient.n_components()
+    if len(densities) != n:
+        raise ArgumentError(f"{len(densities)} densities for {n} components")
+    return densities
+
+
 def _field_entries(b: Bordism) -> list[ReportEntry]:
     f = b.field
     if f.kind == "trivial":
         return [ReportEntry("field", True)]
     if f.kind == "metric":
-        if b.ambient.dim != 1:
-            return [ReportEntry("field", False, "metric field needs d = 1")]
+        try:
+            densities = _metric_densities(b)
+        except ArgumentError as exc:
+            return [ReportEntry("field", False, str(exc))]
         amb = b.ambient
         assert isinstance(amb, Ambient1D)
-        n = amb.n_components()
-        if len(f.densities) != n:
-            return [ReportEntry(
-                "field", False,
-                f"{len(f.densities)} densities for {n} components")]
-        for k in range(n):
+        for k, w in enumerate(densities):
             kind, data = amb.component_kind(k)
             # a circle of length L is [0, L] with its ends glued: both count
             domain = (component_region(amb, k) if kind == "interval"
                       else line_region(Seg(Fraction(0), data, True, True)))
-            if not plfunc_is_positive_on(f.densities[k], domain):
+            if not plfunc_is_positive_on(w, domain):
                 return [ReportEntry(
                     "field", False,
                     f"density on component {k} is not strictly positive")]
@@ -237,16 +250,37 @@ def _require_embedded(b: Bordism) -> None:
             "operation needs an embedded-field bordism")
 
 
+def bordism_pullback(b: Bordism, emb: AmbientEmbedding) -> Bordism:
+    """The restriction of b to emb.source: the grid pullback_along gives
+    (which validates emb), each interval's density the pullback_metric of
+    the one on its component_targets image (a circle keeps its own), and
+    an embedded field's map b's after emb's."""
+    mgrid = pullback_along(b.mgrid, emb)
+    field, embedding = b.field, b.embedding
+    if field.kind == "metric":
+        densities = _metric_densities(b)
+        assert isinstance(b.ambient, Ambient1D)
+        lines = len(b.ambient.intervals)
+        field = FieldDatum("metric", tuple(
+            pullback_metric(densities[t], emb.map) if t < lines
+            else densities[t] for t in component_targets(emb)))
+    elif field.kind == "embedded" and embedding is not None:
+        embedding = embedding.compose(emb.map)
+    return Bordism(emb.source, mgrid, field, embedding, b.uple)
+
+
 def normalize(b: Bordism) -> Bordism:
     """Push the ambient and all data forward along the embedding, so
     the embedding becomes the inclusion of the image."""
     _require_embedded(b)
-    assert b.embedding is not None
-    if b.embedding.is_identity():
+    aff = b.embedding
+    assert aff is not None
+    if aff.is_identity():
         return b
-    mgrid, img = pushforward_along(b.mgrid, b.ambient, b.embedding)
-    return Bordism(img, mgrid, b.field,
-                   AffineMap.identity(b.embedding.dim), b.uple)
+    if aff.dim != b.ambient.dim:
+        raise ArgumentError("embedding dimensions do not agree")
+    return bordism_pullback(b, AmbientEmbedding(
+        image_ambient(b.ambient, aff), b.ambient, aff.inverse()))
 
 
 def _labels_disagreement(b1: Bordism, b2: Bordism) -> list:
@@ -295,42 +329,23 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     if b1.shape != b2.shape:
         raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
     try:
-        emb = AmbientEmbedding(b1.ambient, b2.ambient, phi)
-        pulled = pullback_along(b2.mgrid, emb)  # validates emb first
+        pulled = bordism_pullback(
+            b2, AmbientEmbedding(b1.ambient, b2.ambient, phi))
     except (ArgumentError, ValidationError):
         return False
-    if not grids_equal(pulled, b1.mgrid):
+    f1, f2 = b1.field, pulled.field
+    if f1.kind != f2.kind or not grids_equal(pulled.mgrid, b1.mgrid):
         return False
-    if not _fields_pull_back(emb, b1, b2):
+    if f1.kind == "metric" and not (
+            len(f1.densities) == len(f2.densities)
+            and all(map(plfunc_equal, f1.densities, f2.densities))):
+        return False
+    if f1.kind == "embedded" and (f1.target_dim != f2.target_dim
+                                  or b1.embedding is None
+                                  or pulled.embedding != b1.embedding):
         return False
     image_reg = ambient_region(image_ambient(b1.ambient, phi))
     return region_subset(bordism_core(b2), image_reg)
-
-
-def _fields_pull_back(emb: AmbientEmbedding, b1: Bordism, b2: Bordism) -> bool:
-    """Whether b1's field is b2's pulled back along the validated emb:
-    each density of b1 is the pullback of the density on the component
-    that component_targets sends it to (a circle's, which the embedding
-    fixes, is that density itself)."""
-    f1, f2 = b1.field, b2.field
-    if f1.kind != f2.kind:
-        return False
-    if f1.kind == "trivial":
-        return True
-    if f1.kind == "metric":
-        assert isinstance(b1.ambient, Ambient1D)
-        lines = len(b1.ambient.intervals)
-        for k, t in enumerate(component_targets(emb)):
-            w = f2.densities[t]
-            expected = pullback_metric(w, emb.map) if k < lines else w
-            if not plfunc_equal(f1.densities[k], expected):
-                return False
-        return True
-    if b1.embedding is None or b2.embedding is None:
-        return False
-    if f1.target_dim != f2.target_dim:
-        return False
-    return b2.embedding.compose(emb.map) == b1.embedding
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +460,8 @@ def _product(b1: Bordism, b2: Bordism, ambient: Ambient,
     f1 = b1.field
     field, embedding = TRIVIAL_FIELD, None
     if f1.kind == "metric":
-        field = FieldDatum("metric", pick(f1.densities, b2.field.densities))
+        field = FieldDatum("metric", pick(_metric_densities(b1),
+                                          _metric_densities(b2)))
     elif f1.kind == "embedded":
         field = embedded_field(f1.target_dim)
         embedding = AffineMap.identity(f1.target_dim)
@@ -473,14 +489,8 @@ def shrink_to_core(b: Bordism, eps) -> Bordism:
         new_ambient = _shrunk_ambient_1d(b.ambient, components, eps, amb_reg)
     else:
         new_ambient = _shrunk_ambient_2d(b.ambient, components, eps, amb_reg)
-    ident = AffineMap.identity(b.ambient.dim)
-    emb = AmbientEmbedding(new_ambient, b.ambient, ident)
-    mgrid = pullback_along(b.mgrid, emb)
-    field = b.field
-    if field.kind == "metric":
-        field = FieldDatum("metric", tuple(
-            field.densities[t] for t in component_targets(emb)))
-    return Bordism(new_ambient, mgrid, field, b.embedding, b.uple)
+    return bordism_pullback(b, AmbientEmbedding(
+        new_ambient, b.ambient, AffineMap.identity(b.ambient.dim)))
 
 
 def _shrunk_ambient_1d(ambient: Ambient1D, components, eps,
@@ -563,6 +573,7 @@ def metric_core_length(b: Bordism) -> Fraction:
         raise UnsupportedFieldError("length needs a metric field")
     if not isinstance(b.ambient, Ambient1D):
         raise ArgumentError("length needs a 1-dimensional bordism")
+    densities = _metric_densities(b)
     c = bordism_core(b)
     comps = region_components(c)
     if not comps:
@@ -577,14 +588,14 @@ def metric_core_length(b: Bordism) -> Fraction:
                 continue
             ci = b.ambient.component_of_line_point(
                 interval_rep(cell.lo, cell.hi))
-            total += plfunc_integral(b.field.densities[ci], cell.lo, cell.hi)
+            total += plfunc_integral(densities[ci], cell.lo, cell.hi)
         elif isinstance(cell, CircleCell):
             ci = len(b.ambient.intervals) + cell.circle
             total += plfunc_integral(
-                b.field.densities[ci], Fraction(0), cell.circumference)
+                densities[ci], Fraction(0), cell.circumference)
         elif isinstance(cell, Arc):
             ci = len(b.ambient.intervals) + cell.circle
-            w = b.field.densities[ci]
+            w = densities[ci]
             if cell.start == cell.end:
                 continue
             if cell.start < cell.end:
@@ -670,27 +681,22 @@ def family_at(fam: BordismFamily, t) -> Bordism:
     ambient = Ambient1D(
         tuple((_ev_end(lo, t), _ev_end(hi, t)) for lo, hi in fam.intervals),
         fam.circles)
-    new_tuples = []
-    for tup in fam.tuples:
-        cuts = []
-        for fcut in tup:
-            comps = tuple(
-                ComponentCut1D(
-                    fc.kind,
-                    tuple((z(t), s) for z, s in fc.zeros),
-                    fc.whole_sign)
-                for fc in fcut.components)
-            cuts.append(Cut1D(comps))
-        new_tuples.append(CutTuple(tuple(cuts)))
-    mgrid = MonoidalCutGrid(CutGrid(tuple(new_tuples)), fam.ell, fam.labels)
+
+    def cut_at(fcut: FamCut1D) -> Cut1D:
+        return Cut1D(tuple(
+            ComponentCut1D(fc.kind, tuple((z(t), s) for z, s in fc.zeros),
+                           fc.whole_sign) for fc in fcut.components))
+
+    mgrid = MonoidalCutGrid(CutGrid(tuple(
+        CutTuple(tuple(map(cut_at, tup))) for tup in fam.tuples)),
+        fam.ell, fam.labels)
     if fam.field_kind == "embedded":
         shift = fam.emb_shift(t) if fam.emb_shift is not None else Fraction(0)
         return Bordism(ambient, mgrid, embedded_field(fam.target_dim),
                        AffineMap.line(fam.emb_scale, shift), fam.uple)
-    if fam.field_kind == "metric":
-        return Bordism(ambient, mgrid, FieldDatum("metric", fam.densities),
-                       None, fam.uple)
-    return Bordism(ambient, mgrid, TRIVIAL_FIELD, None, fam.uple)
+    field = (FieldDatum("metric", fam.densities)
+             if fam.field_kind == "metric" else TRIVIAL_FIELD)
+    return Bordism(ambient, mgrid, field, None, fam.uple)
 
 
 def _family_breakpoints(fam: BordismFamily) -> list[Fraction]:
@@ -776,12 +782,8 @@ def conjoint_of_point_isotopy(fam: BordismFamily) -> Bordism:
     assert isinstance(amb, Ambient1D)
 
     def cut_at(x: Fraction) -> Cut1D:
-        comps = []
-        for k, comp in enumerate(fiber.mgrid.grid.tuples[0].cuts[0].components):
-            if k == ci:
-                comps.append(ComponentCut1D("zeros", ((x, sign),)))
-            else:
-                comps.append(comp)
+        comps = list(fiber.mgrid.grid.tuples[0].cuts[0].components)
+        comps[ci] = ComponentCut1D("zeros", ((x, sign),))
         return Cut1D(tuple(comps))
 
     mgrid = MonoidalCutGrid(
@@ -831,12 +833,17 @@ def _pair_bumps(width: Fraction) -> PLFunc:
 
 def catalog(name: str, *params) -> Union[Bordism, BordismFamily]:
     """Construct a worked example by name.  Raises ArgumentError for
-    unknown names or parameters that break the example's preconditions."""
+    unknown names, more parameters than the example takes, or parameters
+    that break the example's preconditions."""
     builder = _CATALOG.get(name)
     if builder is None:
         raise ArgumentError(
             f"unknown catalog name {name!r}; expected one of "
             + ", ".join(sorted(_CATALOG)))
+    try:
+        signature(builder).bind(*params)
+    except TypeError as exc:
+        raise ArgumentError(f"catalog item {name!r}: {exc}") from None
     return builder(*params)
 
 

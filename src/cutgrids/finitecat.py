@@ -605,6 +605,8 @@ def gamma_segal_category(n: int) -> FinCategory:
     the rest into <a> and permute, moving labels into place by
     transpositions at each step.
     """
+    if n < 0:
+        raise ArgumentError("label diagram size must be nonnegative")
     objects = tuple(range(n + 1))
     arrows: dict[Arrow, tuple[Obj, Obj]] = {}
     out_of: dict[Obj, dict[tuple[int, ...], Arrow]] = {a: {} for a in objects}

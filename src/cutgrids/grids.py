@@ -964,10 +964,6 @@ class AmbientEmbedding:
                 raise ArgumentError(
                     "circle components must match up to identity")
 
-    @property
-    def dim(self) -> int:
-        return self.map.dim
-
     def validate(self) -> None:
         """Check the image of the source lies inside the target."""
         img = image_ambient(self.source, self.map)
@@ -1109,17 +1105,6 @@ def pullback_along(mg: MonoidalCutGrid,
                    for tup in mg.grid.tuples)
     return MonoidalCutGrid(CutGrid(tuples), mg.ell,
                            tuple(mg.labels[t] for t in targets))
-
-
-def pushforward_along(mg: MonoidalCutGrid, ambient: Ambient,
-                      aff: AffineMap) -> tuple[MonoidalCutGrid, Ambient]:
-    """Transport a monoidal grid forward along an invertible affine
-    map: the result lives on the image ambient and is the pullback
-    along the inverse."""
-    if aff.dim != ambient.dim:
-        raise ArgumentError("embedding dimensions do not agree")
-    img = image_ambient(ambient, aff)
-    return pullback_along(mg, AmbientEmbedding(img, ambient, aff.inverse())), img
 
 
 # ---------------------------------------------------------------------------

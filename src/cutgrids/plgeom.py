@@ -39,11 +39,15 @@ End = Union[Fraction, float]  # a rational endpoint or an infinity sentinel
 
 
 def fr(x) -> Fraction:
-    """Coerce ints/strings/Fractions to Fraction."""
+    """Coerce ints/strings/Fractions to Fraction; anything else, a
+    malformed string or a zero denominator raises ArgumentError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ArgumentError(f"not an exact rational: {x!r}")
 
 

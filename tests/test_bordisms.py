@@ -18,6 +18,7 @@ from cutgrids.bordisms import (
     FamCut1D,
     FieldDatum,
     bordism_core,
+    bordism_pullback,
     catalog,
     conjoint_of_point_isotopy,
     embedded_field,
@@ -55,7 +56,6 @@ from cutgrids.grids import (
     Sheet,
     grids_equal,
     pullback_along,
-    pushforward_along,
 )
 from cutgrids.plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, plfunc_equal
 from cutgrids.shapes import GammaMorphism
@@ -119,6 +119,15 @@ def test_catalog_parameter_guards():
         catalog("composable_pair_2d", 2)
     with pytest.raises(ArgumentError):
         catalog("point_isotopy", 0, 1, "=")
+
+
+def test_catalog_rejects_extra_parameters():
+    for name, params in (("point2d", (1,)), ("elbow_right", (0, 1, 2)),
+                         ("metric_interval", (0, 1, 2, 3))):
+        with pytest.raises(ArgumentError, match="too many"):
+            catalog(name, *params)
+    with pytest.raises(ArgumentError, match="not an exact rational"):
+        catalog("composable_pair_2d", "x")
 
 
 def test_validate_reports_field_problems():
@@ -351,6 +360,44 @@ def test_a_reflected_metric_morphism_pulls_each_density_back():
     assert is_morphism(phi, with_densities(4, 2, 6), b) is False
 
 
+def test_bordism_pullback_restricts_each_field_kind():
+    b = metric_on_two_intervals_and_a_circle()
+    phi = AffineMap.line(-2, 0)
+    source = Ambient1D(((F(-7, 2), F(-3, 2)), (F(3, 4), F(9, 4))), (F(4),))
+    pulled = bordism_pullback(b, AmbientEmbedding(source, b.ambient, phi))
+    assert pulled.ambient == source
+    assert densities(pulled) == [4, 2, 3]  # stretched by 2; the circle's kept
+    assert is_morphism(phi, pulled, b) is True
+
+    placed = translated(catalog("elbow_right"), 5)
+    stretch = AmbientEmbedding(FULL_LINE, FULL_LINE, AffineMap.line(2, 0))
+    assert bordism_pullback(placed, stretch).embedding == AffineMap.line(2, 5)
+    plain = replace(placed, field=FieldDatum("trivial"), embedding=None)
+    pulled_plain = bordism_pullback(plain, stretch)
+    assert pulled_plain.field == plain.field and pulled_plain.embedding is None
+    assert cut_zeros(pulled_plain, 1, 0) == ((F(0), "+"), (F(1, 2), "-"))
+
+
+def test_a_density_count_that_is_not_the_component_count_is_refused():
+    b = catalog("metric_interval", 0, 1, 3)
+    w = b.field.densities[0]
+    for ws in ((), (w, w)):
+        bad = replace(b, field=FieldDatum("metric", ws))
+        message = f"{len(ws)} densities for 1 components"
+        for restrict in (lambda: shrink_to_core(bad, F(1, 2)),
+                         lambda: metric_core_length(bad),
+                         lambda: bordism_pullback(bad, AmbientEmbedding(
+                             FULL_LINE, FULL_LINE, AffineMap.identity(1)))):
+            with pytest.raises(ArgumentError, match=message):
+                restrict()
+        assert is_morphism(AffineMap.identity(1), bad, b) is False
+        assert is_morphism(AffineMap.identity(1), b, bad) is False
+        far = replace(shrink_to_core(catalog("metric_interval", 4, 5), 1),
+                      field=bad.field)
+        with pytest.raises(ArgumentError, match=message):
+            monoidal_product(shrink_to_core(b, 1), far)
+
+
 # ---------------------------------------------------------------------------
 # composition and boundaries
 # ---------------------------------------------------------------------------
@@ -462,11 +509,8 @@ def test_monoidal_product_guards():
 
 def test_monoidal_product_in_the_plane():
     near = shrink_to_core(catalog("point2d"), 1)
-    moved_grid, image = pushforward_along(
-        catalog("point2d").mgrid, FULL_PLANE,
-        AffineMap(2, (0, 1), (1, 1), (5, 0)))
-    far = shrink_to_core(
-        Bordism(image, moved_grid, embedded_field(2), AffineMap.identity(2)),
+    far = shrink_to_core(normalize(replace(
+        catalog("point2d"), embedding=AffineMap(2, (0, 1), (1, 1), (5, 0)))),
         1)
     prod = monoidal_product(near, far)
     assert prod.ambient.boxes == (

@@ -681,6 +681,15 @@ def test_gamma_base_composition_pushes_labels():
     assert base.then(f, g) == ("g", 1, 2, (0, 0))
 
 
+def test_label_diagrams_need_a_nonnegative_size():
+    for build in (gamma_segal_category,
+                  lambda n: monoid_power_presheaf((0, 1), max, 0, n),
+                  lambda n: constant_gamma_presheaf({0}, n)):
+        with pytest.raises(ArgumentError, match="size must be nonnegative"):
+            build(-1)
+    assert gamma_segal_category(0).objects == (0,)
+
+
 def test_monoid_powers_split_strictly():
     p = monoid_power_presheaf(range(3), lambda a, b: (a + b) % 3, 0, 3)
     for kappa in range(4):

@@ -2,6 +2,7 @@
 globularity, and transport along embeddings."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,10 +54,10 @@ from cutgrids.grids import (
     cut_regions,
     grid_check,
     grids_equal,
+    image_ambient,
     is_compact,
     is_globular,
     pullback_along,
-    pushforward_along,
     relabel,
     region_between,
     tuple_is_ordered,
@@ -69,9 +70,11 @@ from cutgrids.bordisms import (
     FULL_LINE,
     FULL_PLANE,
     Bordism,
+    bordism_pullback,
     catalog,
     embedded_field,
     equivalent,
+    normalize,
     shrink_to_core,
     validate,
 )
@@ -828,6 +831,36 @@ def test_reindexing_commutes_across_directions(mg_amb, data):
     assert grids_equal(one_then_two, two_then_one)
 
 
+@given(valid_grids(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_faces_and_vertices_satisfy_the_simplicial_identities(mg_amb, data):
+    """Vertex j is the cut C_j alone, vertex j of a face d^k is the
+    vertex d^k(j), and for i < j the faces d^j then d^i reindex as d^i then
+    d^(j-1), which is the composite of the two maps."""
+    mg, _ambient = mg_amb
+    d = data.draw(st.integers(1, mg.d))
+    cuts = mg.grid.tuples[d - 1].cuts
+    m = len(cuts) - 1
+    for j in range(m + 1):
+        assert vertex_grid(mg, d, j).grid.tuples[d - 1].cuts == (cuts[j],)
+    if m >= 1:
+        face = MonotoneMap.face(m, data.draw(st.integers(0, m)))
+        faced = apply_simplicial(mg, d, face)
+        for j in range(m):
+            assert grids_equal(vertex_grid(faced, d, j),
+                               vertex_grid(mg, d, face(j)))
+    if m >= 2:
+        j = data.draw(st.integers(1, m))
+        i = data.draw(st.integers(0, j - 1))
+        dj, di = MonotoneMap.face(m, j), MonotoneMap.face(m - 1, i)
+        dj_di = apply_simplicial(apply_simplicial(mg, d, dj), d, di)
+        di_dj1 = apply_simplicial(apply_simplicial(
+            mg, d, MonotoneMap.face(m, i)), d, MonotoneMap.face(m - 1, j - 1))
+        assert grids_equal(dj_di, di_dj1)
+        assert grids_equal(dj_di,
+                           apply_simplicial(mg, d, compose_monotone(di, dj)))
+
+
 @given(nested_line_grids(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_relabelling_is_functorial_and_preserves_validity(mg_amb, data):
@@ -854,9 +887,16 @@ def test_relabel_arity_guard():
 # transport along embeddings
 # ---------------------------------------------------------------------------
 
+def pushed_forward(mg, ambient, aff):
+    """mg moved onto the image of ambient under aff, with that image: its
+    pullback from the image along aff.inverse()."""
+    img = image_ambient(ambient, aff)
+    return pullback_along(mg, AmbientEmbedding(img, ambient, aff.inverse())), img
+
+
 def test_pushforward_scales_and_shifts_zeros():
     b = catalog("elbow_right")  # zeros at 0 and 1
-    mg, img = pushforward_along(b.mgrid, b.ambient, AffineMap.line(2, 3))
+    mg, img = pushed_forward(b.mgrid, b.ambient, AffineMap.line(2, 3))
     cuts = mg.grid.tuples[0].cuts
     assert cuts[0].components[0].zeros == ((F(3), "+"), (F(5), "-"))
     assert img.intervals == ((NEG_INF, INF),)
@@ -865,14 +905,14 @@ def test_pushforward_scales_and_shifts_zeros():
 def test_pushforward_reflection_flips_signs():
     mg0 = MonoidalCutGrid(
         CutGrid((CutTuple((zeros_cut((F(1, 2), "-")),)),)), 1, (1,))
-    mg, _img = pushforward_along(mg0, FULL_LINE, AffineMap.line(-1, 0))
+    mg, _img = pushed_forward(mg0, FULL_LINE, AffineMap.line(-1, 0))
     assert mg.grid.tuples[0].cuts[0].components[0].zeros == ((F(-1, 2), "+"),)
 
 
 def test_pushforward_axis_swap_exchanges_cut_axes():
     b = catalog("point2d")
     swap = AffineMap(2, (1, 0), (F(1), F(1)), (F(0), F(0)))
-    mg, _img = pushforward_along(b.mgrid, b.ambient, swap)
+    mg, _img = pushed_forward(b.mgrid, b.ambient, swap)
     axes = [tup.cuts[0].axis for tup in mg.grid.tuples]
     assert axes == [1, 2]
     assert grid_check(mg.grid, FULL_PLANE).passed
@@ -904,7 +944,7 @@ def test_pushforward_then_pullback_is_identity(mg_amb, num, shift, flip):
     mg, ambient = mg_amb
     a = F(-num if flip else num, 2)
     aff = AffineMap.line(a, shift)
-    moved, img = pushforward_along(mg, ambient, aff)
+    moved, img = pushed_forward(mg, ambient, aff)
     back = pullback_along(moved, AmbientEmbedding(ambient, img, aff))
     assert grids_equal(back, mg)
 
@@ -928,18 +968,22 @@ def test_planar_pushforward_then_pullback_is_identity(name, eps):
     if eps is not None:
         b = shrink_to_core(b, eps)
     for aff in signed_permutations():
-        moved, img = pushforward_along(b.mgrid, b.ambient, aff)
-        back = pullback_along(moved, AmbientEmbedding(b.ambient, img, aff))
-        assert grids_equal(back, b.mgrid), aff
+        moved = normalize(replace(b, embedding=aff))
+        assert moved.ambient == image_ambient(b.ambient, aff)
+        assert moved.embedding.is_identity()
+        back = bordism_pullback(
+            moved, AmbientEmbedding(b.ambient, moved.ambient, aff))
+        assert grids_equal(back.mgrid, b.mgrid), aff
+        assert back.ambient == b.ambient and back.embedding == aff
 
 
 def test_pushforward_needs_a_map_of_the_ambient_dimension():
-    b = catalog("point2d")
-    with pytest.raises(ArgumentError, match="dimensions do not agree"):
-        pushforward_along(b.mgrid, b.ambient, AffineMap.line(1, 0))
-    with pytest.raises(ArgumentError, match="dimensions do not agree"):
-        pushforward_along(catalog("point1d").mgrid, FULL_LINE,
-                          AffineMap.identity(2))
+    # checked before the image is built: a 1D map cannot map a box
+    swap = AffineMap(2, (1, 0), (1, 1), (0, 0))
+    for b, aff in ((catalog("point2d"), AffineMap.line(2, 0)),
+                   (catalog("point1d"), swap)):
+        with pytest.raises(ArgumentError, match="dimensions do not agree"):
+            normalize(replace(b, embedding=aff))
 
 
 @given(st.integers(1, 3), st.integers(-2, 2), st.integers(1, 3), st.integers(-2, 2), st.booleans())

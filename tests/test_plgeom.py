@@ -30,6 +30,7 @@ from cutgrids.plgeom import (
     ambient_region,
     component_region,
     empty_region,
+    fr,
     line_region,
     plfunc_crossings,
     plfunc_integral,
@@ -1009,6 +1010,13 @@ def test_ambient_ends_are_exact_rationals():
     assert region_contains_point(ambient_region(box),
                                  region_sample_point(ambient_region(box)))
     assert Ambient1D(((NEG_INF, INF),)).intervals == ((NEG_INF, INF),)
+
+
+def test_malformed_rationals_are_argument_errors():
+    assert fr("-3/6") == Fraction(-1, 2) and fr(2) == 2
+    for bad in ("x", "1/0", "", "1/", 0.5, None):
+        with pytest.raises(ArgumentError, match="not an exact rational"):
+            fr(bad)
 
 
 def test_cell_ends_are_exact_rationals():
