@@ -79,7 +79,6 @@ from .grids import (
     classify_point,
     core,
     grid_check,
-    grids_equal,
     is_compact,
     is_globular,
     pullback_along,

@@ -13,7 +13,9 @@ neighborhood of the core.
 A bordism restricts along an embedding one way, ``bordism_pullback``:
 ``normalize`` pulls back along the inverse map from the image,
 ``shrink_to_core`` along the inclusion of the shrunk ambient, and
-``is_morphism`` compares b1 with b2 pulled back along phi.
+``is_morphism`` compares b1 with b2 pulled back along phi where b1 lives:
+each pair of cuts by their partitions of b1's ambient, and each metric
+density on its component of b1.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .grids import (
     component_targets,
     core,
     cut_disagreement,
+    cut_regions,
     globularity_failures,
     grid_check,
-    grids_equal,
     image_ambient,
     pullback_along,
     relabel,
@@ -73,7 +75,7 @@ from .plgeom import (
     fr,
     interval_rep,
     line_region,
-    plfunc_equal,
+    plfunc_agree_on,
     plfunc_integral,
     plfunc_is_positive_on,
     rational_to_text,
@@ -322,29 +324,51 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     return region_sample_point(wobble, core1) is None
 
 
+def _component_hull(ambient: Ambient1D, k: int) -> tuple:
+    """The closed hull of component k: an interval's ends, or [0, L] for a
+    circle of length L."""
+    kind, data = ambient.component_kind(k)
+    return data if kind == "interval" else (Fraction(0), data)
+
+
 def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     """Whether phi is a cut-respecting embedding from b1 into b2 whose
     image contains the core of b2 (the condition for a morphism to the
-    smaller presentation b1)."""
+    smaller presentation b1).
+
+    b1 is compared with b2's restriction along phi where b1 lives: ell and
+    labels by value, each pair of cuts by their (below, level, above)
+    partitions of b1's ambient, each metric density on its component's
+    closed hull, and an embedded field's map by value.  What b2 does
+    outside the image of phi does not count.  A grid with no partition
+    (an invalid cut) or a density count that is not the component count
+    answers False."""
     if b1.shape != b2.shape:
         raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
+    amb = b1.ambient
     try:
-        pulled = bordism_pullback(
-            b2, AmbientEmbedding(b1.ambient, b2.ambient, phi))
-    except (ArgumentError, ValidationError):
-        return False
-    f1, f2 = b1.field, pulled.field
-    if f1.kind != f2.kind or not grids_equal(pulled.mgrid, b1.mgrid):
-        return False
-    if f1.kind == "metric" and not (
-            len(f1.densities) == len(f2.densities)
-            and all(map(plfunc_equal, f1.densities, f2.densities))):
+        pulled = bordism_pullback(b2, AmbientEmbedding(amb, b2.ambient, phi))
+        g1, g2 = b1.mgrid, pulled.mgrid
+        f1, f2 = b1.field, pulled.field
+        if (f1.kind != f2.kind or (g1.ell, g1.labels) != (g2.ell, g2.labels)
+                or not all(region_equal(r1, r2)
+                           for t1, t2 in zip(g1.grid.tuples, g2.grid.tuples)
+                           for c1, c2 in zip(t1.cuts, t2.cuts)
+                           for r1, r2 in zip(cut_regions(c1, amb),
+                                             cut_regions(c2, amb)))):
+            return False
+        if f1.kind == "metric" and not all(
+                plfunc_agree_on(w1, w2, *_component_hull(amb, k))
+                for k, (w1, w2) in enumerate(zip(_metric_densities(b1),
+                                                 f2.densities))):
+            return False
+    except (ArgumentError, ValidationError, UnsupportedDimensionError):
         return False
     if f1.kind == "embedded" and (f1.target_dim != f2.target_dim
                                   or b1.embedding is None
                                   or pulled.embedding != b1.embedding):
         return False
-    image_reg = ambient_region(image_ambient(b1.ambient, phi))
+    image_reg = ambient_region(image_ambient(amb, phi))
     return region_subset(bordism_core(b2), image_reg)
 
 

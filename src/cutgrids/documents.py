@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from .bordisms import (
     FIELD_KINDS,
@@ -542,27 +542,38 @@ def _sset_from_json(obj, where: str = "presheaf") -> TruncSSet:
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {
+    "bordism": (Bordism, _bordism_to_json, _bordism_from_json),
+    "family": (BordismFamily, _family_to_json, _family_from_json),
+    "finite-category": (FinCategory, _fincat_to_json, _fincat_from_json),
+    "presheaf": (TruncSSet, _sset_to_json, _sset_from_json),
+}
+
+
 @dataclass(frozen=True)
 class Document:
-    kind: str
+    """A payload and an optional name.  The kind is not stored: it is read
+    from the payload's type through ``_KINDS``, which also names the writer
+    and the reader of that kind, so every document serializes to text its
+    parser accepts.  A payload of no kind is refused on construction."""
+
     payload: Payload
     name: Optional[str] = None
-    version: int = FORMAT_VERSION
+
+    def __post_init__(self) -> None:
+        self.kind  # raises DocumentSyntaxError for a payload of no kind
+
+    @property
+    def kind(self) -> str:
+        for kind, (cls, _, _) in _KINDS.items():
+            if isinstance(self.payload, cls):
+                return kind
+        raise DocumentSyntaxError(
+            f"no document kind for payload of type {type(self.payload).__name__}")
 
 
 def document_for(payload: Payload, name: Optional[str] = None) -> Document:
-    if isinstance(payload, Bordism):
-        kind = "bordism"
-    elif isinstance(payload, BordismFamily):
-        kind = "family"
-    elif isinstance(payload, FinCategory):
-        kind = "finite-category"
-    elif isinstance(payload, TruncSSet):
-        kind = "presheaf"
-    else:
-        raise DocumentSyntaxError(
-            f"no document kind for payload of type {type(payload).__name__}")
-    return Document(kind, payload, name)
+    return Document(payload, name)
 
 
 def payload_report(doc: Document) -> ValidationReport:
@@ -576,30 +587,12 @@ def payload_report(doc: Document) -> ValidationReport:
 
 
 def serialize_document(doc: Document) -> str:
-    if isinstance(doc.payload, Bordism):
-        payload: Any = _bordism_to_json(doc.payload)
-    elif isinstance(doc.payload, BordismFamily):
-        payload = _family_to_json(doc.payload)
-    elif isinstance(doc.payload, FinCategory):
-        payload = _fincat_to_json(doc.payload)
-    elif isinstance(doc.payload, TruncSSet):
-        payload = _sset_to_json(doc.payload)
-    else:
-        raise DocumentSyntaxError(
-            f"cannot serialize payload of type {type(doc.payload).__name__}")
-    out = {"format": FORMAT_NAME, "version": doc.version, "kind": doc.kind}
+    kind = doc.kind
+    out = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind}
     if doc.name is not None:
         out["name"] = doc.name
-    out["payload"] = payload
+    out["payload"] = _KINDS[kind][1](doc.payload)
     return json.dumps(out, indent=2) + "\n"
-
-
-_PARSERS = {
-    "bordism": _bordism_from_json,
-    "family": _family_from_json,
-    "finite-category": _fincat_from_json,
-    "presheaf": _sset_from_json,
-}
 
 
 def parse_document(text: str, check: bool = True) -> Document:
@@ -619,17 +612,16 @@ def parse_document(text: str, check: bool = True) -> Document:
         raise DocumentSyntaxError(
             f"not a {FORMAT_NAME} file (format = {obj.get('format')!r})")
     version = obj.get("version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise DocumentSyntaxError(f"unrecognized version {version!r}")
     kind = obj.get("kind")
-    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
-    if parser is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DocumentSyntaxError(f"unknown document kind {kind!r}")
     payload_obj = obj.get("payload")
     if not isinstance(payload_obj, dict):
         raise DocumentSyntaxError("missing payload object")
     try:
-        payload = parser(payload_obj)
+        payload = _KINDS[kind][2](payload_obj)
     except (DocumentSyntaxError, DocumentValidationError):
         raise
     except (ValidationError, ValueError, TypeError, KeyError) as exc:
@@ -637,7 +629,7 @@ def parse_document(text: str, check: bool = True) -> Document:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentSyntaxError("name must be a string")
-    doc = Document(kind, payload, name, version)
+    doc = Document(payload, name)
     if check:
         report = payload_report(doc)
         if not report.passed:

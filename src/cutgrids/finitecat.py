@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import reduce
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -228,16 +228,18 @@ class TruncSSet:
 
     ``faces[(k, i)]`` is d_i: X_k -> X_{k-1} and ``degeneracies[(k, i)]`` is
     s_i: X_k -> X_{k+1}; all simplicial identities that fit inside the
-    truncation are enforced.
+    truncation are enforced.  ``validate=False`` skips the map and identity
+    checks, for a builder whose output passes them by construction; the
+    flag is not part of the value, so it does not show in equality or repr.
     """
 
     level: int
     simplices: tuple[frozenset, ...]
     faces: Mapping[tuple[int, int], Mapping]
     degeneracies: Mapping[tuple[int, int], Mapping]
-    validate: bool = True
+    validate: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, validate: bool) -> None:
         object.__setattr__(self, "simplices", tuple(frozenset(s) for s in self.simplices))
         object.__setattr__(self, "faces", {k: dict(v) for k, v in self.faces.items()})
         object.__setattr__(
@@ -245,7 +247,7 @@ class TruncSSet:
         )
         if len(self.simplices) != self.level + 1:
             raise ArgumentError("need one simplex set per degree 0..level")
-        if not self.validate:
+        if not validate:
             return
         for k in range(1, self.level + 1):
             for i in range(k + 1):
@@ -345,7 +347,14 @@ def _images(xs: list, *maps: Mapping) -> list:
 def nerve(category: FinCategory, n: int) -> TruncSSet:
     """Chains of composable arrows: degree k holds the k-tuples
     (f_1, ..., f_k), faces drop an outer vertex or compose at an inner one,
-    degeneracies insert identities."""
+    degeneracies insert identities.
+
+    The result is built with ``validate=False``: degree k holds every
+    composable k-chain, and dropping an end, composing a neighbouring pair
+    or inserting an identity turns one into another, so each face and
+    degeneracy is a map between the listed sets; the simplicial identities
+    then say that composition is associative and unital, which holds in
+    every FinCategory."""
     if n < 0:
         raise ArgumentError("truncation level must be nonnegative")
     simplices: list[frozenset] = [frozenset(category.objects)]
@@ -387,7 +396,7 @@ def nerve(category: FinCategory, n: int) -> TruncSSet:
                     vert = category.src(chain[0]) if i == 0 else category.dst(chain[i - 1])
                     table[chain] = chain[:i] + (category.identity[vert],) + chain[i:]
             degeneracies[(k, i)] = table
-    return TruncSSet(n, tuple(simplices), faces, degeneracies)
+    return TruncSSet(n, tuple(simplices), faces, degeneracies, validate=False)
 
 
 def pi0(sset: TruncSSet) -> list[frozenset]:

@@ -14,6 +14,11 @@ components).  The operations below — region extraction, ordering and
 transversality checks, between-regions, cores, compactness, a positive
 distance globularity test, reindexing, relabelling, and transport along
 affine embeddings — are the engine behind the bordism layer.
+
+Cut data are frozen values, and ``==`` is the one structural comparison:
+equal cuts are written the same way.  Where only what a cut does to an
+ambient matters, compare the ``cut_regions`` partitions instead, as
+``bordisms.is_morphism`` does.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .plgeom import (
     interval_rep,
     is_finite,
     line_region,
-    plfunc_equal,
     plfunc_is_positive_on,
     rational_to_text,
     region_boolean,
@@ -499,7 +503,8 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
     read straight from the signed zeros, which is correct only for a valid
     cut, so an invalid 1D cut raises ValidationError.  A 2D component's
     parts are its bands and sheets over the whole plane, unclipped, each
-    intersected with the component's boxes by the region engine.
+    intersected with the component's boxes by the region engine; a 2D cut
+    with one record too few or too many raises ValidationError too.
 
     The result is memoized on the value of (cut, ambient): both are frozen
     and normalized to exact rationals, and the parts are frozen regions.
@@ -521,7 +526,11 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
         return tuple(PLRegion(1, tuple(part)) for part in parts)
     if not isinstance(ambient, Ambient2D):
         raise ArgumentError("2D cut needs a 2D ambient")
-    for ci in range(ambient.n_components()):
+    n = ambient.n_components()
+    if len(cut.components) != n:
+        raise ValidationError(f"cut has {len(cut.components)} component "
+                              f"records, ambient has {n} components")
+    for ci in range(n):
         boxes = component_region(ambient, ci)
         comp_parts = _component_parts_2d(cut.components[ci], cut.axis)
         for part, cells in zip(parts, comp_parts):
@@ -816,7 +825,7 @@ def globularity_failures(mg: MonoidalCutGrid,
             cuts = g.tuples[ip - 1].cuts
             for k in range(len(cuts)):
                 for l in range(k + 1, len(cuts)):
-                    if cut_equal(cuts[k], cuts[l]):
+                    if cuts[k] == cuts[l]:
                         continue  # equal cuts cannot disagree anywhere
                     diff = cut_disagreement(cuts[k], ambient, cuts[l],
                                             ambient, kept)
@@ -1105,52 +1114,3 @@ def pullback_along(mg: MonoidalCutGrid,
                    for tup in mg.grid.tuples)
     return MonoidalCutGrid(CutGrid(tuples), mg.ell,
                            tuple(mg.labels[t] for t in targets))
-
-
-# ---------------------------------------------------------------------------
-# structural equality of grids
-# ---------------------------------------------------------------------------
-
-
-def _component_cut_equal(a, b) -> bool:
-    if isinstance(a, ComponentCut1D) and isinstance(b, ComponentCut1D):
-        if a.kind != b.kind:
-            return False
-        if a.kind == "whole":
-            return a.whole_sign == b.whole_sign
-        return a.zeros == b.zeros
-    if isinstance(a, ComponentCut2D) and isinstance(b, ComponentCut2D):
-        if a.kind != b.kind:
-            return False
-        if a.kind == "whole":
-            return a.whole_sign == b.whole_sign
-        if len(a.sheets) != len(b.sheets):
-            return False
-        return all(sa.sign == sb.sign and plfunc_equal(sa.graph, sb.graph)
-                   for sa, sb in zip(a.sheets, b.sheets))
-    return False
-
-
-def cut_equal(a: Cut, b: Cut) -> bool:
-    if isinstance(a, Cut2D) != isinstance(b, Cut2D):
-        return False
-    if isinstance(a, Cut2D) and a.axis != b.axis:
-        if any(c.kind == "sheets" for c in a.components) or \
-           any(c.kind == "sheets" for c in b.components):
-            return False
-    if len(a.components) != len(b.components):
-        return False
-    return all(_component_cut_equal(ca, cb)
-               for ca, cb in zip(a.components, b.components))
-
-
-def grids_equal(a: MonoidalCutGrid, b: MonoidalCutGrid) -> bool:
-    if a.ell != b.ell or a.labels != b.labels:
-        return False
-    if a.shape != b.shape:
-        return False
-    for ta, tb in zip(a.grid.tuples, b.grid.tuples):
-        for ca, cb in zip(ta.cuts, tb.cuts):
-            if not cut_equal(ca, cb):
-                return False
-    return True

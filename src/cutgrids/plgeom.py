@@ -229,12 +229,6 @@ class PLFunc:
         return max(abs(m) for _, _, m, _ in self.pieces())
 
 
-def plfunc_equal(f: PLFunc, g: PLFunc) -> bool:
-    """Equality as functions (representations may differ)."""
-    h = f.sub(g)
-    return h.left_slope == 0 and h.right_slope == 0 and all(v == 0 for v in h.values)
-
-
 def plfunc_integral(f: PLFunc, a, b) -> Fraction:
     """Exact trapezoidal integral over [a, b]."""
     a, b = fr(a), fr(b)
@@ -289,6 +283,22 @@ def _difference_pieces(f: PLFunc, g: PLFunc):
             return
         i += f_hi == hi
         j += g_hi == hi
+
+
+def plfunc_agree_on(f: PLFunc, g: PLFunc, lo: End, hi: End) -> bool:
+    """Whether f and g take the same values on the closed hull [lo, hi]
+    (ends may be infinite; lo == hi is one point), however each is written.
+
+    Each piece of f - g must vanish where it overlaps the hull: identically
+    on an overlap of positive length, at the point of a one-point overlap."""
+    lo, hi = _exact_end(lo), _exact_end(hi)
+    if lo > hi or (lo == hi and not is_finite(lo)):
+        raise ArgumentError("empty hull")
+    for p_lo, p_hi, m, c in _difference_pieces(f, g):
+        a, b = max(p_lo, lo), min(p_hi, hi)
+        if a < b and (m or c) or a == b and m * a + c:
+            return False
+    return True
 
 
 def plfunc_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:

@@ -54,10 +54,9 @@ from cutgrids.grids import (
     CutTuple,
     MonoidalCutGrid,
     Sheet,
-    grids_equal,
     pullback_along,
 )
-from cutgrids.plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, plfunc_equal
+from cutgrids.plgeom import INF, NEG_INF, Ambient1D, Ambient2D, PLFunc, plfunc_agree_on
 from cutgrids.shapes import GammaMorphism
 
 
@@ -274,6 +273,73 @@ def test_translation_morphism_respects_embeddings():
     assert is_morphism(AffineMap.line(1, 5), source, target) is True
     assert is_morphism(AffineMap.identity(1), catalog("point1d", 0),
                        catalog("point1d", 1)) is False
+
+
+def crossed_planes(y_sheet, ambient):
+    """point2d's two cuts with the y-sheet replaced, on the given ambient."""
+    ycut = Cut2D(2, (ComponentCut2D("sheets", (Sheet(y_sheet, "+"),)),))
+    xcut = Cut2D(1, (ComponentCut2D(
+        "sheets", (Sheet(PLFunc.constant(0), "+"),)),))
+    return Bordism(ambient, MonoidalCutGrid(
+        CutGrid((CutTuple((ycut,)), CutTuple((xcut,)))), 1, (1,)))
+
+
+def test_a_morphism_compares_sheets_only_where_the_source_lives():
+    ident = AffineMap.identity(2)
+    box = Ambient2D(((-1, 1, -1, 1),))
+    b1 = crossed_planes(PLFunc.constant(0), box)
+    # 0 up to x = 2, so it agrees with b1's sheet on the box
+    bent = PLFunc.from_points([(2, 0), (3, 1)], 0, 1)
+    assert is_morphism(ident, b1, crossed_planes(bent, FULL_PLANE)) is True
+    lifted = crossed_planes(PLFunc.constant(F(1, 2)), box)
+    assert is_morphism(ident, lifted,
+                       crossed_planes(PLFunc.constant(0), FULL_PLANE)) is False
+    # a cut with no component record has no partition of the box
+    recordless = b1.with_mgrid(replace(b1.mgrid, grid=CutGrid((
+        CutTuple((Cut2D(2, ()),)), b1.mgrid.grid.tuples[1]))))
+    assert is_morphism(ident, recordless, b1) is False
+
+
+def test_a_morphism_compares_densities_only_on_the_source_components():
+    target = catalog("metric_interval", 0, 2, 1)
+    window = Ambient1D(((F(-1, 2), F(5, 2)),))
+    grid = pullback_along(target.mgrid, AmbientEmbedding(
+        window, FULL_LINE, AffineMap.identity(1)))
+
+    def with_density(w):
+        return Bordism(window, grid, FieldDatum("metric", (w,)))
+
+    # 1 on the closed window, rising with slope 3 past its right end
+    steep = PLFunc.from_points([(F(-1, 2), 1), (F(5, 2), 1)], 0, 3)
+    assert is_morphism(AffineMap.identity(1), with_density(steep),
+                       target) is True
+    rising = PLFunc.from_points([(0, 1), (1, 2)])
+    assert is_morphism(AffineMap.identity(1), with_density(rising),
+                       target) is False
+
+
+def morphism_implies_equivalence(phi, b1, b2) -> bool:
+    return not is_morphism(phi, b1, b2) or equivalent(b1, b2)
+
+
+@pytest.mark.parametrize("eps", [F(1, 2), F(1), F(3)])
+def test_a_restriction_to_the_core_is_a_morphism_and_an_equivalence(eps):
+    for name in CATALOG_NAMES:
+        b = catalog(name)
+        if isinstance(b, BordismFamily) or b.field.kind != "embedded":
+            continue
+        shrunk = shrink_to_core(b, eps)
+        phi = AffineMap.identity(b.ambient.dim)
+        assert is_morphism(phi, shrunk, b) is True, name
+        assert morphism_implies_equivalence(phi, shrunk, b), name
+
+
+def test_a_translated_morphism_is_an_equivalence():
+    target = catalog("elbow_right", 5, 6)
+    source = translated(catalog("elbow_right"), 5)
+    assert morphism_implies_equivalence(AffineMap.line(1, 5), source, target)
+    assert morphism_implies_equivalence(
+        AffineMap.identity(1), catalog("point1d", 0), catalog("point1d", 1))
 
 
 def test_metric_morphism_needs_the_pulled_back_density():
@@ -528,7 +594,7 @@ def test_product_interchanges_with_composition():
     both = face_compose(monoidal_product(left, right), 1, 1)
     each = monoidal_product(face_compose(left, 1, 1),
                             face_compose(right, 1, 1))
-    assert grids_equal(both.mgrid, each.mgrid)
+    assert both.mgrid == each.mgrid
     assert both.ambient == each.ambient
 
 
@@ -549,7 +615,7 @@ def test_shrinking_twice_is_shrinking_smaller():
     twice = shrink_to_core(shrink_to_core(e, 1), F(1, 2))
     once = shrink_to_core(e, F(1, 2))
     assert twice.ambient == once.ambient
-    assert grids_equal(twice.mgrid, once.mgrid)
+    assert twice.mgrid == once.mgrid
 
 
 def test_shrink_guards():
@@ -576,6 +642,33 @@ def test_shrink_guards():
     assert "Fraction(" not in str(info.value)
 
 
+def test_shrinking_joins_neighbourhoods_that_overlap():
+    # cores [0, 1], {2} and [3, 4]: closed above the first cut, closed
+    # below the second
+    b = line_bordism([zeros_cut((0, "+"), (1, "-"), (2, "+"), (4, "-")),
+                      zeros_cut((2, "+"), (3, "-"))])
+    assert validate(b).passed
+    assert shrink_to_core(b, 1).ambient.intervals == ((-1, 5),)
+    assert shrink_to_core(b, F(1, 4)).ambient.intervals == (
+        (F(-1, 4), F(5, 4)), (F(7, 4), F(9, 4)), (F(11, 4), F(17, 4)))
+
+
+def test_shrinking_cannot_drop_a_circle():
+    # the circle lies wholly below the first cut, so the core misses it
+    both = Ambient1D(((NEG_INF, INF),), (F(4),))
+
+    def cut(line, circle_side):
+        return Cut1D((line, ComponentCut1D("whole", (), circle_side)))
+
+    elbow = catalog("elbow_right").mgrid.grid.tuples[0].cuts
+    mgrid = MonoidalCutGrid(CutGrid((CutTuple((
+        cut(elbow[0].components[0], "below"),
+        cut(elbow[1].components[0], "below"))),)), 1, (1, 1))
+    b = Bordism(both, mgrid, embedded_field(1), AffineMap.identity(1))
+    with pytest.raises(NeighborhoodError, match="drop a circle"):
+        shrink_to_core(b, 1)
+
+
 def test_shrink_restricts_metric_densities():
     m = catalog("metric_interval", 0, 1, 3)
     s = shrink_to_core(m, F(1, 2))
@@ -600,6 +693,24 @@ def test_metric_core_lengths():
         FieldDatum("metric", (PLFunc.constant(F(3, 2)),)))
     assert validate(circle).passed
     assert metric_core_length(circle) == 6
+
+
+@pytest.mark.parametrize("zeros, arc, length", [
+    (((1, "+"), (2, "-")), (2, 1), F(19, 2)),  # wraps past 0: [2, 4] + [0, 1]
+    (((1, "-"), (2, "+")), (1, 2), F(5, 2)),
+])
+def test_metric_length_of_a_circle_arc(zeros, arc, length):
+    b = Bordism(
+        Ambient1D((), (F(4),)),
+        MonoidalCutGrid(CutGrid((CutTuple((
+            whole_cut("above"),
+            Cut1D((ComponentCut1D("zeros", tuple((F(p), s) for p, s in zeros)),)),
+        )),)), 1, (1,)),
+        FieldDatum("metric", (PLFunc.affine(1, 1),)))  # density 1 + x
+    assert validate(b).passed
+    (cell,) = bordism_core(b).cells
+    assert (cell.start, cell.end) == arc
+    assert metric_core_length(b) == length
 
 
 def test_metric_length_adds_over_a_splitting():
@@ -649,7 +760,7 @@ def test_pullback_metric_respects_composition(a1, s1, a2, s2):
     phi1, phi2 = AffineMap.line(a1, s1), AffineMap.line(a2, s2)
     stepwise = pullback_metric(pullback_metric(density, phi2), phi1)
     at_once = pullback_metric(density, phi2.compose(phi1))
-    assert plfunc_equal(stepwise, at_once)
+    assert plfunc_agree_on(stepwise, at_once, NEG_INF, INF)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Round-trip and error handling tests for the JSON document format."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cutgrids.bordisms import catalog
 from cutgrids.documents import (
     FORMAT_NAME,
+    Document,
     document_for,
     parse_document,
     rational_from_text,
@@ -54,6 +56,25 @@ def test_document_kinds_follow_the_payload_type():
     assert document_for(nerve(chain_poset(1), 1)).kind == "presheaf"
     with pytest.raises(DocumentSyntaxError, match="no document kind"):
         document_for(42)
+
+
+def test_a_document_reads_its_kind_from_its_payload():
+    assert [f.name for f in fields(Document)] == ["payload", "name"]
+    doc = Document(chain_poset(1), "arrow")
+    assert doc.kind == "finite-category"
+    text = serialize_document(doc)
+    assert json.loads(text)["version"] == 1
+    assert parse_document(text) == doc
+    with pytest.raises(DocumentSyntaxError, match="no document kind"):
+        Document(42)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_a_document_version_is_the_integer_1(version):
+    obj = json.loads(elbow_text())
+    obj["version"] = version
+    with pytest.raises(DocumentSyntaxError, match="unrecognized version"):
+        parse_document(json.dumps(obj))
 
 
 def test_serialization_is_deterministic():

@@ -479,6 +479,35 @@ def test_nerve_extends_chains_as_the_all_arrows_scan_did(cat):
         assert listed_maps(got.degeneracies) == listed_maps(degeneracies)
 
 
+def checked_rebuild(sset: TruncSSet) -> TruncSSet:
+    """The same sets and maps passed through the full check."""
+    return TruncSSet(sset.level, sset.simplices, sset.faces, sset.degeneracies)
+
+
+@pytest.mark.parametrize("cat", [chain_poset(k) for k in range(4)]
+                         + [cyclic_group_category(k) for k in (2, 3)]
+                         + [chaotic_groupoid(k) for k in (2, 3)])
+def test_nerves_built_unchecked_pass_the_full_check(cat):
+    for level in range(5):
+        n = nerve(cat, level)
+        assert checked_rebuild(n) == n
+
+
+@given(small_categories())
+@settings(max_examples=40, deadline=None)
+def test_nerves_of_small_categories_pass_the_full_check(cat):
+    for level in range(5):
+        n = nerve(cat, level)
+        assert checked_rebuild(n) == n
+
+
+def test_the_validate_flag_is_not_part_of_the_value():
+    n = nerve(chain_poset(1), 2)
+    parts = (n.level, n.simplices, n.faces, n.degeneracies)
+    assert TruncSSet(*parts, validate=False) == TruncSSet(*parts)
+    assert "validate" not in repr(n)
+
+
 def reference_identity_error(sset: TruncSSet):
     """The simplicial identities checked simplex by simplex, as TruncSSet
     checked them before; the message of the first failure, or None."""

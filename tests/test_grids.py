@@ -53,7 +53,6 @@ from cutgrids.grids import (
     core,
     cut_regions,
     grid_check,
-    grids_equal,
     image_ambient,
     is_compact,
     is_globular,
@@ -813,9 +812,9 @@ def test_reindexing_is_contravariantly_functorial(packed, data):
     alpha = MonotoneMap(source, beta.source, values)
     twice = apply_simplicial(once, direction, alpha)
     combined = apply_simplicial(mg, direction, compose_monotone(alpha, beta))
-    assert grids_equal(twice, combined)
+    assert twice == combined
     ident = MonotoneMap.identity(mg.grid.tuples[direction - 1].m)
-    assert grids_equal(apply_simplicial(mg, direction, ident), mg)
+    assert apply_simplicial(mg, direction, ident) == mg
 
 
 @given(wall_plane_grids(), st.data())
@@ -828,7 +827,7 @@ def test_reindexing_commutes_across_directions(mg_amb, data):
     beta = MonotoneMap(1, 0, (0, 0))
     one_then_two = apply_simplicial(apply_simplicial(mg, 1, alpha), 2, beta)
     two_then_one = apply_simplicial(apply_simplicial(mg, 2, beta), 1, alpha)
-    assert grids_equal(one_then_two, two_then_one)
+    assert one_then_two == two_then_one
 
 
 @given(valid_grids(), st.data())
@@ -847,8 +846,7 @@ def test_faces_and_vertices_satisfy_the_simplicial_identities(mg_amb, data):
         face = MonotoneMap.face(m, data.draw(st.integers(0, m)))
         faced = apply_simplicial(mg, d, face)
         for j in range(m):
-            assert grids_equal(vertex_grid(faced, d, j),
-                               vertex_grid(mg, d, face(j)))
+            assert vertex_grid(faced, d, j) == vertex_grid(mg, d, face(j))
     if m >= 2:
         j = data.draw(st.integers(1, m))
         i = data.draw(st.integers(0, j - 1))
@@ -856,9 +854,8 @@ def test_faces_and_vertices_satisfy_the_simplicial_identities(mg_amb, data):
         dj_di = apply_simplicial(apply_simplicial(mg, d, dj), d, di)
         di_dj1 = apply_simplicial(apply_simplicial(
             mg, d, MonotoneMap.face(m, i)), d, MonotoneMap.face(m - 1, j - 1))
-        assert grids_equal(dj_di, di_dj1)
-        assert grids_equal(dj_di,
-                           apply_simplicial(mg, d, compose_monotone(di, dj)))
+        assert dj_di == di_dj1
+        assert dj_di == apply_simplicial(mg, d, compose_monotone(di, dj))
 
 
 @given(nested_line_grids(), st.data())
@@ -871,8 +868,8 @@ def test_relabelling_is_functorial_and_preserves_validity(mg_amb, data):
     v = GammaMorphism(2, 3, v_vals)
     step = relabel(relabel(mg, u), v)
     combined = relabel(mg, gamma_compose(u, v))
-    assert grids_equal(step, combined)
-    assert grids_equal(relabel(mg, GammaMorphism.identity(mg.ell)), mg)
+    assert step == combined
+    assert relabel(mg, GammaMorphism.identity(mg.ell)) == mg
     assert is_compact(step, ambient)
     assert is_globular(step, ambient)
 
@@ -929,6 +926,25 @@ def test_pullback_restricts_to_window():
     assert pulled2.grid.tuples[0].cuts[0].components[0].zeros == ((F(0), "+"),)
 
 
+def test_a_planar_pullback_missing_every_sheet_is_a_whole_cut():
+    b = catalog("point2d")  # y-sheet y = 0, then x-sheet x = 0
+
+    def pulled_cuts(box, aff):
+        emb = AmbientEmbedding(Ambient2D((box,)), FULL_PLANE, aff)
+        return [tup.cuts[0] for tup in pullback_along(b.mgrid, emb).grid.tuples]
+
+    ident = AffineMap.identity(2)
+    ycut, xcut = pulled_cuts((-1, 1, 1, 2), ident)
+    assert ycut == Cut2D(2, (ComponentCut2D("whole", (), "above"),))
+    assert xcut.axis == 1 and xcut.components[0].kind == "sheets"
+    ycut, _ = pulled_cuts((-1, 1, -3, -2), ident)
+    assert ycut == Cut2D(2, (ComponentCut2D("whole", (), "below"),))
+    turn = AffineMap(2, (1, 0), (1, -1), (0, 0))  # (x, y) -> (y, -x)
+    ycut, xcut = pulled_cuts((-1, 1, 1, 2), turn)
+    assert xcut == Cut2D(2, (ComponentCut2D("whole", (), "above"),))
+    assert ycut.axis == 1 and ycut.components[0].kind == "sheets"
+
+
 def test_pullback_validates_the_embedding():
     mg = MonoidalCutGrid(
         CutGrid((CutTuple((zeros_cut((0, "+")),)),)), 1, (1,))
@@ -946,7 +962,7 @@ def test_pushforward_then_pullback_is_identity(mg_amb, num, shift, flip):
     aff = AffineMap.line(a, shift)
     moved, img = pushed_forward(mg, ambient, aff)
     back = pullback_along(moved, AmbientEmbedding(ambient, img, aff))
-    assert grids_equal(back, mg)
+    assert back == mg
 
 
 def signed_permutations():
@@ -973,7 +989,7 @@ def test_planar_pushforward_then_pullback_is_identity(name, eps):
         assert moved.embedding.is_identity()
         back = bordism_pullback(
             moved, AmbientEmbedding(b.ambient, moved.ambient, aff))
-        assert grids_equal(back.mgrid, b.mgrid), aff
+        assert back.mgrid == b.mgrid, aff
         assert back.ambient == b.ambient and back.embedding == aff
 
 
@@ -996,9 +1012,9 @@ def test_pullback_composes_contravariantly(a1, b1, a2, b2, flip):
         CutGrid((CutTuple((zeros_cut((0, "+"), (5, "-")),)),)), 2, (1,))
     step = pullback_along(pullback_along(src, e2), e1)
     composite = AmbientEmbedding(full, full, e2.map.compose(e1.map))
-    assert grids_equal(step, pullback_along(src, composite))
+    assert step == pullback_along(src, composite)
     ident = AmbientEmbedding(full, full, AffineMap.identity(1))
-    assert grids_equal(pullback_along(src, ident), src)
+    assert pullback_along(src, ident) == src
 
 
 # ---------------------------------------------------------------------------

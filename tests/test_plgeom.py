@@ -32,6 +32,7 @@ from cutgrids.plgeom import (
     empty_region,
     fr,
     line_region,
+    plfunc_agree_on,
     plfunc_crossings,
     plfunc_integral,
     plfunc_is_positive_on,
@@ -334,6 +335,51 @@ def test_crossings_match_the_difference_function(pair):
         got, want = plfunc_crossings(a, b), reference_crossings(a, b)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def reference_agree_on(f, g, lo, hi):
+    """f - g built as a function and evaluated at the finite ends, at its
+    breakpoints between them, and one step past each infinite end: it is
+    affine between consecutive points of that list, so vanishing at all of
+    them is vanishing on [lo, hi]."""
+    h = f.sub(g)
+    points = [e for e in (lo, hi) if e not in (NEG_INF, INF)]
+    points += [x for x in h.breakpoints if lo < x < hi]
+    anchors = list(points)
+    if lo == NEG_INF:
+        points.append(min(anchors) - 1)
+    if hi == INF:
+        points.append(max(anchors) + 1)
+    return all(h(x) == 0 for x in points)
+
+
+@given(plfunc_pairs(), st.data())
+def test_agreement_on_a_hull_matches_the_difference_function(pair, data):
+    f, g = pair
+    ends = st.one_of(rationals(), st.just(NEG_INF), st.just(INF))
+    lo, hi = sorted([data.draw(ends), data.draw(ends)])
+    if lo == hi and lo in (NEG_INF, INF):
+        with pytest.raises(ArgumentError, match="empty hull"):
+            plfunc_agree_on(f, g, lo, hi)
+        return
+    assert plfunc_agree_on(f, g, lo, hi) is reference_agree_on(f, g, lo, hi)
+    assert plfunc_agree_on(g, f, lo, hi) is plfunc_agree_on(f, g, lo, hi)
+
+
+def test_agreement_on_a_hull():
+    flat = PLFunc.constant(1)
+    steep = PLFunc.from_points([(0, 1), (3, 1)], 0, 3)  # 1 up to x = 3
+    assert plfunc_agree_on(flat, steep, -5, 3) is True
+    assert plfunc_agree_on(flat, steep, 3, 3) is True
+    assert plfunc_agree_on(flat, steep, -5, Fraction(7, 2)) is False
+    assert plfunc_agree_on(flat, steep, NEG_INF, 3) is True
+    assert plfunc_agree_on(flat, steep, 0, INF) is False
+    assert plfunc_agree_on(flat, steep, 4, 4) is False
+    line, zero = PLFunc.affine(1, 0), PLFunc.constant(0)  # meet only at 0
+    assert plfunc_agree_on(line, zero, 0, 0) is True
+    assert plfunc_agree_on(line, zero, -1, 1) is False
+    with pytest.raises(ArgumentError, match="empty hull"):
+        plfunc_agree_on(flat, steep, 1, 0)
 
 
 def test_plfunc_hash_is_the_field_hash():
