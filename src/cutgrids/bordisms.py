@@ -48,6 +48,7 @@ from .grids import (
     apply_simplicial,
     compactness_failures,
     component_targets,
+    component_zeros_1d,
     core,
     cut_disagreement,
     cut_regions,
@@ -604,29 +605,21 @@ def metric_core_length(b: Bordism) -> Fraction:
         raise ArgumentError("the core is empty")
     if len(comps) > 1:
         raise ArgumentError("the core is disconnected")
-    cells = comps[0].cells
     total = Fraction(0)
-    for cell in cells:
+    for cell in comps[0].cells:
         if isinstance(cell, Seg):
-            if cell.lo == cell.hi:
-                continue
             ci = b.ambient.component_of_line_point(
                 interval_rep(cell.lo, cell.hi))
             total += plfunc_integral(densities[ci], cell.lo, cell.hi)
-        elif isinstance(cell, CircleCell):
-            ci = len(b.ambient.intervals) + cell.circle
-            total += plfunc_integral(
-                densities[ci], Fraction(0), cell.circumference)
-        elif isinstance(cell, Arc):
-            ci = len(b.ambient.intervals) + cell.circle
-            w = densities[ci]
-            if cell.start == cell.end:
-                continue
-            if cell.start < cell.end:
-                total += plfunc_integral(w, cell.start, cell.end)
-            else:
-                total += plfunc_integral(w, cell.start, cell.circumference)
-                total += plfunc_integral(w, Fraction(0), cell.end)
+            continue
+        w = densities[len(b.ambient.intervals) + cell.circle]
+        if isinstance(cell, CircleCell):
+            total += plfunc_integral(w, Fraction(0), cell.circumference)
+        elif cell.start <= cell.end:  # an arc, or one point
+            total += plfunc_integral(w, cell.start, cell.end)
+        else:  # an arc through 0
+            total += plfunc_integral(w, cell.start, cell.circumference)
+            total += plfunc_integral(w, Fraction(0), cell.end)
     return total
 
 
@@ -646,7 +639,8 @@ class FamComponentCut1D:
     whole_sign: str = "below"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", tuple(self.zeros))
+        object.__setattr__(self, "zeros", component_zeros_1d(
+            self.kind, self.zeros, self.whole_sign, lambda z: z))
 
 
 @dataclass(frozen=True)

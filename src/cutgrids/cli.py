@@ -12,8 +12,6 @@ import sys
 from typing import Optional, Sequence
 
 from .bordisms import (
-    Bordism,
-    BordismFamily,
     CATALOG_NAMES,
     catalog,
     equivalent,
@@ -37,7 +35,7 @@ from .errors import (
     DocumentSyntaxError,
     DocumentValidationError,
 )
-from .finitecat import TruncSSet, check_segal_delta
+from .finitecat import check_segal_delta
 from .render import render_svg
 from .reporting import ValidationReport
 
@@ -51,16 +49,9 @@ def _read_document(path: str, check: bool = True) -> Document:
     return parse_document(text, check=check)
 
 
-def _bordism_payload(doc: Document, path: str) -> Bordism:
-    if not isinstance(doc.payload, Bordism):
-        raise ArtifactError(f"{path}: expected a bordism document, "
-                            f"found kind {doc.kind!r}")
-    return doc.payload
-
-
-def _family_payload(doc: Document, path: str) -> BordismFamily:
-    if not isinstance(doc.payload, BordismFamily):
-        raise ArtifactError(f"{path}: expected a family document, "
+def _payload(doc: Document, path: str, kind: str):
+    if doc.kind != kind:
+        raise ArtifactError(f"{path}: expected a {kind} document, "
                             f"found kind {doc.kind!r}")
     return doc.payload
 
@@ -87,7 +78,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compose(args) -> int:
     doc = _read_document(args.file)
-    b = face_compose(_bordism_payload(doc, args.file),
+    b = face_compose(_payload(doc, args.file, "bordism"),
                      args.direction, args.face)
     _emit(serialize_document(document_for(b, doc.name)), args.output)
     return 0
@@ -95,15 +86,15 @@ def _cmd_compose(args) -> int:
 
 def _cmd_boundary(args) -> int:
     doc = _read_document(args.file)
-    b = source_target(_bordism_payload(doc, args.file),
+    b = source_target(_payload(doc, args.file, "bordism"),
                       args.direction, args.vertex)
     _emit(serialize_document(document_for(b, doc.name)), args.output)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    b1 = _bordism_payload(_read_document(args.file_a), args.file_a)
-    b2 = _bordism_payload(_read_document(args.file_b), args.file_b)
+    b1 = _payload(_read_document(args.file_a), args.file_a, "bordism")
+    b2 = _payload(_read_document(args.file_b), args.file_b, "bordism")
     if equivalent(b1, b2):
         print("equivalent")
         return 0
@@ -112,8 +103,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    b1 = _bordism_payload(_read_document(args.file_a), args.file_a)
-    b2 = _bordism_payload(_read_document(args.file_b), args.file_b)
+    b1 = _payload(_read_document(args.file_a), args.file_a, "bordism")
+    b2 = _payload(_read_document(args.file_b), args.file_b, "bordism")
     b = monoidal_product(b1, b2)
     _emit(serialize_document(document_for(b)), args.output)
     return 0
@@ -121,7 +112,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_family_eval(args) -> int:
     doc = _read_document(args.file)
-    fam = _family_payload(doc, args.file)
+    fam = _payload(doc, args.file, "family")
     t = rational_from_text(args.t, "--t")
     b = family_at(fam, t)
     _emit(serialize_document(document_for(b, doc.name)), args.output)
@@ -130,17 +121,14 @@ def _cmd_family_eval(args) -> int:
 
 def _cmd_length(args) -> int:
     doc = _read_document(args.file)
-    value = metric_core_length(_bordism_payload(doc, args.file))
+    value = metric_core_length(_payload(doc, args.file, "bordism"))
     print(rational_to_text(value))
     return 0
 
 
 def _cmd_segal_check(args) -> int:
-    doc = _read_document(args.file)
-    if not isinstance(doc.payload, TruncSSet):
-        raise ArtifactError(f"{args.file}: expected a presheaf document, "
-                            f"found kind {doc.kind!r}")
-    ok = check_segal_delta(doc.payload, args.a, args.b)
+    sset = _payload(_read_document(args.file), args.file, "presheaf")
+    ok = check_segal_delta(sset, args.a, args.b)
     print(f"segal({args.a},{args.b}): {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -177,10 +165,10 @@ def _parse_window(text: Optional[str]):
 def _cmd_render(args) -> int:
     doc = _read_document(args.file)
     payload = doc.payload
-    if isinstance(payload, BordismFamily):
+    if doc.kind == "family":
         t = rational_from_text(args.t, "--t") if args.t else payload.t0
         payload = family_at(payload, t)
-    if not isinstance(payload, Bordism):
+    elif doc.kind != "bordism":
         raise ArtifactError(f"{args.file}: cannot render kind {doc.kind!r}")
     svg = render_svg(payload, _parse_window(args.window))
     _emit(svg, args.output)

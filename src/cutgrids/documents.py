@@ -542,20 +542,29 @@ def _sset_from_json(obj, where: str = "presheaf") -> TruncSSet:
 # ---------------------------------------------------------------------------
 
 
+# kind -> (payload type, writer, reader, check).  A finite fixture checks
+# itself in its constructor, so a parsed one is well-formed.  The bordism
+# checks are looked up by name when called, so a wrapper later set on this
+# module's names (as the benchmark's tracer sets) sees every call.
+_WELL_FORMED = ValidationReport((ReportEntry("well-formed", True),))
 _KINDS = {
-    "bordism": (Bordism, _bordism_to_json, _bordism_from_json),
-    "family": (BordismFamily, _family_to_json, _family_from_json),
-    "finite-category": (FinCategory, _fincat_to_json, _fincat_from_json),
-    "presheaf": (TruncSSet, _sset_to_json, _sset_from_json),
+    "bordism": (Bordism, _bordism_to_json, _bordism_from_json,
+                lambda b: validate(b)),
+    "family": (BordismFamily, _family_to_json, _family_from_json,
+               lambda fam: validate_family(fam)),
+    "finite-category": (FinCategory, _fincat_to_json, _fincat_from_json,
+                        lambda _: _WELL_FORMED),
+    "presheaf": (TruncSSet, _sset_to_json, _sset_from_json,
+                 lambda _: _WELL_FORMED),
 }
 
 
 @dataclass(frozen=True)
 class Document:
     """A payload and an optional name.  The kind is not stored: it is read
-    from the payload's type through ``_KINDS``, which also names the writer
-    and the reader of that kind, so every document serializes to text its
-    parser accepts.  A payload of no kind is refused on construction."""
+    from the payload's type through ``_KINDS`` (with the kind's writer,
+    reader and check), so every document serializes to text its parser
+    accepts.  A payload of no kind is refused on construction."""
 
     payload: Payload
     name: Optional[str] = None
@@ -565,7 +574,7 @@ class Document:
 
     @property
     def kind(self) -> str:
-        for kind, (cls, _, _) in _KINDS.items():
+        for kind, (cls, *_) in _KINDS.items():
             if isinstance(self.payload, cls):
                 return kind
         raise DocumentSyntaxError(
@@ -577,13 +586,8 @@ def document_for(payload: Payload, name: Optional[str] = None) -> Document:
 
 
 def payload_report(doc: Document) -> ValidationReport:
-    """The payload's own validation report (finite fixtures validate in
-    their constructors, so a parsed one is already well-formed)."""
-    if isinstance(doc.payload, Bordism):
-        return validate(doc.payload)
-    if isinstance(doc.payload, BordismFamily):
-        return validate_family(doc.payload)
-    return ValidationReport((ReportEntry("well-formed", True),))
+    """The payload's own validation report, by the check of its kind."""
+    return _KINDS[doc.kind][3](doc.payload)
 
 
 def serialize_document(doc: Document) -> str:

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from typing import Literal, Optional, Sequence, Union
+from typing import Callable, Literal, Optional, Sequence, Union
 
 from .errors import (
     ArgumentError,
@@ -94,17 +94,26 @@ class ComponentCut1D:
     whole_sign: str = "below"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zeros", "whole"):
-            raise ArgumentError(f"bad component cut kind {self.kind!r}")
-        zs = tuple((fr(p), _check_sign(s)) for p, s in self.zeros)
-        object.__setattr__(self, "zeros", zs)
-        if self.kind == "whole":
-            if zs:
-                raise ArgumentError("whole-component cut cannot carry zeros")
-            if self.whole_sign not in ("below", "above"):
-                raise ArgumentError(f"bad whole_sign {self.whole_sign!r}")
-        elif not zs:
-            raise ArgumentError("kind='zeros' requires at least one zero")
+        object.__setattr__(self, "zeros", component_zeros_1d(
+            self.kind, self.zeros, self.whole_sign, fr))
+
+
+def component_zeros_1d(kind: str, zeros, whole_sign: str,
+                       position: Callable) -> tuple:
+    """The zeros of a 1D component cut record, positions read by
+    `position`, once its kind, signs, side and zero count are checked; for
+    the cuts of a bordism and of a family (positions PL in the parameter)."""
+    if kind not in ("zeros", "whole"):
+        raise ArgumentError(f"bad component cut kind {kind!r}")
+    zs = tuple((position(p), _check_sign(s)) for p, s in zeros)
+    if kind == "whole":
+        if zs:
+            raise ArgumentError("whole-component cut cannot carry zeros")
+        if whole_sign not in ("below", "above"):
+            raise ArgumentError(f"bad whole_sign {whole_sign!r}")
+    elif not zs:
+        raise ArgumentError("kind='zeros' requires at least one zero")
+    return zs
 
 
 @dataclass(frozen=True)

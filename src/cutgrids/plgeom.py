@@ -19,6 +19,10 @@ Only the ops that return a region (region_boolean, region_difference,
 region_normalize) build cells from a refinement.  The yes/no and one-point
 queries (region_subset, region_equal, region_sample_point,
 plfunc_is_positive_on) read the atoms' memberships and build none.
+Likewise a PL function's range, integral or agreement with another on a
+closed hull, and a slab's emptiness, read one walk over the pieces of the
+function (or of a difference f - g, from f's and g's) clipped to the hull,
+`_pieces_on`, and build no PLFunc.
 """
 
 from __future__ import annotations
@@ -229,20 +233,6 @@ class PLFunc:
         return max(abs(m) for _, _, m, _ in self.pieces())
 
 
-def plfunc_integral(f: PLFunc, a, b) -> Fraction:
-    """Exact trapezoidal integral over [a, b]."""
-    a, b = fr(a), fr(b)
-    if a > b:
-        raise ArgumentError("integral bounds out of order")
-    if a == b:
-        return Fraction(0)
-    xs = [a] + [bp for bp in f.breakpoints if a < bp < b] + [b]
-    total = Fraction(0)
-    for x0, x1 in zip(xs, xs[1:]):
-        total += (f(x0) + f(x1)) * (x1 - x0) / 2
-    return total
-
-
 def _zeros_of_pieces(pieces: Iterable[tuple[End, End, Fraction, Fraction]]) -> list[Fraction]:
     """Zero events of consecutive affine pieces (lo, hi, slope, intercept),
     left to right: each piece's isolated zero in its closed hull, or its
@@ -285,20 +275,57 @@ def _difference_pieces(f: PLFunc, g: PLFunc):
         j += g_hi == hi
 
 
-def plfunc_agree_on(f: PLFunc, g: PLFunc, lo: End, hi: End) -> bool:
-    """Whether f and g take the same values on the closed hull [lo, hi]
-    (ends may be infinite; lo == hi is one point), however each is written.
-
-    Each piece of f - g must vanish where it overlaps the hull: identically
-    on an overlap of positive length, at the point of a one-point overlap."""
+def _pieces_on(pieces: Iterable[tuple[End, End, Fraction, Fraction]],
+               lo: End, hi: End):
+    """The consecutive pieces (lo, hi, slope, intercept) that meet the closed
+    hull [lo, hi] (ends may be infinite; lo == hi is one point), each cut to
+    it, left to right.  ArgumentError for an empty hull."""
     lo, hi = _exact_end(lo), _exact_end(hi)
     if lo > hi or (lo == hi and not is_finite(lo)):
         raise ArgumentError("empty hull")
-    for p_lo, p_hi, m, c in _difference_pieces(f, g):
-        a, b = max(p_lo, lo), min(p_hi, hi)
-        if a < b and (m or c) or a == b and m * a + c:
-            return False
-    return True
+    for p_lo, p_hi, m, c in pieces:
+        if p_hi < lo:
+            continue
+        yield max(p_lo, lo), min(p_hi, hi), m, c
+        if p_hi >= hi:
+            return
+
+
+def _value_at(m: Fraction, c: Fraction, x: End) -> End:
+    """m*x + c at x, or its limit at an infinite x."""
+    if is_finite(x):
+        return m * x + c
+    if not m:
+        return c
+    return INF if (m > 0) == (x > 0) else NEG_INF
+
+
+def _range_of(pieces, lo: End, hi: End) -> tuple[End, End]:
+    # each clipped piece is affine, so its ends bound its values
+    values = [_value_at(m, c, x) for a, b, m, c in _pieces_on(pieces, lo, hi)
+              for x in (a, b)]
+    return min(values), max(values)
+
+
+def plfunc_range_on(f: PLFunc, lo: End, hi: End) -> tuple[End, End]:
+    """(infimum, supremum) of f over the closed hull [lo, hi] (ends may be
+    infinite; lo == hi is one point), -inf or +inf where f is unbounded
+    there.  ArgumentError for an empty hull."""
+    return _range_of(f.pieces(), lo, hi)
+
+
+def plfunc_agree_on(f: PLFunc, g: PLFunc, lo: End, hi: End) -> bool:
+    """Whether f and g take the same values on the closed hull [lo, hi]
+    (ends may be infinite; lo == hi is one point), however each is written:
+    whether the range of f - g there is (0, 0)."""
+    return _range_of(_difference_pieces(f, g), lo, hi) == (0, 0)
+
+
+def plfunc_integral(f: PLFunc, a, b) -> Fraction:
+    """Exact integral of f over [a, b], a <= b finite, piece by piece."""
+    return sum(((y - x) * (m * (x + y) / 2 + c)
+                for x, y, m, c in _pieces_on(f.pieces(), fr(a), fr(b))),
+               Fraction(0))
 
 
 def plfunc_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
@@ -310,29 +337,6 @@ def plfunc_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
     if f is g or f == g:
         return []
     return _zeros_of_pieces(_difference_pieces(f, g))
-
-
-def plfunc_max_on_closed(f: PLFunc, lo: End, hi: End) -> End:
-    """Supremum of f over the closed hull [lo, hi] (ends may be infinite);
-    returns +inf when unbounded above there."""
-    if lo > hi or (lo == hi and not is_finite(lo)):
-        raise ArgumentError("empty hull")
-    cands: list[Fraction] = []
-    if is_finite(lo):
-        cands.append(f(lo))
-    elif f.left_slope < 0:
-        return INF
-    if is_finite(hi):
-        cands.append(f(hi))
-    elif f.right_slope > 0:
-        return INF
-    cands.extend(f(bp) for bp in f.breakpoints if lo <= bp <= hi)
-    return max(cands)
-
-
-def plfunc_min_on_closed(f: PLFunc, lo: End, hi: End) -> End:
-    m = plfunc_max_on_closed(f.neg(), lo, hi)
-    return NEG_INF if m == INF else -m
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +862,8 @@ def region_normalize(a: PLRegion) -> PLRegion:
 def _slab_is_empty(s: Slab) -> bool:
     if isinstance(s.lower, float) or isinstance(s.upper, float):
         return False
-    diff = s.upper.sub(s.lower)
-    dmax = plfunc_max_on_closed(diff, s.x_lo, s.x_hi)
-    if dmax == INF or dmax > 0:
+    _, dmax = _range_of(_difference_pieces(s.upper, s.lower), s.x_lo, s.x_hi)
+    if dmax > 0:
         return False
     if dmax < 0:
         raise ValidationError("slab with lower bound above upper bound")
@@ -942,8 +945,7 @@ def region_bbox(a: PLRegion):
             xs.extend([c.x_lo, c.x_hi])
             for b in (c.lower, c.upper):
                 if isinstance(b, PLFunc):
-                    ys.extend([plfunc_min_on_closed(b, c.x_lo, c.x_hi),
-                               plfunc_max_on_closed(b, c.x_lo, c.x_hi)])
+                    ys.extend(plfunc_range_on(b, c.x_lo, c.x_hi))
                 else:
                     unbounded_y = True
         else:

@@ -10,7 +10,6 @@ from cutgrids.bordisms import catalog, shrink_to_core
 from cutgrids.cli import main
 from cutgrids.documents import document_for, parse_document, serialize_document
 from cutgrids.finitecat import TruncSSet, chain_poset, nerve
-from cutgrids.shapes import MonotoneMap
 
 
 def write_doc(tmp_path, payload, stem):
@@ -192,6 +191,24 @@ def test_validate_names_mistyped_nested_fields(tmp_path, capsys, example,
     f = edit_payload(tmp_path, catalog(example), example, edit)
     assert main(["validate", f]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, kind, cuts", [
+    ("elbow_right", "bordism", "grid"),
+    ("triangle_family", "family", "tuples"),
+])
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_a_component_without_zeros_fails_at_parse(tmp_path, capsys, example,
+                                                  kind, cuts, command):
+    # a family's cut components make the same shape checks as a bordism's
+    f = edit_payload(tmp_path, catalog(example), example,
+                     lambda p: p[cuts][0][0]["components"].__setitem__(
+                         0, {"kind": "zeros", "zeros": []}))
+    assert main([command, f, "-o", str(tmp_path / "out.svg")]
+                if command == "render" else [command, f]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed {kind} payload: "
+        "kind='zeros' requires at least one zero\n")
 
 
 @pytest.mark.parametrize("example, key, value, where", [

@@ -9,7 +9,6 @@ from cutgrids.finitecat import (
     FinCategory,
     FinFunctor,
     FinPresheaf,
-    MultisimplexPresheaf,
     OneDirectionPresheaf,
     TruncSSet,
     chain_poset,

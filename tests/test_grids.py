@@ -29,6 +29,7 @@ from cutgrids.plgeom import (
     interval_rep,
     line_region,
     plfunc_zeros,
+    region_closure,
     region_contains_point,
     region_equal,
     region_components,
@@ -710,6 +711,27 @@ def test_queries_on_a_2d_core_refine_once_each(monkeypatch):
     counts["_x_atoms"] = 0
     assert region_is_compact_in(pair_core, b.ambient)
     assert counts["_x_atoms"] == 1  # the closure's subset test alone
+
+
+def test_the_closure_of_a_2d_core_builds_no_function(monkeypatch):
+    b = catalog("composable_pair_2d")
+    pair_core = core(b.mgrid, b.ambient)
+    built = []
+    real = PLFunc.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(PLFunc, "__post_init__", counting)
+    closed = region_closure(pair_core)
+    assert built == []
+    # every slab of the core has graph bounds, so each emptiness test
+    # walked a difference of two functions
+    slabs = [c for c in pair_core.cells if isinstance(c, Slab)]
+    assert slabs and all(isinstance(c.lower, PLFunc) and isinstance(c.upper, PLFunc)
+                         for c in slabs)
+    assert region_equal(closed, pair_core)  # the core is closed
 
 
 @given(valid_grids())

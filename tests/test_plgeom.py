@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cutgrids.errors import ArgumentError, ValidationError
 from cutgrids.plgeom import (
@@ -36,8 +36,7 @@ from cutgrids.plgeom import (
     plfunc_crossings,
     plfunc_integral,
     plfunc_is_positive_on,
-    plfunc_max_on_closed,
-    plfunc_min_on_closed,
+    plfunc_range_on,
     plfunc_zeros,
     region_bbox,
     region_boolean,
@@ -400,24 +399,126 @@ def test_plfunc_hash_is_the_field_hash():
 
 def test_extrema_on_closed_hulls():
     vee = PLFunc.from_points([(-1, -1), (0, 1), (1, -1)])
-    assert plfunc_max_on_closed(vee, -1, 1) == 1
-    assert plfunc_min_on_closed(vee, Fraction(-1, 2), Fraction(1, 2)) == 0
+    assert plfunc_range_on(vee, -1, 1)[1] == 1
+    assert plfunc_range_on(vee, Fraction(-1, 2), Fraction(1, 2))[0] == 0
     ramp = PLFunc.affine(1, 0)
-    assert plfunc_max_on_closed(ramp, 0, INF) == INF
-    assert plfunc_min_on_closed(ramp, 0, INF) == 0
-    assert plfunc_min_on_closed(ramp, NEG_INF, 0) == NEG_INF
-    assert plfunc_max_on_closed(PLFunc.constant(2), NEG_INF, INF) == 2
+    assert plfunc_range_on(ramp, 0, INF) == (0, INF)
+    assert plfunc_range_on(ramp, NEG_INF, 0)[0] == NEG_INF
+    assert plfunc_range_on(PLFunc.constant(2), NEG_INF, INF)[1] == 2
     # half-lines that miss every breakpoint: the tail alone decides
-    assert plfunc_max_on_closed(ramp, NEG_INF, -10) == -10
-    assert plfunc_max_on_closed(PLFunc.affine(-1, 0), 10, INF) == -10
-    assert plfunc_min_on_closed(PLFunc.affine(-1, 0), NEG_INF, -10) == 10
+    assert plfunc_range_on(ramp, NEG_INF, -10)[1] == -10
+    assert plfunc_range_on(PLFunc.affine(-1, 0), 10, INF)[1] == -10
+    assert plfunc_range_on(PLFunc.affine(-1, 0), NEG_INF, -10)[0] == 10
     for end in (NEG_INF, INF):
         with pytest.raises(ArgumentError, match="empty hull"):
-            plfunc_max_on_closed(ramp, end, end)
+            plfunc_range_on(ramp, end, end)
     crossed = Slab(NEG_INF, -10, False, True, PLFunc.constant(0),
                    PLFunc.affine(1, 5), True, True)
     with pytest.raises(ValidationError, match="lower bound above upper bound"):
         region_bounded(PLRegion(2, (crossed,)))
+
+
+# Reference versions of the hull questions, each answered its own way and
+# apart from the walk under test: the maximum from a candidate list, the
+# minimum through f.neg(), slab emptiness through upper.sub(lower) and the
+# integral by trapezoids over the breakpoints.
+
+def reference_max_on_closed(f, lo, hi):
+    """f at the finite hull ends and at its breakpoints inside the hull, or
+    +inf when a tail slope rises out of an infinite end."""
+    if lo > hi or (lo == hi and lo in (NEG_INF, INF)):
+        raise ArgumentError("empty hull")
+    cands = []
+    if lo != NEG_INF:
+        cands.append(f(lo))
+    elif f.left_slope < 0:
+        return INF
+    if hi != INF:
+        cands.append(f(hi))
+    elif f.right_slope > 0:
+        return INF
+    cands.extend(f(bp) for bp in f.breakpoints if lo <= bp <= hi)
+    return max(cands)
+
+
+def reference_min_on_closed(f, lo, hi):
+    m = reference_max_on_closed(f.neg(), lo, hi)
+    return NEG_INF if m == INF else -m
+
+
+def reference_slab_is_empty(s):
+    if isinstance(s.lower, float) or isinstance(s.upper, float):
+        return False
+    dmax = reference_max_on_closed(s.upper.sub(s.lower), s.x_lo, s.x_hi)
+    if dmax == INF or dmax > 0:
+        return False
+    if dmax < 0:
+        raise ValidationError("slab with lower bound above upper bound")
+    return not (s.lower_closed and s.upper_closed)
+
+
+def reference_integral(f, a, b):
+    if a > b:
+        raise ArgumentError("integral bounds out of order")
+    if a == b:
+        return Fraction(0)
+    xs = [a] + [bp for bp in f.breakpoints if a < bp < b] + [b]
+    return sum(((f(x0) + f(x1)) * (x1 - x0) / 2 for x0, x1 in zip(xs, xs[1:])),
+               Fraction(0))
+
+
+@st.composite
+def hulls(draw, breakpoints, infinite=True):
+    """A nonempty closed hull (lo, hi): its ends are the given breakpoints,
+    other rationals or, when infinite, the infinities, so breakpoints fall
+    at the ends and inside; one draw in four is a one-point hull."""
+    choices = [st.sampled_from(breakpoints), rationals()]
+    if infinite:
+        choices += [st.just(NEG_INF), st.just(INF)]
+    ends = st.one_of(*choices)
+    lo = draw(ends)
+    lo, hi = sorted([lo, lo if draw(st.integers(0, 3)) == 0 else draw(ends)])
+    assume(not (lo == hi and lo in (NEG_INF, INF)))
+    return lo, hi
+
+
+@given(plfuncs(), st.data())
+def test_range_on_a_hull_matches_the_candidate_lists(f, data):
+    lo, hi = data.draw(hulls(f.breakpoints))
+    got = plfunc_range_on(f, lo, hi)
+    want = (reference_min_on_closed(f, lo, hi), reference_max_on_closed(f, lo, hi))
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+    if lo != hi:
+        with pytest.raises(ArgumentError, match="empty hull"):
+            plfunc_range_on(f, hi, lo)
+
+
+@given(plfunc_pairs(), st.data())
+def test_slab_emptiness_matches_the_difference_function(pair, data):
+    f, g = pair
+    x_lo, x_hi = data.draw(hulls(f.breakpoints + g.breakpoints))
+    flags = [x_lo == x_hi or (e not in (NEG_INF, INF) and data.draw(st.booleans()))
+             for e in (x_lo, x_hi)]
+    bounds = data.draw(st.sampled_from([(f, g), (g, f), (NEG_INF, g), (f, INF)]))
+    graph_flags = [isinstance(b, PLFunc) and data.draw(st.booleans()) for b in bounds]
+    s = Slab(x_lo, x_hi, *flags, *bounds, *graph_flags)
+    try:
+        want = reference_slab_is_empty(s)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="lower bound above upper bound"):
+            _slab_is_empty(s)
+        return
+    assert _slab_is_empty(s) is want
+
+
+@given(plfuncs(), st.data())
+def test_integral_matches_the_trapezoids(f, data):
+    a, b = data.draw(hulls(f.breakpoints, infinite=False))
+    got, want = plfunc_integral(f, a, b), reference_integral(f, a, b)
+    assert got == want and type(got) is type(want)
+    if a != b:
+        with pytest.raises(ArgumentError):
+            plfunc_integral(f, b, a)
 
 
 @pytest.mark.parametrize("ends, message", [
@@ -848,7 +949,7 @@ def test_compactness_in_ambient():
 
 def reference_closure(a):
     return PLRegion(a.dim, tuple(_cell_closure(c) for c in a.cells
-                                 if not (isinstance(c, Slab) and _slab_is_empty(c))))
+                                 if not (isinstance(c, Slab) and reference_slab_is_empty(c))))
 
 
 def reference_bounded(a):
@@ -857,7 +958,7 @@ def reference_bounded(a):
             if isinstance(c.lo, float) or isinstance(c.hi, float):
                 return False
         elif isinstance(c, Slab):
-            if _slab_is_empty(c):
+            if reference_slab_is_empty(c):
                 continue
             if isinstance(c.x_lo, float) or isinstance(c.x_hi, float):
                 return False
@@ -878,15 +979,15 @@ def reference_bbox(a):
                     xs.append(e)
         elif isinstance(c, (Arc, CircleCell)):
             xs.extend([Fraction(0), c.circumference])
-        elif not _slab_is_empty(c):
+        elif not reference_slab_is_empty(c):
             if isinstance(c.x_lo, float) or isinstance(c.x_hi, float):
                 unbounded_x = True
                 continue
             xs.extend([c.x_lo, c.x_hi])
             for b in (c.lower, c.upper):
                 if isinstance(b, PLFunc):
-                    ys.extend([plfunc_min_on_closed(b, c.x_lo, c.x_hi),
-                               plfunc_max_on_closed(b, c.x_lo, c.x_hi)])
+                    ys.extend([reference_min_on_closed(b, c.x_lo, c.x_hi),
+                               reference_max_on_closed(b, c.x_lo, c.x_hi)])
                 else:
                     unbounded_y = True
     xr = None if (unbounded_x or not xs) else (min(xs), max(xs))
