@@ -35,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import (
+    _compactness_failures,
     AffineMap,
     AmbientEmbedding,
     Cut1D,
@@ -46,7 +47,6 @@ from .grids import (
     MonoidalCutGrid,
     Sheet,
     apply_simplicial,
-    compactness_failures,
     component_targets,
     component_zeros_1d,
     core,
@@ -216,7 +216,8 @@ def validate(b: Bordism) -> ValidationReport:
     entries.extend(gr.entries)
     structurally_ok = all(e.passed for e in entries)
     if structurally_ok:
-        failures = compactness_failures(b.mgrid, b.ambient)
+        # every ordered[i] entry passed, so each tuple is ordered
+        failures = _compactness_failures(b.mgrid, b.ambient, ordered=True)
         entries.append(ReportEntry(
             "compact", not failures, "; ".join(failures)))
         if b.uple:

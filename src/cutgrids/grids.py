@@ -720,8 +720,16 @@ def compactness_failures(mg: MonoidalCutGrid,
                          ambient: Ambient) -> list[str]:
     """Index pairs whose closed between-slice (on kept components) is
     not compact inside the ambient, as human-readable strings."""
+    return _compactness_failures(
+        mg, ambient, all(tuple_is_ordered(t, ambient) for t in mg.grid.tuples))
+
+
+def _compactness_failures(mg: MonoidalCutGrid, ambient: Ambient,
+                          ordered: bool) -> list[str]:
+    """compactness_failures, given whether every tuple of the grid is
+    ordered, as a caller that has checked it (validate) knows."""
     g = mg.grid
-    if all(tuple_is_ordered(t, ambient) for t in g.tuples):
+    if ordered:
         # Ordered cuts nest, so every between-slice sits inside the
         # widest one, the core; if that is compact, all of them are.
         if region_is_compact_in(core(mg, ambient), ambient):

@@ -677,21 +677,19 @@ def _refine_1d(regions: Sequence[PLRegion]):
         yield _CircleFibre(*key, [circ.get(key, []) for circ in circles])
 
 
-def _bound_key(bound: PLFunc, atom: tuple, rep: Fraction) -> tuple:
-    """Canonical (slope, intercept) of a finite bound on an x-atom: its
-    value as a constant on a point atom, its piece there on an interval."""
-    m, c = bound._line or bound.piece_at(rep)
-    return (0, m * rep + c) if atom[0] == "pt" else (m, c)
-
-
 class _YFibre(_LineFibre):
     """The vertical line over one x-atom (atom, with representative rep),
     given for each region the slabs that cover the atom.
 
     Its critical coordinates are indices into keys, the (slope, intercept)
-    bounds on the atom sorted by height; intervals_per_region holds each
-    slab's range in that encoding, an infinite bound as -inf or +inf.  A
-    line bound's key is its own line on every atom, read without a search.
+    bounds on the atom sorted by height (heights holds each at rep);
+    intervals_per_region holds each slab's range in that encoding, an
+    infinite bound as -inf or +inf.  A bound's key is its value as a
+    constant on a point atom and its piece there on an interval; a line
+    bound's piece is its own line, read without a search.  Each distinct
+    graph object is keyed, and its height taken, once per fibre however
+    many slab sides it bounds, and the index from first-sight numbers to
+    sorted positions is keyed by those small ints.
 
     graphs maps a key to its graph, PLFunc.affine(*key), and is shared by
     every fibre of one refinement: the cells of one result then hold one
@@ -701,32 +699,40 @@ class _YFibre(_LineFibre):
                  rep: Fraction, graphs: dict[tuple, PLFunc]):
         self.atom, self.rep, self.graphs = atom, rep, graphs
         ids: dict[tuple, int] = {}  # key -> its number in order of first sight
-        ivs_by_id: list[list[tuple]] = []
-        for slabs in covering:
-            ivs = []
-            for s in slabs:
-                lo, hi = s.lower, s.upper
-                if not isinstance(lo, float):
-                    lo = ids.setdefault(_bound_key(lo, atom, rep), len(ids))
-                if not isinstance(hi, float):
-                    hi = ids.setdefault(_bound_key(hi, atom, rep), len(ids))
-                ivs.append((lo, hi, s.lower_closed, s.upper_closed))
-            ivs_by_id.append(ivs)
+        heights: list[Fraction] = []  # by number
+        numbers: dict[PLFunc, int] = {}  # graph -> the number of its key
+        on_point = atom[0] == "pt"
+
+        def number(bound):
+            if isinstance(bound, float):
+                return bound
+            n = numbers.get(bound)
+            if n is None:
+                m, c = bound._line or bound.piece_at(rep)
+                h = m * rep + c
+                n = numbers[bound] = ids.setdefault((0, h) if on_point else (m, c),
+                                                    len(ids))
+                if n == len(heights):
+                    heights.append(h)
+            return n
+
+        ivs_by_id = [[(number(s.lower), number(s.upper), s.lower_closed,
+                       s.upper_closed) for s in slabs] for slabs in covering]
         # distinct keys differ in height at rep: a crossing inside an open
         # x-atom would have been an x-event
-        self.keys = sorted(ids, key=lambda mc: mc[0] * rep + mc[1])
-        index: dict = {ids[k]: i for i, k in enumerate(self.keys)}
+        order = sorted(range(len(heights)), key=heights.__getitem__)
+        keys = list(ids)
+        self.keys = [keys[n] for n in order]
+        self.heights = [heights[n] for n in order]
+        index: dict = {n: i for i, n in enumerate(order)}
         index[NEG_INF], index[INF] = NEG_INF, INF
         self.intervals_per_region = [
             [(index[lo], index[hi], loc, upc) for lo, hi, loc, upc in ivs]
             for ivs in ivs_by_id]
-        super().__init__(range(len(self.keys)), self.intervals_per_region)
+        super().__init__(range(len(order)), self.intervals_per_region)
 
     def _height(self, e: End) -> End:
-        if not is_finite(e):
-            return e
-        m, c = self.keys[e]
-        return m * self.rep + c
+        return self.heights[e] if is_finite(e) else e
 
     def point(self, i: int):
         kind, *ends = self.atoms[i]
@@ -769,11 +775,10 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
             if is_finite(slab.x_hi):
                 xs.add(slab.x_hi)
             for b in (slab.lower, slab.upper):
-                if isinstance(b, PLFunc):
+                if isinstance(b, PLFunc) and b not in seen:
+                    seen.add(b)
+                    bounds.append(b)
                     xs.update(b.breakpoints)
-                    if b not in seen:
-                        seen.add(b)
-                        bounds.append(b)
     slopes: dict[Fraction, set[Fraction]] = {}  # slope -> intercepts
     lines: list[PLFunc] = []
     curves: list[PLFunc] = []
@@ -785,16 +790,30 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
             m, c = b._line
             slopes.setdefault(m, set()).add(c)
     for (m1, cs1), (m2, cs2) in itertools.combinations(slopes.items(), 2):
-        xs.update((c2 - c1) / (m1 - m2) for c1 in cs1 for c2 in cs2)
+        dm = m1 - m2
+        xs.update((c2 - c1) / dm for c1 in cs1 for c2 in cs2)
     for i, f in enumerate(curves):
         for g in itertools.chain(curves[i + 1:], lines):
             xs.update(plfunc_crossings(f, g))
     return _line_atoms(xs)
 
 
-def _refine_2d(regions: Sequence[PLRegion]):
+Cover = Callable[[Sequence[Sequence[Slab]]], bool]
+
+
+def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     """The y-fibres of 2D regions, from left to right, one over each x-atom
-    that some slab covers: no region op keeps a point where none does."""
+    where cover holds of the slabs over it (one list per region, empty where
+    the region has none).
+
+    An op passes the cover of the atoms it can use.  Over an atom a region
+    has no slab on, its membership is False throughout, so the op's cover
+    must hold wherever a membership it keeps or fails on can occur: any
+    suits every op, since none keeps a point in no region.
+    Intersection and the meet query need every region (all), difference
+    and subset the first (_first_covers), and region_components two
+    closures (_two_cover), as only those atoms make pairs; union,
+    region_equal and region_normalize keep any."""
     atoms, index = _x_atoms(regions)
     last = len(atoms) - 1
     graphs: dict[tuple, PLFunc] = {}
@@ -805,49 +824,61 @@ def _refine_2d(regions: Sequence[PLRegion]):
                                slab.x_lo_closed, slab.x_hi_closed):
                 covering[a][k].append(slab)
     for a, atom in enumerate(atoms):
-        if any(covering[a]):
+        if cover(covering[a]):
             yield _YFibre(covering[a], atom, _atom_rep(atom), graphs)
 
 
-def _fibres(regions: Sequence[PLRegion]):
-    """The fibres of the regions' joint refinement, in cell order."""
+def _fibres(regions: Sequence[PLRegion], cover: Cover = any):
+    """The fibres of the regions' joint refinement, in cell order.  In 2D
+    only the y-fibres over x-atoms where cover holds (see _refine_2d); every
+    1D fibre is built."""
     dim = regions[0].dim
     if any(r.dim != dim for r in regions):
         raise ArgumentError("region dimension mismatch")
-    return (_refine_1d if dim == 1 else _refine_2d)(regions)
+    return _refine_1d(regions) if dim == 1 else _refine_2d(regions, cover)
+
+
+def _first_covers(covering: Sequence[Sequence[Slab]]) -> bool:
+    return bool(covering[0])
+
+
+def _two_cover(covering: Sequence[Sequence[Slab]]) -> bool:
+    return sum(map(bool, covering)) >= 2
 
 
 # ---------------------------------------------------------------------------
 # Region operations
 # ---------------------------------------------------------------------------
 
-def _rebuild(regions: Sequence[PLRegion],
-             keep: Callable[[Sequence[bool]], bool]) -> PLRegion:
+def _rebuild(regions: Sequence[PLRegion], keep: Callable[[Sequence[bool]], bool],
+             cover: Cover = any) -> PLRegion:
     """The points whose memberships in the regions satisfy keep, rebuilt
     from the joint refinement (adjacent atoms of a fibre coalesce). keep
-    must reject a point in no region: _refine_2d skips where no slab lies."""
+    must reject a point in no region, and cover must hold wherever keep can
+    accept: _refine_2d builds no fibre elsewhere."""
     assert not keep((False,) * len(regions))
     cells: list[Cell] = []
-    for fibre in _fibres(regions):
+    for fibre in _fibres(regions, cover):
         cells.extend(fibre.cells([keep(m) for m in fibre.memberships]))
     return PLRegion(regions[0].dim, tuple(cells))
 
 
 def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
     if op == "intersect":
-        return _rebuild([a, b], lambda m: m[0] and m[1])
+        return _rebuild([a, b], lambda m: m[0] and m[1], all)
     if op == "union":
         return _rebuild([a, b], lambda m: m[0] or m[1])
     raise ArgumentError(f"unknown boolean op {op!r}")
 
 
 def region_difference(a: PLRegion, b: PLRegion) -> PLRegion:
-    return _rebuild([a, b], lambda m: m[0] and not m[1])
+    return _rebuild([a, b], lambda m: m[0] and not m[1], _first_covers)
 
 
 def region_subset(a: PLRegion, b: PLRegion) -> bool:
     return all(not m[0] or m[1]
-               for fibre in _fibres([a, b]) for m in fibre.memberships)
+               for fibre in _fibres([a, b], _first_covers)
+               for m in fibre.memberships)
 
 
 def region_equal(a: PLRegion, b: PLRegion) -> bool:
@@ -908,21 +939,6 @@ def _closed_is_bounded(closed: PLRegion) -> bool:
 def region_bounded(a: PLRegion) -> bool:
     """Whether every cell of the closure is bounded."""
     return _closed_is_bounded(region_closure(a))
-
-
-def region_contains_point(a: PLRegion, point) -> bool:
-    """point: a rational (line), ("circle", idx, theta), or an (x, y) pair."""
-    if a.dim == 2:
-        x, y = point
-        return any(c.contains(fr(x), fr(y)) for c in a.cells)
-    if isinstance(point, tuple) and point and point[0] == "circle":
-        _, idx, theta = point
-        return any(
-            not isinstance(c, Seg) and c.circle == idx and c.contains(theta)
-            for c in a.cells
-        )
-    x = fr(point)
-    return any(isinstance(c, Seg) and c.contains(x) for c in a.cells)
 
 
 def region_bbox(a: PLRegion):
@@ -995,7 +1011,8 @@ def region_components(a: PLRegion) -> list[PLRegion]:
         return []
     closures = [region_closure(PLRegion(a.dim, (c,))) for c in cells]
     meets: set[tuple[int, int]] = set()
-    for m in {m for fibre in _fibres(closures) for m in fibre.memberships}:
+    for m in {m for fibre in _fibres(closures, _two_cover)
+              for m in fibre.memberships}:
         meets.update(itertools.combinations(
             [i for i, inside in enumerate(m) if inside], 2))
     return [PLRegion(a.dim, tuple(cells[i] for i in g))
@@ -1013,7 +1030,7 @@ def region_sample_point(a: PLRegion, *others: PLRegion):
     points come back as a rational (line) or ("circle", idx, theta); 2D
     points as an (x, y) pair of rationals.
     """
-    for fibre in _fibres([a, *others]):
+    for fibre in _fibres([a, *others], all):
         for i, m in enumerate(fibre.memberships):
             if all(m):
                 return fibre.point(i)

@@ -30,7 +30,6 @@ from cutgrids.plgeom import (
     line_region,
     plfunc_zeros,
     region_closure,
-    region_contains_point,
     region_equal,
     region_components,
     region_is_compact_in,
@@ -78,6 +77,8 @@ from cutgrids.bordisms import (
     shrink_to_core,
     validate,
 )
+
+from oracles import region_contains_point
 
 F = Fraction
 

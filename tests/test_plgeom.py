@@ -19,13 +19,16 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _YFibre,
     _atom_rep,
     _cell_closure,
+    _first_covers,
     _groups,
     _line_atoms,
     _line_runs,
     _refine_2d,
     _slab_is_empty,
+    _two_cover,
     _x_atoms,
     ambient_region,
     component_region,
@@ -43,7 +46,6 @@ from cutgrids.plgeom import (
     region_bounded,
     region_closure,
     region_components,
-    region_contains_point,
     region_difference,
     region_equal,
     region_is_compact_in,
@@ -51,6 +53,8 @@ from cutgrids.plgeom import (
     region_sample_point,
     region_subset,
 )
+
+from oracles import region_contains_point
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +732,15 @@ def _slab_covers_atom(slab, atom):
     return slab.x_lo <= atom[1] and atom[2] <= slab.x_hi
 
 
-@given(st.lists(any_plane_regions(), min_size=1, max_size=3))
+# The cover predicates the region ops pass to _refine_2d, by name.
+COVERS = {"any": any, "all": all, "first": _first_covers, "two": _two_cover}
+
+
+@given(st.lists(any_plane_regions(), min_size=1, max_size=3),
+       st.sampled_from(sorted(COVERS)))
 @settings(max_examples=60, deadline=None)
-def test_refine_2d_sweep_matches_all_slab_filter(regions):
-    views = iter(_refine_2d(regions))
+def test_refine_2d_sweep_matches_all_slab_filter(regions, cover):
+    views = iter(_refine_2d(regions, COVERS[cover]))
     for atom in _x_atoms(regions)[0]:
         rep = _atom_rep(atom)
 
@@ -745,10 +754,11 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions):
         expected = [[(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
                      for s in region.cells if _slab_covers_atom(s, atom)]
                     for region in regions]
-        if not any(expected):
-            continue  # no fibre over an atom that no slab covers
+        if not COVERS[cover](expected):
+            continue  # no fibre over an atom the cover skips
         view = next(views)
         assert view.atom == atom
+        assert view.heights == [m * rep + c for m, c in view.keys]
 
         def by_key(index):
             return index if isinstance(index, float) else view.keys[index]
@@ -757,6 +767,64 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions):
                  for li, ui, loc, upc in ivs]
                 for ivs in view.intervals_per_region] == expected
     assert next(views, None) is None
+
+
+def every_fibre(regions):
+    """A y-fibre over every x-atom of the regions' refinement, whether or
+    not a slab covers it: what the ops' cover predicates skip from."""
+    graphs = {}
+    for atom in _x_atoms(regions)[0]:
+        covering = [[s for s in r.cells if _slab_covers_atom(s, atom)]
+                    for r in regions]
+        yield _YFibre(covering, atom, _atom_rep(atom), graphs)
+
+
+def rebuild_from_every_fibre(regions, keep):
+    cells = []
+    for fibre in every_fibre(regions):
+        cells.extend(fibre.cells([keep(m) for m in fibre.memberships]))
+    return cells
+
+
+def components_from_every_fibre(a):
+    cells = rebuild_from_every_fibre([a], lambda m: m[0])
+    closures = [reference_closure(PLRegion(2, (c,))) for c in cells]
+    meets = {pair for fibre in every_fibre(closures) for m in fibre.memberships
+             for pair in itertools.combinations(
+                 [i for i, inside in enumerate(m) if inside], 2)}
+    return [tuple(cells[i] for i in g) for g in _groups(len(cells), sorted(meets))]
+
+
+def sample_point_from_every_fibre(regions):
+    for fibre in every_fibre(regions):
+        for i, m in enumerate(fibre.memberships):
+            if all(m):
+                return fibre.point(i)
+    return None
+
+
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=60, deadline=None)
+def test_ops_match_a_refinement_of_every_fibre(a, b):
+    # the fibres an op skips hold no point it keeps or fails on, so its
+    # cells and answers are those of the refinement with every fibre built
+    for op, keep in ((lambda a, b: region_boolean("intersect", a, b),
+                      lambda m: m[0] and m[1]),
+                     (lambda a, b: region_boolean("union", a, b),
+                      lambda m: m[0] or m[1]),
+                     (region_difference, lambda m: m[0] and not m[1])):
+        assert list(op(a, b).cells) == rebuild_from_every_fibre([a, b], keep)
+    for x, y in ((a, b), (b, a)):
+        assert region_subset(x, y) is all(
+            not m[0] or m[1] for fibre in every_fibre([x, y])
+            for m in fibre.memberships)
+    assert region_equal(a, b) is all(
+        m[0] == m[1] for fibre in every_fibre([a, b]) for m in fibre.memberships)
+    assert region_sample_point(a, b) == sample_point_from_every_fibre([a, b])
+    assert region_sample_point(a) == sample_point_from_every_fibre([a])
+    for r in (a, b):
+        assert [c.cells for c in region_components(r)] == \
+            components_from_every_fibre(r)
 
 
 def check_subset_and_difference_laws(a, b):
