@@ -303,7 +303,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     """Germ-of-core equivalence of embedded bordisms: after
     normalization the cores must be equal as point sets and every
     piece of cut or label data must agree on a neighborhood of the
-    core (equivalently: the closed disagreement locus misses it)."""
+    core (equivalently: the closed disagreement locus misses it).  Each
+    pair of cuts is refined with the common ambient once (cut_disagreement)."""
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:
@@ -312,8 +313,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
         raise ArgumentError("embedded bordisms target different spaces")
     n1, n2 = normalize(b1), normalize(b2)
     core1 = bordism_core(n1)
-    core2 = bordism_core(n2)
-    if not region_equal(core1, core2):
+    if not region_equal(core1, bordism_core(n2)):
         return False
     common = region_boolean("intersect", ambient_region(n1.ambient),
                             ambient_region(n2.ambient))
@@ -321,7 +321,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     for t1, t2 in zip(n1.mgrid.grid.tuples, n2.mgrid.grid.tuples):
         for c1, c2 in zip(t1.cuts, t2.cuts):
             diff_cells.extend(cut_disagreement(
-                c1, n1.ambient, c2, n2.ambient, common).cells)
+                [(c1, n1.ambient), (c2, n2.ambient)], common).cells)
     wobble = region_closure(PLRegion(common.dim, tuple(diff_cells)))
     return region_sample_point(wobble, core1) is None
 

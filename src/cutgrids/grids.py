@@ -55,7 +55,7 @@ from .plgeom import (
     region_boolean,
     region_bounded,
     region_closure,
-    region_difference,
+    region_disagreement,
     region_is_compact_in,
     region_sample_point,
     region_subset,
@@ -808,56 +808,48 @@ def relabel(mg: MonoidalCutGrid, u: GammaMorphism) -> MonoidalCutGrid:
 # ---------------------------------------------------------------------------
 
 
-def cut_disagreement(cut_a: Cut, ambient_a: Ambient, cut_b: Cut,
-                     ambient_b: Ambient, within: PLRegion) -> PLRegion:
-    """Points of `within` where the two cuts, each over its own ambient,
-    classify differently."""
-    agree_cells: list = []
-    for ra, rb in zip(cut_regions(cut_a, ambient_a),
-                      cut_regions(cut_b, ambient_b)):
-        agree_cells.extend(region_boolean("intersect", ra, rb).cells)
-    return region_difference(within, PLRegion(within.dim, tuple(agree_cells)))
+def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> PLRegion:
+    """Points of `within` where the cuts, each over its own ambient, do not
+    all classify alike (a point outside some cut's ambient among them):
+    within and every cut's partition refined together once."""
+    return region_disagreement(
+        within, *(cut_regions(cut, ambient) for cut, ambient in cuts))
 
 
 def globularity_failures(mg: MonoidalCutGrid,
                          ambient: Ambient) -> list[str]:
-    """For each earlier direction's vertex: the later directions' cuts
-    must agree on a neighborhood of the vertex core.  Since the
-    disagreement locus is taken closed and the vertex core is compact,
-    'agree on a neighborhood' is exactly 'the closed disagreement locus
-    misses the core'."""
+    """For each vertex j of direction 1, direction 2's cuts must agree near
+    the vertex core; as the disagreement locus is taken closed and the core
+    is compact, that is 'the closed locus misses the core'.  The locus is
+    one refinement of the kept region with the distinct later cuts'
+    partitions.  The core (cut j's level set, the later closed slice, the
+    kept region) is never built: one meet query reads those parts.  Its
+    witness, the meet's first atom, is its least point in (x, y) order (one
+    inside an open atom has meet points just before it): a point-set fact."""
     g = mg.grid
     if g.d > 2:
         raise UnsupportedDimensionError(
             "globularity test implemented for at most 2 directions")
     if g.d <= 1:
         return []
-    failures: list[str] = []
+    first, later = g.tuples
+    cuts = dict.fromkeys(later.cuts)  # equal cuts cannot disagree
+    if len(cuts) < 2:
+        return []
     kept = kept_region(mg, ambient)
-    for i in range(1, g.d):
-        tup = g.tuples[i - 1]
-        later = range(i + 1, g.d + 1)
-        diff_cells: list = []
-        for ip in later:
-            cuts = g.tuples[ip - 1].cuts
-            for k in range(len(cuts)):
-                for l in range(k + 1, len(cuts)):
-                    if cuts[k] == cuts[l]:
-                        continue  # equal cuts cannot disagree anywhere
-                    diff = cut_disagreement(cuts[k], ambient, cuts[l],
-                                            ambient, kept)
-                    diff_cells.extend(diff.cells)
-        if not diff_cells:
-            continue
-        wobble = region_closure(PLRegion(ambient.dim, tuple(diff_cells)))
-        for j in range(tup.m + 1):
-            vertex_core = core(vertex_grid(mg, i, j), ambient)
-            meet = region_sample_point(wobble, vertex_core)
-            if meet is not None:
-                witness = _point_text(meet)
-                failures.append(
-                    f"direction {i}, vertex {j}: later cuts disagree "
-                    f"arbitrarily close to the core (e.g. at {witness})")
+    diff = cut_disagreement([(cut, ambient) for cut in cuts], kept)
+    if not diff.cells:
+        return []
+    wobble = region_closure(diff)
+    between = _direction_between(later, ambient, 0, later.m)
+    failures: list[str] = []
+    for j, cut in enumerate(first.cuts):
+        # vertex j's slice (above u level) n (below u level) is the level
+        meet = region_sample_point(wobble, cut_regions(cut, ambient)[1], between, kept)
+        if meet is not None:
+            failures.append(
+                f"direction 1, vertex {j}: later cuts disagree arbitrarily "
+                f"close to the core (e.g. at {_point_text(meet)})")
     return failures
 
 

@@ -15,7 +15,7 @@ unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
 over fibres without regard to the dimension.
 
-Only the ops that return a region (region_boolean, region_difference,
+Only the ops that return a region (region_boolean, region_disagreement,
 region_normalize) build cells from a refinement.  The yes/no and one-point
 queries (region_subset, region_equal, region_sample_point,
 plfunc_is_positive_on) read the atoms' memberships and build none.
@@ -871,8 +871,16 @@ def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
     raise ArgumentError(f"unknown boolean op {op!r}")
 
 
-def region_difference(a: PLRegion, b: PLRegion) -> PLRegion:
-    return _rebuild([a, b], lambda m: m[0] and not m[1], _first_covers)
+def region_disagreement(within: PLRegion, *partitions: Sequence[PLRegion]) -> PLRegion:
+    """The points of within that no k puts in part k of every partition, from
+    one refinement of within with every part; with one partition (b,), within - b."""
+    n = len(partitions[0]) if partitions else 0
+    if any(len(p) != n for p in partitions):
+        raise ArgumentError("partitions have different numbers of parts")
+    regions = [within, *itertools.chain(*partitions)]
+    parts = [range(1 + k, len(regions), n) for k in range(n)]
+    return _rebuild(regions, lambda m: m[0] and not any(
+        all(m[i] for i in part) for part in parts), _first_covers)
 
 
 def region_subset(a: PLRegion, b: PLRegion) -> bool:

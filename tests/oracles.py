@@ -1,7 +1,27 @@
-"""Point membership, the oracle the region tests check the engine against:
-a point lies in a region when some cell of it contains the point."""
+"""Oracles the engine's tests check it against.
 
-from cutgrids.plgeom import PLRegion, Seg, fr
+Point membership: a point lies in a region when some cell of it contains
+the point.  Globularity: the construction that built each pairwise
+disagreement and each vertex core as a region of its own, kept as the
+reference for the one-refinement questions of grids.globularity_failures
+and grids.cut_disagreement."""
+
+from cutgrids.grids import (
+    _point_text,
+    core,
+    cut_regions,
+    kept_region,
+    vertex_grid,
+)
+from cutgrids.plgeom import (
+    PLRegion,
+    Seg,
+    _rebuild,
+    fr,
+    region_boolean,
+    region_closure,
+    region_sample_point,
+)
 
 
 def region_contains_point(a: PLRegion, point) -> bool:
@@ -17,3 +37,50 @@ def region_contains_point(a: PLRegion, point) -> bool:
         )
     x = fr(point)
     return any(isinstance(c, Seg) and c.contains(x) for c in a.cells)
+
+
+def pairwise_cut_disagreement(cut_a, ambient_a, cut_b, ambient_b,
+                              within: PLRegion) -> PLRegion:
+    """Points of within where two cuts classify differently: within minus
+    the union of the three pairwise intersections of their parts, with the
+    difference rebuilt from every fibre."""
+    agree_cells: list = []
+    for ra, rb in zip(cut_regions(cut_a, ambient_a),
+                      cut_regions(cut_b, ambient_b)):
+        agree_cells.extend(region_boolean("intersect", ra, rb).cells)
+    agree = PLRegion(within.dim, tuple(agree_cells))
+    return _rebuild([within, agree], lambda m: m[0] and not m[1])
+
+
+def reference_vertex_core(mg, ambient, direction: int, j: int) -> PLRegion:
+    """The core of the grid with one direction collapsed to its cut j."""
+    return core(vertex_grid(mg, direction, j), ambient)
+
+
+def reference_globularity_failures(mg, ambient) -> list[str]:
+    """globularity_failures from a disagreement per pair of distinct later
+    cuts and a core per vertex (at most two directions)."""
+    g = mg.grid
+    failures: list[str] = []
+    kept = kept_region(mg, ambient)
+    for i in range(1, g.d):
+        diff_cells: list = []
+        for t in g.tuples[i:]:
+            cuts = t.cuts
+            for k in range(len(cuts)):
+                for l in range(k + 1, len(cuts)):
+                    if cuts[k] != cuts[l]:
+                        diff_cells.extend(pairwise_cut_disagreement(
+                            cuts[k], ambient, cuts[l], ambient, kept).cells)
+        if not diff_cells:
+            continue
+        wobble = region_closure(PLRegion(ambient.dim, tuple(diff_cells)))
+        for j in range(g.tuples[i - 1].m + 1):
+            meet = region_sample_point(
+                wobble, reference_vertex_core(mg, ambient, i, j))
+            if meet is not None:
+                failures.append(
+                    f"direction {i}, vertex {j}: later cuts disagree "
+                    f"arbitrarily close to the core (e.g. at "
+                    f"{_point_text(meet)})")
+    return failures

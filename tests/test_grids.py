@@ -26,6 +26,7 @@ from cutgrids.plgeom import (
     _atom_rep,
     _line_atoms,
     _line_runs,
+    ambient_region,
     interval_rep,
     line_region,
     plfunc_zeros,
@@ -66,6 +67,7 @@ from cutgrids.grids import (
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
 from cutgrids import grids, plgeom
 from cutgrids.bordisms import (
+    CATALOG_NAMES,
     FULL_LINE,
     FULL_PLANE,
     Bordism,
@@ -78,7 +80,12 @@ from cutgrids.bordisms import (
     validate,
 )
 
-from oracles import region_contains_point
+from oracles import (
+    pairwise_cut_disagreement,
+    reference_globularity_failures,
+    reference_vertex_core,
+    region_contains_point,
+)
 
 F = Fraction
 
@@ -503,14 +510,14 @@ def box_ends(draw):
 
 
 @st.composite
-def plane_cuts(draw):
-    """One to three boxes (overlapping ones form one component) and a valid
-    cut of either axis: per component, one in five whole, else one to three
-    sheets of alternating signs, constant on axis 1 and any PL graphs
-    stacked strictly upwards on axis 2."""
-    boxes = tuple((*box_ends(draw), *box_ends(draw))
-                  for _ in range(draw(st.integers(1, 3))))
-    ambient = Ambient2D(boxes)
+def plane_cuts(draw, ambient=None):
+    """One to three boxes (overlapping ones form one component), unless an
+    ambient is given, and a valid cut of either axis: per component, one in
+    five whole, else one to three sheets of alternating signs, constant on
+    axis 1 and any PL graphs stacked strictly upwards on axis 2."""
+    if ambient is None:
+        ambient = Ambient2D(tuple((*box_ends(draw), *box_ends(draw))
+                                  for _ in range(draw(st.integers(1, 3)))))
     axis = draw(st.sampled_from((1, 2)))
     comps = []
     for _ in range(ambient.n_components()):
@@ -748,9 +755,12 @@ def test_generated_grids_are_valid_compact_globular(mg_amb):
 # globularity
 # ---------------------------------------------------------------------------
 
-def perturbed_pair(tent_height=F(1, 4)):
+def perturbed_pair(tent_height=F(1, 4), half_width=F(1, 8)):
+    """composable_pair_2d with a tent pushed into its outer y-sheets at
+    x = 0: down into the lowest, up into the highest."""
     b = catalog("composable_pair_2d")
-    tent = PLFunc.from_points([(F(-1, 8), 0), (F(0), tent_height), (F(1, 8), 0)])
+    tent = PLFunc.from_points(
+        [(-half_width, 0), (F(0), tent_height), (half_width, 0)])
     low, mid, high = b.mgrid.grid.tuples[1].cuts
 
     def resheet(cut, f):
@@ -782,6 +792,101 @@ def test_single_later_cut_is_vacuously_globular():
     ))
     mg = MonoidalCutGrid(grid, 1, (1,))
     assert is_globular(mg, FULL_PLANE) is True
+
+
+def fuzzed_pair():
+    """composable_pair_2d with its highest y-sheet's third value set from 0
+    to 7, the input a fuzzer found (see tests/test_cli.py)."""
+    b = catalog("composable_pair_2d")
+    low, mid, high = b.mgrid.grid.tuples[1].cuts
+    graph = high.components[0].sheets[0].graph
+    values = graph.values[:2] + (F(7),) + graph.values[3:]
+    sheet = Sheet(replace(graph, values=values), "+")
+    high = Cut2D(2, (ComponentCut2D("sheets", (sheet,)),))
+    grid = CutGrid((b.mgrid.grid.tuples[0], CutTuple((low, mid, high))))
+    return replace(b.mgrid, grid=grid), b.ambient
+
+
+GLOBULARITY_CASES = {
+    **{name: (lambda name=name: (catalog(name).mgrid, catalog(name).ambient))
+       for name in CATALOG_NAMES if isinstance(catalog(name), Bordism)},
+    "fuzzed_pair": fuzzed_pair,
+    "tent_1/2_1/4": lambda: perturbed_pair(F(1, 2), F(1, 4)),
+    "tent_1/4_1/4": lambda: perturbed_pair(F(1, 4), F(1, 4)),
+    "tent_1/4_1/2": lambda: perturbed_pair(F(1, 4), F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GLOBULARITY_CASES))
+def test_globularity_matches_the_pairwise_reference(name):
+    # one refinement per later direction and no vertex core give the same
+    # failures, witnesses included, as a region per pair and per vertex
+    mg, ambient = GLOBULARITY_CASES[name]()
+    assert grids.globularity_failures(mg, ambient) == \
+        reference_globularity_failures(mg, ambient)
+
+
+def test_the_failing_globularity_cases_have_compact_vertex_cores():
+    # so each witness is the least point of a compact meet
+    for name in ("fuzzed_pair", "tent_1/2_1/4", "tent_1/4_1/4", "tent_1/4_1/2"):
+        mg, ambient = GLOBULARITY_CASES[name]()
+        assert grids.globularity_failures(mg, ambient)
+        for j in range(mg.grid.tuples[0].m + 1):
+            assert region_is_compact_in(
+                reference_vertex_core(mg, ambient, 1, j), ambient)
+
+
+PAIR_X_ATOM_REFINEMENTS = 39  # 74 with a core per vertex
+
+
+def test_validating_the_pair_refines_no_vertex_core(monkeypatch):
+    # globularity refined 27 times for three vertex cores and 12 times for
+    # three pairwise disagreements; now once for the disagreement and three
+    # times for the later slice, so a return to either fails this pin
+    b = catalog("composable_pair_2d")
+    calls = []
+    real = plgeom._x_atoms
+
+    def counting(regions):
+        calls.append(regions)
+        return real(regions)
+
+    monkeypatch.setattr(plgeom, "_x_atoms", counting)
+    grids.cut_regions.cache_clear()  # count every partition's refinements
+    assert validate(b).passed
+    assert len(calls) == PAIR_X_ATOM_REFINEMENTS
+
+
+def check_disagreement_matches_the_pairwise_reference(cut_ambs):
+    within = PLRegion(cut_ambs[0][1].dim, tuple(
+        c for _cut, ambient in cut_ambs for c in ambient_region(ambient).cells))
+    got = grids.cut_disagreement(cut_ambs, within)
+    reference = PLRegion(within.dim, tuple(
+        c for (ca, aa), (cb, ab) in itertools.combinations(cut_ambs, 2)
+        for c in pairwise_cut_disagreement(ca, aa, cb, ab, within).cells))
+    assert region_equal(got, reference)
+
+
+@given(st.lists(line_cuts(), min_size=2, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_line_disagreement_matches_the_pairwise_reference(cut_ambs):
+    # each cut over its own ambient; the union of the ambients as within
+    check_disagreement_matches_the_pairwise_reference(cut_ambs)
+
+
+@st.composite
+def one_box_plane_cuts(draw):
+    return draw(plane_cuts(Ambient2D(((*box_ends(draw), *box_ends(draw)),))))
+
+
+@given(one_box_plane_cuts(), one_box_plane_cuts())
+@settings(max_examples=40, deadline=None)
+def test_plane_disagreement_matches_the_pairwise_reference(first, second):
+    # Two cuts, each on a box of its own.  On several boxes, or with three
+    # cuts, the reference's union of pairwise differences can run to tens
+    # of thousands of cells, and comparing it takes minutes; the globularity
+    # cases compare three cuts and the several-box planar outputs exactly.
+    check_disagreement_matches_the_pairwise_reference([first, second])
 
 
 # ---------------------------------------------------------------------------

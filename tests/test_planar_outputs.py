@@ -34,9 +34,12 @@ from cutgrids.grids import (
     CutTuple,
     MonoidalCutGrid,
     Sheet,
+    globularity_failures,
 )
 from cutgrids.plgeom import Ambient2D, PLFunc
 from cutgrids.render import render_svg
+
+from oracles import reference_globularity_failures
 
 F = Fraction
 
@@ -207,3 +210,12 @@ PINNED = {
 def test_planar_outputs_are_pinned(name):
     got = {kind: digest(text) for kind, text in outputs(name).items()}
     assert got == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_globularity_matches_the_pairwise_reference(name):
+    build, eps, _others = CASES[name]
+    b = build()
+    for c in (b, shrink_to_core(b, eps)):
+        assert globularity_failures(c.mgrid, c.ambient) == \
+            reference_globularity_failures(c.mgrid, c.ambient)

@@ -46,7 +46,7 @@ from cutgrids.plgeom import (
     region_bounded,
     region_closure,
     region_components,
-    region_difference,
+    region_disagreement,
     region_equal,
     region_is_compact_in,
     region_normalize,
@@ -634,7 +634,7 @@ def test_positivity_matches_the_sublevel_reference(case):
 def test_boolean_ops_match_membership(a, b):
     u = region_boolean("union", a, b)
     i = region_boolean("intersect", a, b)
-    d = region_difference(a, b)
+    d = region_disagreement(a, (b,))
     for p in probe_points_1d(a, b):
         in_a = region_contains_point(a, p)
         in_b = region_contains_point(b, p)
@@ -648,7 +648,7 @@ def test_boolean_ops_match_membership(a, b):
 def test_boolean_ops_match_membership_2d(a, b):
     u = region_boolean("union", a, b)
     i = region_boolean("intersect", a, b)
-    d = region_difference(a, b)
+    d = region_disagreement(a, (b,))
     for p in probe_points_2d(a, b):
         in_a = region_contains_point(a, p)
         in_b = region_contains_point(b, p)
@@ -812,7 +812,8 @@ def test_ops_match_a_refinement_of_every_fibre(a, b):
                       lambda m: m[0] and m[1]),
                      (lambda a, b: region_boolean("union", a, b),
                       lambda m: m[0] or m[1]),
-                     (region_difference, lambda m: m[0] and not m[1])):
+                     (lambda a, b: region_disagreement(a, (b,)),
+                      lambda m: m[0] and not m[1])):
         assert list(op(a, b).cells) == rebuild_from_every_fibre([a, b], keep)
     for x, y in ((a, b), (b, a)):
         assert region_subset(x, y) is all(
@@ -831,7 +832,7 @@ def check_subset_and_difference_laws(a, b):
     assert region_subset(region_boolean("intersect", a, b), a)
     assert region_subset(a, region_boolean("union", a, b))
     assert region_sample_point(
-        region_boolean("intersect", region_difference(a, b), b)) is None
+        region_boolean("intersect", region_disagreement(a, (b,)), b)) is None
 
 
 def check_closure_is_monotone_idempotent(a):
@@ -929,10 +930,30 @@ def test_components_cover_without_overlap(a):
 
 def test_region_ops_reject_mixed_dimensions():
     line, plane = empty_region(1), empty_region(2)
-    for op in (region_subset, region_equal, region_difference,
+    for op in (region_subset, region_equal,
+               lambda a, b: region_disagreement(a, (b,)),
                lambda a, b: region_boolean("union", a, b)):
         with pytest.raises(ArgumentError, match="dimension mismatch"):
             op(line, plane)
+
+
+@given(mixed_regions(), mixed_regions(), mixed_regions(), mixed_regions())
+@settings(max_examples=80, deadline=None)
+def test_disagreement_matches_membership(w, a, b, c):
+    # a point of w is kept unless some index k has it in part k of each
+    # partition: here in a and b, or in b and c
+    d = region_disagreement(w, (a, b), (b, c))
+    for p in probe_points_1d(w, a, b, c):
+        inside = [region_contains_point(r, p) for r in (w, a, b, c)]
+        assert region_contains_point(d, p) == (inside[0] and not (
+            inside[1] and inside[2] or inside[2] and inside[3]))
+
+
+def test_disagreement_needs_partitions_of_one_size():
+    a = line_region(Seg(0, 1, True, True))
+    with pytest.raises(ArgumentError, match="different numbers of parts"):
+        region_disagreement(a, (a, a), (a,))
+    assert region_disagreement(a) == region_normalize(a)
 
 
 def test_region_equal_sees_through_decomposition():
@@ -982,7 +1003,7 @@ def test_circle_cells_start_after_the_first_cut():
     assert region_boolean("union", cells(arc(3, 1)), cells(arc(1, 2, True, False))) == cells(
         arc(3, 2, True, False))
     # the circle minus one point splits half way round from it
-    assert region_difference(whole, cells(arc(1, 1))) == cells(
+    assert region_disagreement(whole, (cells(arc(1, 1)),)) == cells(
         arc(1, 3, False, True), arc(3, 1, False, False))
     assert region_normalize(cells(arc(1, 2, True, False), arc(2, 1, False, True))) == cells(
         arc(2, 0, False, True), arc(0, 2, False, False))
@@ -1114,7 +1135,7 @@ REFERENCE_CELLS = 50
 
 def check_derived_queries_match_the_reference(a, b, ambients):
     for r in (a, region_boolean("union", a, b),
-              region_boolean("intersect", a, b), region_difference(a, b)):
+              region_boolean("intersect", a, b), region_disagreement(a, (b,))):
         if len(region_normalize(r).cells) <= REFERENCE_CELLS:
             assert repr(region_components(r)) == repr(reference_components(r))
         if outcome(reference_closure, r) == "ValidationError":
