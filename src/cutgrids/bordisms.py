@@ -51,7 +51,6 @@ from .grids import (
     component_zeros_1d,
     core,
     cut_disagreement,
-    cut_regions,
     globularity_failures,
     grid_check,
     image_ambient,
@@ -339,12 +338,12 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     smaller presentation b1).
 
     b1 is compared with b2's restriction along phi where b1 lives: ell and
-    labels by value, each pair of cuts by their (below, level, above)
-    partitions of b1's ambient, each metric density on its component's
-    closed hull, and an embedded field's map by value.  What b2 does
-    outside the image of phi does not count.  A grid with no partition
-    (an invalid cut) or a density count that is not the component count
-    answers False."""
+    labels by value, each pair of cuts by whether they classify every point
+    of b1's ambient alike (one refinement, cut_disagreement), each metric
+    density on its component's closed hull, and an embedded field's map by
+    value.  What b2 does outside the image of phi does not count.  A grid
+    with no partition (an invalid cut) or a density count that is not the
+    component count answers False."""
     if b1.shape != b2.shape:
         raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
     amb = b1.ambient
@@ -352,12 +351,11 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
         pulled = bordism_pullback(b2, AmbientEmbedding(amb, b2.ambient, phi))
         g1, g2 = b1.mgrid, pulled.mgrid
         f1, f2 = b1.field, pulled.field
+        within = ambient_region(amb)
         if (f1.kind != f2.kind or (g1.ell, g1.labels) != (g2.ell, g2.labels)
-                or not all(region_equal(r1, r2)
-                           for t1, t2 in zip(g1.grid.tuples, g2.grid.tuples)
-                           for c1, c2 in zip(t1.cuts, t2.cuts)
-                           for r1, r2 in zip(cut_regions(c1, amb),
-                                             cut_regions(c2, amb)))):
+                or any(cut_disagreement([(c1, amb), (c2, amb)], within).cells
+                       for t1, t2 in zip(g1.grid.tuples, g2.grid.tuples)
+                       for c1, c2 in zip(t1.cuts, t2.cuts))):
             return False
         if f1.kind == "metric" and not all(
                 plfunc_agree_on(w1, w2, *_component_hull(amb, k))

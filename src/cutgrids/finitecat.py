@@ -1,5 +1,8 @@
-"""Finite categories, set-valued presheaves, truncated simplicial sets, and the
-strict locality checkers (chain decomposition, completeness, degeneration).
+"""Finite categories, set-valued presheaves, truncated simplicial sets, the
+strict locality checkers (chain decomposition, completeness, degeneration),
+and three families of example categories: preorders, cyclic groups and
+chaotic groupoids.  The smaller categories and presheaves that only the tests
+build live in ``tests/fixtures.py``.
 
 Composition tables are stored in diagrammatic order: ``then_table[(f, g)]``
 is the composite "f followed by g".  Validation enumerates, since every
@@ -30,7 +33,6 @@ from .shapes import (
     MonotoneMap,
     Multisimplex,
     MultisimplexOperator,
-    compose_operators,
     gamma_compose_actions,
     hat_multisimplex,
 )
@@ -330,12 +332,6 @@ class TruncSSet:
                 deg += 1
         return maps
 
-    def restrict(self, alpha: MonotoneMap, x):
-        """The action of an arbitrary monotone map [a] -> [level-part]: X(alpha)
-        applied to x in X_{alpha.target}."""
-        return _images([x], *self.restriction_maps(alpha))[0]
-
-
 def _images(xs: list, *maps: Mapping) -> list:
     """The image of each element of xs under the maps, applied in turn."""
     for m in maps:
@@ -504,38 +500,6 @@ def check_completeness_nerve(category: FinCategory) -> bool:
     return all(
         f in idents or not category.is_isomorphism(f) for f in category.arrows
     )
-
-
-def preorder_diagnostics(category: FinCategory) -> dict:
-    """Hom-set sizes and cospan cones.
-
-    ``is_preorder``: every hom-set has at most one element.
-    ``has_cospan_cones``: every cospan a -> c <- b admits an object mapping to
-    both legs, commuting over c.
-    """
-    is_preorder = all(
-        len(category.hom(x, y)) <= 1
-        for x in category.objects
-        for y in category.objects
-    )
-    has_cones = True
-    for f in category.arrows:
-        for g in category.arrows:
-            if category.dst(f) != category.dst(g):
-                continue
-            a, b = category.src(f), category.src(g)
-            found = any(
-                category.then(u, f) == category.then(v, g)
-                for w in category.objects
-                for u in category.hom(w, a)
-                for v in category.hom(w, b)
-            )
-            if not found:
-                has_cones = False
-                break
-        if not has_cones:
-            break
-    return {"is_preorder": is_preorder, "has_cospan_cones": has_cones}
 
 
 # ---------------------------------------------------------------------------
@@ -741,35 +705,6 @@ class MultisimplexPresheaf:
         return dict(self._action(op))
 
 
-def constant_multisimplex_presheaf(d: int, value_set: Iterable) -> MultisimplexPresheaf:
-    vs = frozenset(value_set)
-    return MultisimplexPresheaf(d, lambda m: vs, lambda op: {v: v for v in vs})
-
-
-def _monotone_maps(a: int, b: int) -> list[MonotoneMap]:
-    return [
-        MonotoneMap(a, b, values)
-        for values in itertools.combinations_with_replacement(range(b + 1), a + 1)
-    ]
-
-
-def representable_multisimplex_presheaf(c: Multisimplex) -> MultisimplexPresheaf:
-    """X(m) = all operators m -> c, acting by precomposition."""
-
-    def sets(m: Multisimplex) -> frozenset:
-        if m.d != c.d:
-            raise ArgumentError("direction count mismatch")
-        per_direction = [_monotone_maps(m[i], c[i]) for i in range(c.d)]
-        return frozenset(
-            MultisimplexOperator(combo) for combo in itertools.product(*per_direction)
-        )
-
-    def action(op: MultisimplexOperator) -> dict:
-        return {f: compose_operators(op, f) for f in sets(op.target)}
-
-    return MultisimplexPresheaf(c.d, sets, action)
-
-
 class OneDirectionPresheaf:
     """A simplicial-direction factor for external products: value sets per
     ordinal plus an action for arbitrary monotone maps."""
@@ -778,19 +713,6 @@ class OneDirectionPresheaf:
                  action: Callable[[MonotoneMap], Mapping]) -> None:
         self.sets = sets
         self.action = action
-
-    @classmethod
-    def discrete(cls, value_set: Iterable) -> "OneDirectionPresheaf":
-        vs = frozenset(value_set)
-        return cls(lambda k: vs, lambda alpha: {v: v for v in vs})
-
-    @classmethod
-    def from_trunc_sset(cls, sset: TruncSSet) -> "OneDirectionPresheaf":
-        def action(alpha: MonotoneMap) -> dict:
-            xs = list(sset.simplices[alpha.target])
-            return dict(zip(xs, _images(xs, *sset.restriction_maps(alpha))))
-
-        return cls(lambda k: sset.simplices[k], action)
 
 
 def external_product(factors: list[OneDirectionPresheaf]) -> MultisimplexPresheaf:
@@ -829,16 +751,8 @@ def check_globularity_presheaf(presheaf: MultisimplexPresheaf, m: Multisimplex) 
 
 
 # ---------------------------------------------------------------------------
-# Small builders used across the test-suite and CLI examples
+# Example categories: preorders, cyclic groups and chaotic groupoids
 # ---------------------------------------------------------------------------
-
-def discrete_category(n: int) -> FinCategory:
-    objs = tuple(range(n))
-    arrows = {("id", x): (x, x) for x in objs}
-    identity = {x: ("id", x) for x in objs}
-    then_table = {((("id", x)), (("id", x))): ("id", x) for x in objs}
-    return FinCategory(objs, arrows, identity, then_table)
-
 
 def poset_category(elements: Iterable, leq: Callable) -> FinCategory:
     """The category of a preorder: one arrow x -> y whenever leq(x, y)."""
@@ -855,35 +769,6 @@ def poset_category(elements: Iterable, leq: Callable) -> FinCategory:
                 if ("le", x, z) not in arrows:
                     raise ArgumentError("relation must be transitive")
                 then_table[(("le", x, y), ("le", y2, z))] = ("le", x, z)
-    return FinCategory(objs, arrows, identity, then_table)
-
-
-def chain_poset(n: int) -> FinCategory:
-    """The linear order 0 < 1 < ... < n."""
-    return poset_category(range(n + 1), lambda x, y: x <= y)
-
-
-def cospan_poset() -> FinCategory:
-    """Three objects a -> c <- b with no lower bound of {a, b}."""
-    rel = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "c"), ("b", "c")}
-    return poset_category(("a", "b", "c"), lambda x, y: (x, y) in rel)
-
-
-def parallel_pair_category() -> FinCategory:
-    objs = ("x", "y")
-    arrows = {
-        ("id", "x"): ("x", "x"),
-        ("id", "y"): ("y", "y"),
-        "f": ("x", "y"),
-        "g": ("x", "y"),
-    }
-    identity = {"x": ("id", "x"), "y": ("id", "y")}
-    then_table = {}
-    for name, (s, t) in arrows.items():
-        then_table[(("id", s), name)] = name
-        then_table[(name, ("id", t))] = name
-    then_table[(("id", "x"), ("id", "x"))] = ("id", "x")
-    then_table[(("id", "y"), ("id", "y"))] = ("id", "y")
     return FinCategory(objs, arrows, identity, then_table)
 
 
@@ -909,21 +794,4 @@ def chaotic_groupoid(n: int) -> FinCategory:
         for y in objs
         for z in objs
     }
-    return FinCategory(objs, arrows, identity, then_table)
-
-
-def disjoint_union_category(c1: FinCategory, c2: FinCategory) -> FinCategory:
-    objs = tuple((0, x) for x in c1.objects) + tuple((1, x) for x in c2.objects)
-    arrows: dict[Arrow, tuple[Obj, Obj]] = {}
-    for f, (s, t) in c1.arrows.items():
-        arrows[(0, f)] = ((0, s), (0, t))
-    for f, (s, t) in c2.arrows.items():
-        arrows[(1, f)] = ((1, s), (1, t))
-    identity = {(0, x): (0, c1.identity[x]) for x in c1.objects}
-    identity.update({(1, x): (1, c2.identity[x]) for x in c2.objects})
-    then_table: dict[tuple[Arrow, Arrow], Arrow] = {}
-    for (f, g), h in c1.then_table.items():
-        then_table[((0, f), (0, g))] = (0, h)
-    for (f, g), h in c2.then_table.items():
-        then_table[((1, f), (1, g))] = (1, h)
     return FinCategory(objs, arrows, identity, then_table)

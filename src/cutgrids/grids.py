@@ -17,8 +17,9 @@ affine embeddings — are the engine behind the bordism layer.
 
 Cut data are frozen values, and ``==`` is the one structural comparison:
 equal cuts are written the same way.  Where only what a cut does to an
-ambient matters, compare the ``cut_regions`` partitions instead, as
-``bordisms.is_morphism`` does.
+ambient matters, compare partitions instead: two cuts agree when
+``cut_disagreement`` finds no point they classify differently, as
+``bordisms.is_morphism`` asks.
 """
 
 from __future__ import annotations
@@ -522,7 +523,9 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
     the repeats fall within that operation.  So the memo is small: on the
     benchmark workloads 16 entries catch every repeat of a planar operation
     and 64 catch 96% of those of the linear m-sweep, while a larger memo
-    adds few hits and holds 2D regions that are not asked for again.  An
+    adds few hits and holds 2D regions that are not asked for again.  The
+    bound is also what keeps peak memory flat: a memo held on each cut
+    instead raised the linear workload's peak RSS past its bound.  An
     exception is not memoized: an invalid cut raises every time."""
     parts: tuple[list, list, list] = ([], [], [])
     if isinstance(cut, Cut1D):

@@ -367,11 +367,6 @@ class Seg:
                 self.hi_closed and not is_finite(self.hi)):
             raise ValidationError("infinite endpoint cannot be closed")
 
-    def contains(self, x) -> bool:
-        lo_ok = self.lo < x or (self.lo == x and self.lo_closed)
-        hi_ok = x < self.hi or (x == self.hi and self.hi_closed)
-        return lo_ok and hi_ok
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -396,19 +391,6 @@ class Arc:
         if self.start == self.end and not (self.start_closed and self.end_closed):
             raise ValidationError("a degenerate arc must be a closed point")
 
-    def contains(self, theta) -> bool:
-        L = self.circumference
-        theta = fr(theta) % L
-        if self.start == self.end:
-            return theta == self.start
-        span = (self.end - self.start) % L
-        delta = (theta - self.start) % L
-        if delta == 0:
-            return self.start_closed
-        if delta == span:
-            return self.end_closed
-        return 0 < delta < span
-
 
 @dataclass(frozen=True)
 class CircleCell:
@@ -419,9 +401,6 @@ class CircleCell:
         object.__setattr__(self, "circumference", fr(self.circumference))
         if self.circumference <= 0:
             raise ValidationError("circumference must be positive")
-
-    def contains(self, theta) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -457,25 +436,6 @@ class Slab:
         if isinstance(self.upper, float) and self.upper != INF:
             raise ValidationError("upper bound must be a PLFunc or +inf")
 
-    def covers_x(self, x) -> bool:
-        lo_ok = self.x_lo < x or (self.x_lo == x and self.x_lo_closed)
-        hi_ok = x < self.x_hi or (x == self.x_hi and self.x_hi_closed)
-        return lo_ok and hi_ok
-
-    def contains(self, x, y) -> bool:
-        if not self.covers_x(x):
-            return False
-        x, y = fr(x), fr(y)
-        if isinstance(self.lower, PLFunc):
-            lv = self.lower(x)
-            if y < lv or (y == lv and not self.lower_closed):
-                return False
-        if isinstance(self.upper, PLFunc):
-            uv = self.upper(x)
-            if y > uv or (y == uv and not self.upper_closed):
-                return False
-        return True
-
 
 Cell = Union[Seg, Arc, CircleCell, Slab]
 
@@ -492,10 +452,6 @@ class PLRegion:
                 raise ValidationError("slab cell in a 1D region")
             if self.dim == 2 and not isinstance(c, Slab):
                 raise ValidationError("non-slab cell in a 2D region")
-
-
-def empty_region(dim: int) -> PLRegion:
-    return PLRegion(dim, ())
 
 
 def line_region(*segs: Seg) -> PLRegion:

@@ -66,13 +66,6 @@ class MonotoneMap:
             raise ArgumentError(f"face index {i} outside [0, {n}]")
         return cls(n - 1, n, tuple(j if j < i else j + 1 for j in range(n)))
 
-    @classmethod
-    def degeneracy(cls, n: int, i: int) -> "MonotoneMap":
-        """The surjection [n+1] -> [n] repeating i (codegeneracy s^i)."""
-        if not (0 <= i <= n):
-            raise ArgumentError(f"degeneracy index {i} outside [0, {n}]")
-        return cls(n + 1, n, tuple(j if j <= i else j - 1 for j in range(n + 2)))
-
     def is_identity(self) -> bool:
         return self.source == self.target and self.values == tuple(range(self.source + 1))
 
@@ -128,16 +121,6 @@ class GammaMorphism:
     @classmethod
     def identity(cls, n: int) -> "GammaMorphism":
         return cls(n, n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def merge_all(cls, n: int) -> "GammaMorphism":
-        """<n> -> <1>, every label to 1 (the fold map mu)."""
-        return cls(n, 1, (1,) * n)
-
-    @classmethod
-    def to_basepoint(cls, n: int) -> "GammaMorphism":
-        """<n> -> <0>, everything to the basepoint."""
-        return cls(n, 0, (0,) * n)
 
 
 def gamma_compose(u: GammaMorphism, v: GammaMorphism) -> GammaMorphism:

@@ -1,10 +1,14 @@
 """Oracles the engine's tests check it against.
 
 Point membership: a point lies in a region when some cell of it contains
-the point.  Globularity: the construction that built each pairwise
-disagreement and each vertex core as a region of its own, kept as the
-reference for the one-refinement questions of grids.globularity_failures
-and grids.cut_disagreement."""
+the point, decided per cell from its ends, bounds and flags.  Cut
+agreement: two cuts agree when their (below, level, above) parts are equal
+one by one, the reference for the one-refinement test of
+bordisms.is_morphism.
+Globularity: the construction that built each pairwise disagreement and
+each vertex core as a region of its own, kept as the reference for the
+one-refinement questions of grids.globularity_failures and
+grids.cut_disagreement."""
 
 from cutgrids.grids import (
     _point_text,
@@ -14,29 +18,84 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.plgeom import (
+    Arc,
+    CircleCell,
+    PLFunc,
     PLRegion,
     Seg,
+    Slab,
     _rebuild,
     fr,
     region_boolean,
     region_closure,
+    region_equal,
     region_sample_point,
 )
+
+
+def _in_range(x, lo, hi, lo_closed, hi_closed) -> bool:
+    return ((lo < x or (lo == x and lo_closed))
+            and (x < hi or (x == hi and hi_closed)))
+
+
+def seg_contains(seg: Seg, x) -> bool:
+    return _in_range(x, seg.lo, seg.hi, seg.lo_closed, seg.hi_closed)
+
+
+def arc_contains(arc: Arc, theta) -> bool:
+    """theta is read mod the circumference."""
+    L = arc.circumference
+    theta = fr(theta) % L
+    if arc.start == arc.end:
+        return theta == arc.start
+    span = (arc.end - arc.start) % L
+    delta = (theta - arc.start) % L
+    if delta == 0:
+        return arc.start_closed
+    if delta == span:
+        return arc.end_closed
+    return 0 < delta < span
+
+
+def slab_covers_x(slab: Slab, x) -> bool:
+    return _in_range(x, slab.x_lo, slab.x_hi, slab.x_lo_closed, slab.x_hi_closed)
+
+
+def slab_contains(slab: Slab, x, y) -> bool:
+    if not slab_covers_x(slab, x):
+        return False
+    if isinstance(slab.lower, PLFunc):
+        lv = slab.lower(x)
+        if y < lv or (y == lv and not slab.lower_closed):
+            return False
+    if isinstance(slab.upper, PLFunc):
+        uv = slab.upper(x)
+        if y > uv or (y == uv and not slab.upper_closed):
+            return False
+    return True
 
 
 def region_contains_point(a: PLRegion, point) -> bool:
     """point: a rational (line), ("circle", idx, theta), or an (x, y) pair."""
     if a.dim == 2:
         x, y = point
-        return any(c.contains(fr(x), fr(y)) for c in a.cells)
+        return any(slab_contains(c, fr(x), fr(y)) for c in a.cells)
     if isinstance(point, tuple) and point and point[0] == "circle":
         _, idx, theta = point
         return any(
-            not isinstance(c, Seg) and c.circle == idx and c.contains(theta)
+            not isinstance(c, Seg) and c.circle == idx
+            and (isinstance(c, CircleCell) or arc_contains(c, theta))
             for c in a.cells
         )
     x = fr(point)
-    return any(isinstance(c, Seg) and c.contains(x) for c in a.cells)
+    return any(isinstance(c, Seg) and seg_contains(c, x) for c in a.cells)
+
+
+def cuts_agree_part_by_part(cut_a, cut_b, ambient) -> bool:
+    """Whether two cuts over one ambient have equal below, level and above
+    parts, compared one part at a time."""
+    return all(region_equal(ra, rb) for ra, rb in zip(
+        cut_regions(cut_a, ambient), cut_regions(cut_b, ambient)))
 
 
 def pairwise_cut_disagreement(cut_a, ambient_a, cut_b, ambient_b,

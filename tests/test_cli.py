@@ -9,7 +9,9 @@ from cutgrids import grids, plgeom
 from cutgrids.bordisms import catalog, shrink_to_core
 from cutgrids.cli import main
 from cutgrids.documents import document_for, parse_document, serialize_document
-from cutgrids.finitecat import TruncSSet, chain_poset, nerve
+from cutgrids.finitecat import TruncSSet, nerve
+
+from fixtures import chain_poset
 
 
 def write_doc(tmp_path, payload, stem):

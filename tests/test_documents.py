@@ -19,8 +19,10 @@ from cutgrids.documents import (
     serialize_document,
 )
 from cutgrids.errors import DocumentSyntaxError, DocumentValidationError
-from cutgrids.finitecat import chain_poset, cyclic_group_category, nerve
+from cutgrids.finitecat import cyclic_group_category, nerve
 from cutgrids.plgeom import INF, NEG_INF
+
+from fixtures import chain_poset
 
 
 def elbow_text():

@@ -9,36 +9,32 @@ from cutgrids.finitecat import (
     FinCategory,
     FinFunctor,
     FinPresheaf,
-    OneDirectionPresheaf,
     TruncSSet,
-    chain_poset,
     chaotic_groupoid,
     check_completeness_nerve,
     check_globularity_presheaf,
     check_segal_delta,
     check_segal_gamma,
     constant_gamma_presheaf,
-    constant_multisimplex_presheaf,
-    cospan_poset,
     cyclic_group_category,
-    discrete_category,
-    disjoint_union_category,
     elements_category,
     external_product,
     gamma_segal_category,
     is_discrete_fibration,
     monoid_power_presheaf,
     nerve,
-    parallel_pair_category,
     pi0,
     poset_category,
-    preorder_diagnostics,
-    representable_multisimplex_presheaf,
 )
 from cutgrids import finitecat
 from cutgrids.documents import document_for, serialize_document
 from cutgrids.errors import ArgumentError, NotComposableError
 from cutgrids.shapes import GammaMorphism, MonotoneMap, Multisimplex, gamma_compose
+
+from fixtures import (chain_poset, constant_multisimplex_presheaf, cospan_poset,
+                      discrete_category, discrete_factor, disjoint_union_category,
+                      parallel_pair_category, preorder_diagnostics,
+                      representable_multisimplex_presheaf, restrict, sset_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +307,7 @@ def test_restrict_along_degeneracy_inserts_identity():
     chain = chain_poset(1)
     n = nerve(chain, 2)
     alpha = MonotoneMap(2, 1, (0, 0, 1))
-    assert n.restrict(alpha, (("le", 0, 1),)) == (("le", 0, 0), ("le", 0, 1))
+    assert restrict(n, alpha, (("le", 0, 1),)) == (("le", 0, 0), ("le", 0, 1))
 
 
 def test_trunc_sset_rejects_broken_face_identity():
@@ -372,7 +368,7 @@ def segal_by_target_set(sset, a, b):
     """Chain decomposition checked against the whole fibre product."""
     init = MonotoneMap(a, a + b, tuple(range(a + 1)))
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
-    pairs = [(sset.restrict(init, x), sset.restrict(fin, x))
+    pairs = [(restrict(sset, init, x), restrict(sset, fin, x))
              for x in sset.simplices[a + b]]
     target = {(u, v) for u in sset.simplices[a] for v in sset.simplices[b]
               if sset.vertex(a, a, u) == sset.vertex(b, 0, v)}
@@ -582,8 +578,8 @@ def test_identity_check_reaches_a_face_away_from_the_degeneracy(j):
 
 
 def reference_restrict(sset: TruncSSet, alpha: MonotoneMap, x):
-    """X(alpha) on x as TruncSSet.restrict computed it, one simplex at a
-    time: delete missed vertices top-down, then insert repeats."""
+    """X(alpha) on x, walked one simplex at a time: delete missed vertices
+    top-down, then insert repeats."""
     image = sorted(set(alpha.values))
     cur, deg = x, alpha.target
     for v in sorted(set(range(alpha.target + 1)) - set(image), reverse=True):
@@ -599,14 +595,14 @@ def reference_restrict(sset: TruncSSet, alpha: MonotoneMap, x):
                                  chaotic_groupoid(2), parallel_pair_category()])
 def test_factored_restriction_matches_the_per_simplex_walk(cat):
     sset = nerve(cat, 4)
-    simplicial = OneDirectionPresheaf.from_trunc_sset(sset)
+    simplicial = sset_factor(sset)
     for a in range(5):
         for t in range(5):
             for values in itertools.combinations_with_replacement(range(t + 1), a + 1):
                 alpha = MonotoneMap(a, t, values)
                 want = {x: reference_restrict(sset, alpha, x) for x in sset.simplices[t]}
                 assert list(simplicial.action(alpha).items()) == list(want.items())
-                assert all(sset.restrict(alpha, x) == y for x, y in want.items())
+                assert all(restrict(sset, alpha, x) == y for x, y in want.items())
 
 
 def test_chain_decomposition_factors_each_restriction_once(monkeypatch):
@@ -617,11 +613,7 @@ def test_chain_decomposition_factors_each_restriction_once(monkeypatch):
         factored.append(alpha)
         return restriction_maps(self, alpha)
 
-    def per_simplex(self, alpha, x):
-        raise AssertionError("restricted one simplex at a time")
-
     monkeypatch.setattr(TruncSSet, "restriction_maps", counted)
-    monkeypatch.setattr(TruncSSet, "restrict", per_simplex)
     sset = nerve(chaotic_groupoid(2), 4)
     for a in range(5):
         factored.clear()
@@ -960,8 +952,8 @@ def test_representable_at_zero_one_fails_degeneration():
 
 def test_degeneration_depends_on_factor_order():
     n = nerve(chain_poset(1), 3)
-    simplicial = OneDirectionPresheaf.from_trunc_sset(n)
-    discrete = OneDirectionPresheaf.discrete({"s"})
+    simplicial = sset_factor(n)
+    discrete = discrete_factor({"s"})
     assert check_globularity_presheaf(
         external_product([simplicial, discrete]), Multisimplex((0, 1))
     ) is True

@@ -81,6 +81,7 @@ from cutgrids.bordisms import (
 )
 
 from oracles import (
+    cuts_agree_part_by_part,
     pairwise_cut_disagreement,
     reference_globularity_failures,
     reference_vertex_core,
@@ -872,6 +873,33 @@ def check_disagreement_matches_the_pairwise_reference(cut_ambs):
 def test_line_disagreement_matches_the_pairwise_reference(cut_ambs):
     # each cut over its own ambient; the union of the ambients as within
     check_disagreement_matches_the_pairwise_reference(cut_ambs)
+
+
+def edited(comp: ComponentCut1D, how: str) -> ComponentCut1D:
+    """comp kept, with below and above swapped ("flip"), or made whole on
+    one side."""
+    if how == "keep":
+        return comp
+    if how == "flip":
+        swap = {"+": "-", "-": "+", "below": "above", "above": "below"}
+        return ComponentCut1D(comp.kind, tuple((p, swap[s]) for p, s in comp.zeros),
+                              swap[comp.whole_sign])
+    return ComponentCut1D("whole", (), how)
+
+
+@given(line_cuts(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cut_agreement_by_one_refinement_matches_the_part_by_part_reference(
+        cut_amb, data):
+    # the test is_morphism puts to each pair of cuts over one ambient
+    cut, ambient = cut_amb
+    hows = data.draw(st.lists(st.sampled_from(["keep", "flip", "below", "above"]),
+                              min_size=len(cut.components),
+                              max_size=len(cut.components)))
+    other = Cut1D(tuple(map(edited, cut.components, hows)))
+    disagreement = grids.cut_disagreement([(cut, ambient), (other, ambient)],
+                                          ambient_region(ambient))
+    assert (not disagreement.cells) == cuts_agree_part_by_part(cut, other, ambient)
 
 
 @st.composite

@@ -109,11 +109,9 @@ def test_monotone_map_rejects_wrong_table_length():
         MonotoneMap(2, 2, (0, 1))
 
 
-def test_face_and_degeneracy_tables():
+def test_face_tables():
     assert MonotoneMap.face(3, 1).values == (0, 2, 3)
     assert MonotoneMap.face(2, 0).values == (1, 2)
-    assert MonotoneMap.degeneracy(2, 1).values == (0, 1, 1, 2)
-    assert MonotoneMap.degeneracy(0, 0).values == (0, 0)
 
 
 def test_cosimplicial_identity_faces():
@@ -158,11 +156,6 @@ def test_gamma_fixes_basepoint():
 def test_gamma_rejects_label_outside_target():
     with pytest.raises(ValueError):
         GammaMorphism(2, 1, (1, 2))
-
-
-def test_gamma_merge_all_and_to_basepoint():
-    assert GammaMorphism.merge_all(3).action == (1, 1, 1)
-    assert GammaMorphism.to_basepoint(2).action == (0, 0)
 
 
 def test_gamma_compose_oracle():
