@@ -50,6 +50,7 @@ from .grids import (
     component_targets,
     component_zeros_1d,
     core,
+    core_slice,
     cut_disagreement,
     globularity_failures,
     grid_check,
@@ -303,7 +304,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     normalization the cores must be equal as point sets and every
     piece of cut or label data must agree on a neighborhood of the
     core (equivalently: the closed disagreement locus misses it).  Each
-    pair of cuts is refined with the common ambient once (cut_disagreement)."""
+    core is one refinement (core_slice), and each pair of cuts is refined
+    with the common ambient once (cut_disagreement)."""
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:
@@ -311,8 +313,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     if b1.field.target_dim != b2.field.target_dim:
         raise ArgumentError("embedded bordisms target different spaces")
     n1, n2 = normalize(b1), normalize(b2)
-    core1 = bordism_core(n1)
-    if not region_equal(core1, bordism_core(n2)):
+    core1 = core_slice(n1.mgrid, n1.ambient)
+    if not region_equal(core1, core_slice(n2.mgrid, n2.ambient)):
         return False
     common = region_boolean("intersect", ambient_region(n1.ambient),
                             ambient_region(n2.ambient))
@@ -369,7 +371,7 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
                                   or pulled.embedding != b1.embedding):
         return False
     image_reg = ambient_region(image_ambient(amb, phi))
-    return region_subset(bordism_core(b2), image_reg)
+    return region_subset(core_slice(b2.mgrid, b2.ambient), image_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +600,7 @@ def metric_core_length(b: Bordism) -> Fraction:
     if not isinstance(b.ambient, Ambient1D):
         raise ArgumentError("length needs a 1-dimensional bordism")
     densities = _metric_densities(b)
-    c = bordism_core(b)
-    comps = region_components(c)
+    comps = region_components(core_slice(b.mgrid, b.ambient))
     if not comps:
         raise ArgumentError("the core is empty")
     if len(comps) > 1:

@@ -670,14 +670,30 @@ def grid_check(g: CutGrid, ambient: Ambient) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _direction_between(tup: CutTuple, ambient: Ambient, j: int,
-                       jp: int) -> PLRegion:
-    if not (0 <= j <= jp <= tup.m):
-        raise ArgumentError(f"bad index pair ({j}, {jp}) for [{tup.m}]")
-    lo_b, lo_l, lo_a = cut_regions(tup.cuts[j], ambient)
-    hi_b, hi_l, hi_a = cut_regions(tup.cuts[jp], ambient)
-    return region_boolean("intersect", region_boolean("union", lo_a, lo_l),
-                          region_boolean("union", hi_b, hi_l))
+def _slice_cuts(g: CutGrid, directions: Sequence[int], j: Sequence[int],
+                jp: Sequence[int]) -> list[tuple[Cut, Cut]]:
+    """(cut j_i, cut jp_i) of each chosen direction, once the directions
+    are checked distinct and in range and each pair ordered within its
+    tuple."""
+    dirs = list(directions)
+    if len(set(dirs)) != len(dirs):
+        raise ArgumentError("directions must be distinct")
+    if len(j) != len(dirs) or len(jp) != len(dirs):
+        raise ArgumentError("index lists must match the direction list")
+    pairs = []
+    for i, lo, hi in zip(dirs, j, jp):
+        if not 1 <= i <= g.d:
+            raise ArgumentError(f"direction {i} outside 1..{g.d}")
+        tup = g.tuples[i - 1]
+        if not (0 <= lo <= hi <= tup.m):
+            raise ArgumentError(f"bad index pair ({lo}, {hi}) for [{tup.m}]")
+        pairs.append((tup.cuts[lo], tup.cuts[hi]))
+    return pairs
+
+
+def _extremes(g: CutGrid) -> tuple[range, list[int], list[int]]:
+    """Every direction with its first and last cut: where the core lies."""
+    return range(1, g.d + 1), [0] * g.d, [t.m for t in g.tuples]
 
 
 def region_between(g: CutGrid, ambient: Ambient,
@@ -685,16 +701,12 @@ def region_between(g: CutGrid, ambient: Ambient,
                    j: Sequence[int], jp: Sequence[int]) -> PLRegion:
     """Intersection over the chosen directions of the closed slice between
     cut j_i and cut jp_i.  No directions: the whole ambient."""
-    dirs = list(directions)
-    if len(set(dirs)) != len(dirs):
-        raise ArgumentError("directions must be distinct")
-    if len(j) != len(dirs) or len(jp) != len(dirs):
-        raise ArgumentError("index lists must match the direction list")
     out = ambient_region(ambient)
-    for k, i in enumerate(dirs):
-        if not 1 <= i <= g.d:
-            raise ArgumentError(f"direction {i} outside 1..{g.d}")
-        piece = _direction_between(g.tuples[i - 1], ambient, j[k], jp[k])
+    for lo_cut, hi_cut in _slice_cuts(g, directions, j, jp):
+        lo_b, lo_l, lo_a = cut_regions(lo_cut, ambient)
+        hi_b, hi_l, hi_a = cut_regions(hi_cut, ambient)
+        piece = region_boolean("intersect", region_boolean("union", lo_a, lo_l),
+                               region_boolean("union", hi_b, hi_l))
         out = region_boolean("intersect", out, piece)
     return out
 
@@ -708,15 +720,35 @@ def kept_region(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     return PLRegion(ambient.dim, tuple(cells))
 
 
+def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
+               directions: Sequence[int],
+               j: Sequence[int], jp: Sequence[int]) -> PLRegion:
+    """The points of region_between(...) on kept components, from one
+    refinement.  In a partition (above u level) n (below u level) is the
+    ambient minus (below u above), so the slice is the kept region minus
+    every chosen direction's below(cut j_i) and above(cut jp_i): one
+    region_disagreement with those parts as one partition.  Its cells are
+    not those of the chain region_between builds, only its points."""
+    outside: list[PLRegion] = []
+    for lo_cut, hi_cut in _slice_cuts(mg.grid, directions, j, jp):
+        outside += (cut_regions(lo_cut, ambient)[0],
+                    cut_regions(hi_cut, ambient)[2])
+    return region_disagreement(kept_region(mg, ambient), outside)
+
+
 def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     """Closed slice between the extreme cuts of every direction,
-    restricted to the kept (nonzero-label) components."""
-    g = mg.grid
-    dirs = list(range(1, g.d + 1))
-    lo = [0] * g.d
-    hi = [t.m for t in g.tuples]
-    between = region_between(g, ambient, dirs, lo, hi)
+    restricted to the kept (nonzero-label) components.  Its cells are what
+    render draws and what shrink_to_core reads; a question about the core's
+    points only asks core_slice, which builds it with one refinement."""
+    between = region_between(mg.grid, ambient, *_extremes(mg.grid))
     return region_boolean("intersect", between, kept_region(mg, ambient))
+
+
+def core_slice(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
+    """The points of the core, as kept_slice between the extreme cuts of
+    every direction."""
+    return kept_slice(mg, ambient, *_extremes(mg.grid))
 
 
 def compactness_failures(mg: MonoidalCutGrid,
@@ -735,10 +767,8 @@ def _compactness_failures(mg: MonoidalCutGrid, ambient: Ambient,
     if ordered:
         # Ordered cuts nest, so every between-slice sits inside the
         # widest one, the core; if that is compact, all of them are.
-        if region_is_compact_in(core(mg, ambient), ambient):
+        if region_is_compact_in(core_slice(mg, ambient), ambient):
             return []
-    kept = kept_region(mg, ambient)
-    dirs = list(range(1, g.d + 1))
     failures: list[str] = []
     pair_ranges = [
         [(j, jp) for j in range(t.m + 1) for jp in range(j, t.m + 1)]
@@ -747,8 +777,7 @@ def _compactness_failures(mg: MonoidalCutGrid, ambient: Ambient,
     for combo in itertools.product(*pair_ranges):
         lo = [p[0] for p in combo]
         hi = [p[1] for p in combo]
-        between = region_between(g, ambient, dirs, lo, hi)
-        restricted = region_boolean("intersect", between, kept)
+        restricted = kept_slice(mg, ambient, range(1, g.d + 1), lo, hi)
         if not region_is_compact_in(restricted, ambient):
             pairs = ", ".join(
                 f"direction {i}: [{a}..{b}]"
@@ -825,10 +854,12 @@ def globularity_failures(mg: MonoidalCutGrid,
     the vertex core; as the disagreement locus is taken closed and the core
     is compact, that is 'the closed locus misses the core'.  The locus is
     one refinement of the kept region with the distinct later cuts'
-    partitions.  The core (cut j's level set, the later closed slice, the
-    kept region) is never built: one meet query reads those parts.  Its
-    witness, the meet's first atom, is its least point in (x, y) order (one
-    inside an open atom has meet points just before it): a point-set fact."""
+    partitions.  The core (cut j's level set, the later closed slice on
+    kept components) is never built: one meet query reads those parts, and
+    the slice is one refinement too (kept_slice over the later direction
+    alone).  Its witness, the meet's first atom, is its least point in
+    (x, y) order (one inside an open atom has meet points just before it):
+    a point-set fact."""
     g = mg.grid
     if g.d > 2:
         raise UnsupportedDimensionError(
@@ -844,11 +875,11 @@ def globularity_failures(mg: MonoidalCutGrid,
     if not diff.cells:
         return []
     wobble = region_closure(diff)
-    between = _direction_between(later, ambient, 0, later.m)
+    between = kept_slice(mg, ambient, (2,), (0,), (later.m,))
     failures: list[str] = []
     for j, cut in enumerate(first.cuts):
         # vertex j's slice (above u level) n (below u level) is the level
-        meet = region_sample_point(wobble, cut_regions(cut, ambient)[1], between, kept)
+        meet = region_sample_point(wobble, cut_regions(cut, ambient)[1], between)
         if meet is not None:
             failures.append(
                 f"direction 1, vertex {j}: later cuts disagree arbitrarily "

@@ -829,7 +829,8 @@ def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
 
 def region_disagreement(within: PLRegion, *partitions: Sequence[PLRegion]) -> PLRegion:
     """The points of within that no k puts in part k of every partition, from
-    one refinement of within with every part; with one partition (b,), within - b."""
+    one refinement of within with every part; with one partition (b,), within - b,
+    and with one partition of many parts (b1, b2, ...), within minus their union."""
     n = len(partitions[0]) if partitions else 0
     if any(len(p) != n for p in partitions):
         raise ArgumentError("partitions have different numbers of parts")

@@ -8,13 +8,20 @@ bordisms.is_morphism.
 Globularity: the construction that built each pairwise disagreement and
 each vertex core as a region of its own, kept as the reference for the
 one-refinement questions of grids.globularity_failures and
-grids.cut_disagreement."""
+grids.cut_disagreement.
+Slices: region_between's chain of booleans intersected with the kept
+region, the reference for grids.kept_slice, and compactness asked of that
+chained slice for every index pair, the reference for
+grids.compactness_failures."""
+
+import itertools
 
 from cutgrids.grids import (
     _point_text,
     core,
     cut_regions,
     kept_region,
+    region_between,
     vertex_grid,
 )
 from cutgrids.plgeom import (
@@ -28,7 +35,9 @@ from cutgrids.plgeom import (
     fr,
     region_boolean,
     region_closure,
+    region_bounded,
     region_equal,
+    region_is_compact_in,
     region_sample_point,
 )
 
@@ -142,4 +151,31 @@ def reference_globularity_failures(mg, ambient) -> list[str]:
                     f"direction {i}, vertex {j}: later cuts disagree "
                     f"arbitrarily close to the core (e.g. at "
                     f"{_point_text(meet)})")
+    return failures
+
+
+def reference_kept_slice(mg, ambient, directions, j, jp) -> PLRegion:
+    """The chained between-region of the chosen directions, intersected
+    with the kept region."""
+    return region_boolean("intersect",
+                          region_between(mg.grid, ambient, directions, j, jp),
+                          kept_region(mg, ambient))
+
+
+def reference_compactness_failures(mg, ambient) -> list[str]:
+    """compactness_failures from the chained slice of every index pair,
+    with no shortcut through the core of an ordered grid."""
+    g = mg.grid
+    failures: list[str] = []
+    for combo in itertools.product(*(
+            [(j, jp) for j in range(t.m + 1) for jp in range(j, t.m + 1)]
+            for t in g.tuples)):
+        sliced = reference_kept_slice(mg, ambient, range(1, g.d + 1),
+                                      [a for a, _ in combo], [b for _, b in combo])
+        if not region_is_compact_in(sliced, ambient):
+            pairs = ", ".join(f"direction {i}: [{a}..{b}]"
+                              for i, (a, b) in enumerate(combo, start=1))
+            why = ("slice is unbounded" if not region_bounded(sliced)
+                   else "closure of the slice leaves the ambient")
+            failures.append(f"{pairs}: {why}")
     return failures

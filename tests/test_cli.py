@@ -379,7 +379,7 @@ def test_validate_of_a_fuzzed_pair_keeps_its_x_atoms_without_crossings(
     assert failing[0].endswith("(e.g. at (0, 0))")
     # validate asks each tuple whether it is ordered once, in grid_check,
     # and globularity refines no core per vertex and no pair of cuts
-    assert (counts["x_atoms"], counts["atoms"]) == (39, 16_787)
+    assert (counts["x_atoms"], counts["atoms"]) == (29, 1_911)
     assert counts["crossings"] <= 1_000
 
 

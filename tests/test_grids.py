@@ -57,6 +57,7 @@ from cutgrids.grids import (
     image_ambient,
     is_compact,
     is_globular,
+    kept_slice,
     pullback_along,
     relabel,
     region_between,
@@ -65,7 +66,7 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.shapes import GammaMorphism, MonotoneMap, compose_monotone, gamma_compose
-from cutgrids import grids, plgeom
+from cutgrids import bordisms, grids, plgeom
 from cutgrids.bordisms import (
     CATALOG_NAMES,
     FULL_LINE,
@@ -83,7 +84,9 @@ from cutgrids.bordisms import (
 from oracles import (
     cuts_agree_part_by_part,
     pairwise_cut_disagreement,
+    reference_compactness_failures,
     reference_globularity_failures,
+    reference_kept_slice,
     reference_vertex_core,
     region_contains_point,
 )
@@ -144,22 +147,25 @@ def alternating(positions, first):
 
 
 @st.composite
-def line_cuts(draw):
+def line_cuts(draw, ambient=None):
     """A 1D ambient of up to two intervals (either outer end may be infinite)
-    and up to two circles, with a valid cut: interval components carry one
-    to four zeros of either first sign, circle components an even number of
-    cyclically alternating zeros (sometimes one at 0), and any component may
-    be whole."""
-    n_lines = draw(st.integers(0, 2))
-    n_circles = draw(st.integers(0 if n_lines else 1, 2))
-    ends = sorted(draw(st.sets(st.integers(-12, 12), min_size=2 * n_lines,
-                               max_size=2 * n_lines)))
-    intervals = [[F(a), F(b)] for a, b in zip(ends[::2], ends[1::2])]
-    if intervals and draw(st.booleans()):
-        intervals[0][0] = NEG_INF
-    if intervals and draw(st.booleans()):
-        intervals[-1][1] = INF
-    circles = [F(draw(st.integers(1, 6))) for _ in range(n_circles)]
+    and up to two circles, unless an ambient is given, with a valid cut:
+    interval components carry one to four zeros of either first sign, circle
+    components an even number of cyclically alternating zeros (sometimes one
+    at 0), and any component may be whole."""
+    if ambient is None:
+        n_lines = draw(st.integers(0, 2))
+        n_circles = draw(st.integers(0 if n_lines else 1, 2))
+        ends = sorted(draw(st.sets(st.integers(-12, 12), min_size=2 * n_lines,
+                                   max_size=2 * n_lines)))
+        intervals = [[F(a), F(b)] for a, b in zip(ends[::2], ends[1::2])]
+        if intervals and draw(st.booleans()):
+            intervals[0][0] = NEG_INF
+        if intervals and draw(st.booleans()):
+            intervals[-1][1] = INF
+        circles = [F(draw(st.integers(1, 6))) for _ in range(n_circles)]
+    else:
+        intervals, circles = ambient.intervals, ambient.circles
     wholes = st.sampled_from(["below", "above"]).map(
         lambda side: ComponentCut1D("whole", (), side))
     comps = []
@@ -187,7 +193,8 @@ def line_cuts(draw):
             quarters.pop()
         first = draw(st.sampled_from("+-"))
         comps.append(ComponentCut1D("zeros", alternating([F(q, 4) for q in quarters], first)))
-    ambient = Ambient1D(tuple(map(tuple, intervals)), tuple(circles))
+    if ambient is None:
+        ambient = Ambient1D(tuple(map(tuple, intervals)), tuple(circles))
     return Cut1D(tuple(comps)), ambient
 
 
@@ -703,6 +710,95 @@ def test_escaping_closure_is_reported():
     assert failures == ["direction 1: [0..1]: closure of the slice leaves the ambient"]
 
 
+def labels_that_may_drop():
+    """A label of a two-label grid, 0 (dropped) one time in three."""
+    return st.sampled_from((1, 2, 0))
+
+
+@st.composite
+def line_grids(draw):
+    """One or two directions of one to three valid cuts each over one 1D
+    ambient from line_cuts (circles included), in any order, with labels
+    that may drop components."""
+    _cut, ambient = draw(line_cuts())
+    tuples = tuple(
+        CutTuple(tuple(draw(line_cuts(ambient))[0]
+                       for _ in range(draw(st.integers(1, 3)))))
+        for _ in range(draw(st.integers(1, 2))))
+    labels = tuple(draw(labels_that_may_drop()) for _ in range(ambient.n_components()))
+    return MonoidalCutGrid(CutGrid(tuples), 2, labels), ambient
+
+
+@st.composite
+def one_sheet_cuts(draw, axis):
+    """A cut of one box on the given axis: one in five whole, else one
+    sheet of either sign, a wall on axis 1 and a graph from graphs on
+    axis 2."""
+    if draw(st.integers(0, 4)) == 0:
+        comp = ComponentCut2D("whole", (), draw(st.sampled_from(("below", "above"))))
+    else:
+        graph = PLFunc.constant(draw(small_fracs(-5, 5))) if axis == 1 else draw(graphs())
+        comp = ComponentCut2D("sheets", (Sheet(graph, draw(st.sampled_from("+-"))),))
+    return Cut2D(axis, (comp,))
+
+
+@st.composite
+def plane_grids(draw):
+    """One box from box_ends with one or two directions of one or two
+    one-sheet cuts each, in any order, each tuple on one axis, and a label
+    that may drop the box.  Deeper sheet stacks are left out: the
+    reference's chained booleans multiply cells, so one three-sheet cut of
+    an unbounded box gives a slice of tens of thousands of cells that takes
+    half a minute to build and compare, and grids of several such cuts ran
+    past 4 GB."""
+    ambient = Ambient2D(((*box_ends(draw), *box_ends(draw)),))
+    tuples = []
+    for _ in range(draw(st.integers(1, 2))):
+        cuts = one_sheet_cuts(draw(st.sampled_from((1, 2))))
+        tuples.append(CutTuple(tuple(draw(cuts) for _ in range(draw(st.integers(1, 2))))))
+    return MonoidalCutGrid(CutGrid(tuple(tuples)), 2, (draw(labels_that_may_drop()),)), ambient
+
+
+def check_slices_match_the_chained_reference(mg, ambient):
+    """For every set of directions and every index pair of each, the
+    one-refinement slice has the chained slice's points; and compactness
+    reports what the chained slices give."""
+    g = mg.grid
+    for k in range(g.d + 1):
+        for dirs in itertools.combinations(range(1, g.d + 1), k):
+            for combo in itertools.product(*(
+                    [(j, jp) for j in range(g.tuples[i - 1].m + 1)
+                     for jp in range(j, g.tuples[i - 1].m + 1)] for i in dirs)):
+                j = [a for a, _ in combo]
+                jp = [b for _, b in combo]
+                assert region_equal(kept_slice(mg, ambient, dirs, j, jp),
+                                    reference_kept_slice(mg, ambient, dirs, j, jp))
+    assert compactness_failures(mg, ambient) == reference_compactness_failures(
+        mg, ambient)
+
+
+@given(st.one_of(line_grids(), nested_line_grids()))
+@settings(max_examples=80, deadline=None)
+def test_line_slices_match_the_chained_reference(mg_amb):
+    # nested_line_grids are ordered, so compactness takes its core shortcut
+    check_slices_match_the_chained_reference(*mg_amb)
+
+
+@given(st.one_of(plane_grids(), wall_plane_grids()))
+@settings(max_examples=100, deadline=None)
+def test_plane_slices_match_the_chained_reference(mg_amb):
+    # wall_plane_grids are ordered, so compactness takes its core shortcut
+    check_slices_match_the_chained_reference(*mg_amb)
+
+
+def test_kept_slice_checks_its_arguments_as_region_between_does():
+    b = catalog("triangle_interval")
+    for dirs, j, jp in [((1,), (0,), (3,)), ((2,), (0,), (1,)),
+                        ((1, 1), (0, 0), (1, 1)), ((1,), (0, 0), (1,))]:
+        with pytest.raises(ArgumentError):
+            kept_slice(b.mgrid, b.ambient, dirs, j, jp)
+
+
 def test_queries_on_a_2d_core_refine_once_each(monkeypatch):
     b = catalog("composable_pair_2d")
     pair_core = core(b.mgrid, b.ambient)
@@ -837,13 +933,13 @@ def test_the_failing_globularity_cases_have_compact_vertex_cores():
                 reference_vertex_core(mg, ambient, 1, j), ambient)
 
 
-PAIR_X_ATOM_REFINEMENTS = 39  # 74 with a core per vertex
+PAIR_X_ATOM_REFINEMENTS = 29  # 39 with chained slices, 74 with a core per vertex
 
 
 def test_validating_the_pair_refines_no_vertex_core(monkeypatch):
     # globularity refined 27 times for three vertex cores and 12 times for
-    # three pairwise disagreements; now once for the disagreement and three
-    # times for the later slice, so a return to either fails this pin
+    # three pairwise disagreements; now once for the disagreement and once
+    # for the later slice, so a return to any of them fails this pin
     b = catalog("composable_pair_2d")
     calls = []
     real = plgeom._x_atoms
@@ -856,6 +952,20 @@ def test_validating_the_pair_refines_no_vertex_core(monkeypatch):
     grids.cut_regions.cache_clear()  # count every partition's refinements
     assert validate(b).passed
     assert len(calls) == PAIR_X_ATOM_REFINEMENTS
+
+
+def test_validating_the_pair_with_warm_partitions_builds_no_boolean(monkeypatch):
+    # compactness and globularity ask their slices with one refinement each,
+    # so once the cut partitions are memoized no region_boolean runs
+    b = catalog("composable_pair_2d")
+    assert validate(b).passed  # fills the cut_regions memo
+    calls = []
+    real = plgeom.region_boolean
+    for module in (plgeom, grids, bordisms):
+        monkeypatch.setattr(module, "region_boolean",
+                            lambda *args: calls.append(args) or real(*args))
+    assert validate(b).passed
+    assert calls == []
 
 
 def check_disagreement_matches_the_pairwise_reference(cut_ambs):
