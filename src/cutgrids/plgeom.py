@@ -13,7 +13,10 @@ only a pair with a bent graph walks both graphs' pieces.  Every
 fibre of the refinement is a line fibre: the line itself, each circle
 unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
-over fibres without regard to the dimension.
+over fibres without regard to the dimension.  That code orders and indexes a
+fibre's coordinates as exact integers, each one's numerator over the lcm of
+their denominators, so it sorts and dedupes ints rather than Fractions;
+the atoms and cells keep the Fractions.
 
 Only the ops that return a region (region_boolean, region_disagreement,
 region_normalize) build cells from a refinement.  The yes/no and one-point
@@ -28,11 +31,12 @@ function (or of a difference f - g, from f's and g's) clipped to the hull,
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .errors import ArgumentError, ValidationError
 
@@ -462,20 +466,32 @@ def line_region(*segs: Seg) -> PLRegion:
 # Line atomization
 # ---------------------------------------------------------------------------
 
-def _line_atoms(criticals: Iterable) -> tuple[list[tuple], dict]:
+def _line_atoms(criticals: Collection) -> tuple[list[tuple], Callable[[Fraction], int]]:
     """The line cut at the critical coordinates, as atoms from left to
-    right, and the position of each critical coordinate's point atom."""
-    crit = sorted(set(criticals))
-    if not crit:
-        return [("iv", NEG_INF, INF)], {}
-    atoms: list[tuple] = [("iv", NEG_INF, crit[0])]
-    index = {}
-    for i, c in enumerate(crit):
-        index[c] = len(atoms)
+    right, and the map from a critical coordinate's value to the position
+    of its point atom.
+
+    The criticals are deduped, sorted and indexed as exact integers: c is
+    keyed by c.numerator * (D // c.denominator), D the lcm of their
+    denominators, which orders as c does, is one key however c is written,
+    and hashes and compares in C where a Fraction does in Python.  The atoms
+    hold the criticals themselves.  When D is 1 a critical's key is its
+    value, so the map is the index's own lookup: an int end (as _YFibre's
+    are) costs no keying, and an integral Fraction end is found by its
+    hash."""
+    D = math.lcm(*{c.denominator for c in criticals})
+    by_key = {c.numerator * (D // c.denominator): c for c in criticals}
+    lo, atoms, index = NEG_INF, [], {}
+    for k in sorted(by_key):
+        c = by_key[k]
+        atoms.append(("iv", lo, c))
+        index[k] = len(atoms)
         atoms.append(("pt", c))
-        nxt = crit[i + 1] if i + 1 < len(crit) else INF
-        atoms.append(("iv", c, nxt))
-    return atoms, index
+        lo = c
+    atoms.append(("iv", lo, INF))
+    if D == 1:
+        return atoms, index.__getitem__
+    return atoms, lambda c: index[c.numerator * (D // c.denominator)]
 
 
 def interval_rep(lo: End, hi: End) -> Fraction:
@@ -493,20 +509,22 @@ def _atom_rep(atom: tuple) -> Fraction:
     return atom[1] if atom[0] == "pt" else interval_rep(atom[1], atom[2])
 
 
-def _atom_run(index: dict, last: int, lo: End, hi: End, lo_closed: bool,
-              hi_closed: bool) -> range:
+def _atom_run(position: Callable[[Fraction], int], last: int, lo: End,
+              hi: End, lo_closed: bool, hi_closed: bool) -> range:
     """The positions of the line atoms that the range from lo to hi covers.
 
     Atoms alternate open intervals and critical points, and both finite ends
     are critical, so the run goes from the lo point (or the interval after
     it) to the hi point (or the interval before it); an infinite end runs to
-    the first or the last atom."""
-    start = index[lo] + (0 if lo_closed else 1) if is_finite(lo) else 0
-    end = index[hi] - (0 if hi_closed else 1) if is_finite(hi) else last
+    the first or the last atom.  position (from _line_atoms) finds a finite
+    end's point atom by its value, so an end equal to a critical but built
+    apart from it, as a circle's c0 + L is, finds the same atom."""
+    start = position(lo) + (0 if lo_closed else 1) if is_finite(lo) else 0
+    end = position(hi) - (0 if hi_closed else 1) if is_finite(hi) else last
     return range(start, end + 1)
 
 
-def _mark_runs(atoms: list[tuple], index: dict,
+def _mark_runs(atoms: list[tuple], position: Callable[[Fraction], int],
                ranges_per_region: Sequence[Sequence[tuple]]) -> list[tuple]:
     """For each atom, its membership in each region, a region being given as
     ranges (lo, hi, lo_closed, hi_closed) whose finite ends are critical."""
@@ -515,7 +533,7 @@ def _mark_runs(atoms: list[tuple], index: dict,
     for ranges in ranges_per_region:
         row = [False] * len(atoms)
         for r in ranges:
-            for a in _atom_run(index, last, *r):
+            for a in _atom_run(position, last, *r):
                 row[a] = True
         rows.append(row)
     return list(zip(*rows))
@@ -551,10 +569,10 @@ class _LineFibre:
     region, point(i) is a point of atom i, and cells(included) coalesces
     the included atoms into cells."""
 
-    def __init__(self, criticals: Iterable,
+    def __init__(self, criticals: Collection,
                  ranges_per_region: Sequence[Sequence[tuple]]):
-        self.atoms, index = _line_atoms(criticals)
-        self.memberships = _mark_runs(self.atoms, index, ranges_per_region)
+        self.atoms, position = _line_atoms(criticals)
+        self.memberships = _mark_runs(self.atoms, position, ranges_per_region)
 
     def point(self, i: int):
         return _atom_rep(self.atoms[i])
@@ -638,7 +656,8 @@ class _YFibre(_LineFibre):
     given for each region the slabs that cover the atom.
 
     Its critical coordinates are indices into keys, the (slope, intercept)
-    bounds on the atom sorted by height (heights holds each at rep);
+    bounds on the atom sorted by height (heights holds each at rep), so
+    they have denominator 1 and _line_atoms keys each by itself;
     intervals_per_region holds each slab's range in that encoding, an
     infinite bound as -inf or +inf.  A bound's key is its value as a
     constant on a point atom and its piece there on an interval; a line
@@ -710,7 +729,7 @@ class _YFibre(_LineFibre):
                 for lo, hi, loc, hic in _line_runs(self.atoms, included)]
 
 
-def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], dict]:
+def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], Callable[[Fraction], int]]:
     """The x-atoms of 2D regions' joint refinement, as _line_atoms gives
     them: cut at slab x-ends, bound breakpoints and crossings of bounds.
 
@@ -770,13 +789,13 @@ def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     and subset the first (_first_covers), and region_components two
     closures (_two_cover), as only those atoms make pairs; union,
     region_equal and region_normalize keep any."""
-    atoms, index = _x_atoms(regions)
+    atoms, position = _x_atoms(regions)
     last = len(atoms) - 1
     graphs: dict[tuple, PLFunc] = {}
     covering: list[list[list[Slab]]] = [[[] for _ in regions] for _ in atoms]
     for k, r in enumerate(regions):
         for slab in r.cells:
-            for a in _atom_run(index, last, slab.x_lo, slab.x_hi,
+            for a in _atom_run(position, last, slab.x_lo, slab.x_hi,
                                slab.x_lo_closed, slab.x_hi_closed):
                 covering[a][k].append(slab)
     for a, atom in enumerate(atoms):

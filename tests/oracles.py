@@ -1,5 +1,8 @@
 """Oracles the engine's tests check it against.
 
+Line atoms: the line cut at a set of criticals sorted as Fractions, each
+point atom indexed by its Fraction, the reference for plgeom._line_atoms,
+which sorts and indexes integer keys.
 Point membership: a point lies in a region when some cell of it contains
 the point, decided per cell from its ends, bounds and flags.  Cut
 agreement: two cuts agree when their (below, level, above) parts are equal
@@ -25,6 +28,8 @@ from cutgrids.grids import (
     vertex_grid,
 )
 from cutgrids.plgeom import (
+    INF,
+    NEG_INF,
     Arc,
     CircleCell,
     PLFunc,
@@ -40,6 +45,18 @@ from cutgrids.plgeom import (
     region_is_compact_in,
     region_sample_point,
 )
+
+
+def reference_line_atoms(criticals):
+    """The line atoms of sorted(set(criticals)) from left to right, and the
+    map from a critical to the position of its point atom."""
+    crit = sorted(set(criticals))
+    atoms = [("iv", NEG_INF, crit[0] if crit else INF)]
+    index = {}
+    for i, c in enumerate(crit):
+        index[c] = len(atoms)
+        atoms += [("pt", c), ("iv", c, crit[i + 1] if i + 1 < len(crit) else INF)]
+    return atoms, index.__getitem__
 
 
 def _in_range(x, lo, hi, lo_closed, hi_closed) -> bool:

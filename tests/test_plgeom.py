@@ -5,8 +5,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from cutgrids import plgeom
 from cutgrids.errors import ArgumentError, ValidationError
 from cutgrids.plgeom import (
     INF,
@@ -19,6 +20,8 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _CircleFibre,
+    _LineFibre,
     _YFibre,
     _atom_rep,
     _cell_closure,
@@ -53,7 +56,13 @@ from cutgrids.plgeom import (
     region_subset,
 )
 
-from oracles import arc_contains, region_contains_point, seg_contains, slab_covers_x
+from oracles import (
+    arc_contains,
+    reference_line_atoms,
+    region_contains_point,
+    seg_contains,
+    slab_covers_x,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +631,101 @@ def positivity_cases(draw):
 def test_positivity_matches_the_sublevel_reference(case):
     f, domain = case
     assert plfunc_is_positive_on(f, domain) is reference_is_positive_on(f, domain)
+
+
+# ---------------------------------------------------------------------------
+# line atomization: criticals ordered and indexed as integers
+# ---------------------------------------------------------------------------
+
+def primes(n):
+    """The first n primes."""
+    found: list[int] = []
+    k = 2
+    while len(found) < n:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def rewritten(c):
+    """c written another way: an int as an unreduced Fraction over 2, a
+    Fraction as an int when it is one, else as a new equal Fraction."""
+    if isinstance(c, int):
+        return Fraction(2 * c, 2)
+    if c.denominator == 1:
+        return c.numerator
+    return Fraction(3 * c.numerator, 3 * c.denominator)
+
+
+@st.composite
+def critical_lists(draw):
+    """Criticals as ints and as Fractions over mixed and coprime
+    denominators, negatives among them, with some values written twice."""
+    values = draw(st.lists(st.one_of(
+        st.integers(-30, 30),
+        st.builds(Fraction, st.integers(-60, 60),
+                  st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13]))),
+        max_size=12))
+    twins = [rewritten(c) for c in values if draw(st.booleans())]
+    return draw(st.permutations(values + twins))
+
+
+@given(critical_lists())
+@example([Fraction((-1) ** i * (i + 1), p) for i, p in enumerate(primes(200))])
+@example([2, Fraction(4, 2), Fraction(-1, 2), Fraction(-2, 4)])
+@settings(max_examples=200, deadline=None)
+def test_line_atoms_match_the_sorted_set_reference(criticals):
+    atoms, position = _line_atoms(criticals)
+    want, want_position = reference_line_atoms(criticals)
+    assert atoms == want
+    assert [position(c) for c in criticals] == [want_position(c) for c in criticals]
+
+
+def test_line_refinement_neither_compares_nor_hashes_fractions(monkeypatch):
+    criticals = sorted(Fraction(k) + Fraction(1, (2, 3, 5, 7)[k % 4])
+                       for k in range(-50, 50))
+    ranges = [(NEG_INF, criticals[0], False, True)] + [
+        (lo, hi, True, False) for lo, hi in zip(criticals[1::2], criticals[2::2])]
+    want = _LineFibre(criticals, [ranges])
+    calls = {"__lt__": 0, "__hash__": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(Fraction, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, counting)
+    fibre = _LineFibre(criticals, [ranges])
+    assert calls == {"__lt__": 0, "__hash__": 0}
+    assert (fibre.atoms, fibre.memberships) == (want.atoms, want.memberships)
+
+
+def test_range_ends_find_their_atoms_by_value():
+    third = Fraction(1, 3)
+    lo, hi = Fraction(2, 6), Fraction(1, 6) + Fraction(3, 2)
+    assert lo == third and lo is not third
+    fibre = _LineFibre([third, Fraction(5, 3)], [[(lo, hi, True, False)]])
+    assert fibre.memberships == [(False,), (True,), (True,), (False,), (False,)]
+
+
+def test_wrapping_arc_cells_match_the_reference(monkeypatch):
+    L = Fraction(7, 3)
+    wrap = Arc(0, L, 2, Fraction(1, 2), True, False)  # runs 2 -> 7/3=0 -> 1/2
+    other = Arc(0, L, Fraction(1, 3), Fraction(5, 4), False, True)
+    regions = [PLRegion(1, (wrap,)), PLRegion(1, (other,))]
+    fibre = _CircleFibre(0, L, [r.cells for r in regions])
+    # c0 + L is built apart from the critical c0 + L, and finds it by value
+    assert fibre.atoms[-1] == ("iv", 2, Fraction(8, 3))
+    assert fibre.memberships[-1] == (True, False)
+
+    def results():
+        return [region_normalize(regions[0]), region_boolean("union", *regions),
+                region_boolean("intersect", *regions),
+                region_disagreement(regions[0], (regions[1],))]
+
+    got = results()
+    monkeypatch.setattr(plgeom, "_line_atoms", reference_line_atoms)
+    assert got == results()
+    assert got[0] == regions[0]
 
 
 # ---------------------------------------------------------------------------
