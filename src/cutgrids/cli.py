@@ -170,6 +170,9 @@ def _cmd_render(args) -> int:
         payload = family_at(payload, t)
     elif doc.kind != "bordism":
         raise ArtifactError(f"{args.file}: cannot render kind {doc.kind!r}")
+    elif args.t is not None:
+        raise DocumentSyntaxError(
+            f"--t applies to family documents only; {args.file} is a bordism")
     svg = render_svg(payload, _parse_window(args.window))
     _emit(svg, args.output)
     return 0

@@ -59,6 +59,7 @@ from .plgeom import (
     region_disagreement,
     region_is_compact_in,
     region_sample_point,
+    region_split,
     region_subset,
     ambient_region,
     component_region,
@@ -512,9 +513,15 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
     Each component gives its three parts in one pass.  A 1D partition is
     read straight from the signed zeros, which is correct only for a valid
     cut, so an invalid 1D cut raises ValidationError.  A 2D component's
-    parts are its bands and sheets over the whole plane, unclipped, each
-    intersected with the component's boxes by the region engine; a 2D cut
-    with one record too few or too many raises ValidationError too.
+    parts are its bands and sheets over the whole plane, unclipped, all
+    three intersected with the component's boxes by one region_split; a 2D
+    cut with one record too few or too many raises ValidationError too.
+    The split has the cells three separate intersections would give: a
+    part that is not empty has every wall of the component among its
+    bounds (graphs over the whole x-line on axis 2, x-ends on axis 1), so
+    the joint refinement has the x-events of each part's own refinement
+    with the boxes, and within each fibre the coalesced y-runs depend only
+    on the points kept.
 
     The result is memoized on the value of (cut, ambient): both are frozen
     and normalized to exact rationals, and the parts are frozen regions.
@@ -543,11 +550,11 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
         raise ValidationError(f"cut has {len(cut.components)} component "
                               f"records, ambient has {n} components")
     for ci in range(n):
-        boxes = component_region(ambient, ci)
         comp_parts = _component_parts_2d(cut.components[ci], cut.axis)
-        for part, cells in zip(parts, comp_parts):
-            part.extend(region_boolean(
-                "intersect", PLRegion(2, tuple(cells)), boxes).cells)
+        clipped = region_split(component_region(ambient, ci),
+                               [PLRegion(2, tuple(cells)) for cells in comp_parts])
+        for part, region in zip(parts, clipped):
+            part.extend(region.cells)
     return tuple(PLRegion(2, tuple(part)) for part in parts)
 
 
@@ -696,19 +703,35 @@ def _extremes(g: CutGrid) -> tuple[range, list[int], list[int]]:
     return range(1, g.d + 1), [0] * g.d, [t.m for t in g.tuples]
 
 
+def _pieces(g: CutGrid, ambient: Ambient, directions: Sequence[int],
+            j: Sequence[int], jp: Sequence[int]) -> list[PLRegion]:
+    """Each chosen direction's piece, its closed slice between cut j_i and
+    cut jp_i over the whole ambient: (above u level)(cut j_i) n
+    (below u level)(cut jp_i)."""
+    pieces = []
+    for lo_cut, hi_cut in _slice_cuts(g, directions, j, jp):
+        _, lo_l, lo_a = cut_regions(lo_cut, ambient)
+        hi_b, hi_l, _ = cut_regions(hi_cut, ambient)
+        pieces.append(region_boolean("intersect", region_boolean("union", lo_a, lo_l),
+                                     region_boolean("union", hi_b, hi_l)))
+    return pieces
+
+
+def _meet(start: PLRegion, pieces: Sequence[PLRegion]) -> PLRegion:
+    """start intersected with each piece in turn: the chain whose cells
+    render draws."""
+    for piece in pieces:
+        start = region_boolean("intersect", start, piece)
+    return start
+
+
 def region_between(g: CutGrid, ambient: Ambient,
                    directions: Sequence[int],
                    j: Sequence[int], jp: Sequence[int]) -> PLRegion:
     """Intersection over the chosen directions of the closed slice between
-    cut j_i and cut jp_i.  No directions: the whole ambient."""
-    out = ambient_region(ambient)
-    for lo_cut, hi_cut in _slice_cuts(g, directions, j, jp):
-        lo_b, lo_l, lo_a = cut_regions(lo_cut, ambient)
-        hi_b, hi_l, hi_a = cut_regions(hi_cut, ambient)
-        piece = region_boolean("intersect", region_boolean("union", lo_a, lo_l),
-                               region_boolean("union", hi_b, hi_l))
-        out = region_boolean("intersect", out, piece)
-    return out
+    cut j_i and cut jp_i: the ambient met with each direction's piece in
+    turn.  No directions: the whole ambient."""
+    return _meet(ambient_region(ambient), _pieces(g, ambient, directions, j, jp))
 
 
 def kept_region(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
@@ -736,13 +759,37 @@ def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
     return region_disagreement(kept_region(mg, ambient), outside)
 
 
+def _core_chain(mg: MonoidalCutGrid, ambient: Ambient, start: PLRegion,
+                pieces: Sequence[PLRegion]) -> PLRegion:
+    """The core's chain from start: start met with each piece in turn,
+    then with the kept region."""
+    return region_boolean("intersect", _meet(start, pieces),
+                          kept_region(mg, ambient))
+
+
 def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     """Closed slice between the extreme cuts of every direction,
-    restricted to the kept (nonzero-label) components.  Its cells are what
-    render draws and what shrink_to_core reads; a question about the core's
-    points only asks core_slice, which builds it with one refinement."""
-    between = region_between(mg.grid, ambient, *_extremes(mg.grid))
-    return region_boolean("intersect", between, kept_region(mg, ambient))
+    restricted to the kept (nonzero-label) components: the ambient met
+    with each direction's piece in turn, then with the kept region.  Its
+    cells are what render draws and what shrink_to_core reads; a question
+    about the core's points only asks core_slice, which builds it with one
+    refinement."""
+    return _core_chain(mg, ambient, ambient_region(ambient),
+                       _pieces(mg.grid, ambient, *_extremes(mg.grid)))
+
+
+def extreme_slices(mg: MonoidalCutGrid,
+                   ambient: Ambient) -> tuple[list[PLRegion], PLRegion]:
+    """Each direction's closed slice between its extreme cuts, with the
+    cells of region_between(g, ambient, (i,), (0,), (m_i,)), and the core,
+    with the cells of core(mg, ambient), from one piece per direction.  The
+    core's chain starts with direction 1's slice, so that step is built
+    once for both."""
+    pieces = _pieces(mg.grid, ambient, *_extremes(mg.grid))
+    amb = ambient_region(ambient)
+    slices = [region_boolean("intersect", amb, piece) for piece in pieces]
+    start = slices[0] if slices else amb
+    return slices, _core_chain(mg, ambient, start, pieces[1:])
 
 
 def core_slice(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:

@@ -18,8 +18,10 @@ fibre's coordinates as exact integers, each one's numerator over the lcm of
 their denominators, so it sorts and dedupes ints rather than Fractions;
 the atoms and cells keep the Fractions.
 
-Only the ops that return a region (region_boolean, region_disagreement,
-region_normalize) build cells from a refinement.  The yes/no and one-point
+Only the ops that return regions (region_boolean, region_split,
+region_disagreement, region_normalize) build cells from a refinement;
+region_split builds one region per part from a single refinement of the
+whole and every part.  The yes/no and one-point
 queries (region_subset, region_equal, region_sample_point,
 plfunc_is_positive_on) read the atoms' memberships and build none.
 Likewise a PL function's range, integral or agreement with another on a
@@ -825,25 +827,39 @@ def _two_cover(covering: Sequence[Sequence[Slab]]) -> bool:
 # Region operations
 # ---------------------------------------------------------------------------
 
-def _rebuild(regions: Sequence[PLRegion], keep: Callable[[Sequence[bool]], bool],
-             cover: Cover = any) -> PLRegion:
-    """The points whose memberships in the regions satisfy keep, rebuilt
-    from the joint refinement (adjacent atoms of a fibre coalesce). keep
-    must reject a point in no region, and cover must hold wherever keep can
-    accept: _refine_2d builds no fibre elsewhere."""
-    assert not keep((False,) * len(regions))
-    cells: list[Cell] = []
+def _rebuild(regions: Sequence[PLRegion],
+             keeps: Sequence[Callable[[Sequence[bool]], bool]],
+             cover: Cover = any) -> list[PLRegion]:
+    """For each keep, the points whose memberships in the regions satisfy
+    it, rebuilt from one joint refinement (adjacent atoms of a fibre
+    coalesce).  Each keep must reject a point in no region, and cover must
+    hold wherever some keep can accept: _refine_2d builds no fibre
+    elsewhere."""
+    assert not any(keep((False,) * len(regions)) for keep in keeps)
+    cells: list[list[Cell]] = [[] for _ in keeps]
     for fibre in _fibres(regions, cover):
-        cells.extend(fibre.cells([keep(m) for m in fibre.memberships]))
-    return PLRegion(regions[0].dim, tuple(cells))
+        for out, keep in zip(cells, keeps):
+            out.extend(fibre.cells([keep(m) for m in fibre.memberships]))
+    return [PLRegion(regions[0].dim, tuple(c)) for c in cells]
 
 
 def region_boolean(op: str, a: PLRegion, b: PLRegion) -> PLRegion:
     if op == "intersect":
-        return _rebuild([a, b], lambda m: m[0] and m[1], all)
+        return _rebuild([a, b], [lambda m: m[0] and m[1]], all)[0]
     if op == "union":
-        return _rebuild([a, b], lambda m: m[0] or m[1])
+        return _rebuild([a, b], [lambda m: m[0] or m[1]])[0]
     raise ArgumentError(f"unknown boolean op {op!r}")
+
+
+def region_split(within: PLRegion, parts: Sequence[PLRegion]) -> list[PLRegion]:
+    """within n part for each part, from one refinement of within with
+    every part.  A result has the cells region_boolean("intersect", part,
+    within) gives whenever that joint refinement has the x-events of the
+    part's own refinement with within, as the parts of one component's cut
+    do (see grids.cut_regions)."""
+    return _rebuild([within, *parts], [
+        lambda m, k=k: m[0] and m[k] for k in range(1, len(parts) + 1)],
+        _first_covers)
 
 
 def region_disagreement(within: PLRegion, *partitions: Sequence[PLRegion]) -> PLRegion:
@@ -855,8 +871,8 @@ def region_disagreement(within: PLRegion, *partitions: Sequence[PLRegion]) -> PL
         raise ArgumentError("partitions have different numbers of parts")
     regions = [within, *itertools.chain(*partitions)]
     parts = [range(1 + k, len(regions), n) for k in range(n)]
-    return _rebuild(regions, lambda m: m[0] and not any(
-        all(m[i] for i in part) for part in parts), _first_covers)
+    return _rebuild(regions, [lambda m: m[0] and not any(
+        all(m[i] for i in part) for part in parts)], _first_covers)[0]
 
 
 def region_subset(a: PLRegion, b: PLRegion) -> bool:
@@ -871,7 +887,7 @@ def region_equal(a: PLRegion, b: PLRegion) -> bool:
 
 def region_normalize(a: PLRegion) -> PLRegion:
     """Re-express through the refinement (coalescing adjacent atoms)."""
-    return _rebuild([a], lambda m: m[0])
+    return _rebuild([a], [lambda m: m[0]])[0]
 
 
 def _slab_is_empty(s: Slab) -> bool:

@@ -19,9 +19,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .bordisms import Bordism, bordism_core
+from .bordisms import Bordism
 from .errors import ArgumentError
-from .grids import Cut1D, Cut2D, region_between
+from .grids import Cut1D, Cut2D, extreme_slices
 from .plgeom import (
     Ambient1D,
     Ambient2D,
@@ -155,8 +155,8 @@ def _circle_point(spot, theta) -> tuple[float, float]:
             float(cy) + float(r) * math.sin(a))
 
 
-def _render_1d(b: Bordism, core: PLRegion, view: _View,
-               out: list[str]) -> None:
+def _render_1d(b: Bordism, slices: list[PLRegion], core: PLRegion,
+               view: _View, out: list[str]) -> None:
     amb = b.ambient
     assert isinstance(amb, Ambient1D)
     spots = _circle_layout(amb, view)
@@ -177,10 +177,7 @@ def _render_1d(b: Bordism, core: PLRegion, view: _View,
                    f'fill="none"/>')
 
     # between-region of each direction, drawn as a translucent band
-    g = b.mgrid.grid
-    for di in range(len(g.tuples)):
-        m = g.tuples[di].m
-        region = region_between(g, amb, (di + 1,), (0,), (m,))
+    for di, region in enumerate(slices):
         fill = _DIR_FILLS[di % len(_DIR_FILLS)]
         for cell in region.cells:
             if isinstance(cell, Seg):
@@ -199,7 +196,7 @@ def _render_1d(b: Bordism, core: PLRegion, view: _View,
                                      f'stroke-width="8" opacity="0.6"'))
 
     # cuts: zero markers with orientation arrows
-    for di, tup in enumerate(g.tuples):
+    for di, tup in enumerate(b.mgrid.grid.tuples):
         for ci, cut in enumerate(tup.cuts):
             assert isinstance(cut, Cut1D)
             for k, comp in enumerate(cut.components):
@@ -277,16 +274,14 @@ def _arc_path(cell: Union[Arc, CircleCell], spots, view: _View,
     return f'<polyline class="{cls}" points="{" ".join(pts)}" {style}/>'
 
 
-def _render_2d(b: Bordism, core: PLRegion, view: _View,
-               out: list[str]) -> None:
+def _render_2d(b: Bordism, slices: list[PLRegion], core: PLRegion,
+               view: _View, out: list[str]) -> None:
     amb = b.ambient
     assert isinstance(amb, Ambient2D)
     g = b.mgrid.grid
 
     # shaded between-region per direction
-    for di in range(len(g.tuples)):
-        m = g.tuples[di].m
-        region = region_between(g, amb, (di + 1,), (0,), (m,))
+    for di, region in enumerate(slices):
         fill = _DIR_FILLS[di % len(_DIR_FILLS)]
         for cell in region.cells:
             if not isinstance(cell, Slab):
@@ -365,8 +360,13 @@ def render_svg(b: Bordism, window=None) -> str:
     ``window`` is (x0, x1) or (x0, x1, y0, y1) in exact rationals; when
     omitted, the core's bounding box padded by 1 is used, and an
     unbounded or empty core is an error.
+
+    Each direction's shaded slice and the highlighted core come from one
+    grids.extreme_slices call, which builds each direction's piece once:
+    a slice has the cells of region_between over its direction alone, and
+    the core the cells of grids.core.
     """
-    core = bordism_core(b)
+    slices, core = extreme_slices(b.mgrid, b.ambient)
     if window is None:
         window = _default_window(b, core)
     window = tuple(fr(v) for v in window)
@@ -387,8 +387,8 @@ def render_svg(b: Bordism, window=None) -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     if is2d:
-        _render_2d(b, core, view, out)
+        _render_2d(b, slices, core, view, out)
     else:
-        _render_1d(b, core, view, out)
+        _render_1d(b, slices, core, view, out)
     out.append("</svg>")
     return "\n".join(out) + "\n"

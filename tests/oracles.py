@@ -15,11 +15,15 @@ grids.cut_disagreement.
 Slices: region_between's chain of booleans intersected with the kept
 region, the reference for grids.kept_slice, and compactness asked of that
 chained slice for every index pair, the reference for
-grids.compactness_failures."""
+grids.compactness_failures.
+Plane partitions: each component's below, level and above parts
+intersected with its boxes one at a time, the reference for the one split
+per component of grids.cut_regions."""
 
 import itertools
 
 from cutgrids.grids import (
+    _component_parts_2d,
     _point_text,
     core,
     cut_regions,
@@ -37,6 +41,7 @@ from cutgrids.plgeom import (
     Seg,
     Slab,
     _rebuild,
+    component_region,
     fr,
     region_boolean,
     region_closure,
@@ -134,7 +139,8 @@ def pairwise_cut_disagreement(cut_a, ambient_a, cut_b, ambient_b,
                       cut_regions(cut_b, ambient_b)):
         agree_cells.extend(region_boolean("intersect", ra, rb).cells)
     agree = PLRegion(within.dim, tuple(agree_cells))
-    return _rebuild([within, agree], lambda m: m[0] and not m[1])
+    [out] = _rebuild([within, agree], [lambda m: m[0] and not m[1]])
+    return out
 
 
 def reference_vertex_core(mg, ambient, direction: int, j: int) -> PLRegion:
@@ -196,3 +202,16 @@ def reference_compactness_failures(mg, ambient) -> list[str]:
                    else "closure of the slice leaves the ambient")
             failures.append(f"{pairs}: {why}")
     return failures
+
+
+def reference_cut_regions(cut, ambient) -> tuple[PLRegion, PLRegion, PLRegion]:
+    """The (below, level, above) partition of a 2D ambient, each part of
+    each component intersected with the component's boxes by its own
+    region_boolean."""
+    parts: tuple[list, list, list] = ([], [], [])
+    for ci, comp in enumerate(cut.components):
+        boxes = component_region(ambient, ci)
+        for part, cells in zip(parts, _component_parts_2d(comp, cut.axis)):
+            part.extend(region_boolean(
+                "intersect", PLRegion(2, tuple(cells)), boxes).cells)
+    return tuple(PLRegion(2, tuple(part)) for part in parts)

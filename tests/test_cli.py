@@ -378,8 +378,9 @@ def test_validate_of_a_fuzzed_pair_keeps_its_x_atoms_without_crossings(
     assert failing[0].startswith("[FAIL] globular")
     assert failing[0].endswith("(e.g. at (0, 0))")
     # validate asks each tuple whether it is ordered once, in grid_check,
-    # and globularity refines no core per vertex and no pair of cuts
-    assert (counts["x_atoms"], counts["atoms"]) == (29, 1_911)
+    # globularity refines no core per vertex and no pair of cuts, and each
+    # partition refines each component once
+    assert (counts["x_atoms"], counts["atoms"]) == (17, 1_835)
     assert counts["crossings"] <= 1_000
 
 
@@ -401,6 +402,15 @@ def test_render_window_accepts_the_equals_form(tmp_path, capsys):
     assert main(["render", f, "--window=-3", "-o", str(out)]) == 2
     assert "--window" in capsys.readouterr().err
     assert main(["render", f, "--window=3,-3", "-o", str(out)]) == 1
+
+
+def test_render_of_a_bordism_refuses_t(tmp_path, capsys):
+    # --t evaluates a family; on a bordism it would be ignored without a word
+    f = write_doc(tmp_path, catalog("composable_pair_2d"), "pair")
+    out = tmp_path / "pair.svg"
+    assert main(["render", f, "--t", "1/2", "-o", str(out)]) == 2
+    assert "--t" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_evaluates_families_at_t(tmp_path):

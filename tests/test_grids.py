@@ -53,6 +53,7 @@ from cutgrids.grids import (
     compactness_failures,
     core,
     cut_regions,
+    extreme_slices,
     grid_check,
     image_ambient,
     is_compact,
@@ -80,11 +81,13 @@ from cutgrids.bordisms import (
     shrink_to_core,
     validate,
 )
+from cutgrids.render import render_svg
 
 from oracles import (
     cuts_agree_part_by_part,
     pairwise_cut_disagreement,
     reference_compactness_failures,
+    reference_cut_regions,
     reference_globularity_failures,
     reference_kept_slice,
     reference_vertex_core,
@@ -559,6 +562,31 @@ def test_plane_parts_equal_the_clipped_box_bands(cut_amb):
         assert region_equal(part, reference)
 
 
+@given(plane_cuts())
+@settings(max_examples=150, deadline=None)
+def test_one_split_per_component_gives_the_cells_of_three_intersections(cut_amb):
+    # multi-box components, whole components and axis-1 walls included;
+    # the cells themselves are equal, not only their points
+    cut, ambient = cut_amb
+    assert cut_regions.__wrapped__(cut, ambient) == reference_cut_regions(cut, ambient)
+
+
+def test_a_cold_plane_partition_refines_each_component_once(monkeypatch):
+    # two overlapping boxes make one component, a third box another
+    ambient = Ambient2D(((0, 2, 0, 2), (1, 3, 1, 3), (5, 6, NEG_INF, INF)))
+    cut = Cut2D(2, (
+        ComponentCut2D("sheets", (Sheet(PLFunc.from_points([(0, 1), (3, 2)]), "+"),
+                                  Sheet(PLFunc.constant(F(5, 2)), "-"))),
+        ComponentCut2D("whole", (), "above")))
+    calls = []
+    real = plgeom._x_atoms
+    monkeypatch.setattr(plgeom, "_x_atoms",
+                        lambda regions: calls.append(regions) or real(regions))
+    parts = cut_regions.__wrapped__(cut, ambient)
+    assert len(calls) == ambient.n_components() == 2
+    assert all(p.cells for p in parts)
+
+
 @given(plane_cuts(), st.sampled_from((1, 2)))
 @settings(max_examples=150, deadline=None)
 def test_sheet_crossing_matches_the_strict_between_test(cut_amb, axis):
@@ -933,13 +961,16 @@ def test_the_failing_globularity_cases_have_compact_vertex_cores():
                 reference_vertex_core(mg, ambient, 1, j), ambient)
 
 
-PAIR_X_ATOM_REFINEMENTS = 29  # 39 with chained slices, 74 with a core per vertex
+# 29 with a refinement per part of each partition, 39 with chained slices,
+# 74 with a core per vertex
+PAIR_X_ATOM_REFINEMENTS = 17
 
 
 def test_validating_the_pair_refines_no_vertex_core(monkeypatch):
     # globularity refined 27 times for three vertex cores and 12 times for
     # three pairwise disagreements; now once for the disagreement and once
-    # for the later slice, so a return to any of them fails this pin
+    # for the later slice, and each cut's partition once per component, so
+    # a return to any of them fails this pin
     b = catalog("composable_pair_2d")
     calls = []
     real = plgeom._x_atoms
@@ -966,6 +997,48 @@ def test_validating_the_pair_with_warm_partitions_builds_no_boolean(monkeypatch)
                             lambda *args: calls.append(args) or real(*args))
     assert validate(b).passed
     assert calls == []
+
+
+def test_rendering_the_pair_builds_each_piece_once(monkeypatch):
+    # with warm partitions each direction's piece takes three booleans, its
+    # slice one, and the core two more on direction 1's slice and one with
+    # the kept region: 10, where a region_between per slice made 17
+    b = catalog("composable_pair_2d")
+    render_svg(b)  # fills the cut_regions memo
+    calls = []
+    real = plgeom.region_boolean
+    for module in (plgeom, grids, bordisms):
+        monkeypatch.setattr(module, "region_boolean",
+                            lambda *args: calls.append(args) or real(*args))
+    render_svg(b)
+    assert len(calls) == 10
+    calls.clear()
+    shrink_to_core(b, F(1, 4))  # the core alone
+    assert len(calls) == 9
+
+
+def check_extreme_slices_are_the_chains(mg, ambient):
+    """Each direction's slice has the cells of region_between over it
+    alone, and the core those of the chained slice of every direction on
+    the kept components."""
+    g = mg.grid
+    slices, got_core = extreme_slices(mg, ambient)
+    assert slices == [region_between(g, ambient, (i,), (0,), (t.m,))
+                      for i, t in enumerate(g.tuples, start=1)]
+    assert got_core == core(mg, ambient) == reference_kept_slice(
+        mg, ambient, range(1, g.d + 1), [0] * g.d, [t.m for t in g.tuples])
+
+
+@given(st.one_of(line_grids(), nested_line_grids()))
+@settings(max_examples=60, deadline=None)
+def test_line_slices_and_core_are_the_chains(mg_amb):
+    check_extreme_slices_are_the_chains(*mg_amb)
+
+
+@given(st.one_of(plane_grids(), wall_plane_grids()))
+@settings(max_examples=60, deadline=None)
+def test_plane_slices_and_core_are_the_chains(mg_amb):
+    check_extreme_slices_are_the_chains(*mg_amb)
 
 
 def check_disagreement_matches_the_pairwise_reference(cut_ambs):
