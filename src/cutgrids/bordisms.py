@@ -157,6 +157,14 @@ class Bordism:
         return replace(self, mgrid=mgrid)
 
 
+def _shapes_text(b1: Bordism, b2: Bordism) -> str:
+    """Both shapes as plain text, such as ``ell 1, sizes [0] vs ell 1,
+    sizes [0, 0]``, for the errors of operations that need one shape."""
+    return " vs ".join(
+        f"ell {b.mgrid.ell}, sizes [{', '.join(map(str, b.mgrid.shape.entries))}]"
+        for b in (b1, b2))
+
+
 def _metric_densities(b: Bordism) -> tuple[PLFunc, ...]:
     """A metric field's densities, checked to be one per component of a
     1D ambient."""
@@ -309,7 +317,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:
-        raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
+        raise ArgumentError(f"shape mismatch: {_shapes_text(b1, b2)}")
     if b1.field.target_dim != b2.field.target_dim:
         raise ArgumentError("embedded bordisms target different spaces")
     n1, n2 = normalize(b1), normalize(b2)
@@ -347,7 +355,7 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
     with no partition (an invalid cut) or a density count that is not the
     component count answers False."""
     if b1.shape != b2.shape:
-        raise ArgumentError(f"shape mismatch: {b1.shape} vs {b2.shape}")
+        raise ArgumentError(f"shape mismatch: {_shapes_text(b1, b2)}")
     amb = b1.ambient
     try:
         pulled = bordism_pullback(b2, AmbientEmbedding(amb, b2.ambient, phi))
@@ -425,7 +433,8 @@ def monoidal_product(b1: Bordism, b2: Bordism,
     component of the union comes from one component of one factor, and
     its label, cut data and density all follow that one map."""
     if b1.mgrid.shape != b2.mgrid.shape:
-        raise ArgumentError("monoidal factors must share their shape")
+        raise ArgumentError(
+            f"monoidal factors must share their shape: {_shapes_text(b1, b2)}")
     if b1.ambient.dim != b2.ambient.dim:
         raise ArgumentError("monoidal factors must share their dimension")
     if b1.field.kind != b2.field.kind:

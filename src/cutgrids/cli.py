@@ -3,6 +3,11 @@
 Exit codes: 0 when the requested check or operation succeeds, 1 when a
 domain check fails (invalid data, inequivalent bordisms, failed Segal
 condition, operation precondition), and 2 for usage or parse errors.
+
+The parser is built once, when this module is imported; ``main`` only
+calls ``parse_args`` on it, which reads the parser and writes a fresh
+namespace, so every call parses as a first call does.  ``import
+cutgrids`` does not load this module, so library callers never build it.
 """
 
 from __future__ import annotations
@@ -166,7 +171,8 @@ def _cmd_render(args) -> int:
     doc = _read_document(args.file)
     payload = doc.payload
     if doc.kind == "family":
-        t = rational_from_text(args.t, "--t") if args.t else payload.t0
+        t = (payload.t0 if args.t is None
+             else rational_from_text(args.t, "--t"))
         payload = family_at(payload, t)
     elif doc.kind != "bordism":
         raise ArtifactError(f"{args.file}: cannot render kind {doc.kind!r}")
@@ -248,9 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except DocumentSyntaxError as exc:

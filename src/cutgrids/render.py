@@ -95,6 +95,20 @@ def _default_window(b: Bordism, core: PLRegion):
     return (xr[0] - 1, xr[1] + 1, Fraction(-1), Fraction(1))
 
 
+def _checked_window(window) -> tuple:
+    """An explicit window as (x0, x1, y0, y1) in Fractions; a 1D window
+    (x0, x1) gets y from -1 to 1."""
+    window = tuple(fr(v) for v in window)
+    if len(window) == 2:
+        window = (window[0], window[1], Fraction(-1), Fraction(1))
+    if len(window) != 4:
+        raise ArgumentError("window must be x0,x1 or x0,x1,y0,y1")
+    x0, x1, y0, y1 = window
+    if x0 >= x1 or y0 >= y1:
+        raise ArgumentError("window bounds out of order")
+    return window
+
+
 def _graph_xs(f: PLFunc, lo: Fraction, hi: Fraction) -> list[Fraction]:
     xs = [lo] + [x for x in f.breakpoints if lo < x < hi] + [hi]
     return xs
@@ -364,19 +378,13 @@ def render_svg(b: Bordism, window=None) -> str:
     Each direction's shaded slice and the highlighted core come from one
     grids.extreme_slices call, which builds each direction's piece once:
     a slice has the cells of region_between over its direction alone, and
-    the core the cells of grids.core.
+    the core the cells of grids.core.  An explicit window is checked
+    before that call, so a malformed one costs no region work.
     """
+    if window is not None:
+        window = _checked_window(window)
     slices, core = extreme_slices(b.mgrid, b.ambient)
-    if window is None:
-        window = _default_window(b, core)
-    window = tuple(fr(v) for v in window)
-    if len(window) == 2:
-        window = (window[0], window[1], Fraction(-1), Fraction(1))
-    if len(window) != 4:
-        raise ArgumentError("window must be x0,x1 or x0,x1,y0,y1")
-    x0, x1, y0, y1 = window
-    if x0 >= x1 or y0 >= y1:
-        raise ArgumentError("window bounds out of order")
+    x0, x1, y0, y1 = window or _default_window(b, core)
     is2d = isinstance(b.ambient, Ambient2D)
     height = _HEIGHT_2D if is2d else _HEIGHT_1D
     view = _View(x0, x1, y0, y1, height)

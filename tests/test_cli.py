@@ -1,14 +1,21 @@
 """End-to-end tests for the command line, run in-process through main()."""
 
+import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cutgrids import grids, plgeom
+import cutgrids
+from cutgrids import grids, plgeom, render
 from cutgrids.bordisms import catalog, shrink_to_core
 from cutgrids.cli import main
 from cutgrids.documents import document_for, parse_document, serialize_document
+from cutgrids.errors import ArgumentError
 from cutgrids.finitecat import TruncSSet, nerve
 
 from fixtures import chain_poset
@@ -419,3 +426,78 @@ def test_render_evaluates_families_at_t(tmp_path):
     assert main(["render", f, "--t", "1/2", "--window=-2,2",
                  "-o", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+def test_render_of_a_family_refuses_an_empty_t(tmp_path, capsys):
+    # an empty --t is a malformed rational, as for family-eval, not t0
+    f = write_doc(tmp_path, catalog("point_isotopy"), "iso")
+    out = tmp_path / "iso.svg"
+    assert main(["render", f, "--t", "", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --t: malformed rational ''\n"
+    assert not out.exists()
+
+
+def test_a_bad_window_is_refused_before_any_region_work(tmp_path,
+                                                        monkeypatch):
+    calls = []
+    real = render.extreme_slices
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(render, "extreme_slices", counted)
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    assert main(["render", f, "--window=3,-3"]) == 1
+    with pytest.raises(ArgumentError, match="x0,x1 or x0,x1,y0,y1"):
+        render.render_svg(catalog("elbow_right"), (0, 1, 2))
+    assert calls == []
+
+
+def test_a_shape_mismatch_names_both_shapes(tmp_path, capsys):
+    f1 = write_doc(tmp_path, catalog("point1d"), "p1")
+    f2 = write_doc(tmp_path, catalog("point2d"), "p2")
+    assert main(["classify", f1, f2]) == 1
+    assert capsys.readouterr().err == (
+        "error: shape mismatch: ell 1, sizes [0] vs ell 1, sizes [0, 0]\n")
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    for _ in range(5):
+        assert main(["validate", f]) == 0
+    assert built == []
+
+
+def test_a_call_parses_as_a_first_call_does(tmp_path, capsys):
+    # the parser is shared by every call, so no call may leave state in it
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    assert main(["validate", f]) == 0
+    first = capsys.readouterr().out
+    for argv, code in ((["compose", f], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == code
+    assert main(["compose", f, "--direction", "1", "--face", "0"]) == 1
+    capsys.readouterr()
+    assert main(["validate", f]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_importing_the_package_builds_no_parser():
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cutgrids; "
+         "print(sorted({'cutgrids.cli', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(cutgrids.__file__).parents[1])})
+    assert loaded.stdout == "[]\n"
