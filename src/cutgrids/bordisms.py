@@ -50,8 +50,8 @@ from .grids import (
     component_targets,
     component_zeros_1d,
     core,
-    core_slice,
     cut_disagreement,
+    extreme_slices,
     globularity_failures,
     grid_check,
     image_ambient,
@@ -312,7 +312,7 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     normalization the cores must be equal as point sets and every
     piece of cut or label data must agree on a neighborhood of the
     core (equivalently: the closed disagreement locus misses it).  Each
-    core is one refinement (core_slice), and each pair of cuts is refined
+    core is one refinement (grids.core), and each pair of cuts is refined
     with the common ambient once (cut_disagreement)."""
     _require_embedded(b1)
     _require_embedded(b2)
@@ -321,8 +321,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     if b1.field.target_dim != b2.field.target_dim:
         raise ArgumentError("embedded bordisms target different spaces")
     n1, n2 = normalize(b1), normalize(b2)
-    core1 = core_slice(n1.mgrid, n1.ambient)
-    if not region_equal(core1, core_slice(n2.mgrid, n2.ambient)):
+    core1 = core(n1.mgrid, n1.ambient)
+    if not region_equal(core1, core(n2.mgrid, n2.ambient)):
         return False
     common = region_boolean("intersect", ambient_region(n1.ambient),
                             ambient_region(n2.ambient))
@@ -379,7 +379,7 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
                                   or pulled.embedding != b1.embedding):
         return False
     image_reg = ambient_region(image_ambient(amb, phi))
-    return region_subset(core_slice(b2.mgrid, b2.ambient), image_reg)
+    return region_subset(core(b2.mgrid, b2.ambient), image_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +513,17 @@ def shrink_to_core(b: Bordism, eps) -> Bordism:
     """Restrict the bordism to the box-structured eps-neighborhood of
     its core: each connected core component contributes its bounding
     box inflated by eps.  The result is equivalent to the input, and
-    shrinking twice equals shrinking once with the smaller eps."""
+    shrinking twice equals shrinking once with the smaller eps.  The core
+    is read in the cells of the chain grids.extreme_slices builds, the
+    core render draws."""
     eps = fr(eps)
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    c = bordism_core(b)
-    components = region_components(c)
+    # The boxes come from the chain's cells, not from core's: a planar
+    # ambient's boxes are in the order region_components finds the core's
+    # components over those cells, and on the unmerged 2D form that order
+    # is not a fact about the points, so core's cells could reorder them.
+    components = region_components(extreme_slices(b.mgrid, b.ambient)[1])
     amb_reg = ambient_region(b.ambient)
     if isinstance(b.ambient, Ambient1D):
         new_ambient = _shrunk_ambient_1d(b.ambient, components, eps, amb_reg)
@@ -609,7 +614,7 @@ def metric_core_length(b: Bordism) -> Fraction:
     if not isinstance(b.ambient, Ambient1D):
         raise ArgumentError("length needs a 1-dimensional bordism")
     densities = _metric_densities(b)
-    comps = region_components(core_slice(b.mgrid, b.ambient))
+    comps = region_components(core(b.mgrid, b.ambient))
     if not comps:
         raise ArgumentError("the core is empty")
     if len(comps) > 1:

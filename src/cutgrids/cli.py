@@ -51,6 +51,9 @@ def _read_document(path: str, check: bool = True) -> Document:
             text = fh.read()
     except OSError as exc:
         raise DocumentSyntaxError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})")
     return parse_document(text, check=check)
 
 
@@ -64,9 +67,12 @@ def _payload(doc: Document, path: str, kind: str):
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DocumentSyntaxError(f"cannot write {out}: {exc.strerror}")
 
 
 def _print_report(report: ValidationReport) -> None:

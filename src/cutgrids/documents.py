@@ -603,13 +603,17 @@ def parse_document(text: str, check: bool = True) -> Document:
     """Parse and (by default) semantically validate a document.
 
     Raises DocumentSyntaxError (with line/column for JSON errors) on
-    malformed input and DocumentValidationError, carrying the full
-    report, when the payload is well-formed JSON but invalid data.
+    malformed input, including input that nests too deeply for the JSON
+    reader or the payload builders to recurse through, and
+    DocumentValidationError, carrying the full report, when the payload
+    is well-formed JSON but invalid data.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, exc.lineno, exc.colno)
+    except RecursionError:
+        raise DocumentSyntaxError("document nests too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentSyntaxError("document must be a JSON object")
     if obj.get("format") != FORMAT_NAME:
@@ -630,6 +634,9 @@ def parse_document(text: str, check: bool = True) -> Document:
         raise
     except (ValidationError, ValueError, TypeError, KeyError) as exc:
         raise DocumentSyntaxError(f"malformed {kind} payload: {exc}")
+    except RecursionError:
+        raise DocumentSyntaxError(
+            f"malformed {kind} payload: nests too deeply") from None
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentSyntaxError("name must be a string")

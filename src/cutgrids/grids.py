@@ -11,7 +11,7 @@ A *cut tuple* is a nonempty ordered list of cuts in one direction; a
 *grid* is one tuple per direction; a *monoidal grid* additionally labels
 every ambient component with a positive integer (0 marks discarded
 components).  The operations below — region extraction, ordering and
-transversality checks, between-regions, cores, compactness, a positive
+transversality checks, slices, cores, compactness, a positive
 distance globularity test, reindexing, relabelling, and transport along
 affine embeddings — are the engine behind the bordism layer.
 
@@ -673,7 +673,7 @@ def grid_check(g: CutGrid, ambient: Ambient) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# between-regions, core, compactness
+# slices, core, compactness
 # ---------------------------------------------------------------------------
 
 
@@ -698,42 +698,6 @@ def _slice_cuts(g: CutGrid, directions: Sequence[int], j: Sequence[int],
     return pairs
 
 
-def _extremes(g: CutGrid) -> tuple[range, list[int], list[int]]:
-    """Every direction with its first and last cut: where the core lies."""
-    return range(1, g.d + 1), [0] * g.d, [t.m for t in g.tuples]
-
-
-def _pieces(g: CutGrid, ambient: Ambient, directions: Sequence[int],
-            j: Sequence[int], jp: Sequence[int]) -> list[PLRegion]:
-    """Each chosen direction's piece, its closed slice between cut j_i and
-    cut jp_i over the whole ambient: (above u level)(cut j_i) n
-    (below u level)(cut jp_i)."""
-    pieces = []
-    for lo_cut, hi_cut in _slice_cuts(g, directions, j, jp):
-        _, lo_l, lo_a = cut_regions(lo_cut, ambient)
-        hi_b, hi_l, _ = cut_regions(hi_cut, ambient)
-        pieces.append(region_boolean("intersect", region_boolean("union", lo_a, lo_l),
-                                     region_boolean("union", hi_b, hi_l)))
-    return pieces
-
-
-def _meet(start: PLRegion, pieces: Sequence[PLRegion]) -> PLRegion:
-    """start intersected with each piece in turn: the chain whose cells
-    render draws."""
-    for piece in pieces:
-        start = region_boolean("intersect", start, piece)
-    return start
-
-
-def region_between(g: CutGrid, ambient: Ambient,
-                   directions: Sequence[int],
-                   j: Sequence[int], jp: Sequence[int]) -> PLRegion:
-    """Intersection over the chosen directions of the closed slice between
-    cut j_i and cut jp_i: the ambient met with each direction's piece in
-    turn.  No directions: the whole ambient."""
-    return _meet(ambient_region(ambient), _pieces(g, ambient, directions, j, jp))
-
-
 def kept_region(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     """Union of the ambient components with a nonzero label."""
     cells: list = []
@@ -746,12 +710,12 @@ def kept_region(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
 def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
                directions: Sequence[int],
                j: Sequence[int], jp: Sequence[int]) -> PLRegion:
-    """The points of region_between(...) on kept components, from one
+    """The kept points of the closed slice between cut j_i and cut jp_i of
+    each chosen direction (no directions: the kept region), from one
     refinement.  In a partition (above u level) n (below u level) is the
     ambient minus (below u above), so the slice is the kept region minus
     every chosen direction's below(cut j_i) and above(cut jp_i): one
-    region_disagreement with those parts as one partition.  Its cells are
-    not those of the chain region_between builds, only its points."""
+    region_disagreement with those parts as one partition."""
     outside: list[PLRegion] = []
     for lo_cut, hi_cut in _slice_cuts(mg.grid, directions, j, jp):
         outside += (cut_regions(lo_cut, ambient)[0],
@@ -759,43 +723,35 @@ def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
     return region_disagreement(kept_region(mg, ambient), outside)
 
 
-def _core_chain(mg: MonoidalCutGrid, ambient: Ambient, start: PLRegion,
-                pieces: Sequence[PLRegion]) -> PLRegion:
-    """The core's chain from start: start met with each piece in turn,
-    then with the kept region."""
-    return region_boolean("intersect", _meet(start, pieces),
-                          kept_region(mg, ambient))
-
-
 def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
-    """Closed slice between the extreme cuts of every direction,
-    restricted to the kept (nonzero-label) components: the ambient met
-    with each direction's piece in turn, then with the kept region.  Its
-    cells are what render draws and what shrink_to_core reads; a question
-    about the core's points only asks core_slice, which builds it with one
-    refinement."""
-    return _core_chain(mg, ambient, ambient_region(ambient),
-                       _pieces(mg.grid, ambient, *_extremes(mg.grid)))
+    """The core: the closed slice between the extreme cuts of every
+    direction, restricted to the kept (nonzero-label) components, as
+    kept_slice builds it with one refinement."""
+    return kept_slice(mg, ambient, range(1, mg.grid.d + 1), [0] * mg.grid.d,
+                      [t.m for t in mg.grid.tuples])
 
 
 def extreme_slices(mg: MonoidalCutGrid,
                    ambient: Ambient) -> tuple[list[PLRegion], PLRegion]:
-    """Each direction's closed slice between its extreme cuts, with the
-    cells of region_between(g, ambient, (i,), (0,), (m_i,)), and the core,
-    with the cells of core(mg, ambient), from one piece per direction.  The
-    core's chain starts with direction 1's slice, so that step is built
-    once for both."""
-    pieces = _pieces(mg.grid, ambient, *_extremes(mg.grid))
+    """Each direction's closed slice between its extreme cuts, and the
+    core, as chains of booleans whose cells render draws and
+    shrink_to_core reads.  Direction i's piece is (above u level)(cut 0) n
+    (below u level)(cut m_i) over the whole ambient, and its slice the
+    ambient met with that piece.  The core is direction 1's slice met with
+    each later piece in turn, then with the kept region: the points of
+    core(mg, ambient), in the cells of the chain."""
     amb = ambient_region(ambient)
-    slices = [region_boolean("intersect", amb, piece) for piece in pieces]
-    start = slices[0] if slices else amb
-    return slices, _core_chain(mg, ambient, start, pieces[1:])
-
-
-def core_slice(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
-    """The points of the core, as kept_slice between the extreme cuts of
-    every direction."""
-    return kept_slice(mg, ambient, *_extremes(mg.grid))
+    slices: list[PLRegion] = []
+    chain = amb
+    for t in mg.grid.tuples:
+        _, lo_l, lo_a = cut_regions(t.cuts[0], ambient)
+        hi_b, hi_l, _ = cut_regions(t.cuts[-1], ambient)
+        piece = region_boolean("intersect", region_boolean("union", lo_a, lo_l),
+                               region_boolean("union", hi_b, hi_l))
+        slices.append(region_boolean("intersect", amb, piece))
+        chain = (slices[0] if len(slices) == 1
+                 else region_boolean("intersect", chain, piece))
+    return slices, region_boolean("intersect", chain, kept_region(mg, ambient))
 
 
 def compactness_failures(mg: MonoidalCutGrid,
@@ -814,7 +770,7 @@ def _compactness_failures(mg: MonoidalCutGrid, ambient: Ambient,
     if ordered:
         # Ordered cuts nest, so every between-slice sits inside the
         # widest one, the core; if that is compact, all of them are.
-        if region_is_compact_in(core_slice(mg, ambient), ambient):
+        if region_is_compact_in(core(mg, ambient), ambient):
             return []
     failures: list[str] = []
     pair_ranges = [

@@ -376,10 +376,10 @@ def render_svg(b: Bordism, window=None) -> str:
     unbounded or empty core is an error.
 
     Each direction's shaded slice and the highlighted core come from one
-    grids.extreme_slices call, which builds each direction's piece once:
-    a slice has the cells of region_between over its direction alone, and
-    the core the cells of grids.core.  An explicit window is checked
-    before that call, so a malformed one costs no region work.
+    grids.extreme_slices call, which builds each direction's piece once
+    and draws from the cells of its chain; the core has the points of
+    grids.core.  An explicit window is checked before that call, so a
+    malformed one costs no region work.
     """
     if window is not None:
         window = _checked_window(window)

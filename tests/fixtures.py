@@ -1,11 +1,14 @@
 """Small categories and presheaves only the tests build: discrete, chain,
 cospan, parallel-pair and disjoint-union categories with a preorder
 diagnostic; constant and representable presheaves on multisimplices; the
-discrete and the simplicial factors of an external product; and the action
-of a truncated simplicial set along any monotone map."""
+discrete and the simplicial factors of an external product; the action
+of a truncated simplicial set along any monotone map; and documents that
+nest too deeply to parse."""
 
 import itertools
+import json
 
+from cutgrids.documents import document_for, serialize_document
 from cutgrids.errors import ArgumentError
 from cutgrids.finitecat import (Arrow, FinCategory, MultisimplexPresheaf, Obj,
                                 OneDirectionPresheaf, TruncSSet, _images,
@@ -145,3 +148,15 @@ def sset_factor(sset: TruncSSet) -> OneDirectionPresheaf:
         return dict(zip(xs, _images(xs, *sset.restriction_maps(alpha))))
 
     return OneDirectionPresheaf(lambda k: sset.simplices[k], action)
+
+
+def deeply_nested_documents() -> dict[str, str]:
+    """Document texts past the recursion limit: a JSON array 200,000 deep,
+    which the JSON reader cannot descend, and a finite-category document
+    whose first object nests 900 deep, which the payload reader cannot."""
+    obj = json.loads(serialize_document(document_for(chain_poset(1))))
+    obj["payload"]["objects"][0] = "DEEP"
+    return {
+        "array": "[" * 200_000 + "]" * 200_000,
+        "object": json.dumps(obj).replace('"DEEP"', "[" * 900 + "0" + "]" * 900),
+    }

@@ -12,10 +12,12 @@ Globularity: the construction that built each pairwise disagreement and
 each vertex core as a region of its own, kept as the reference for the
 one-refinement questions of grids.globularity_failures and
 grids.cut_disagreement.
-Slices: region_between's chain of booleans intersected with the kept
-region, the reference for grids.kept_slice, and compactness asked of that
-chained slice for every index pair, the reference for
-grids.compactness_failures.
+Slices: region_between, the ambient met with each chosen direction's
+closed slice in turn, intersected with the kept region, the reference for
+grids.kept_slice; the chained slice between the extreme cuts, the
+reference for grids.core and for the slices and core of
+grids.extreme_slices; and compactness asked of the chained slice for every
+index pair, the reference for grids.compactness_failures.
 Plane partitions: each component's below, level and above parts
 intersected with its boxes one at a time, the reference for the one split
 per component of grids.cut_regions."""
@@ -25,10 +27,9 @@ import itertools
 from cutgrids.grids import (
     _component_parts_2d,
     _point_text,
-    core,
+    _slice_cuts,
     cut_regions,
     kept_region,
-    region_between,
     vertex_grid,
 )
 from cutgrids.plgeom import (
@@ -41,6 +42,7 @@ from cutgrids.plgeom import (
     Seg,
     Slab,
     _rebuild,
+    ambient_region,
     component_region,
     fr,
     region_boolean,
@@ -144,8 +146,9 @@ def pairwise_cut_disagreement(cut_a, ambient_a, cut_b, ambient_b,
 
 
 def reference_vertex_core(mg, ambient, direction: int, j: int) -> PLRegion:
-    """The core of the grid with one direction collapsed to its cut j."""
-    return core(vertex_grid(mg, direction, j), ambient)
+    """The chained core of the grid with one direction collapsed to its
+    cut j."""
+    return chain_core(vertex_grid(mg, direction, j), ambient)
 
 
 def reference_globularity_failures(mg, ambient) -> list[str]:
@@ -177,12 +180,36 @@ def reference_globularity_failures(mg, ambient) -> list[str]:
     return failures
 
 
+def region_between(g, ambient, directions, j, jp) -> PLRegion:
+    """Intersection over the chosen directions of the closed slice between
+    cut j_i and cut jp_i: the ambient met in turn with each direction's
+    piece, (above u level)(cut j_i) n (below u level)(cut jp_i).  No
+    directions: the whole ambient."""
+    out = ambient_region(ambient)
+    for lo_cut, hi_cut in _slice_cuts(g, directions, j, jp):
+        _, lo_l, lo_a = cut_regions(lo_cut, ambient)
+        hi_b, hi_l, _ = cut_regions(hi_cut, ambient)
+        out = region_boolean("intersect", out, region_boolean(
+            "intersect", region_boolean("union", lo_a, lo_l),
+            region_boolean("union", hi_b, hi_l)))
+    return out
+
+
 def reference_kept_slice(mg, ambient, directions, j, jp) -> PLRegion:
     """The chained between-region of the chosen directions, intersected
     with the kept region."""
     return region_boolean("intersect",
                           region_between(mg.grid, ambient, directions, j, jp),
                           kept_region(mg, ambient))
+
+
+def chain_core(mg, ambient) -> PLRegion:
+    """The chained slice between every direction's extreme cuts on the
+    kept components, the reference for grids.core and for the core of
+    grids.extreme_slices."""
+    g = mg.grid
+    return reference_kept_slice(mg, ambient, range(1, g.d + 1), [0] * g.d,
+                                [t.m for t in g.tuples])
 
 
 def reference_compactness_failures(mg, ambient) -> list[str]:

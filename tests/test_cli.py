@@ -18,7 +18,7 @@ from cutgrids.documents import document_for, parse_document, serialize_document
 from cutgrids.errors import ArgumentError
 from cutgrids.finitecat import TruncSSet, nerve
 
-from fixtures import chain_poset
+from fixtures import chain_poset, deeply_nested_documents
 
 
 def write_doc(tmp_path, payload, stem):
@@ -91,6 +91,54 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     f.write_text(json.dumps(doc))
     assert main(["validate", str(f)]) == 2
     assert "unknown document kind []" in capsys.readouterr().err
+
+
+def test_an_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    f = tmp_path / "utf16.json"
+    f.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot read {f}: not UTF-8 text (byte 0)\n"
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_too_deep_a_document_exits_2(tmp_path, capsys, kind):
+    f = tmp_path / "deep.json"
+    f.write_text(deeply_nested_documents()[kind])
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("nests too deeply\n") and err.count("\n") == 1
+
+
+OUTPUT_COMMANDS = {
+    "compose": lambda f: ["compose", f["tri"], "--direction", "1", "--face", "1"],
+    "boundary": lambda f: ["boundary", f["tri"], "--direction", "1",
+                           "--vertex", "0"],
+    "product": lambda f: ["product", f["near"], f["far"]],
+    "family-eval": lambda f: ["family-eval", f["fam"], "--t", "1/2"],
+    "examples": lambda f: ["examples", "point1d"],
+    "render": lambda f: ["render", f["tri"]],
+}
+
+
+@pytest.mark.parametrize("target", ["empty", "missing directory", "directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    files = {
+        "tri": write_doc(tmp_path, catalog("triangle_interval"), "tri"),
+        "near": write_doc(tmp_path, shrink_to_core(catalog("point1d"), 1), "near"),
+        "far": write_doc(tmp_path, shrink_to_core(catalog("point1d", 5, "-"), 1),
+                         "far"),
+        "fam": write_doc(tmp_path, catalog("triangle_family"), "fam"),
+    }
+    out, why = {"empty": ("", "No such file or directory"),
+                "missing directory": (str(tmp_path / "nowhere" / "out"),
+                                      "No such file or directory"),
+                "directory": (str(tmp_path), "Is a directory")}[target]
+    assert main(OUTPUT_COMMANDS[command](files) + ["-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {why}\n"
+    assert captured.out == ""
 
 
 def test_usage_errors_exit_2(tmp_path):

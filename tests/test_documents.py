@@ -22,7 +22,7 @@ from cutgrids.errors import DocumentSyntaxError, DocumentValidationError
 from cutgrids.finitecat import cyclic_group_category, nerve
 from cutgrids.plgeom import INF, NEG_INF
 
-from fixtures import chain_poset
+from fixtures import chain_poset, deeply_nested_documents
 
 
 def elbow_text():
@@ -181,6 +181,15 @@ def test_malformed_payload_values_are_syntax_errors():
         obj["payload"][key] = value
         with pytest.raises(DocumentSyntaxError, match=f"family.{key}"):
             parse_document(json.dumps(obj))
+
+
+def test_too_deep_a_document_is_a_syntax_error():
+    texts = deeply_nested_documents()
+    with pytest.raises(DocumentSyntaxError, match="^document nests too deeply$"):
+        parse_document(texts["array"])
+    with pytest.raises(DocumentSyntaxError,
+                       match="^malformed finite-category payload: nests too deeply$"):
+        parse_document(texts["object"])
 
 
 def test_tampered_payload_fails_validation_with_a_report():
