@@ -558,15 +558,18 @@ def _shrunk_ambient_1d(ambient: Ambient1D, components, eps,
     if len(core_circles) != len(ambient.circles):
         raise NeighborhoodError(
             "shrinking cannot drop a circle component")
-    merged = _merge_intervals(intervals)
+    merged = _merge_intervals(intervals, ambient)
     return Ambient1D(tuple(merged), ambient.circles)
 
 
-def _merge_intervals(intervals: list[tuple]) -> list[tuple]:
-    ivs = sorted(intervals)
+def _merge_intervals(intervals: list[tuple], ambient: Ambient1D) -> list[tuple]:
+    """The open intervals, sorted, with two joined where they overlap or
+    touch at a point of the ambient; two that touch at a point outside it,
+    an end where two ambient intervals meet, stay apart."""
     out: list[tuple] = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1]:
+    for lo, hi in sorted(intervals):
+        if out and (lo < out[-1][1] or lo == out[-1][1] and any(
+                a < lo < b for a, b in ambient.intervals)):
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))

@@ -7,16 +7,23 @@ endpoints (they are compared against rationals but never enter arithmetic).
 The region algebra works by joint refinement: the real line (or each circle,
 or the x-axis under a family of slabs) is chopped at every "event" coordinate
 — cell endpoints, PL breakpoints, graph crossings — into atoms on which
-membership in every region under consideration is constant.  Graphs that are
-one line are crossed by slope group, with one division per crossing, and
-only a pair with a bent graph walks both graphs' pieces.  Every
+membership in every region under consideration is constant.  Every
 fibre of the refinement is a line fibre: the line itself, each circle
 unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
 over fibres without regard to the dimension.  That code orders and indexes a
 fibre's coordinates as exact integers, each one's numerator over the lcm of
 their denominators, so it sorts and dedupes ints rather than Fractions;
-the atoms and cells keep the Fractions.
+the atoms of the line and the circles keep the Fractions.
+
+A 2D refinement works on one integer scale, built once for it: every bound
+piece y = m x + c is written as the ints (m L, c L), L the lcm of their
+denominators, and every x-atom's representative as an int over 2D, D that
+of the x-events.  Graphs that are one line are crossed by slope group, each
+crossing one Fraction of two ints, and only a pair with a bent graph walks
+both graphs' pieces.  Each y-fibre then takes its bounds' heights as exact
+ints, y L 2D, and sorts, dedupes and indexes them as such; a Fraction is
+built only for a graph or a point that a result holds.
 
 Only the ops that return regions (region_boolean, region_split,
 region_disagreement, region_normalize) build cells from a refinement;
@@ -38,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Sequence, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ArgumentError, ValidationError
 
@@ -468,19 +475,16 @@ def line_region(*segs: Seg) -> PLRegion:
 # Line atomization
 # ---------------------------------------------------------------------------
 
-def _line_atoms(criticals: Collection) -> tuple[list[tuple], Callable[[Fraction], int]]:
+def _keyed_atoms(criticals: Collection) -> tuple[list[tuple], dict[int, int], int]:
     """The line cut at the critical coordinates, as atoms from left to
-    right, and the map from a critical coordinate's value to the position
-    of its point atom.
+    right; the index from a critical's key to the position of its point
+    atom, in key order; and D, the lcm of the criticals' denominators.
 
-    The criticals are deduped, sorted and indexed as exact integers: c is
-    keyed by c.numerator * (D // c.denominator), D the lcm of their
-    denominators, which orders as c does, is one key however c is written,
-    and hashes and compares in C where a Fraction does in Python.  The atoms
-    hold the criticals themselves.  When D is 1 a critical's key is its
-    value, so the map is the index's own lookup: an int end (as _YFibre's
-    are) costs no keying, and an integral Fraction end is found by its
-    hash."""
+    A critical c is keyed by c.numerator * (D // c.denominator), which
+    orders as c does, is one key however c is written, and hashes and
+    compares in C where a Fraction does in Python, so the criticals are
+    deduped, sorted and indexed as ints.  The atoms hold the criticals
+    themselves."""
     D = math.lcm(*{c.denominator for c in criticals})
     by_key = {c.numerator * (D // c.denominator): c for c in criticals}
     lo, atoms, index = NEG_INF, [], {}
@@ -491,9 +495,27 @@ def _line_atoms(criticals: Collection) -> tuple[list[tuple], Callable[[Fraction]
         atoms.append(("pt", c))
         lo = c
     atoms.append(("iv", lo, INF))
+    return atoms, index, D
+
+
+def _position(index: dict[int, int], D: int) -> Callable[[Fraction], int]:
+    """The map from a critical's value to the position of its point atom,
+    given _keyed_atoms' index and D.  When D is 1 a critical's key is its
+    value, so the map is the index's own lookup: an int end (as _YFibre's
+    are) costs no keying, and an integral Fraction end is found by its
+    hash."""
     if D == 1:
-        return atoms, index.__getitem__
-    return atoms, lambda c: index[c.numerator * (D // c.denominator)]
+        return index.__getitem__
+    return lambda c: index[c.numerator * (D // c.denominator)]
+
+
+def _line_atoms(criticals: Collection) -> tuple[list[tuple], Callable[[Fraction], int]]:
+    """The line cut at the critical coordinates, as atoms from left to
+    right, and the map from a critical coordinate's value to the position
+    of its point atom; the criticals are ordered and indexed as exact
+    integers (see _keyed_atoms)."""
+    atoms, index, D = _keyed_atoms(criticals)
+    return atoms, _position(index, D)
 
 
 def interval_rep(lo: End, hi: End) -> Fraction:
@@ -653,135 +675,184 @@ def _refine_1d(regions: Sequence[PLRegion]):
         yield _CircleFibre(*key, [circ.get(key, []) for circ in circles])
 
 
+class _XTable(NamedTuple):
+    """The one integer scale of a 2D refinement, which _x_atoms builds.
+
+    L is the lcm of the denominators of every bound piece's slope and
+    intercept, D that of the x-events, and S = 2D.  reps[a] is x-atom a's
+    representative (its point, its midpoint, or an end -/+ 1, as
+    interval_rep picks it) times S, an int.  bounds maps the id of each
+    bound object of the regions to its breakpoints times S and its pieces
+    as the ints (M, C) = (m L, c L); a line has no breakpoint there and
+    one piece.  Over x-atom a, a bound's piece is then
+    pieces[bisect_left(breakpoints, reps[a])], the one PLFunc.piece_at
+    picks at the representative, and its height there, M reps[a] + C S,
+    is exactly y L S.  position maps an x-event to its point atom, as
+    _line_atoms' map does, and graphs holds the graph of each key a cell
+    of the refinement is bounded by (_YFibre.cells).
+
+    Keying by id compares no PLFunc, however many equal ones the regions
+    hold; the table is read only while the regions it was built from are
+    alive, so each id stays its object's."""
+
+    position: Callable[[Fraction], int]
+    reps: list[int]
+    bounds: dict
+    L: int
+    S: int
+    graphs: dict[tuple[int, int], PLFunc]
+
+    def slab(self, s: Slab) -> tuple:
+        """s as _YFibre reads it: (lower, upper, lower_closed, upper_closed)
+        with each bound as bounds writes it."""
+        lo, hi = s.lower, s.upper
+        return (self.bounds[id(lo)] if isinstance(lo, PLFunc) else lo,
+                self.bounds[id(hi)] if isinstance(hi, PLFunc) else hi,
+                s.lower_closed, s.upper_closed)
+
+
 class _YFibre(_LineFibre):
-    """The vertical line over one x-atom (atom, with representative rep),
-    given for each region the slabs that cover the atom.
+    """The vertical line over one x-atom of a 2D refinement, at X / S (X
+    the atom's entry in table.reps; table is the refinement's _XTable),
+    given for each region the slabs that cover the atom as table.slab
+    writes them.
 
-    Its critical coordinates are indices into keys, the (slope, intercept)
-    bounds on the atom sorted by height (heights holds each at rep), so
-    they have denominator 1 and _line_atoms keys each by itself;
-    intervals_per_region holds each slab's range in that encoding, an
-    infinite bound as -inf or +inf.  A bound's key is its value as a
-    constant on a point atom and its piece there on an interval; a line
-    bound's piece is its own line, read without a search.  Each distinct
-    graph object is keyed, and its height taken, once per fibre however
-    many slab sides it bounds, and the index from first-sight numbers to
-    sorted positions is keyed by those small ints.
+    Its critical coordinates are the heights of the bounds on the atom, as
+    the ints y L S at the representative, and intervals_per_region holds
+    each slab's range in heights, an infinite bound as -inf or +inf; so
+    _line_atoms dedupes, sorts and indexes ints.  Bounds that meet on a
+    point atom share a height there, and bounds of different heights on an
+    open atom differ all over it (a crossing inside it would have been an
+    x-event), so a height stands for one bound: pieces maps it to the
+    bound's piece (M, C) there.  cells() and point() build Fractions, and
+    only for what they return."""
 
-    graphs maps a key to its graph, PLFunc.affine(*key), and is shared by
-    every fibre of one refinement: the cells of one result then hold one
-    graph object per key, which hashes and builds its pieces once."""
+    def __init__(self, covering: Sequence[Sequence[tuple]], atom: tuple,
+                 X: int, table: _XTable):
+        self.atom, self.X, self.table = atom, X, table
+        S, pieces = table.S, {}  # height -> piece
 
-    def __init__(self, covering: Sequence[Sequence[Slab]], atom: tuple,
-                 rep: Fraction, graphs: dict[tuple, PLFunc]):
-        self.atom, self.rep, self.graphs = atom, rep, graphs
-        ids: dict[tuple, int] = {}  # key -> its number in order of first sight
-        heights: list[Fraction] = []  # by number
-        numbers: dict[PLFunc, int] = {}  # graph -> the number of its key
-        on_point = atom[0] == "pt"
-
-        def number(bound):
+        def height(bound):
             if isinstance(bound, float):
                 return bound
-            n = numbers.get(bound)
-            if n is None:
-                m, c = bound._line or bound.piece_at(rep)
-                h = m * rep + c
-                n = numbers[bound] = ids.setdefault((0, h) if on_point else (m, c),
-                                                    len(ids))
-                if n == len(heights):
-                    heights.append(h)
-            return n
+            breakpoints, bound_pieces = bound
+            M, C = piece = bound_pieces[bisect_left(breakpoints, X)]
+            h = M * X + C * S
+            pieces[h] = piece
+            return h
 
-        ivs_by_id = [[(number(s.lower), number(s.upper), s.lower_closed,
-                       s.upper_closed) for s in slabs] for slabs in covering]
-        # distinct keys differ in height at rep: a crossing inside an open
-        # x-atom would have been an x-event
-        order = sorted(range(len(heights)), key=heights.__getitem__)
-        keys = list(ids)
-        self.keys = [keys[n] for n in order]
-        self.heights = [heights[n] for n in order]
-        index: dict = {n: i for i, n in enumerate(order)}
-        index[NEG_INF], index[INF] = NEG_INF, INF
         self.intervals_per_region = [
-            [(index[lo], index[hi], loc, upc) for lo, hi, loc, upc in ivs]
-            for ivs in ivs_by_id]
-        super().__init__(range(len(order)), self.intervals_per_region)
+            [(height(lo), height(hi), loc, hic) for lo, hi, loc, hic in slabs]
+            for slabs in covering]
+        self.pieces = pieces
+        super().__init__(pieces, self.intervals_per_region)
 
-    def _height(self, e: End) -> End:
-        return self.heights[e] if is_finite(e) else e
+    def _y(self, e: End) -> End:
+        return Fraction(e, self.table.L * self.table.S) if is_finite(e) else e
 
     def point(self, i: int):
         kind, *ends = self.atoms[i]
-        return (self.rep, _atom_rep((kind, *map(self._height, ends))))
+        return (Fraction(self.X, self.table.S), _atom_rep((kind, *map(self._y, ends))))
 
     def cells(self, included: list[bool]) -> list[Cell]:
         [x_range] = _line_runs([self.atom], [True])  # the x-atom as a run
+        L, S, graphs = self.table.L, self.table.S, self.table.graphs
+        on_point = self.atom[0] == "pt"
 
-        def bound(e):
-            if not is_finite(e):
-                return e
-            key = self.keys[e]
-            graph = self.graphs.get(key)
+        def bound(h):
+            if not is_finite(h):
+                return h
+            # the graph of slope a / L and intercept b / (L S) for the key
+            # (a, b): on a point atom the constant (0, h), on an open atom
+            # the piece (M, C) as (M, C S), so one horizontal line's graph
+            # has one key on either
+            if on_point:
+                key = (0, h)
+            else:
+                M, C = self.pieces[h]
+                key = (M, C * S)
+            graph = graphs.get(key)
             if graph is None:
-                graph = self.graphs[key] = PLFunc.affine(*key)
+                graph = graphs[key] = PLFunc.affine(Fraction(key[0], L),
+                                                    Fraction(key[1], L * S))
             return graph
 
         return [Slab(*x_range, bound(lo), bound(hi), loc, hic)
                 for lo, hi, loc, hic in _line_runs(self.atoms, included)]
 
 
-def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], Callable[[Fraction], int]]:
+def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], _XTable]:
     """The x-atoms of 2D regions' joint refinement, as _line_atoms gives
-    them: cut at slab x-ends, bound breakpoints and crossings of bounds.
+    them: cut at slab x-ends, bound breakpoints and crossings of bounds;
+    and the refinement's integer table (_XTable).
 
-    Distinct line bounds are grouped by slope: two lines of different slope
-    cross once, at (c2 - c1) / (m1 - m2), and lines of one slope never cross
-    (two ways of writing one line meet on whole pieces, whose ends are
-    their breakpoints, events already).  A pair with a bound that is not
-    one line is crossed by plfunc_crossings on the bounds as written: where
-    the curve follows the line over a piece, the line's own breakpoints are
-    events of that pair."""
-    xs: set[Fraction] = set()
-    bounds: list[PLFunc] = []
-    seen: set[PLFunc] = set()
+    Each bound object is collected once, and its pieces written as ints
+    over L.  Lines are taken once per (M, C) and grouped by integer slope:
+    two lines of different slope cross once, at (C2 - C1) / (M1 - M2), one
+    Fraction, and lines of one slope never cross (two ways of writing one
+    line meet on whole pieces, whose ends are their breakpoints, events
+    already).  A pair with a bound that is not one line is crossed by
+    plfunc_crossings on the bounds as written: where the curve follows the
+    line over a piece, the line's own breakpoints are events of that pair,
+    and so are those of any other way of writing it.  The x-events are
+    collected in a list, which _keyed_atoms dedupes by their integer keys,
+    so no Fraction is hashed."""
+    xs: list[Fraction] = []
+    objects: dict[int, PLFunc] = {}  # id -> each bound object
     for r in regions:
         for slab in r.cells:
             if is_finite(slab.x_lo):
-                xs.add(slab.x_lo)
+                xs.append(slab.x_lo)
             if is_finite(slab.x_hi):
-                xs.add(slab.x_hi)
+                xs.append(slab.x_hi)
             for b in (slab.lower, slab.upper):
-                if isinstance(b, PLFunc) and b not in seen:
-                    seen.add(b)
-                    bounds.append(b)
-                    xs.update(b.breakpoints)
-    slopes: dict[Fraction, set[Fraction]] = {}  # slope -> intercepts
-    lines: list[PLFunc] = []
-    curves: list[PLFunc] = []
-    for b in bounds:
-        if b._line is None:
-            curves.append(b)
+                if isinstance(b, PLFunc) and id(b) not in objects:
+                    objects[id(b)] = b
+                    xs += b.breakpoints
+    pieces = {i: [b._line] if b._line else [p[2:] for p in b._pieces]
+              for i, b in objects.items()}
+    L = math.lcm(*{v.denominator for ps in pieces.values() for p in ps for v in p})
+    ints = {i: tuple((m.numerator * (L // m.denominator),
+                      c.numerator * (L // c.denominator)) for m, c in ps)
+            for i, ps in pieces.items()}
+    lines: dict[tuple[int, int], PLFunc] = {}  # (M, C) -> a bound that is that line
+    curves: dict[PLFunc, None] = {}  # the distinct bounds that are not one line
+    for i, b in objects.items():
+        if b._line:
+            lines.setdefault(ints[i][0], b)
         else:
-            lines.append(b)
-            m, c = b._line
-            slopes.setdefault(m, set()).add(c)
-    for (m1, cs1), (m2, cs2) in itertools.combinations(slopes.items(), 2):
-        dm = m1 - m2
-        xs.update((c2 - c1) / dm for c1 in cs1 for c2 in cs2)
-    for i, f in enumerate(curves):
-        for g in itertools.chain(curves[i + 1:], lines):
-            xs.update(plfunc_crossings(f, g))
-    return _line_atoms(xs)
+            curves[b] = None
+    slopes: dict[int, list[int]] = {}  # M -> Cs
+    for M, C in lines:
+        slopes.setdefault(M, []).append(C)
+    for (M1, Cs1), (M2, Cs2) in itertools.combinations(slopes.items(), 2):
+        dM = M1 - M2
+        xs += [Fraction(C2 - C1, dM) for C1 in Cs1 for C2 in Cs2]
+    bent = list(curves)
+    for i, f in enumerate(bent):
+        for g in itertools.chain(bent[i + 1:], lines.values()):
+            xs += plfunc_crossings(f, g)
+    atoms, index, D = _keyed_atoms(xs)
+    S = 2 * D
+    reps: list[int] = []
+    lo = None  # the key of the last point atom
+    for k in index:
+        reps += (2 * (k - D) if lo is None else lo + k, 2 * k)
+        lo = k
+    reps.append(0 if lo is None else 2 * (lo + D))
+    bounds = {i: (() if objects[i]._line else tuple(
+        x.numerator * (S // x.denominator) for x in objects[i].breakpoints), ps)
+        for i, ps in ints.items()}
+    return atoms, _XTable(_position(index, D), reps, bounds, L, S, {})
 
 
-Cover = Callable[[Sequence[Sequence[Slab]]], bool]
+Cover = Callable[[Sequence[Sequence[tuple]]], bool]
 
 
 def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     """The y-fibres of 2D regions, from left to right, one over each x-atom
     where cover holds of the slabs over it (one list per region, empty where
-    the region has none).
+    the region has none), all on the one integer table _x_atoms builds.
 
     An op passes the cover of the atoms it can use.  Over an atom a region
     has no slab on, its membership is False throughout, so the op's cover
@@ -791,18 +862,18 @@ def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     and subset the first (_first_covers), and region_components two
     closures (_two_cover), as only those atoms make pairs; union,
     region_equal and region_normalize keep any."""
-    atoms, position = _x_atoms(regions)
+    atoms, table = _x_atoms(regions)
     last = len(atoms) - 1
-    graphs: dict[tuple, PLFunc] = {}
-    covering: list[list[list[Slab]]] = [[[] for _ in regions] for _ in atoms]
+    covering: list[list[list[tuple]]] = [[[] for _ in regions] for _ in atoms]
     for k, r in enumerate(regions):
         for slab in r.cells:
-            for a in _atom_run(position, last, slab.x_lo, slab.x_hi,
+            ints = table.slab(slab)
+            for a in _atom_run(table.position, last, slab.x_lo, slab.x_hi,
                                slab.x_lo_closed, slab.x_hi_closed):
-                covering[a][k].append(slab)
+                covering[a][k].append(ints)
     for a, atom in enumerate(atoms):
         if cover(covering[a]):
-            yield _YFibre(covering[a], atom, _atom_rep(atom), graphs)
+            yield _YFibre(covering[a], atom, table.reps[a], table)
 
 
 def _fibres(regions: Sequence[PLRegion], cover: Cover = any):
@@ -815,11 +886,11 @@ def _fibres(regions: Sequence[PLRegion], cover: Cover = any):
     return _refine_1d(regions) if dim == 1 else _refine_2d(regions, cover)
 
 
-def _first_covers(covering: Sequence[Sequence[Slab]]) -> bool:
+def _first_covers(covering: Sequence[Sequence[tuple]]) -> bool:
     return bool(covering[0])
 
 
-def _two_cover(covering: Sequence[Sequence[Slab]]) -> bool:
+def _two_cover(covering: Sequence[Sequence[tuple]]) -> bool:
     return sum(map(bool, covering)) >= 2
 
 

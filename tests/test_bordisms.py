@@ -653,6 +653,26 @@ def test_shrinking_joins_neighbourhoods_that_overlap():
         (F(-1, 4), F(5, 4)), (F(7, 4), F(9, 4)), (F(11, 4), F(17, 4)))
 
 
+def test_shrinking_keeps_neighbourhoods_apart_where_they_touch_outside_the_ambient():
+    # the ambient intervals (0, 5) and (5, 10) meet at 5, which is not in
+    # the ambient; the 1/2-neighbourhoods of the cores [4, 9/2] and
+    # [11/2, 6] touch there, so joining them would hold 5
+    ambient = Ambient1D(((0, 5), (5, 10)))
+    cuts = tuple(Cut1D(tuple(ComponentCut1D("zeros", ((F(z), "+"),)) for z in zs))
+                 for zs in ((4, F(11, 2)), (F(9, 2), 6)))
+    mgrid = MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 1, (1, 1))
+    b = Bordism(ambient, mgrid, embedded_field(1), AffineMap.identity(1))
+    assert validate(b).passed
+    shrunk = shrink_to_core(b, F(1, 2))
+    assert shrunk.ambient.intervals == ((F(7, 2), 5), (5, F(13, 2)))
+    assert equivalent(b, shrunk)
+    # on the full line the same neighbourhoods touch at a point of the
+    # ambient, and are joined
+    line = line_bordism([zeros_cut((0, "+"), (1, "-"), (2, "+"), (4, "-")),
+                         zeros_cut((2, "+"), (3, "-"))])
+    assert shrink_to_core(line, F(1, 2)).ambient.intervals == ((F(-1, 2), F(9, 2)),)
+
+
 def test_shrinking_cannot_drop_a_circle():
     # the circle lies wholly below the first cut, so the core misses it
     both = Ambient1D(((NEG_INF, INF),), (F(4),))

@@ -1,7 +1,8 @@
 """The package keeps one module-level cache, the memo on grids.cut_regions.
 Any other state lives in objects a caller creates and passes, such as the
-graphs one 2D refinement shares, so no call changes what a later call
-computes or how much memory the process holds between calls."""
+integer table one 2D refinement builds and shares among its y-fibres, with
+the graphs of its cells, so no call changes what a later call computes or
+how much memory the process holds between calls."""
 
 import ast
 from pathlib import Path

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,7 @@ from cutgrids.plgeom import (
     region_is_compact_in,
     region_normalize,
     region_sample_point,
+    region_split,
     region_subset,
 )
 
@@ -844,7 +846,9 @@ COVERS = {"any": any, "all": all, "first": _first_covers, "two": _two_cover}
 @settings(max_examples=60, deadline=None)
 def test_refine_2d_sweep_matches_all_slab_filter(regions, cover):
     views = iter(_refine_2d(regions, COVERS[cover]))
-    for atom in _x_atoms(regions)[0]:
+    atoms, table = _x_atoms(regions)
+    L, S = table.L, table.S
+    for atom in atoms:
         rep = _atom_rep(atom)
 
         def key(bound):
@@ -854,6 +858,9 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions, cover):
                 return (Fraction(0), bound(atom[1]))
             return bound.piece_at(rep)
 
+        def value(bound):
+            return bound if isinstance(bound, float) else bound(rep)
+
         expected = [[(key(s.lower), key(s.upper), s.lower_closed, s.upper_closed)
                      for s in region.cells if _slab_covers_atom(s, atom)]
                     for region in regions]
@@ -861,25 +868,45 @@ def test_refine_2d_sweep_matches_all_slab_filter(regions, cover):
             continue  # no fibre over an atom the cover skips
         view = next(views)
         assert view.atom == atom
-        assert view.heights == [m * rep + c for m, c in view.keys]
+        assert Fraction(view.X, S) == rep
 
-        def by_key(index):
-            return index if isinstance(index, float) else view.keys[index]
+        def as_key(h):
+            # a height y L S as the (slope, intercept) it stands for: the
+            # constant y on a point atom, its piece (m L, c L) on an open one
+            if isinstance(h, float):
+                return h
+            if atom[0] == "pt":
+                return (Fraction(0), Fraction(h, L * S))
+            M, C = view.pieces[h]
+            return (Fraction(M, L), Fraction(C, L))
 
-        assert [[(by_key(li), by_key(ui), loc, upc)
-                 for li, ui, loc, upc in ivs]
-                for ivs in view.intervals_per_region] == expected
+        def as_value(h):
+            return h if isinstance(h, float) else Fraction(h, L * S)
+
+        ivs = view.intervals_per_region
+        assert [[(as_value(lo), as_value(hi), loc, hic) for lo, hi, loc, hic in r]
+                for r in ivs] == \
+            [[(value(s.lower), value(s.upper), s.lower_closed, s.upper_closed)
+              for s in region.cells if _slab_covers_atom(s, atom)]
+             for region in regions]
+        assert [[(as_key(lo), as_key(hi), loc, hic) for lo, hi, loc, hic in r]
+                for r in ivs] == expected
+        # the fibre's critical points are the distinct heights in key order
+        assert [a[1] for a in view.atoms if a[0] == "pt"] == sorted(view.pieces)
     assert next(views, None) is None
 
 
 def every_fibre(regions):
     """A y-fibre over every x-atom of the regions' refinement, whether or
-    not a slab covers it: what the ops' cover predicates skip from."""
-    graphs = {}
-    for atom in _x_atoms(regions)[0]:
-        covering = [[s for s in r.cells if _slab_covers_atom(s, atom)]
+    not a slab covers it: what the ops' cover predicates skip from.  Each
+    atom's scaled representative is read from the atom itself."""
+    atoms, table = _x_atoms(regions)
+    for atom in atoms:
+        X = _atom_rep(atom) * table.S
+        assert X.denominator == 1
+        covering = [[table.slab(s) for s in r.cells if _slab_covers_atom(s, atom)]
                     for r in regions]
-        yield _YFibre(covering, atom, _atom_rep(atom), graphs)
+        yield _YFibre(covering, atom, X.numerator, table)
 
 
 def rebuild_from_every_fibre(regions, keep):
@@ -929,6 +956,153 @@ def test_ops_match_a_refinement_of_every_fibre(a, b):
     for r in (a, b):
         assert [c.cells for c in region_components(r)] == \
             components_from_every_fibre(r)
+
+
+# Bounds whose slopes and intercepts have the coprime denominators 7, 11,
+# 13 and 3.  LINE_C is parallel to LINE_A and below it; LINE_A and LINE_B
+# cross at x = 4732/1551.  VEE has its vertex at the breakpoint 3/13, where
+# FLOOR touches it, so the two closed regions on either side meet in that
+# one point, over the point atom that reads VEE at its breakpoint.
+LINE_A = PLFunc.affine(Fraction(2, 7), Fraction(1, 11))
+LINE_B = PLFunc.affine(Fraction(-3, 13), Fraction(5, 3))
+LINE_C = PLFunc.affine(Fraction(2, 7), Fraction(-4, 13))
+VEE = PLFunc.from_points([(Fraction(-6, 11), Fraction(1, 3)),
+                          (Fraction(3, 13), Fraction(-2, 7)),
+                          (Fraction(9, 7), Fraction(4, 11))],
+                         Fraction(-1, 3), Fraction(5, 7))
+FLOOR = PLFunc.constant(Fraction(-2, 7))
+
+
+def _plane_slab(lower, upper):
+    """{lower <= y <= upper} over the whole x-line, closed on graph bounds."""
+    return PLRegion(2, (Slab(NEG_INF, INF, False, False, lower, upper,
+                             isinstance(lower, PLFunc), isinstance(upper, PLFunc)),))
+
+
+def mixed_denominator_regions():
+    """Named regions over those bounds, with x-ends of distinct
+    denominators; the whole plane's refinement is one x-atom, unbounded on
+    both sides."""
+    F = Fraction
+    return {
+        "a": PLRegion(2, (Slab(F(-9, 7), F(17, 19), True, True, LINE_A, INF, True, False),
+                          Slab(NEG_INF, F(-5, 3), False, False, NEG_INF, LINE_B, False, True))),
+        "b": PLRegion(2, (Slab(F(-2, 5), F(13, 4), False, True, LINE_B, INF, True, False),
+                          Slab(F(-11, 23), F(-2, 5), True, False, NEG_INF, VEE, False, True))),
+        "band": PLRegion(2, (Slab(F(-7, 5), F(11, 17), True, False, LINE_C, LINE_A, False, True),)),
+        "above_vee": _plane_slab(VEE, INF),
+        "below_floor": _plane_slab(NEG_INF, FLOOR),
+        "above_a": _plane_slab(LINE_A, INF),
+        "below_b": _plane_slab(NEG_INF, LINE_B),
+        "plane": _plane_slab(NEG_INF, INF),
+        "empty": PLRegion(2, ()),
+    }
+
+
+def refinement_probes(*regions):
+    """A point in each cell of the regions' joint refinement, read with
+    plain Fractions: over the representative of each x-atom of
+    reference_x_atoms, every bound's value there, the midpoints between
+    those values and one beyond each end."""
+    bounds = {b for r in regions for s in r.cells for b in (s.lower, s.upper)
+              if isinstance(b, PLFunc)}
+    probes = []
+    for atom in reference_x_atoms(regions)[0]:
+        x = _atom_rep(atom)
+        ys = sorted({b(x) for b in bounds})
+        stops = [ys[0] - 1, *ys, ys[-1] + 1] if ys else [Fraction(0)]
+        mids = [(lo + hi) / 2 for lo, hi in zip(stops, stops[1:])]
+        probes += [(x, y) for y in stops + mids]
+    return probes
+
+
+def check_table_reads_bounds_exactly(regions):
+    """Each bound's piece over each x-atom is the one PLFunc.piece_at picks
+    at the atom's representative (the left piece at a breakpoint), and its
+    height there, divided by L S, is the bound's value."""
+    atoms, table = _x_atoms(regions)
+    L, S = table.L, table.S
+    written = [(bound, ints) for r in regions for s in r.cells
+               for bound, ints in zip((s.lower, s.upper), table.slab(s))]
+    for atom, X in zip(atoms, table.reps):
+        rep = _atom_rep(atom)
+        assert Fraction(X, S) == rep
+        for bound, ints in written:
+            if isinstance(bound, float):
+                assert ints == bound
+                continue
+            breakpoints, pieces = ints
+            M, C = pieces[bisect_left(breakpoints, X)]
+            m, c = bound.piece_at(rep)
+            assert (Fraction(M, L), Fraction(C, L)) == (m, c)
+            assert Fraction(M * X + C * S, L * S) == bound(rep)
+
+
+MIXED_PAIRS = [("a", "b"), ("b", "a"), ("above_vee", "below_floor"),
+               ("below_floor", "above_vee"), ("above_a", "below_b"),
+               ("below_b", "above_a"), ("a", "band"), ("band", "above_vee"),
+               ("b", "below_floor"), ("plane", "plane"), ("plane", "empty"),
+               ("empty", "plane"), ("above_vee", "plane")]
+
+
+@pytest.mark.parametrize("names", MIXED_PAIRS, ids="-".join)
+def test_ops_are_exact_over_mixed_denominators(names):
+    regions = mixed_denominator_regions()
+    a, b = (regions[n] for n in names)
+    check_table_reads_bounds_exactly([a, b])
+    probes = refinement_probes(a, b)
+
+    def inside(r, p):
+        return region_contains_point(r, p)
+
+    for op, keep in ((lambda a, b: region_boolean("intersect", a, b),
+                      lambda m: m[0] and m[1]),
+                     (lambda a, b: region_boolean("union", a, b),
+                      lambda m: m[0] or m[1]),
+                     (lambda a, b: region_disagreement(a, (b,)),
+                      lambda m: m[0] and not m[1])):
+        got = op(a, b)
+        assert list(got.cells) == rebuild_from_every_fibre([a, b], keep)
+        assert [inside(got, p) for p in probes] == \
+            [keep((inside(a, p), inside(b, p))) for p in probes]
+    # one probe per cell of the refinement makes these exact
+    for x, y in ((a, b), (b, a)):
+        assert region_subset(x, y) is all(not inside(x, p) or inside(y, p)
+                                          for p in probes)
+    assert region_equal(a, b) is all(inside(a, p) == inside(b, p) for p in probes)
+    point = region_sample_point(a, b)
+    assert point == sample_point_from_every_fibre([a, b])
+    if point is None:
+        assert not any(inside(a, p) and inside(b, p) for p in probes)
+    else:
+        assert inside(a, point) and inside(b, point)
+
+
+def test_the_vee_and_its_floor_meet_in_one_point():
+    regions = mixed_denominator_regions()
+    vee, floor = regions["above_vee"], regions["below_floor"]
+    vertex = (Fraction(3, 13), Fraction(-2, 7))
+    assert region_sample_point(vee, floor) == vertex
+    [cell] = region_boolean("intersect", vee, floor).cells
+    assert (cell.x_lo, cell.x_hi, cell.lower(cell.x_lo), cell.upper(cell.x_lo)) == \
+        (vertex[0], vertex[0], vertex[1], vertex[1])
+
+
+def test_split_is_exact_over_mixed_denominators():
+    regions = mixed_denominator_regions()
+    for within, names in (("a", ("b", "band", "below_floor")),
+                          ("plane", ("above_vee", "below_floor", "below_b")),
+                          ("above_a", ("empty", "b"))):
+        whole = regions[within]
+        parts = [regions[n] for n in names]
+        check_table_reads_bounds_exactly([whole, *parts])
+        probes = refinement_probes(whole, *parts)
+        for k, (got, part) in enumerate(zip(region_split(whole, parts), parts), 1):
+            assert list(got.cells) == rebuild_from_every_fibre(
+                [whole, *parts], lambda m, k=k: m[0] and m[k])
+            assert [region_contains_point(got, p) for p in probes] == [
+                region_contains_point(whole, p) and region_contains_point(part, p)
+                for p in probes]
 
 
 def check_subset_and_difference_laws(a, b):
