@@ -10,6 +10,7 @@ byte-identical text — and parsing is exact: no value is ever rounded.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -65,7 +66,16 @@ def _quote(s: str) -> str:
     return f"{s[:_QUOTE_LIMIT]!r}... ({len(s)} characters)"
 
 
+# A rational's text: an optional "-" and ASCII digits, then optionally "/"
+# and ASCII digits.  int() alone would also take "+", "_", spaces and
+# non-ASCII digits, which the writer never emits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_text(s, where: str = "rational"):
+    """The value of a rational as documents write it: "p/q" or "p" (see
+    _RATIONAL), "+inf"/"-inf", or a JSON integer.  Any other text is a
+    DocumentSyntaxError, as is a zero denominator."""
     if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
@@ -75,18 +85,17 @@ def rational_from_text(s, where: str = "rational"):
         return INF
     if s == "-inf":
         return NEG_INF
-    parts = s.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
+    match = _RATIONAL.fullmatch(s)
+    if match:
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
             if den == 0:
                 raise DocumentSyntaxError(
                     f"{where}: zero denominator in {_quote(s)}")
             return Fraction(num, den)
-    except ValueError:
-        pass
     raise DocumentSyntaxError(f"{where}: malformed rational {_quote(s)}")
 
 

@@ -32,9 +32,11 @@ whole and every part.  The yes/no and one-point
 queries (region_subset, region_equal, region_sample_point,
 plfunc_is_positive_on) read the atoms' memberships and build none.
 Likewise a PL function's range, integral or agreement with another on a
-closed hull, and a slab's emptiness, read one walk over the pieces of the
-function (or of a difference f - g, from f's and g's) clipped to the hull,
-`_pieces_on`, and build no PLFunc.
+closed hull read one walk over the pieces of the function (or of a
+difference f - g, from f's and g's) clipped to the hull, `_pieces_on`, and
+build no PLFunc.  A slab's emptiness reads the cheapest exact fact first:
+one bound object on both sides, or the upper bound above the lower at one
+point of the x-range, decides it without that walk.
 """
 
 from __future__ import annotations
@@ -126,7 +128,15 @@ class PLFunc:
 
     @classmethod
     def affine(cls, slope, intercept) -> "PLFunc":
-        return cls((Fraction(0),), (fr(intercept),), fr(slope), fr(slope))
+        """The line y = slope x + intercept, written with one breakpoint at
+        0.  Its two pieces and its line are stored as it is built, where
+        _pieces and _line would cache them, so no reader derives them."""
+        m, c = fr(slope), fr(intercept)
+        f = cls((Fraction(0),), (c,), m, m)
+        f.__dict__.update(_pieces=((NEG_INF, f.breakpoints[0], m, c),
+                                   (f.breakpoints[0], INF, m, c)),
+                          _line=(m, c))
+        return f
 
     @classmethod
     def from_points(cls, points: Sequence[tuple], left_slope=0, right_slope=0) -> "PLFunc":
@@ -791,7 +801,10 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], _XTable]:
     two lines of different slope cross once, at (C2 - C1) / (M1 - M2), one
     Fraction, and lines of one slope never cross (two ways of writing one
     line meet on whole pieces, whose ends are their breakpoints, events
-    already).  A pair with a bound that is not one line is crossed by
+    already).  Each crossing is reduced to lowest terms as a pair of ints
+    first, and one Fraction is built per distinct pair, so lines through one
+    point (box sides and the sheets at a corner) build one there, not one
+    per pair.  A pair with a bound that is not one line is crossed by
     plfunc_crossings on the bounds as written: where the curve follows the
     line over a piece, the line's own breakpoints are events of that pair,
     and so are those of any other way of writing it.  The x-events are
@@ -825,9 +838,16 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], _XTable]:
     slopes: dict[int, list[int]] = {}  # M -> Cs
     for M, C in lines:
         slopes.setdefault(M, []).append(C)
+    crossings: set[tuple[int, int]] = set()  # (p, q) in lowest terms, q > 0
     for (M1, Cs1), (M2, Cs2) in itertools.combinations(slopes.items(), 2):
-        dM = M1 - M2
-        xs += [Fraction(C2 - C1, dM) for C1 in Cs1 for C2 in Cs2]
+        sign = 1 if M1 > M2 else -1
+        q = sign * (M1 - M2)
+        for C1 in Cs1:
+            for C2 in Cs2:
+                p = sign * (C2 - C1)
+                g = math.gcd(p, q)
+                crossings.add((p // g, q // g))
+    xs += [Fraction(p, q) for p, q in crossings]
     bent = list(curves)
     for i, f in enumerate(bent):
         for g in itertools.chain(bent[i + 1:], lines.values()):
@@ -962,9 +982,22 @@ def region_normalize(a: PLRegion) -> PLRegion:
 
 
 def _slab_is_empty(s: Slab) -> bool:
-    if isinstance(s.lower, float) or isinstance(s.upper, float):
+    """Whether s holds no point: upper - lower has maximum 0 over the closed
+    x-range and a bound side is open.  A negative maximum raises
+    ValidationError.  Decided from the cheapest exact fact that settles
+    it: an infinite bound, one bound object on both sides (the difference
+    is 0), or upper above lower at one point of the x-range (the maximum is
+    then positive); only otherwise by the walk over the difference's
+    pieces, which gives the same answer."""
+    lower, upper = s.lower, s.upper
+    if isinstance(lower, float) or isinstance(upper, float):
         return False
-    _, dmax = _range_of(_difference_pieces(s.upper, s.lower), s.x_lo, s.x_hi)
+    if lower is upper:
+        return not (s.lower_closed and s.upper_closed)
+    x = s.x_lo if s.x_lo == s.x_hi else interval_rep(s.x_lo, s.x_hi)
+    if upper(x) > lower(x):
+        return False
+    _, dmax = _range_of(_difference_pieces(upper, lower), s.x_lo, s.x_hi)
     if dmax > 0:
         return False
     if dmax < 0:
@@ -986,7 +1019,9 @@ def _cell_closure(c: Cell) -> Cell:
 def region_closure(a: PLRegion) -> PLRegion:
     """Each nonempty cell closed: every finite end and graph bound becomes
     closed, and no infinite one.  The one place a slab's emptiness is
-    decided; the other derived queries read the cells of the closure."""
+    decided (_slab_is_empty, which walks the bounds' pieces only for a slab
+    that no single point shows nonempty); the other derived queries read the
+    cells of the closure."""
     kept = []
     for c in a.cells:
         if isinstance(c, Slab) and _slab_is_empty(c):

@@ -123,6 +123,14 @@ def test_rational_text_rejects_malformed_input():
         rational_from_text(True)
 
 
+@pytest.mark.parametrize("text", [
+    "1_000", " 3 ", "+2", "1/+2", "-1/-2", "\u0663/\u0664", "1 /2", "1\n"])
+def test_rational_text_outside_its_grammar_is_malformed(text):
+    # int() would take each part of these, but the writer never emits them
+    with pytest.raises(DocumentSyntaxError, match="malformed rational"):
+        rational_from_text(text)
+
+
 @given(st.fractions(min_value=-1000, max_value=1000))
 @settings(max_examples=200, deadline=None)
 def test_rational_text_round_trips(q):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,6 +38,7 @@ from cutgrids.plgeom import (
     ambient_region,
     component_region,
     fr,
+    interval_rep,
     line_region,
     plfunc_agree_on,
     plfunc_crossings,
@@ -411,6 +413,21 @@ def test_plfunc_hash_is_the_field_hash():
     assert "_pieces" not in repr(ints)
 
 
+@given(rationals(), rationals(), rationals())
+def test_affine_matches_the_one_breakpoint_constructor(m, c, x):
+    got, want = PLFunc.affine(m, c), PLFunc((0,), (c,), m, m)
+    # built with its pieces and its line in place, before any read
+    assert "_pieces" in vars(got) and "_line" in vars(got)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.pieces() == want.pieces()
+    assert [tuple(map(type, p)) for p in got.pieces()] == \
+        [tuple(map(type, p)) for p in want.pieces()]
+    assert got.piece_at(x) == want.piece_at(x)
+    assert got._line == want._line == (m, c)
+    assert [fl.name for fl in dataclasses.fields(PLFunc)] == [
+        "breakpoints", "values", "left_slope", "right_slope"]
+
+
 def test_extrema_on_closed_hulls():
     vee = PLFunc.from_points([(-1, -1), (0, 1), (1, -1)])
     assert plfunc_range_on(vee, -1, 1)[1] == 1
@@ -513,7 +530,14 @@ def test_slab_emptiness_matches_the_difference_function(pair, data):
     x_lo, x_hi = data.draw(hulls(f.breakpoints + g.breakpoints))
     flags = [x_lo == x_hi or (e not in (NEG_INF, INF) and data.draw(st.booleans()))
              for e in (x_lo, x_hi)]
-    bounds = data.draw(st.sampled_from([(f, g), (g, f), (NEG_INF, g), (f, INF)]))
+    rep = x_lo if x_lo == x_hi else interval_rep(x_lo, x_hi)
+    copy = PLFunc(f.breakpoints, f.values, f.left_slope, f.right_slope)
+    # f plus |x - rep|: meets f at the x-range's representative, above it
+    # everywhere else
+    touching = f.add(PLFunc((rep,), (0,), -1, 1))
+    bounds = data.draw(st.sampled_from([(f, g), (g, f), (NEG_INF, g), (f, INF),
+                                        (f, f), (f, copy), (f, touching),
+                                        (f.add_constant(1), f)]))
     graph_flags = [isinstance(b, PLFunc) and data.draw(st.booleans()) for b in bounds]
     s = Slab(x_lo, x_hi, *flags, *bounds, *graph_flags)
     try:
@@ -828,6 +852,55 @@ def test_x_atoms_match_crossing_every_pair(regions):
     want, _ = reference_x_atoms(regions)
     assert got == want
     assert [tuple(map(type, a)) for a in got] == [tuple(map(type, a)) for a in want]
+
+
+@st.composite
+def pencil_regions(draw):
+    """Pencils of three to five lines of distinct slopes through one point
+    or two, with mixed denominators, each line written as PLFunc.affine or
+    through a breakpoint, in slabs whose x-range starts at the point; and at
+    each point the corner of a box, whose lower side y = y0 meets every
+    line of the pencil there."""
+    points = draw(st.lists(st.tuples(rationals(6, 6), rationals(6, 6)),
+                           min_size=1, max_size=2, unique_by=lambda p: p[0]))
+    positive = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+    cells = []
+    for x0, y0 in points:
+        for m in draw(st.lists(rationals(4, 6), min_size=3, max_size=5, unique=True)):
+            c = y0 - m * x0
+            line = (PLFunc.affine(m, c) if draw(st.booleans())
+                    else line_through(m, c, [x0 + draw(positive)]))
+            x1 = x0 + draw(positive)
+            cells.append(Slab(x0, x1, True, True, line, INF, True, False))
+        x1, y1 = x0 + draw(positive), y0 + draw(positive)
+        cells.append(Slab(x0, x1, False, False, PLFunc.constant(y0),
+                          PLFunc.constant(y1), False, False))
+    regions = [[] for _ in range(draw(st.integers(1, 3)))]
+    for cell in draw(st.permutations(cells)):
+        regions[draw(st.integers(0, len(regions) - 1))].append(cell)
+    return [PLRegion(2, tuple(r)) for r in regions]
+
+
+@given(pencil_regions())
+@settings(max_examples=100, deadline=None)
+def test_x_atoms_build_each_crossing_of_concurrent_lines_once(regions):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(Fraction(*args))
+            return built[-1]
+
+    with mock.patch.object(plgeom, "Fraction", CountingFraction):
+        got, _ = _x_atoms(regions)
+    want, _ = reference_x_atoms(regions)
+    assert got == want
+    assert [tuple(map(type, a)) for a in got] == [tuple(map(type, a)) for a in want]
+    lines = {b._line for r in regions for s in r.cells for b in (s.lower, s.upper)
+             if isinstance(b, PLFunc)}
+    crossings = {(c2 - c1) / (m1 - m2)
+                 for (m1, c1), (m2, c2) in itertools.combinations(lines, 2) if m1 != m2}
+    assert sorted(built) == sorted(crossings)
 
 
 def _slab_covers_atom(slab, atom):
