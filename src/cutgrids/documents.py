@@ -75,7 +75,9 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def rational_from_text(s, where: str = "rational"):
     """The value of a rational as documents write it: "p/q" or "p" (see
     _RATIONAL), "+inf"/"-inf", or a JSON integer.  Any other text is a
-    DocumentSyntaxError, as is a zero denominator."""
+    DocumentSyntaxError, as is a zero denominator and text that
+    rational_to_text would write otherwise ("2/4", "3/1", "007", "-0"), so
+    every rational a document holds reads back as the same text."""
     if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
@@ -95,7 +97,13 @@ def rational_from_text(s, where: str = "rational"):
             if den == 0:
                 raise DocumentSyntaxError(
                     f"{where}: zero denominator in {_quote(s)}")
-            return Fraction(num, den)
+            value = Fraction(num, den)
+            canonical = rational_to_text(value)
+            if canonical != s:
+                raise DocumentSyntaxError(
+                    f"{where}: non-canonical rational {_quote(s)} "
+                    f"(write {_quote(canonical)})")
+            return value
     raise DocumentSyntaxError(f"{where}: malformed rational {_quote(s)}")
 
 

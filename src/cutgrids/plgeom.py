@@ -12,9 +12,11 @@ fibre of the refinement is a line fibre: the line itself, each circle
 unrolled onto the line at its first cut, and the vertical line over one
 x-atom.  All are atomized by the same code, and the region operations loop
 over fibres without regard to the dimension.  That code orders and indexes a
-fibre's coordinates as exact integers, each one's numerator over the lcm of
-their denominators, so it sorts and dedupes ints rather than Fractions;
-the atoms of the line and the circles keep the Fractions.
+fibre's coordinates as exact integer keys, so it sorts and dedupes ints
+rather than Fractions.  Only the line, the circles and the x-axis have
+Fraction coordinates to key, each one's numerator over the lcm of their
+denominators, and their atoms keep the Fractions; a y-fibre's coordinates
+are ints already, and each is its own key.
 
 A 2D refinement works on one integer scale, built once for it: every bound
 piece y = m x + c is written as the ints (m L, c L), L the lcm of their
@@ -22,8 +24,11 @@ denominators, and every x-atom's representative as an int over 2D, D that
 of the x-events.  Graphs that are one line are crossed by slope group, each
 crossing one Fraction of two ints, and only a pair with a bent graph walks
 both graphs' pieces.  Each y-fibre then takes its bounds' heights as exact
-ints, y L 2D, and sorts, dedupes and indexes them as such; a Fraction is
-built only for a graph or a point that a result holds.
+ints, y L 2D, and sorts, dedupes and indexes them as they are, with no
+keying pass; a Fraction is built only for a graph or a point that a result
+holds.  The per-region slab lists of an x-atom are made only where a slab
+lies, and an op's keep, a function of the membership tuple, is asked once
+per distinct tuple of the call.
 
 Only the ops that return regions (region_boolean, region_split,
 region_disagreement, region_normalize) build cells from a refinement;
@@ -366,29 +371,37 @@ def plfunc_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
 # Region cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seg:
     """A line interval with per-endpoint inclusion flags; lo == hi (both
     closed) is a point; infinite ends are open.  Finite ends are kept as
     Fractions: an int or string end is converted, and a finite float end
-    raises ArgumentError."""
+    raises ArgumentError.
+
+    One hand-written constructor normalizes the ends, checks them on its
+    locals and then sets each field once, so a cell is validated without
+    reading its fields back; its fields, equality, hash and repr are the
+    dataclass's."""
 
     lo: End
     hi: End
     lo_closed: bool
     hi_closed: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _exact_end(self.lo))
-        object.__setattr__(self, "hi", _exact_end(self.hi))
-        if not self.lo < self.hi:
-            if self.lo > self.hi:
+    def __init__(self, lo: End, hi: End, lo_closed: bool, hi_closed: bool) -> None:
+        lo, hi = _exact_end(lo), _exact_end(hi)
+        if not lo < hi:
+            if lo > hi:
                 raise ValidationError("segment endpoints out of order")
-            if not (self.lo_closed and self.hi_closed):
+            if not (lo_closed and hi_closed):
                 raise ValidationError("a degenerate segment must be a closed point")
-        if (self.lo_closed and not is_finite(self.lo)) or (
-                self.hi_closed and not is_finite(self.hi)):
+        if (lo_closed and isinstance(lo, float)) or (hi_closed and isinstance(hi, float)):
             raise ValidationError("infinite endpoint cannot be closed")
+        set_field = object.__setattr__  # the fields are frozen
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_closed", lo_closed)
+        set_field(self, "hi_closed", hi_closed)
 
 
 @dataclass(frozen=True)
@@ -426,11 +439,12 @@ class CircleCell:
             raise ValidationError("circumference must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Slab:
     """A 2D cell {x in the x-range, lower(x) <= y <= upper(x)} with inclusion
     flags on all four sides; lower/upper are PLFunc graphs or infinities.
-    Finite x-ends are kept as Fractions, as a Seg's ends are."""
+    Finite x-ends are kept as Fractions, as a Seg's ends are, and like a
+    Seg it is checked and set by one constructor."""
 
     x_lo: End
     x_hi: End
@@ -441,23 +455,33 @@ class Slab:
     lower_closed: bool
     upper_closed: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_lo", _exact_end(self.x_lo))
-        object.__setattr__(self, "x_hi", _exact_end(self.x_hi))
-        if self.x_lo > self.x_hi:
+    def __init__(self, x_lo: End, x_hi: End, x_lo_closed: bool, x_hi_closed: bool,
+                 lower: Union[PLFunc, float], upper: Union[PLFunc, float],
+                 lower_closed: bool, upper_closed: bool) -> None:
+        x_lo, x_hi = _exact_end(x_lo), _exact_end(x_hi)
+        if x_lo > x_hi:
             raise ValidationError("slab x-range out of order")
-        if self.x_lo == self.x_hi and not (self.x_lo_closed and self.x_hi_closed):
+        if x_lo == x_hi and not (x_lo_closed and x_hi_closed):
             raise ValidationError("a degenerate x-range must be a closed point")
-        if (self.x_lo_closed and not is_finite(self.x_lo)) or (
-                self.x_hi_closed and not is_finite(self.x_hi)):
+        if (x_lo_closed and isinstance(x_lo, float)) or (
+                x_hi_closed and isinstance(x_hi, float)):
             raise ValidationError("infinite x-end cannot be closed")
-        for v, closed in ((self.lower, self.lower_closed), (self.upper, self.upper_closed)):
-            if isinstance(v, float) and closed:
-                raise ValidationError("infinite graph bound cannot be closed")
-        if isinstance(self.lower, float) and self.lower != NEG_INF:
+        lower_inf, upper_inf = isinstance(lower, float), isinstance(upper, float)
+        if (lower_inf and lower_closed) or (upper_inf and upper_closed):
+            raise ValidationError("infinite graph bound cannot be closed")
+        if lower_inf and lower != NEG_INF:
             raise ValidationError("lower bound must be a PLFunc or -inf")
-        if isinstance(self.upper, float) and self.upper != INF:
+        if upper_inf and upper != INF:
             raise ValidationError("upper bound must be a PLFunc or +inf")
+        set_field = object.__setattr__  # the fields are frozen
+        set_field(self, "x_lo", x_lo)
+        set_field(self, "x_hi", x_hi)
+        set_field(self, "x_lo_closed", x_lo_closed)
+        set_field(self, "x_hi_closed", x_hi_closed)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "lower_closed", lower_closed)
+        set_field(self, "upper_closed", upper_closed)
 
 
 Cell = Union[Seg, Arc, CircleCell, Slab]
@@ -485,18 +509,16 @@ def line_region(*segs: Seg) -> PLRegion:
 # Line atomization
 # ---------------------------------------------------------------------------
 
-def _keyed_atoms(criticals: Collection) -> tuple[list[tuple], dict[int, int], int]:
-    """The line cut at the critical coordinates, as atoms from left to
-    right; the index from a critical's key to the position of its point
-    atom, in key order; and D, the lcm of the criticals' denominators.
+def _keyed_atoms(by_key: dict[int, object]) -> tuple[list[tuple], dict[int, int]]:
+    """The line cut at the critical coordinates, given as a dict from each
+    one's integer key to the critical: the atoms from left to right, and
+    the index from a key to the position of its point atom.
 
-    A critical c is keyed by c.numerator * (D // c.denominator), which
-    orders as c does, is one key however c is written, and hashes and
-    compares in C where a Fraction does in Python, so the criticals are
-    deduped, sorted and indexed as ints.  The atoms hold the criticals
-    themselves."""
-    D = math.lcm(*{c.denominator for c in criticals})
-    by_key = {c.numerator * (D // c.denominator): c for c in criticals}
+    A key orders as its critical does, and equal criticals share one, so
+    the dict has already deduped them and the atoms are built in key order,
+    ints sorting and hashing in C where Fractions do in Python.  The atoms
+    hold the criticals themselves.  A y-fibre's heights are ints and their
+    own keys; Fraction criticals are keyed by _lcm_keys."""
     lo, atoms, index = NEG_INF, [], {}
     for k in sorted(by_key):
         c = by_key[k]
@@ -505,15 +527,22 @@ def _keyed_atoms(criticals: Collection) -> tuple[list[tuple], dict[int, int], in
         atoms.append(("pt", c))
         lo = c
     atoms.append(("iv", lo, INF))
-    return atoms, index, D
+    return atoms, index
+
+
+def _lcm_keys(criticals: Collection[Fraction]) -> tuple[dict[int, Fraction], int]:
+    """The criticals keyed for _keyed_atoms, and D, the lcm of their
+    denominators: c is keyed by c.numerator * (D // c.denominator), which
+    orders as c does and is one key however c is written."""
+    D = math.lcm(*{c.denominator for c in criticals})
+    return {c.numerator * (D // c.denominator): c for c in criticals}, D
 
 
 def _position(index: dict[int, int], D: int) -> Callable[[Fraction], int]:
     """The map from a critical's value to the position of its point atom,
-    given _keyed_atoms' index and D.  When D is 1 a critical's key is its
-    value, so the map is the index's own lookup: an int end (as _YFibre's
-    are) costs no keying, and an integral Fraction end is found by its
-    hash."""
+    given _keyed_atoms' index and D from _lcm_keys.  When D is 1 a
+    critical's key is its value, so the map is the index's own lookup, and
+    an integral Fraction end is found by its hash."""
     if D == 1:
         return index.__getitem__
     return lambda c: index[c.numerator * (D // c.denominator)]
@@ -522,9 +551,10 @@ def _position(index: dict[int, int], D: int) -> Callable[[Fraction], int]:
 def _line_atoms(criticals: Collection) -> tuple[list[tuple], Callable[[Fraction], int]]:
     """The line cut at the critical coordinates, as atoms from left to
     right, and the map from a critical coordinate's value to the position
-    of its point atom; the criticals are ordered and indexed as exact
-    integers (see _keyed_atoms)."""
-    atoms, index, D = _keyed_atoms(criticals)
+    of its point atom; the criticals are keyed by _lcm_keys, so they are
+    deduped, ordered and indexed as exact integers (see _keyed_atoms)."""
+    by_key, D = _lcm_keys(criticals)
+    atoms, index = _keyed_atoms(by_key)
     return atoms, _position(index, D)
 
 
@@ -549,12 +579,13 @@ def _atom_run(position: Callable[[Fraction], int], last: int, lo: End,
 
     Atoms alternate open intervals and critical points, and both finite ends
     are critical, so the run goes from the lo point (or the interval after
-    it) to the hi point (or the interval before it); an infinite end runs to
-    the first or the last atom.  position (from _line_atoms) finds a finite
-    end's point atom by its value, so an end equal to a critical but built
-    apart from it, as a circle's c0 + L is, finds the same atom."""
-    start = position(lo) + (0 if lo_closed else 1) if is_finite(lo) else 0
-    end = position(hi) - (0 if hi_closed else 1) if is_finite(hi) else last
+    it) to the hi point (or the interval before it); an infinite end, the
+    one float an end can be, runs to the first or the last atom.  position
+    (from _line_atoms, or a y-fibre's index) finds a finite end's point
+    atom by its value, so an end equal to a critical but built apart from
+    it, as a circle's c0 + L is, finds the same atom."""
+    start = 0 if isinstance(lo, float) else position(lo) + (0 if lo_closed else 1)
+    end = last if isinstance(hi, float) else position(hi) - (0 if hi_closed else 1)
     return range(start, end + 1)
 
 
@@ -729,13 +760,15 @@ class _YFibre(_LineFibre):
 
     Its critical coordinates are the heights of the bounds on the atom, as
     the ints y L S at the representative, and intervals_per_region holds
-    each slab's range in heights, an infinite bound as -inf or +inf; so
-    _line_atoms dedupes, sorts and indexes ints.  Bounds that meet on a
-    point atom share a height there, and bounds of different heights on an
-    open atom differ all over it (a crossing inside it would have been an
-    x-event), so a height stands for one bound: pieces maps it to the
-    bound's piece (M, C) there.  cells() and point() build Fractions, and
-    only for what they return."""
+    each slab's range in heights, an infinite bound as -inf or +inf.  A
+    height is its own integer key, so the heights go to _keyed_atoms as
+    they are and a slab end's point atom is the index's own lookup: a
+    y-fibre builds no denominator, lcm or key product.  Bounds that meet
+    on a point atom share a height there, and bounds of different heights
+    on an open atom differ all over it (a crossing inside it would have
+    been an x-event), so a height stands for one bound: pieces maps it to
+    the bound's piece (M, C) there.  cells() and point() build Fractions,
+    and only for what they return."""
 
     def __init__(self, covering: Sequence[Sequence[tuple]], atom: tuple,
                  X: int, table: _XTable):
@@ -755,7 +788,9 @@ class _YFibre(_LineFibre):
             [(height(lo), height(hi), loc, hic) for lo, hi, loc, hic in slabs]
             for slabs in covering]
         self.pieces = pieces
-        super().__init__(pieces, self.intervals_per_region)
+        self.atoms, index = _keyed_atoms({h: h for h in pieces})
+        self.memberships = _mark_runs(self.atoms, index.__getitem__,
+                                      self.intervals_per_region)
 
     def _y(self, e: End) -> End:
         return Fraction(e, self.table.L * self.table.S) if is_finite(e) else e
@@ -808,8 +843,8 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], _XTable]:
     plfunc_crossings on the bounds as written: where the curve follows the
     line over a piece, the line's own breakpoints are events of that pair,
     and so are those of any other way of writing it.  The x-events are
-    collected in a list, which _keyed_atoms dedupes by their integer keys,
-    so no Fraction is hashed."""
+    collected in a list, which _lcm_keys dedupes by their integer keys, so
+    no Fraction is hashed."""
     xs: list[Fraction] = []
     objects: dict[int, PLFunc] = {}  # id -> each bound object
     for r in regions:
@@ -852,7 +887,8 @@ def _x_atoms(regions: Sequence[PLRegion]) -> tuple[list[tuple], _XTable]:
     for i, f in enumerate(bent):
         for g in itertools.chain(bent[i + 1:], lines.values()):
             xs += plfunc_crossings(f, g)
-    atoms, index, D = _keyed_atoms(xs)
+    by_key, D = _lcm_keys(xs)
+    atoms, index = _keyed_atoms(by_key)
     S = 2 * D
     reps: list[int] = []
     lo = None  # the key of the last point atom
@@ -873,6 +909,9 @@ def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     """The y-fibres of 2D regions, from left to right, one over each x-atom
     where cover holds of the slabs over it (one list per region, empty where
     the region has none), all on the one integer table _x_atoms builds.
+    An x-atom's lists are made when the first slab covers it; an atom no
+    slab covers has none and builds no fibre, since every cover rejects
+    all-empty lists.
 
     An op passes the cover of the atoms it can use.  Over an atom a region
     has no slab on, its membership is False throughout, so the op's cover
@@ -884,16 +923,19 @@ def _refine_2d(regions: Sequence[PLRegion], cover: Cover):
     region_equal and region_normalize keep any."""
     atoms, table = _x_atoms(regions)
     last = len(atoms) - 1
-    covering: list[list[list[tuple]]] = [[[] for _ in regions] for _ in atoms]
+    covering: list = [None] * len(atoms)  # x-atom -> one list per region
     for k, r in enumerate(regions):
         for slab in r.cells:
             ints = table.slab(slab)
             for a in _atom_run(table.position, last, slab.x_lo, slab.x_hi,
                                slab.x_lo_closed, slab.x_hi_closed):
-                covering[a][k].append(ints)
-    for a, atom in enumerate(atoms):
-        if cover(covering[a]):
-            yield _YFibre(covering[a], atom, table.reps[a], table)
+                lists = covering[a]
+                if lists is None:
+                    lists = covering[a] = [[] for _ in regions]
+                lists[k].append(ints)
+    for a, lists in enumerate(covering):
+        if lists is not None and cover(lists):
+            yield _YFibre(lists, atoms[a], table.reps[a], table)
 
 
 def _fibres(regions: Sequence[PLRegion], cover: Cover = any):
@@ -925,12 +967,22 @@ def _rebuild(regions: Sequence[PLRegion],
     it, rebuilt from one joint refinement (adjacent atoms of a fibre
     coalesce).  Each keep must reject a point in no region, and cover must
     hold wherever some keep can accept: _refine_2d builds no fibre
-    elsewhere."""
+    elsewhere.  A keep is a function of the membership tuple alone, so it
+    is asked once per distinct tuple of the call; the answers live in a
+    dict per keep that dies with the call."""
     assert not any(keep((False,) * len(regions)) for keep in keeps)
     cells: list[list[Cell]] = [[] for _ in keeps]
+    answers: list[dict[tuple, bool]] = [{} for _ in keeps]  # membership -> answer
     for fibre in _fibres(regions, cover):
-        for out, keep in zip(cells, keeps):
-            out.extend(fibre.cells([keep(m) for m in fibre.memberships]))
+        memberships = fibre.memberships
+        for out, keep, asked in zip(cells, keeps, answers):
+            included = []
+            for m in memberships:
+                a = asked.get(m)
+                if a is None:
+                    a = asked[m] = keep(m)
+                included.append(a)
+            out.extend(fibre.cells(included))
     return [PLRegion(regions[0].dim, tuple(c)) for c in cells]
 
 

@@ -20,10 +20,16 @@ grids.extreme_slices; and compactness asked of the chained slice for every
 index pair, the reference for grids.compactness_failures.
 Plane partitions: each component's below, level and above parts
 intersected with its boxes one at a time, the reference for the one split
-per component of grids.cut_regions."""
+per component of grids.cut_regions.
+Cells: a Seg or Slab built as the dataclass-generated constructor built it,
+each field set from its argument and then checked and normalized by the
+rules of the former __post_init__, the reference for the one constructor
+of each."""
 
+import dataclasses
 import itertools
 
+from cutgrids.errors import ValidationError
 from cutgrids.grids import (
     _component_parts_2d,
     _point_text,
@@ -41,10 +47,12 @@ from cutgrids.plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _exact_end,
     _rebuild,
     ambient_region,
     component_region,
     fr,
+    is_finite,
     region_boolean,
     region_closure,
     region_bounded,
@@ -64,6 +72,49 @@ def reference_line_atoms(criticals):
         index[c] = len(atoms)
         atoms += [("pt", c), ("iv", c, crit[i + 1] if i + 1 < len(crit) else INF)]
     return atoms, index.__getitem__
+
+
+def _seg_post_init(self) -> None:
+    object.__setattr__(self, "lo", _exact_end(self.lo))
+    object.__setattr__(self, "hi", _exact_end(self.hi))
+    if not self.lo < self.hi:
+        if self.lo > self.hi:
+            raise ValidationError("segment endpoints out of order")
+        if not (self.lo_closed and self.hi_closed):
+            raise ValidationError("a degenerate segment must be a closed point")
+    if (self.lo_closed and not is_finite(self.lo)) or (
+            self.hi_closed and not is_finite(self.hi)):
+        raise ValidationError("infinite endpoint cannot be closed")
+
+
+def _slab_post_init(self) -> None:
+    object.__setattr__(self, "x_lo", _exact_end(self.x_lo))
+    object.__setattr__(self, "x_hi", _exact_end(self.x_hi))
+    if self.x_lo > self.x_hi:
+        raise ValidationError("slab x-range out of order")
+    if self.x_lo == self.x_hi and not (self.x_lo_closed and self.x_hi_closed):
+        raise ValidationError("a degenerate x-range must be a closed point")
+    if (self.x_lo_closed and not is_finite(self.x_lo)) or (
+            self.x_hi_closed and not is_finite(self.x_hi)):
+        raise ValidationError("infinite x-end cannot be closed")
+    for v, closed in ((self.lower, self.lower_closed), (self.upper, self.upper_closed)):
+        if isinstance(v, float) and closed:
+            raise ValidationError("infinite graph bound cannot be closed")
+    if isinstance(self.lower, float) and self.lower != NEG_INF:
+        raise ValidationError("lower bound must be a PLFunc or -inf")
+    if isinstance(self.upper, float) and self.upper != INF:
+        raise ValidationError("upper bound must be a PLFunc or +inf")
+
+
+def reference_cell(cls, *args):
+    """cls(*args), cls Seg or Slab, as the generated constructor and the
+    former __post_init__ built it: each field set from its argument in
+    order, then normalized and checked on the fields."""
+    cell = object.__new__(cls)
+    for f, v in zip(dataclasses.fields(cls), args, strict=True):
+        object.__setattr__(cell, f.name, v)
+    {Seg: _seg_post_init, Slab: _slab_post_init}[cls](cell)
+    return cell
 
 
 def _in_range(x, lo, hi, lo_closed, hi_closed) -> bool:

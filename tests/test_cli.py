@@ -380,6 +380,13 @@ def test_family_eval_rejects_a_parameter_outside_the_rational_grammar(
     assert capsys.readouterr().err == "error: --t: malformed rational '+1'\n"
 
 
+def test_family_eval_rejects_a_non_canonical_parameter(tmp_path, capsys):
+    f = write_doc(tmp_path, catalog("triangle_family"), "fam")
+    assert main(["family-eval", f, "--t", "2/4"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --t: non-canonical rational '2/4' (write '1/2')\n"
+
+
 def test_length_prints_an_exact_rational(tmp_path, capsys):
     f = write_doc(tmp_path, catalog("metric_interval", 0, 1, "3/2"), "m")
     assert main(["length", f]) == 0

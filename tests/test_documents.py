@@ -131,6 +131,19 @@ def test_rational_text_outside_its_grammar_is_malformed(text):
         rational_from_text(text)
 
 
+@pytest.mark.parametrize("text, canonical", [
+    ("-0", "0"), ("007", "7"), ("2/4", "1/2"), ("3/1", "3"), ("-0/5", "0"),
+    ("0/7", "0"), ("-06/4", "-3/2"), ("1/01", "1")])
+def test_rational_text_the_writer_would_write_otherwise_is_rejected(text, canonical):
+    # each would read back as a value whose text differs, so a document
+    # holding it would not round-trip to itself
+    assert rational_to_text(F(text)) == canonical
+    message = f"x: non-canonical rational '{text}' (write '{canonical}')"
+    with pytest.raises(DocumentSyntaxError) as raised:
+        rational_from_text(text, "x")
+    assert str(raised.value) == message
+
+
 @given(st.fractions(min_value=-1000, max_value=1000))
 @settings(max_examples=200, deadline=None)
 def test_rational_text_round_trips(q):

@@ -328,6 +328,73 @@ def test_sides_partition_the_ambient(cut_amb, num):
         assert memberships[("below", "level", "above").index(side)]
 
 
+def level_xs(g, y):
+    """The x where the PL function g takes the value y, read from its
+    breakpoints, values and tail slopes: each isolated solution, and the
+    ends of a piece that is level at y."""
+    bps, vals = g.breakpoints, g.values
+    out = set()
+    for (a, va), (b, vb) in zip(zip(bps, vals), zip(bps[1:], vals[1:])):
+        if va == vb == y:
+            out |= {a, b}
+        elif min(va, vb) <= y <= max(va, vb):
+            out.add(a + (y - va) * (b - a) / (vb - va))
+    for end, value, slope, side in ((bps[0], vals[0], g.left_slope, -1),
+                                    (bps[-1], vals[-1], g.right_slope, 1)):
+        if value == y:
+            out.add(end)
+        elif slope and (y - value) / slope * side > 0:
+            out.add(end + (y - value) / slope)
+    return out
+
+
+def around(values):
+    """Each value, the midpoint between each two neighbours, and one point
+    beyond either end: a probe of every piece of the line they cut."""
+    vs = sorted(set(values)) or [F(0)]
+    return vs + [(a + b) / 2 for a, b in zip(vs, vs[1:])] + [vs[0] - 1, vs[-1] + 1]
+
+
+def plane_partition_probes(cut, ambient):
+    """Points of the plane read from the cut data alone.  The x-events are
+    the boxes' finite x-sides and, for vertical walls (axis 1), each wall,
+    else each sheet's breakpoints and where a sheet meets a box's finite
+    y-side; at each event, between events and beyond them, the probes are
+    the boxes' finite y-sides and the sheets' values there, the midpoints
+    between them and a point beyond either end.  Sheets of one component
+    never cross, so each side is constant between probes."""
+    box_xs = {e for box in ambient.boxes for e in box[:2] if e not in (NEG_INF, INF)}
+    box_ys = {e for box in ambient.boxes for e in box[2:] if e not in (NEG_INF, INF)}
+    graphs = [s.graph for comp in cut.components for s in comp.sheets]
+    if cut.axis == 1:
+        xs = box_xs | {g.values[0] for g in graphs}
+    else:
+        xs = box_xs | {b for g in graphs for b in g.breakpoints}
+        xs |= {x for g in graphs for y in box_ys for x in level_xs(g, y)}
+    for x in around(xs):
+        heights = box_ys | ({g(x) for g in graphs} if cut.axis == 2 else set())
+        for y in around(heights):
+            yield x, y
+
+
+@given(st.deferred(lambda: plane_cuts()))
+@settings(max_examples=60, deadline=None)
+def test_plane_sides_partition_the_ambient(cut_amb):
+    """below, level and above cover each probe inside the ambient exactly
+    once, as classify_point sides it, and miss each probe outside, with the
+    probes taken from the cut data, not from the parts' cells."""
+    cut, ambient = cut_amb
+    parts = cut_regions(cut, ambient)
+    for x, y in plane_partition_probes(cut, ambient):
+        memberships = [region_contains_point(r, (x, y)) for r in parts]
+        if not any(x0 < x < x1 and y0 < y < y1 for x0, x1, y0, y1 in ambient.boxes):
+            assert memberships.count(True) == 0
+            continue
+        assert memberships.count(True) == 1
+        side = classify_point(cut, ambient, (x, y))
+        assert memberships[("below", "level", "above").index(side)]
+
+
 # ---------------------------------------------------------------------------
 # cut validation
 # ---------------------------------------------------------------------------

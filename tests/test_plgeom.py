@@ -1,8 +1,12 @@
 """Exact piecewise-linear functions and region calculus."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
+import sys
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -27,10 +31,12 @@ from cutgrids.plgeom import (
     _YFibre,
     _atom_rep,
     _cell_closure,
+    _fibres,
     _first_covers,
     _groups,
     _line_atoms,
     _line_runs,
+    _rebuild,
     _refine_2d,
     _slab_is_empty,
     _two_cover,
@@ -62,6 +68,7 @@ from cutgrids.plgeom import (
 
 from oracles import (
     arc_contains,
+    reference_cell,
     reference_line_atoms,
     region_contains_point,
     seg_contains,
@@ -580,6 +587,87 @@ def test_segments_that_pass_the_guards():
         assert seg_contains(Seg(*ends), ends[1]) is ends[3]
 
 
+def cell_ends():
+    """Any end a caller may pass: ints, Fractions and rational strings,
+    malformed strings, infinities and finite floats, valid ones most."""
+    return st.one_of(rationals(4, 2), st.integers(-3, 3), rationals(4, 2),
+                     st.sampled_from(["1/2", "-3", "2/4", "x", "1/0"]),
+                     st.sampled_from([INF, NEG_INF]),
+                     st.floats(-3, 3, allow_nan=False))
+
+
+def cell_bounds(infinity):
+    """A graph bound, mostly a PLFunc or the given infinity, sometimes the
+    other one or a finite float."""
+    return st.one_of(plfuncs(), st.just(infinity), plfuncs(),
+                     st.sampled_from([INF, NEG_INF]), st.floats(-3, 3))
+
+
+def cell_arguments():
+    """(cls, args) for Seg or Slab, valid or not; ends are drawn sorted half
+    the time, so many draws get past the order check, and the fields of
+    valid cells are drawn too."""
+    def ordered(ends):
+        try:
+            return tuple(sorted(ends))
+        except TypeError:  # a string end
+            return ends
+
+    def fields_of(cell):
+        return type(cell), tuple(getattr(cell, f.name) for f in dataclasses.fields(cell))
+
+    x_range = st.tuples(cell_ends(), cell_ends()).flatmap(
+        lambda ends: st.sampled_from([ends, ordered(ends)]))
+    flags = st.tuples(st.booleans(), st.booleans())
+    seg = st.tuples(x_range, flags).map(lambda t: (Seg, (*t[0], *t[1])))
+    slab = st.tuples(x_range, flags, cell_bounds(NEG_INF), cell_bounds(INF),
+                     flags).map(lambda t: (Slab, (*t[0], *t[1], t[2], t[3], *t[4])))
+    return st.one_of(seg, slab, segs().map(fields_of), slabs().map(fields_of))
+
+
+def settled_dict_size(make) -> int:
+    """sys.getsizeof of the instance dict of make(), once its class's
+    shared keys have settled: CPython sizes the dicts of a class's first
+    few dozen instances larger."""
+    for _ in range(64):
+        make()
+    return sys.getsizeof(vars(make()))
+
+
+PLAIN_CELLS = {cls: dataclasses.make_dataclass(
+    cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True)
+    for cls in (Seg, Slab)}
+
+
+@given(cell_arguments())
+@settings(max_examples=300, deadline=None)
+def test_cell_constructors_match_the_post_init_reference(drawn):
+    cls, args = drawn
+    try:
+        want = reference_cell(cls, *args)
+    except Exception as error:
+        with pytest.raises(Exception) as raised:
+            cls(*args)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        return
+    cell = cls(*args)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(cell, name) for name in names]
+    assert [(type(v), v) for v in values] == \
+        [(type(getattr(want, n)), getattr(want, n)) for n in names]
+    assert cell == want and hash(cell) == hash(want) and repr(cell) == repr(want)
+    for twin in (dataclasses.replace(cell), copy.deepcopy(cell),
+                 pickle.loads(pickle.dumps(cell))):
+        assert type(twin) is cls and twin == cell and hash(twin) == hash(cell)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cell, names[0], values[0])
+    # the instance dict keeps the size of a plain frozen dataclass's, as it
+    # does when the fields are set one by one in order
+    assert settled_dict_size(lambda: cls(*args)) == \
+        settled_dict_size(lambda: PLAIN_CELLS[cls](*values))
+
+
 def test_positivity_on_domains():
     bump = PLFunc.from_points([(-1, 0), (0, 2), (1, 0)])
     inner = line_region(Seg(Fraction(-1, 2), Fraction(1, 2), True, True))
@@ -1029,6 +1117,38 @@ def test_ops_match_a_refinement_of_every_fibre(a, b):
     for r in (a, b):
         assert [c.cells for c in region_components(r)] == \
             components_from_every_fibre(r)
+
+
+def counting_keeps(keeps):
+    """Each keep wrapped to count its calls per membership tuple."""
+    counts = [Counter() for _ in keeps]
+
+    def counted(keep, count):
+        def wrapped(m):
+            count[m] += 1
+            return keep(m)
+        return wrapped
+
+    return [counted(k, c) for k, c in zip(keeps, counts)], counts
+
+
+@given(any_plane_regions(), any_plane_regions())
+@settings(max_examples=60, deadline=None)
+def test_rebuild_asks_each_keep_once_per_membership_pattern(a, b):
+    # keeps are functions of the membership tuple, so a call asks each one
+    # once per distinct tuple, beside its own all-False check; two calls
+    # in turn, with the keeps in either order, share no answer
+    keeps = [lambda m: m[0] and m[1], lambda m: m[0] or m[1],
+             lambda m: m[0] and not m[1]]
+    patterns = Counter({m: 1 for fibre in _fibres([a, b])
+                        for m in fibre.memberships})
+    patterns[(False, False)] += 1
+    for order in (keeps, keeps[::-1]):
+        counted, counts = counting_keeps(order)
+        got = _rebuild([a, b], counted)
+        assert counts == [patterns] * len(order)
+        assert [list(r.cells) for r in got] == \
+            [rebuild_from_every_fibre([a, b], keep) for keep in order]
 
 
 # Bounds whose slopes and intercepts have the coprime denominators 7, 11,
