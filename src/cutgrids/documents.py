@@ -223,7 +223,7 @@ def _components_from_json(obj, where: str, cls, level_kind: str,
             out.append(cls(kind, parse_level(comp.get(kind, []),
                                              f"{at}.{kind}")))
         elif kind == "whole":
-            side = comp.get("side", "below")
+            side = comp.get("side")
             if side not in ("below", "above"):
                 raise DocumentSyntaxError(f"{at}: bad side {side!r}")
             out.append(cls("whole", (), side))

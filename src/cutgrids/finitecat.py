@@ -202,10 +202,16 @@ class FinPresheaf:
             act = self.actions.get(f)
             if act is None:
                 raise ArgumentError(f"no action for arrow {f!r}")
-            if act.keys() != self.sets[t] or not self.sets[s].issuperset(act.values()):
-                raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
+            # act is a map F(t) -> F(s) exactly when every element of F(t)
+            # has an image in F(s) and act has no other key
             at = position[s]
-            table[f] = [at[act[e]] for e in order[t]]
+            try:
+                row = [at[act[e]] for e in order[t]]
+            except KeyError:
+                row = None
+            if row is None or len(act) != len(row):
+                raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
+            table[f] = row
         for x in self.base.objects:
             ident = self.actions[self.base.identity[x]]
             if any(ident[e] != e for e in self.sets[x]):

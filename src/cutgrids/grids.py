@@ -372,7 +372,8 @@ def _validate_component_1d(comp: ComponentCut1D, on_circle: bool,
                 f"{where}: crossing signs must alternate cyclically")
     else:
         for pos, _s in zs:
-            inside = (lo == NEG_INF or pos > lo) and (hi == INF or pos < hi)
+            inside = ((not is_finite(lo) or pos > lo)
+                      and (not is_finite(hi) or pos < hi))
             if not inside:
                 raise ValidationError(
                     f"{where}: level point {pos} outside the component")
@@ -525,12 +526,13 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
 
     The result is memoized on the value of (cut, ambient): both are frozen
     and normalized to exact rationals, and the parts are frozen regions.
-    One operation asks for the same partitions many times over (ordering,
-    compactness pairs, between-regions, cores, globularity, rendering), and
-    the repeats fall within that operation.  So the memo is small: on the
-    benchmark workloads 16 entries catch every repeat of a planar operation
-    and 64 catch 96% of those of the linear m-sweep, while a larger memo
-    adds few hits and holds 2D regions that are not asked for again.  The
+    One operation asks for the same partitions many times over (compactness
+    slices, cores, globularity, rendering, the order of planar cuts; the
+    order of 1D cuts reads their zeros instead), and the repeats fall
+    within that operation.  So the memo is small: on the benchmark
+    workloads 16 entries catch every repeat of a planar operation and 64
+    catch 95% of those of the linear m-sweep, while a larger memo adds few
+    hits and holds 2D regions that are not asked for again.  The
     bound is also what keeps peak memory flat: a memo held on each cut
     instead raised the linear workload's peak RSS past its bound.  An
     exception is not memoized: an invalid cut raises every time."""
@@ -563,10 +565,67 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
 # ---------------------------------------------------------------------------
 
 
+def _gap_is_below(comp: ComponentCut1D, k: int) -> bool:
+    """Whether the open gap of a valid 1D component cut that ends at its
+    zero k (k == len(zeros): the gap after the last zero) is below, by
+    _component_parts_1d's rule; a whole component has one gap."""
+    zs = comp.zeros
+    if not zs:
+        return comp.whole_sign == "below"
+    if k < len(zs):
+        return zs[k][1] == "+"
+    return zs[-1][1] == "-"
+
+
+def _component_below_nests(lower: ComponentCut1D,
+                           upper: ComponentCut1D) -> bool:
+    """below(lower) within below(upper) on one component, by one merge of
+    the two zero lists: on each open gap between consecutive merged zeros,
+    where both sides are constant, lower below means upper below.  A zero
+    needs no look of its own: lower is level at its own zeros, and at a
+    zero of upper alone lower keeps the side of the gaps around it, while
+    upper is above on one of them, since its side flips at each zero."""
+    a, b = lower.zeros, upper.zeros
+    i = k = 0
+    while i < len(a) or k < len(b):
+        if _gap_is_below(lower, i) and not _gap_is_below(upper, k):
+            return False
+        if k == len(b) or (i < len(a) and a[i][0] < b[k][0]):
+            i += 1  # a zero of lower alone
+        elif i == len(a) or b[k][0] < a[i][0]:
+            k += 1  # a zero of upper alone
+        else:
+            i += 1
+            k += 1
+    return not _gap_is_below(lower, i) or _gap_is_below(upper, k)
+
+
 def tuple_is_ordered(tup: CutTuple, ambient: Ambient) -> bool:
-    """C_j <= C_{j+1} for all consecutive cuts (below-regions nest)."""
+    """C_j <= C_{j+1} for all consecutive cuts (below-regions nest).
+
+    On a 1D ambient the order is read from the signed zeros, as
+    cut_regions reads a partition: each cut is validated in cut order
+    (raising cut_regions' ValidationError), then each consecutive pair is
+    compared on each component by one merge of their zero lists.  The
+    sides of both cuts are constant on every open gap between consecutive
+    merged zeros, so one look per gap decides the nesting exactly (see
+    _component_below_nests for the zeros themselves).  Gap sides follow
+    _component_parts_1d: the gap ending at a zero of sign s is
+    _side_of_count(s, 0), the one after the last zero _side_of_count(last
+    sign, 1).  On a circle the wrap gap is both, which cyclic alternation
+    makes agree, so the merge starts and ends in it.  A whole component
+    is its whole_sign everywhere.  Any other ambient compares the
+    below-regions by region_subset."""
     if tup.m == 0:
         return True
+    if isinstance(ambient, Ambient1D) and all(
+            isinstance(c, Cut1D) for c in tup.cuts):
+        for cut in tup.cuts:
+            validate_cut(cut, ambient)
+        return all(
+            _component_below_nests(lo, hi)
+            for lower, upper in zip(tup.cuts, tup.cuts[1:])
+            for lo, hi in zip(lower.components, upper.components))
     belows = [cut_regions(c, ambient)[0] for c in tup.cuts]
     for j in range(tup.m):
         if not region_subset(belows[j], belows[j + 1]):

@@ -12,6 +12,9 @@ Globularity: the construction that built each pairwise disagreement and
 each vertex core as a region of its own, kept as the reference for the
 one-refinement questions of grids.globularity_failures and
 grids.cut_disagreement.
+Order: the below-regions of consecutive cuts compared by region_subset,
+the reference for grids.tuple_is_ordered, which reads a 1D order from the
+signed zeros.
 Slices: region_between, the ambient met with each chosen direction's
 closed slice in turn, intersected with the kept region, the reference for
 grids.kept_slice; the chained slice between the extreme cuts, the
@@ -59,6 +62,7 @@ from cutgrids.plgeom import (
     region_equal,
     region_is_compact_in,
     region_sample_point,
+    region_subset,
 )
 
 
@@ -293,3 +297,10 @@ def reference_cut_regions(cut, ambient) -> tuple[PLRegion, PLRegion, PLRegion]:
             part.extend(region_boolean(
                 "intersect", PLRegion(2, tuple(cells)), boxes).cells)
     return tuple(PLRegion(2, tuple(part)) for part in parts)
+
+
+def reference_tuple_is_ordered(tup, ambient) -> bool:
+    """C_j <= C_{j+1} for all consecutive cuts: each below-region within
+    the next, by region_subset of the cut_regions partitions."""
+    belows = [cut_regions(c, ambient)[0] for c in tup.cuts]
+    return all(region_subset(lo, hi) for lo, hi in zip(belows, belows[1:]))

@@ -268,6 +268,20 @@ def test_a_component_without_zeros_fails_at_parse(tmp_path, capsys, example,
         "kind='zeros' requires at least one zero\n")
 
 
+@pytest.mark.parametrize("example, kind, cuts", [
+    ("elbow_right", "bordism", "grid"),
+    ("triangle_family", "family", "tuples"),
+])
+def test_a_whole_component_without_a_side_exits_2(tmp_path, capsys, example,
+                                                   kind, cuts):
+    f = edit_payload(tmp_path, catalog(example), example,
+                     lambda p: p[cuts][0][0]["components"].__setitem__(
+                         0, {"kind": "whole"}))
+    assert main(["validate", f]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {kind}.{cuts}[0][0].components[0]: bad side None\n")
+
+
 @pytest.mark.parametrize("example, key, value, where", [
     ("elbow_right", "intervals", [["0"]], "bordism.ambient.intervals[0]"),
     ("elbow_right", "intervals", ["0"], "bordism.ambient.intervals[0]"),

@@ -204,6 +204,22 @@ def test_malformed_payload_values_are_syntax_errors():
             parse_document(json.dumps(obj))
 
 
+@pytest.mark.parametrize("example, cuts, kind", [
+    ("elbow_right", "grid", "bordism"),
+    ("triangle_family", "tuples", "family"),
+])
+def test_a_whole_component_needs_its_side(example, cuts, kind):
+    # the writer always writes a whole component's side, so the reader
+    # reads no default for it
+    obj = json.loads(serialize_document(document_for(catalog(example))))
+    obj["payload"][cuts][0][0]["components"][0] = {"kind": "whole"}
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_document(json.dumps(obj))
+    assert str(caught.value) == f"{kind}.{cuts}[0][0].components[0]: bad side None"
+    obj["payload"][cuts][0][0]["components"][0]["side"] = "below"
+    parse_document(json.dumps(obj), check=False)
+
+
 def test_too_deep_a_document_is_a_syntax_error():
     texts = deeply_nested_documents()
     with pytest.raises(DocumentSyntaxError, match="^document nests too deeply$"):

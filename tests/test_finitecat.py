@@ -275,6 +275,37 @@ def test_functoriality_check_matches_the_element_loop(presheaf, data):
     assert got == want
 
 
+def mismapped(action: dict, how: str, outside) -> dict:
+    """action with one key dropped, one key added, or one value sent
+    outside the target set."""
+    first = min(action, key=repr)
+    if how == "missing":
+        return {e: v for e, v in action.items() if e != first}
+    if how == "extra":
+        return {**action, outside: action[first]}
+    return {**action, first: outside}
+
+
+@pytest.mark.parametrize("how", ["missing", "extra", "outside"])
+@pytest.mark.parametrize("presheaf", [
+    constant_presheaf(chain_poset(2), range(2)),
+    monoid_power_presheaf(range(2), lambda a, b: (a + b) % 2, 0, 2),
+], ids=["tabled", "gamma"])
+def test_an_action_that_is_not_a_map_is_refused_as_the_reference_refuses_it(
+        presheaf, how):
+    base = presheaf.base
+    identities = set(base.identity.values())
+    for f in sorted(set(base.arrows) - identities, key=repr):
+        actions = dict(presheaf.actions)
+        actions[f] = mismapped(actions[f], how, "nowhere")
+        want = reference_presheaf_error(base, presheaf.sets, actions)
+        s, t = base.arrows[f]
+        assert want == f"action of {f!r} is not a map F({t!r}) -> F({s!r})"
+        with pytest.raises(ArgumentError) as caught:
+            FinPresheaf(base, presheaf.sets, actions)
+        assert str(caught.value) == want
+
+
 # ---------------------------------------------------------------------------
 # nerves and truncated simplicial sets
 # ---------------------------------------------------------------------------

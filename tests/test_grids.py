@@ -28,6 +28,7 @@ from cutgrids.plgeom import (
     _line_runs,
     ambient_region,
     interval_rep,
+    is_finite,
     line_region,
     plfunc_zeros,
     region_closure,
@@ -90,6 +91,7 @@ from oracles import (
     reference_cut_regions,
     reference_globularity_failures,
     reference_kept_slice,
+    reference_tuple_is_ordered,
     reference_vertex_core,
     region_between,
     region_contains_point,
@@ -878,6 +880,185 @@ def check_slices_match_the_chained_reference(mg, ambient):
 def test_line_slices_match_the_chained_reference(mg_amb):
     # nested_line_grids are ordered, so compactness takes its core shortcut
     check_slices_match_the_chained_reference(*mg_amb)
+
+
+# ---------------------------------------------------------------------------
+# 1D order and compactness decided at probes, with no region built
+# ---------------------------------------------------------------------------
+
+@st.composite
+def line_cut_pairs(draw):
+    """Two valid cuts from line_cuts over one ambient as a two-cut tuple,
+    with labels that may drop components."""
+    cut, ambient = draw(line_cuts())
+    cuts = (cut, draw(line_cuts(ambient))[0])
+    labels = tuple(draw(labels_that_may_drop()) for _ in range(ambient.n_components()))
+    return MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 2, labels), ambient
+
+
+@st.composite
+def with_a_zero_moved(draw, grids_of):
+    """A grid from grids_of with one zero of one cut moved to another
+    quarter point between its neighbours (within 10 of where it was), so
+    the moved cut nests with its old neighbours one way or not at all; a
+    tuple of a cut twice becomes the cut and its moved copy."""
+    mg, ambient = draw(grids_of)
+    g = mg.grid
+    spots = [(t, j, i) for t, tup in enumerate(g.tuples) for j, cut in enumerate(tup.cuts)
+             for i, comp in enumerate(cut.components) if comp.zeros]
+    if not spots:
+        return mg, ambient
+    t, j, i = draw(st.sampled_from(spots))
+    cut = g.tuples[t].cuts[j]
+    zs = list(cut.components[i].zeros)
+    k = draw(st.integers(0, len(zs) - 1))
+    p, sign = zs[k]
+    if i < len(ambient.intervals):
+        lo, hi = ambient.intervals[i]
+    else:
+        lo, hi = F(-1, 4), ambient.circles[i - len(ambient.intervals)]
+    left = max(zs[k - 1][0] if k else lo, p - 10)
+    right = min(zs[k + 1][0] if k + 1 < len(zs) else hi, p + 10)
+    moves = [F(q, 4) for q in range(int(4 * left) + 1, -int(-4 * right))
+             if F(q, 4) != p and left < F(q, 4) < right]
+    if not moves:
+        return mg, ambient
+    zs[k] = (draw(st.sampled_from(moves)), sign)
+    comps = list(cut.components)
+    comps[i] = ComponentCut1D("zeros", tuple(zs))
+    tuples = list(g.tuples)
+    cuts = list(tuples[t].cuts)
+    cuts[j] = Cut1D(tuple(comps))
+    tuples[t] = CutTuple(tuple(cuts))
+    return replace(mg, grid=CutGrid(tuple(tuples))), ambient
+
+
+@st.composite
+def twin_cuts(draw):
+    """A valid cut from line_cuts twice, as a two-cut tuple."""
+    cut, ambient = draw(line_cuts())
+    labels = tuple(draw(labels_that_may_drop()) for _ in range(ambient.n_components()))
+    return MonoidalCutGrid(CutGrid((CutTuple((cut, cut)),)), 2, labels), ambient
+
+
+def line_probes(cuts, ambient):
+    """(component, point, end) for every zero of the cuts and one point in
+    every gap between their merged zeros, component by component: on an
+    interval the ambient's ends are the outer stops, on a circle the gaps
+    wrap past 0.  Each cut keeps one side on each gap.  end names the
+    interval end a gap reaches, "infinite" or "finite" (an infinite one
+    first), and is None for zeros and inner gaps."""
+    probes = []
+    lines = len(ambient.intervals)
+    for i in range(ambient.n_components()):
+        zs = sorted({p for cut in cuts for p, _s in cut.components[i].zeros})
+        if i < lines:
+            lo, hi = ambient.intervals[i]
+            stops = [lo, *zs, hi]
+            probes += [(i, p, None) for p in zs]
+            for k, (a, b) in enumerate(zip(stops, stops[1:])):
+                ends = [e for e, reached in ((lo, k == 0), (hi, k == len(zs))) if reached]
+                end = (None if not ends else "finite" if all(map(is_finite, ends))
+                       else "infinite")
+                probes.append((i, interval_rep(a, b), end))
+            continue
+        j = i - lines
+        length = ambient.circles[j]
+        gaps = zip(zs, zs[1:] + [zs[0] + length]) if zs else [(0, length)]
+        probes += [(i, ("circle", j, p), None) for p in zs]
+        probes += [(i, ("circle", j, interval_rep(a, b) % length), None) for a, b in gaps]
+    return probes
+
+
+def ordered_at_probes(cuts, ambient) -> bool:
+    """Each cut's below within the next one's at every probe."""
+    probes = line_probes(cuts, ambient)
+    return all(classify_point(lo, ambient, p) != "below"
+               or classify_point(hi, ambient, p) == "below"
+               for lo, hi in zip(cuts, cuts[1:]) for _i, p, _end in probes)
+
+
+def compactness_failures_at_probes(mg, ambient) -> list[str]:
+    """compactness_failures from the probes: a closed slice on the kept
+    components is compact exactly when it meets no gap at an interval's
+    end, and unbounded when one of those ends is infinite."""
+    g = mg.grid
+    probes = line_probes([c for t in g.tuples for c in t.cuts], ambient)
+    failures = []
+    for combo in itertools.product(*(
+            [(j, jp) for j in range(t.m + 1) for jp in range(j, t.m + 1)]
+            for t in g.tuples)):
+        reached = {end for i, p, end in probes if end and mg.labels[i] and all(
+            classify_point(t.cuts[j], ambient, p) != "below"
+            and classify_point(t.cuts[jp], ambient, p) != "above"
+            for t, (j, jp) in zip(g.tuples, combo))}
+        if reached:
+            pairs = ", ".join(f"direction {i}: [{a}..{b}]"
+                              for i, (a, b) in enumerate(combo, start=1))
+            why = ("slice is unbounded" if "infinite" in reached
+                   else "closure of the slice leaves the ambient")
+            failures.append(f"{pairs}: {why}")
+    return failures
+
+
+@given(st.one_of(line_grids(), nested_line_grids(), line_cut_pairs(),
+                 with_a_zero_moved(nested_line_grids()),
+                 with_a_zero_moved(twin_cuts())))
+@settings(max_examples=300, deadline=None)
+def test_line_order_and_compactness_are_those_at_the_probes(mg_amb):
+    mg, ambient = mg_amb
+    for t in mg.grid.tuples:
+        want = ordered_at_probes(t.cuts, ambient)
+        assert tuple_is_ordered(t, ambient) == want
+        assert reference_tuple_is_ordered(t, ambient) == want
+    assert compactness_failures(mg, ambient) == compactness_failures_at_probes(
+        mg, ambient)
+
+
+def three_window_grid(zero_rows) -> Bordism:
+    """A one-direction grid on the windows (0, 10), (20, 30), (40, 50):
+    cut j has one positive zero per window, at the window's start plus
+    zero_rows[j][c]."""
+    windows = ((F(0), F(10)), (F(20), F(30)), (F(40), F(50)))
+    cuts = tuple(Cut1D(tuple(ComponentCut1D("zeros", ((lo + F(z), "+"),))
+                             for (lo, _hi), z in zip(windows, row)))
+                 for row in zero_rows)
+    return Bordism(Ambient1D(windows),
+                   MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 1, (1, 1, 1)))
+
+
+def test_a_line_validate_orders_its_cuts_with_no_partition(monkeypatch):
+    # the order is read from the zeros, so grids compares no regions, and
+    # only the core's two extreme cuts are partitioned
+    m = 8
+    b = three_window_grid([(1 + j, 1 + j // 2, 1 + j) for j in range(m + 1)])
+    subsets = []
+    real = plgeom.region_subset
+    monkeypatch.setattr(grids, "region_subset",
+                        lambda a, c: subsets.append((a, c)) or real(a, c))
+    cut_regions.cache_clear()
+    assert validate(b).passed
+    assert subsets == []
+    assert cut_regions.cache_info().misses == 2
+    cuts = b.mgrid.grid.tuples[0].cuts
+    cut_regions(cuts[0], b.ambient)
+    cut_regions(cuts[m], b.ambient)
+    assert cut_regions.cache_info().misses == 2
+
+
+def test_an_invalid_inner_cut_is_reported_and_raised_as_before():
+    b = three_window_grid([(1, 1, 1), (2, 12, 2), (3, 3, 3), (4, 4, 14)])
+    report = grid_check(b.mgrid.grid, b.ambient)
+    assert [(e.name, e.passed, e.detail) for e in report.entries] == [
+        ("cuts-valid[1]", False, "component 1: level point 32 outside the component"),
+        ("ordered[1]", False, "skipped: invalid cuts"),
+    ]
+    # the first invalid cut in cut order names the failure
+    for check in (lambda: tuple_is_ordered(b.mgrid.grid.tuples[0], b.ambient),
+                  lambda: compactness_failures(b.mgrid, b.ambient)):
+        with pytest.raises(ValidationError) as caught:
+            check()
+        assert str(caught.value) == "component 1: level point 32 outside the component"
 
 
 @given(st.one_of(plane_grids(), wall_plane_grids()))
