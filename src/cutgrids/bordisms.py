@@ -36,6 +36,7 @@ from .errors import (
 )
 from .grids import (
     _compactness_failures,
+    _component_images,
     AffineMap,
     AmbientEmbedding,
     Cut1D,
@@ -47,8 +48,7 @@ from .grids import (
     MonoidalCutGrid,
     Sheet,
     apply_simplicial,
-    component_targets,
-    component_zeros_1d,
+    component_levels,
     core,
     cut_disagreement,
     extreme_slices,
@@ -265,17 +265,16 @@ def _require_embedded(b: Bordism) -> None:
 def bordism_pullback(b: Bordism, emb: AmbientEmbedding) -> Bordism:
     """The restriction of b to emb.source: the grid pullback_along gives
     (which validates emb), each interval's density the pullback_metric of
-    the one on its component_targets image (a circle keeps its own), and
-    an embedded field's map b's after emb's."""
+    the one on the target _component_images gives it (a circle keeps its
+    own), and an embedded field's map b's after emb's."""
     mgrid = pullback_along(b.mgrid, emb)
     field, embedding = b.field, b.embedding
     if field.kind == "metric":
         densities = _metric_densities(b)
-        assert isinstance(b.ambient, Ambient1D)
-        lines = len(b.ambient.intervals)
         field = FieldDatum("metric", tuple(
-            pullback_metric(densities[t], emb.map) if t < lines
-            else densities[t] for t in component_targets(emb)))
+            densities[t] if img is None
+            else pullback_metric(densities[t], emb.map)
+            for t, img in _component_images(emb)))
     elif field.kind == "embedded" and embedding is not None:
         embedding = embedding.compose(emb.map)
     return Bordism(emb.source, mgrid, field, embedding, b.uple)
@@ -287,10 +286,10 @@ def normalize(b: Bordism) -> Bordism:
     _require_embedded(b)
     aff = b.embedding
     assert aff is not None
-    if aff.is_identity():
-        return b
     if aff.dim != b.ambient.dim:
         raise ArgumentError("embedding dimensions do not agree")
+    if aff.is_identity():
+        return b
     return bordism_pullback(b, AmbientEmbedding(
         image_ambient(b.ambient, aff), b.ambient, aff.inverse()))
 
@@ -656,8 +655,8 @@ class FamComponentCut1D:
     whole_sign: str = "below"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", component_zeros_1d(
-            self.kind, self.zeros, self.whole_sign, lambda z: z))
+        object.__setattr__(self, "zeros", component_levels(
+            self.kind, "zeros", self.zeros, self.whole_sign, lambda z: z))
 
 
 @dataclass(frozen=True)

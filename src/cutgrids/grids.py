@@ -52,6 +52,7 @@ from .plgeom import (
     is_finite,
     line_region,
     plfunc_is_positive_on,
+    plfunc_range_on,
     rational_to_text,
     region_boolean,
     region_bounded,
@@ -96,26 +97,28 @@ class ComponentCut1D:
     whole_sign: str = "below"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros", component_zeros_1d(
-            self.kind, self.zeros, self.whole_sign, fr))
+        object.__setattr__(self, "zeros", component_levels(
+            self.kind, "zeros", self.zeros, self.whole_sign, fr))
 
 
-def component_zeros_1d(kind: str, zeros, whole_sign: str,
-                       position: Callable) -> tuple:
-    """The zeros of a 1D component cut record, positions read by
-    `position`, once its kind, signs, side and zero count are checked; for
-    the cuts of a bordism and of a family (positions PL in the parameter)."""
-    if kind not in ("zeros", "whole"):
+def component_levels(kind: str, level_kind: str, levels, whole_sign: str,
+                     position: Optional[Callable] = None) -> tuple:
+    """The level items of a component cut record once its kind, signs,
+    side and item count are checked: "zeros" whose positions `position`
+    reads (PL in the parameter for a family), or "sheets"."""
+    if kind not in (level_kind, "whole"):
         raise ArgumentError(f"bad component cut kind {kind!r}")
-    zs = tuple((position(p), _check_sign(s)) for p, s in zeros)
+    items = (tuple(levels) if position is None
+             else tuple((position(p), _check_sign(s)) for p, s in levels))
     if kind == "whole":
-        if zs:
-            raise ArgumentError("whole-component cut cannot carry zeros")
+        if items:
+            raise ArgumentError(f"whole-component cut cannot carry {level_kind}")
         if whole_sign not in ("below", "above"):
             raise ArgumentError(f"bad whole_sign {whole_sign!r}")
-    elif not zs:
-        raise ArgumentError("kind='zeros' requires at least one zero")
-    return zs
+    elif not items:
+        raise ArgumentError(
+            f"kind={level_kind!r} requires at least one {level_kind[:-1]}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -157,16 +160,8 @@ class ComponentCut2D:
     whole_sign: str = "below"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sheets", "whole"):
-            raise ArgumentError(f"bad component cut kind {self.kind!r}")
-        object.__setattr__(self, "sheets", tuple(self.sheets))
-        if self.kind == "whole":
-            if self.sheets:
-                raise ArgumentError("whole-component cut cannot carry sheets")
-            if self.whole_sign not in ("below", "above"):
-                raise ArgumentError(f"bad whole_sign {self.whole_sign!r}")
-        elif not self.sheets:
-            raise ArgumentError("kind='sheets' requires at least one sheet")
+        object.__setattr__(self, "sheets", component_levels(
+            self.kind, "sheets", self.sheets, self.whole_sign))
 
 
 @dataclass(frozen=True)
@@ -1101,44 +1096,42 @@ def _box_rep(box) -> tuple[Fraction, Fraction]:
     return (interval_rep(x0, x1), interval_rep(y0, y1))
 
 
-def component_targets(emb: AmbientEmbedding) -> tuple[int, ...]:
-    """For each source component, the target component that holds its
-    image: labels, cut data and field densities all follow this map.
-
-    An interval goes where the representative point of its image lies,
-    circle j to the target's circle j, and a planar component where the
-    image of its first box's representative point lies.  One sample point
-    per component decides only because the image of a connected component
-    is connected and lies inside the target, so call this on an embedding
-    that ``validate()`` has accepted."""
+def _component_images(emb: AmbientEmbedding) -> tuple[tuple, ...]:
+    """(target, image) per source component: the target component whose
+    label, cut data and field density it takes, and the image: an open
+    interval, None for circle j (it goes to the target's circle j), or the
+    image boxes.  An interval's target holds the representative point of
+    its image, a planar one the image of its first box's representative
+    point.  One sample point decides only because the image of a connected
+    component is connected and lies inside the target, so call this on an
+    embedding that ``validate()`` has accepted."""
     src, tgt, aff = emb.source, emb.target, emb.map
     if isinstance(src, Ambient1D):
         assert isinstance(tgt, Ambient1D)
-        lines = tuple(
-            tgt.component_of_line_point(interval_rep(*aff.map_interval(lo, hi)))
-            for lo, hi in src.intervals)
-        return lines + tuple(len(tgt.intervals) + j
-                             for j in range(len(src.circles)))
+        lines = (aff.map_interval(lo, hi) for lo, hi in src.intervals)
+        return (tuple((tgt.component_of_line_point(interval_rep(*img)), img)
+                      for img in lines)
+                + tuple((len(tgt.intervals) + j, None)
+                        for j in range(len(src.circles))))
     assert isinstance(tgt, Ambient2D)
-    return tuple(
-        tgt.component_of_point(*aff.apply(_box_rep(src.component_boxes(ci)[0])))
-        for ci in range(src.n_components()))
+    return tuple((tgt.component_of_point(*aff.apply(_box_rep(boxes[0]))),
+                  tuple(aff.map_box(b) for b in boxes))
+                 for boxes in map(src.component_boxes,
+                                  range(src.n_components())))
 
 
 def _transport_component_1d(comp: ComponentCut1D, aff: AffineMap,
-                            lo, hi) -> ComponentCut1D:
+                            image) -> ComponentCut1D:
     """Pull a target component's line cut data back to the source
-    interval (lo, hi)."""
+    interval whose image under aff is the open interval image: a zero p
+    inside it goes to (p - b) / a for aff: x -> a x + b, its sign flipped
+    when a < 0."""
     if comp.kind == "whole":
         return comp
-    img_lo, img_hi = aff.map_interval(lo, hi)
-    inv = aff.inverse()
-    flip = aff.coeffs[0] < 0
-    pulled: list[tuple[Fraction, str]] = []
-    for pos, sign in comp.zeros:
-        if img_lo < pos < img_hi:
-            new_sign = _OPPOSITE[sign] if flip else sign
-            pulled.append((inv.coeffs[0] * pos + inv.shifts[0], new_sign))
+    img_lo, img_hi = image
+    a, b = aff.coeffs[0], aff.shifts[0]
+    pulled = [((pos - b) / a, _OPPOSITE[sign] if a < 0 else sign)
+              for pos, sign in comp.zeros if img_lo < pos < img_hi]
     if not pulled:
         side = _classify_on_interval(comp, interval_rep(img_lo, img_hi))
         return ComponentCut1D("whole", (), side)
@@ -1148,32 +1141,36 @@ def _transport_component_1d(comp: ComponentCut1D, aff: AffineMap,
 
 def _sheet_crosses_component(graph: PLFunc, axis: int, boxes) -> bool:
     """Whether the sheet meets the open boxes: the graph of an axis-1
-    sheet is x = graph(y), so its boxes are transposed first."""
+    sheet is x = graph(y), so its boxes are transposed first.  Over an open
+    window a continuous graph's values make an interval with the closed
+    hull's infimum and supremum, so it meets the open box exactly when
+    that range reaches into the box's open range of values."""
     if axis == 1:
         boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
-    sheet = PLRegion(2, (Slab(NEG_INF, INF, False, False,
-                              graph, graph, True, True),))
-    return region_sample_point(
-        sheet, ambient_region(Ambient2D(tuple(boxes)))) is not None
+    for a0, a1, v0, v1 in boxes:
+        lo, hi = plfunc_range_on(graph, a0, a1)
+        if lo < v1 and hi > v0:
+            return True
+    return False
 
 
 def _transport_component_2d(comp: ComponentCut2D, axis: int, src_axis: int,
-                            aff: AffineMap, src_boxes) -> ComponentCut2D:
+                            aff: AffineMap, src_boxes,
+                            img_boxes) -> ComponentCut2D:
     """Pull a target component's planar cut data, stratifying the
-    target's ``axis``, back to the source component made of src_boxes,
-    where it stratifies ``src_axis``."""
+    target's ``axis``, back to the source component made of src_boxes
+    (img_boxes their images), where it stratifies ``src_axis``: each sheet
+    that meets the image is rewritten by arithmetic on aff."""
     if comp.kind == "whole":
         return comp
     a, o = axis - 1, 2 - axis   # stratified and graph-argument coordinates
-    coeff_a, shift_a = aff.coeffs[a], aff.shifts[a]
-    flip = coeff_a < 0
-    img_boxes = [aff.map_box(b) for b in src_boxes]
+    flip = aff.coeffs[a] < 0
     kept: list[Sheet] = []
     for sheet in comp.sheets:
         if not _sheet_crosses_component(sheet.graph, axis, img_boxes):
             continue
         g = sheet.graph.compose_affine(aff.coeffs[o], aff.shifts[o])
-        g = g.add_constant(-shift_a).scale(Fraction(1, 1) / coeff_a)
+        g = g.add_constant(-aff.shifts[a]).scale(1 / aff.coeffs[a])
         kept.append(Sheet(g, _OPPOSITE[sheet.sign] if flip else sheet.sign))
     if not kept:
         side = _classify_on_box(comp, axis, aff.apply(_box_rep(src_boxes[0])))
@@ -1185,37 +1182,36 @@ def _transport_component_2d(comp: ComponentCut2D, axis: int, src_axis: int,
     return ComponentCut2D("sheets", tuple(kept))
 
 
-def _pull_cut(cut: Cut, emb: AmbientEmbedding,
-              targets: tuple[int, ...]) -> Cut:
+def _pull_cut(cut: Cut, emb: AmbientEmbedding, images: tuple) -> Cut:
     """One cut of the target rewritten on the source: source component
-    ci reads the data of target component targets[ci]."""
+    ci reads the data of target component t on its image, for
+    (t, image) = images[ci]; a circle keeps its data."""
     src, aff = emb.source, emb.map
     if isinstance(cut, Cut1D):
         assert isinstance(src, Ambient1D)
-        lines = len(src.intervals)
         return Cut1D(tuple(
-            _transport_component_1d(cut.components[t], aff, *src.intervals[ci])
-            if ci < lines else cut.components[t]
-            for ci, t in enumerate(targets)))
+            cut.components[t] if img is None
+            else _transport_component_1d(cut.components[t], aff, img)
+            for t, img in images))
     assert isinstance(src, Ambient2D)
     src_axis = aff.perm[cut.axis - 1] + 1
     return Cut2D(src_axis, tuple(
         _transport_component_2d(cut.components[t], cut.axis, src_axis, aff,
-                                src.component_boxes(ci))
-        for ci, t in enumerate(targets)))
+                                src.component_boxes(ci), img)
+        for ci, (t, img) in enumerate(images)))
 
 
 def pullback_along(mg: MonoidalCutGrid,
                    emb: AmbientEmbedding) -> MonoidalCutGrid:
     """Transport a monoidal grid on the embedding's target back to its
-    source.  Each source component follows one map, component_targets,
-    to the target component holding its image: it takes that
-    component's label, and that component's level data restricted to
-    its image and rewritten in source coordinates."""
+    source.  One pass, _component_images, gives each source component the
+    target component holding its image, and that image: the component
+    takes that target's label, and its level data restricted to the image
+    and rewritten in source coordinates by arithmetic on the map."""
     emb.validate()
-    targets = component_targets(emb)
-    tuples = tuple(CutTuple(tuple(_pull_cut(cut, emb, targets)
+    images = _component_images(emb)
+    tuples = tuple(CutTuple(tuple(_pull_cut(cut, emb, images)
                                   for cut in tup.cuts))
                    for tup in mg.grid.tuples)
     return MonoidalCutGrid(CutGrid(tuples), mg.ell,
-                           tuple(mg.labels[t] for t in targets))
+                           tuple(mg.labels[t] for t, _img in images))

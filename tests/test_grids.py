@@ -709,6 +709,26 @@ def test_component_cut_constructor_guards():
         MonoidalCutGrid(CutGrid((CutTuple((whole_cut("below"),)),)), 1, (2,))
 
 
+@pytest.mark.parametrize("cls, level, item", [
+    (ComponentCut1D, "zeros", (F(0), "+")),
+    (bordisms.FamComponentCut1D, "zeros", (PLFunc.constant(0), "+")),
+    (ComponentCut2D, "sheets", Sheet(PLFunc.constant(0), "+")),
+])
+def test_component_cut_records_give_one_message_per_fault(cls, level, item):
+    """The three record types check kind, items, side and item count alike,
+    each fault with its own message."""
+    one = level[:-1]
+    for args, message in (
+            (("kinds", ()), "bad component cut kind 'kinds'"),
+            (("whole", (item,), "below"), f"whole-component cut cannot carry {level}"),
+            (("whole", (), "level"), "bad whole_sign 'level'"),
+            ((level, ()), f"kind='{level}' requires at least one {one}")):
+        with pytest.raises(ArgumentError) as info:
+            cls(*args)
+        assert str(info.value) == message
+    assert cls(level, [item]).kind == level
+
+
 # ---------------------------------------------------------------------------
 # ordering and transversality
 # ---------------------------------------------------------------------------
@@ -1587,10 +1607,14 @@ def test_planar_pushforward_then_pullback_is_identity(name, eps):
 
 
 def test_pushforward_needs_a_map_of_the_ambient_dimension():
-    # checked before the image is built: a 1D map cannot map a box
+    # checked before the image is built, since a 1D map cannot map a box,
+    # and before the identity shortcut, since an identity of the wrong
+    # dimension embeds nothing either
     swap = AffineMap(2, (1, 0), (1, 1), (0, 0))
     for b, aff in ((catalog("point2d"), AffineMap.line(2, 0)),
-                   (catalog("point1d"), swap)):
+                   (catalog("point1d"), swap),
+                   (catalog("point2d"), AffineMap.identity(1)),
+                   (catalog("point1d"), AffineMap.identity(2))):
         with pytest.raises(ArgumentError, match="dimensions do not agree"):
             normalize(replace(b, embedding=aff))
 
@@ -1608,6 +1632,128 @@ def test_pullback_composes_contravariantly(a1, b1, a2, b2, flip):
     assert step == pullback_along(src, composite)
     ident = AmbientEmbedding(full, full, AffineMap.identity(1))
     assert pullback_along(src, ident) == src
+
+
+@st.composite
+def line_transports(draw):
+    """Cuts of a 1D target (a nested line grid's, or one line_cuts cut with
+    circles and infinite ends), a map x -> a x + b with a of either sign,
+    and the source it embeds: the preimage of one or two windows inside
+    each target interval, on the quarter grid or reaching the interval's
+    ends, and the target's circles."""
+    cuts, target = draw(st.one_of(
+        nested_line_grids().map(lambda mg_amb: (mg_amb[0].grid.tuples[0].cuts, mg_amb[1])),
+        line_cuts().map(lambda cut_amb: ((cut_amb[0],), cut_amb[1]))))
+    windows = []
+    for lo, hi in target.intervals:
+        finite = [e for e in (lo, hi) if is_finite(e)] or [F(0)]
+        qlo = int(4 * lo) if is_finite(lo) else int(4 * min(finite)) - 40
+        qhi = int(4 * hi) if is_finite(hi) else int(4 * max(finite)) + 40
+        ends = [F(q, 4) for q in sorted(draw(st.sets(
+            st.integers(qlo + 1, qhi - 1), min_size=2, max_size=4)))]
+        if len(ends) % 2:
+            ends.pop()
+        if draw(st.booleans()):
+            ends[0] = lo
+        if draw(st.booleans()):
+            ends[-1] = hi
+        windows += zip(ends[::2], ends[1::2])
+    a = draw(st.sampled_from([F(1, 2), F(1), F(3), F(-1), F(-2), F(-1, 3)]))
+    aff = AffineMap.line(a, draw(small_fracs(-3, 3)))
+    inverse = aff.inverse()
+    source = Ambient1D(tuple(inverse.map_interval(u, v) for u, v in windows),
+                       target.circles)
+    return cuts, AmbientEmbedding(source, target, aff)
+
+
+def transport_line_probes(cut, ambient):
+    """Every zero of the cut, a point one small step inside each finite
+    interval end, and one point per gap between zeros (on a circle too)."""
+    step = F(1, 64)
+    ends = [e + d for lo, hi in ambient.intervals
+            for e, d in ((lo, step), (hi, -step)) if is_finite(e)]
+    return [p for _i, p, _end in line_probes([cut], ambient)] + ends
+
+
+@given(line_transports())
+@settings(max_examples=200, deadline=None)
+def test_a_pulled_line_cut_sides_each_point_as_the_cut_sides_its_image(case):
+    """The transport law, with classify_point as the oracle: a pulled cut
+    sides a source point p as the target cut sides aff(p), at the pulled
+    zeros, at the source intervals' ends and in every gap; a circle keeps
+    its data."""
+    cuts, emb = case
+    mg = MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 1, (1,) * emb.target.n_components())
+    pulled = pullback_along(mg, emb).grid.tuples[0].cuts
+    a, b = emb.map.coeffs[0], emb.map.shifts[0]
+    for cut, back in zip(cuts, pulled):
+        for p in transport_line_probes(back, emb.source):
+            q = p if isinstance(p, tuple) else a * p + b
+            assert classify_point(back, emb.source, p) == classify_point(cut, emb.target, q)
+
+
+def plane_transport_sources(b):
+    """Sources to pull b's grid back to, in b's own coordinates: its
+    ambient, its shrink to the core, and a box off the core's corner."""
+    shrunk = shrink_to_core(b, F(1, 2)).ambient
+    return (b.ambient, shrunk, Ambient2D(((F(1, 4), F(1, 2), F(1, 4), F(1, 2)),)))
+
+
+@pytest.mark.parametrize("name", ["point2d", "composable_pair_2d"])
+def test_a_pulled_plane_cut_sides_each_point_as_the_cut_sides_its_image(name):
+    """The transport law on the plane for every signed permutation, at
+    probes read from the box sides and the sheets' breakpoints and values
+    of both the target cut and the pulled one; each kept sheet meets its
+    component, as the strict_between oracle finds."""
+    b = catalog(name)
+    for aff in signed_permutations():
+        inverse = aff.inverse()
+        for where in plane_transport_sources(b):
+            emb = AmbientEmbedding(image_ambient(where, inverse), b.ambient, aff)
+            pulled = pullback_along(b.mgrid, emb)
+            for tup, back_tup in zip(b.mgrid.grid.tuples, pulled.grid.tuples):
+                for cut, back in zip(tup.cuts, back_tup.cuts):
+                    for ci, comp in enumerate(back.components):
+                        boxes = emb.source.component_boxes(ci)
+                        if back.axis == 1:
+                            boxes = [(y0, y1, x0, x1) for x0, x1, y0, y1 in boxes]
+                        assert all(any(strict_between(s.graph, v0, v1, a0, a1)
+                                       for a0, a1, v0, v1 in boxes)
+                                   for s in comp.sheets)
+                    probes = set(plane_partition_probes(back, emb.source)) | {
+                        inverse.apply(q) for q in plane_partition_probes(cut, b.ambient)}
+                    inside = [p for p in probes if any(
+                        x0 < p[0] < x1 and y0 < p[1] < y1
+                        for x0, x1, y0, y1 in emb.source.boxes)]
+                    assert inside
+                    for p in inside:
+                        assert (classify_point(back, emb.source, p)
+                                == classify_point(cut, b.ambient, aff.apply(p))), (aff, p)
+
+
+def test_transport_builds_no_region_and_no_inverse_map(monkeypatch):
+    """A planar pullback refines once, to validate the embedding; a line
+    pullback rewrites its zeros without an inverse map."""
+    calls = []
+    real = plgeom._x_atoms
+    monkeypatch.setattr(plgeom, "_x_atoms",
+                        lambda regions: calls.append(regions) or real(regions))
+    inverses = []
+    real_inverse = AffineMap.inverse
+    monkeypatch.setattr(AffineMap, "inverse",
+                        lambda aff: inverses.append(aff) or real_inverse(aff))
+    b = catalog("composable_pair_2d")
+    emb = AmbientEmbedding(shrink_to_core(b, 1).ambient, b.ambient, AffineMap.identity(2))
+    calls.clear()
+    pullback_along(b.mgrid, emb)
+    assert len(calls) == 1
+    line = catalog("triangle_interval")
+    emb = AmbientEmbedding(shrink_to_core(line, 1).ambient, line.ambient,
+                           AffineMap.identity(1))
+    inverses.clear()
+    pulled = pullback_along(line.mgrid, emb)
+    assert inverses == []
+    assert any(c.components[0].kind == "zeros" for c in pulled.grid.tuples[0].cuts)
 
 
 # ---------------------------------------------------------------------------
