@@ -14,8 +14,8 @@ A bordism restricts along an embedding one way, ``bordism_pullback``:
 ``normalize`` pulls back along the inverse map from the image,
 ``shrink_to_core`` along the inclusion of the shrunk ambient, and
 ``is_morphism`` compares b1 with b2 pulled back along phi where b1 lives:
-each pair of cuts by their partitions of b1's ambient, and each metric
-density on its component of b1.
+each pair of cuts by whether some point of b1's ambient lies on different
+sides of them, and each metric density on its component of b1.
 """
 
 from __future__ import annotations
@@ -311,8 +311,9 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     normalization the cores must be equal as point sets and every
     piece of cut or label data must agree on a neighborhood of the
     core (equivalently: the closed disagreement locus misses it).  Each
-    core is one refinement (grids.core), and each pair of cuts is refined
-    with the common ambient once (cut_disagreement)."""
+    core is one refinement (grids.core), and each pair of cuts gives the
+    points of the common ambient where they differ (cut_disagreement: one
+    merge of the signed zeros on a line, one refinement on the plane)."""
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:
@@ -348,11 +349,11 @@ def is_morphism(phi: AffineMap, b1: Bordism, b2: Bordism) -> bool:
 
     b1 is compared with b2's restriction along phi where b1 lives: ell and
     labels by value, each pair of cuts by whether they classify every point
-    of b1's ambient alike (one refinement, cut_disagreement), each metric
-    density on its component's closed hull, and an embedded field's map by
-    value.  What b2 does outside the image of phi does not count.  A grid
-    with no partition (an invalid cut) or a density count that is not the
-    component count answers False."""
+    of b1's ambient alike (cut_disagreement), each metric density on its
+    component's closed hull, and an embedded field's map by value.  What b2
+    does outside the image of phi does not count.  A grid with an invalid
+    cut or a density count that is not the component count answers
+    False."""
     if b1.shape != b2.shape:
         raise ArgumentError(f"shape mismatch: {_shapes_text(b1, b2)}")
     amb = b1.ambient

@@ -17,17 +17,20 @@ affine embeddings — are the engine behind the bordism layer.
 
 Cut data are frozen values, and ``==`` is the one structural comparison:
 equal cuts are written the same way.  Where only what a cut does to an
-ambient matters, compare partitions instead: two cuts agree when
+ambient matters, compare sides instead: two cuts agree when
 ``cut_disagreement`` finds no point they classify differently, as
-``bordisms.is_morphism`` asks.
+``bordisms.is_morphism`` asks; on a 1D ambient it reads the sides from the
+signed zeros and builds no partition.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -47,6 +50,8 @@ from .plgeom import (
     PLRegion,
     Seg,
     Slab,
+    _arc_cells,
+    _line_runs,
     fr,
     interval_rep,
     is_finite,
@@ -523,11 +528,12 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
     and normalized to exact rationals, and the parts are frozen regions.
     One operation asks for the same partitions many times over (compactness
     slices, cores, globularity, rendering, the order of planar cuts; the
-    order of 1D cuts reads their zeros instead), and the repeats fall
-    within that operation.  So the memo is small: on the benchmark
-    workloads 16 entries catch every repeat of a planar operation and 64
-    catch 95% of those of the linear m-sweep, while a larger memo adds few
-    hits and holds 2D regions that are not asked for again.  The
+    order of 1D cuts and where they disagree are read from their zeros
+    instead), and the repeats fall within that operation.  So the memo is
+    small: on the benchmark workloads 16 entries catch every repeat of a
+    planar operation and 98% of those of a linear one (traced seed 7, 6
+    rounds; 64 entries catch no more), while a larger memo adds few hits and
+    holds 2D regions that are not asked for again.  The
     bound is also what keeps peak memory flat: a memo held on each cut
     instead raised the linear workload's peak RSS past its bound.  An
     exception is not memoized: an invalid cut raises every time."""
@@ -897,12 +903,149 @@ def relabel(mg: MonoidalCutGrid, u: GammaMorphism) -> MonoidalCutGrid:
 # ---------------------------------------------------------------------------
 
 
+def _gap_side(comp: ComponentCut1D, k: int) -> str:
+    return "below" if _gap_is_below(comp, k) else "above"
+
+
+def _zero_events(comp: ComponentCut1D, i: int) -> list[tuple]:
+    """Cut i's events at the zeros of a valid component cut, for
+    _sweep_1d: level at zero k, and past it the side of the gap that ends
+    at zero k + 1."""
+    return [(p, i, "level", _gap_side(comp, k + 1))
+            for k, (p, _s) in enumerate(comp.zeros)]
+
+
+def _sweep_1d(events: list[tuple], cover: int, sides: list,
+              lo, hi) -> tuple[list[tuple], list[bool]]:
+    """The line from lo to hi cut into atoms at the events' points, and
+    whether each atom is kept.  Over the first gap, cover counts within's
+    cells and sides holds each cut's side (None outside its ambient).  An
+    event (c, i, at, past) sets cut i's side at c and past c; with i None,
+    it adds at to the count at c and past to the count past c.  An atom is
+    kept when within covers it and the cuts do not all put it on one side."""
+    def kept(count: int, on: list) -> bool:
+        return count > 0 and (None in on or len(set(on)) > 1)
+
+    # sorted and grouped by exact integer keys, as _lcm_keys keys criticals
+    D = math.lcm(*{e[0].denominator for e in events})
+    keyed = sorted(((c.numerator * (D // c.denominator), c, *rest)
+                    for c, *rest in events), key=itemgetter(0))
+    atoms: list[tuple] = []
+    keep: list[bool] = []
+    for _key, group in itertools.groupby(keyed, itemgetter(0)):
+        group = list(group)
+        c = group[0][1]
+        atoms.append(("iv", lo, c))
+        keep.append(kept(cover, sides))
+        count, on = cover, sides.copy()
+        for _key, _c, i, at, past in group:
+            if i is None:
+                count += at
+                cover += past
+            else:
+                on[i], sides[i] = at, past
+        atoms.append(("pt", c))
+        keep.append(kept(count, on))
+        lo = c
+    atoms.append(("iv", lo, hi))
+    keep.append(kept(cover, sides))
+    return atoms, keep
+
+
+def _line_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]],
+                       segs: list[Seg]) -> list[Seg]:
+    """cut_disagreement on the line: within's Segs count over the gaps they
+    span and at their closed ends; a cut is outside its ambient before its
+    first interval, at each finite end and between intervals, and inside an
+    interval sided by its zeros."""
+    events: list[tuple] = []
+    cover, sides = 0, []
+    for s in segs:
+        if is_finite(s.lo):
+            events.append((s.lo, None, s.lo_closed, 1))
+        else:
+            cover += 1
+        if is_finite(s.hi):
+            events.append((s.hi, None, s.hi_closed - 1, -1))
+    for i, (cut, ambient) in enumerate(cuts):
+        side = None
+        for (lo, hi), comp in zip(ambient.intervals, cut.components):
+            if is_finite(lo):
+                events.append((lo, i, None, _gap_side(comp, 0)))
+            else:
+                side = _gap_side(comp, 0)
+            events += _zero_events(comp, i)
+            if is_finite(hi):
+                events.append((hi, i, None, None))
+        sides.append(side)
+    atoms, keep = _sweep_1d(events, cover, sides, NEG_INF, INF)
+    return [Seg(*run) for run in _line_runs(atoms, keep)]
+
+
+def _circle_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]], j: int,
+                         L: Fraction, cells: list) -> list:
+    """cut_disagreement on circle #j of circumference L, unrolled as the
+    refinement unrolls it: from c0, the least end of within's arcs and of
+    the cuts' zeros there (0 if there is none), to c0 + L.  The walk
+    starts in the gap before c0, the wrap gap, which within's whole
+    circles and its arcs that pass c0 cover; a cut whose ambient has no
+    such circle is outside it everywhere."""
+    events: list[tuple] = []
+    cover, sides, ends = 0, [], []
+    for c in cells:
+        if isinstance(c, CircleCell):
+            cover += 1
+            continue
+        cover += c.start > c.end
+        ends += (c.start, c.end)
+        events += [(c.start, None, c.start_closed, 1),
+                   (c.end, None, c.end_closed - 1, -1)]
+    for i, (cut, ambient) in enumerate(cuts):
+        if j < len(ambient.circles) and ambient.circles[j] == L:
+            comp = cut.components[len(ambient.intervals) + j]
+            sides.append(_gap_side(comp, 0))
+            events += _zero_events(comp, i)
+            ends += (p for p, _s in comp.zeros)
+        else:
+            sides.append(None)
+    c0 = min(ends, default=Fraction(0))
+    events.append((c0, None, 0, 0))
+    atoms, keep = _sweep_1d(events, cover, sides, c0 - L, c0 + L)
+    return _arc_cells(j, L, atoms[1:], keep[1:])  # from the point c0
+
+
 def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> PLRegion:
     """Points of `within` where the cuts, each over its own ambient, do not
-    all classify alike (a point outside some cut's ambient among them):
-    within and every cut's partition refined together once."""
-    return region_disagreement(
-        within, *(cut_regions(cut, ambient) for cut, ambient in cuts))
+    all classify alike (a point outside some cut's ambient among them);
+    none with no cut.
+
+    When every cut and ambient is 1D, each cut is validated in cut order
+    (raising cut_regions' ValidationError), and the line and each circle
+    of within are walked by one sorted merge of within's cell ends, the
+    cuts' ambient ends and their zeros, where every side changes; gap
+    sides follow _component_parts_1d, as _gap_is_below reads them.  The
+    atoms are the refinement's, coalesced as _rebuild coalesces them, so
+    the cells are region_disagreement's, in its order.  Otherwise within
+    and every cut's partition are refined together once."""
+    if not cuts:
+        return PLRegion(within.dim, ())
+    if not all(isinstance(cut, Cut1D) and isinstance(ambient, Ambient1D)
+               for cut, ambient in cuts):
+        return region_disagreement(
+            within, *(cut_regions(cut, ambient) for cut, ambient in cuts))
+    for cut, ambient in cuts:
+        validate_cut(cut, ambient)
+    if within.dim != 1:
+        raise ArgumentError("region dimension mismatch")
+    segs = [c for c in within.cells if isinstance(c, Seg)]
+    circles: dict[tuple[int, Fraction], list] = {}
+    for c in within.cells:
+        if not isinstance(c, Seg):
+            circles.setdefault((c.circle, c.circumference), []).append(c)
+    cells = _line_disagreement(cuts, segs) if segs else []
+    for key in sorted(circles):
+        cells += _circle_disagreement(cuts, *key, circles[key])
+    return PLRegion(1, tuple(cells))
 
 
 def globularity_failures(mg: MonoidalCutGrid,
@@ -910,13 +1053,14 @@ def globularity_failures(mg: MonoidalCutGrid,
     """For each vertex j of direction 1, direction 2's cuts must agree near
     the vertex core; as the disagreement locus is taken closed and the core
     is compact, that is 'the closed locus misses the core'.  The locus is
-    one refinement of the kept region with the distinct later cuts'
-    partitions.  The core (cut j's level set, the later closed slice on
-    kept components) is never built: one meet query reads those parts, and
-    the slice is one refinement too (kept_slice over the later direction
-    alone).  Its witness, the meet's first atom, is its least point in
-    (x, y) order (one inside an open atom has meet points just before it):
-    a point-set fact."""
+    the distinct later cuts' cut_disagreement within the kept region: one
+    refinement with their partitions, or on a line one merge of their
+    zeros.  The core (cut j's level set, the later closed slice on kept
+    components) is never built: one meet query reads those parts, and the
+    slice is one refinement (kept_slice over the later direction alone).
+    Its witness, the meet's first atom, is its least point in (x, y) order
+    (one inside an open atom has meet points just before it): a point-set
+    fact."""
     g = mg.grid
     if g.d > 2:
         raise UnsupportedDimensionError(

@@ -679,26 +679,33 @@ class _CircleFibre(_LineFibre):
         return ("circle", self.circle, super().point(i) % self.L)
 
     def cells(self, included: list[bool]) -> list[Cell]:
-        j, L = self.circle, self.L
-        if all(included):
-            return [CircleCell(j, L)]
-        runs = _line_runs(self.atoms, included)
-        if included[0]:  # the run from c0 comes last, joined to one ending at c0 + L
-            first = runs.pop(0)
-            if included[-1]:
-                a, _, ac, _ = runs.pop()
-                first = (a, first[1], ac, first[3])
-            runs.append(first)
-        cells: list[Cell] = []
-        for a, b, ac, bc in runs:
-            if (b - a) % L == 0 and not (ac and bc):
-                # The circle minus one point: an arc with equal open ends
-                # is not representable, so split it in two.
-                m = a + L / 2
-                cells += [Arc(j, L, a, m, ac, True), Arc(j, L, m, b, False, bc)]
-            else:
-                cells.append(Arc(j, L, a, b, ac, bc))
-        return cells
+        return _arc_cells(self.circle, self.L, self.atoms, included)
+
+
+def _arc_cells(j: int, L: Fraction, atoms: list[tuple],
+               included: list[bool]) -> list[Cell]:
+    """The included atoms of circle #j of circumference L, unrolled from c0
+    (atoms from the point c0 to the gap before c0 + L), as cells: each
+    maximal arc, the run through c0 last, or the whole circle."""
+    if all(included):
+        return [CircleCell(j, L)]
+    runs = _line_runs(atoms, included)
+    if included[0]:  # the run from c0 comes last, joined to one ending at c0 + L
+        first = runs.pop(0)
+        if included[-1]:
+            a, _, ac, _ = runs.pop()
+            first = (a, first[1], ac, first[3])
+        runs.append(first)
+    cells: list[Cell] = []
+    for a, b, ac, bc in runs:
+        if (b - a) % L == 0 and not (ac and bc):
+            # The circle minus one point: an arc with equal open ends
+            # is not representable, so split it in two.
+            m = a + L / 2
+            cells += [Arc(j, L, a, m, ac, True), Arc(j, L, m, b, False, bc)]
+        else:
+            cells.append(Arc(j, L, a, b, ac, bc))
+    return cells
 
 
 def _refine_1d(regions: Sequence[PLRegion]):

@@ -6,12 +6,13 @@ which sorts and indexes integer keys.
 Point membership: a point lies in a region when some cell of it contains
 the point, decided per cell from its ends, bounds and flags.  Cut
 agreement: two cuts agree when their (below, level, above) parts are equal
-one by one, the reference for the one-refinement test of
-bordisms.is_morphism.
+one by one, the reference for the agreement test of bordisms.is_morphism.
 Globularity: the construction that built each pairwise disagreement and
 each vertex core as a region of its own, kept as the reference for the
-one-refinement questions of grids.globularity_failures and
-grids.cut_disagreement.
+one-refinement questions of grids.globularity_failures.  Disagreement:
+within refined once with every cut's partition, the reference for
+grids.cut_disagreement, which reads where 1D cuts differ from their signed
+zeros with no partition.
 Order: the below-regions of consecutive cuts compared by region_subset,
 the reference for grids.tuple_is_ordered, which reads a 1D order from the
 signed zeros.
@@ -59,6 +60,7 @@ from cutgrids.plgeom import (
     region_boolean,
     region_closure,
     region_bounded,
+    region_disagreement,
     region_equal,
     region_is_compact_in,
     region_sample_point,
@@ -198,6 +200,14 @@ def pairwise_cut_disagreement(cut_a, ambient_a, cut_b, ambient_b,
     agree = PLRegion(within.dim, tuple(agree_cells))
     [out] = _rebuild([within, agree], [lambda m: m[0] and not m[1]])
     return out
+
+
+def reference_cut_disagreement(cuts, within: PLRegion) -> PLRegion:
+    """Points of within where the cuts, each over its own ambient, do not
+    all classify alike: within and every cut's partition refined together
+    once."""
+    return region_disagreement(
+        within, *(cut_regions(cut, ambient) for cut, ambient in cuts))
 
 
 def reference_vertex_core(mg, ambient, direction: int, j: int) -> PLRegion:

@@ -2,6 +2,7 @@
 globularity, and transport along embeddings."""
 
 import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cutgrids.errors import (
     ArgumentError,
+    ArtifactError,
     NeighborhoodError,
     UnsupportedDimensionError,
     ValidationError,
@@ -19,6 +21,8 @@ from cutgrids.plgeom import (
     NEG_INF,
     Ambient1D,
     Ambient2D,
+    Arc,
+    CircleCell,
     PLFunc,
     PLRegion,
     Seg,
@@ -31,6 +35,7 @@ from cutgrids.plgeom import (
     is_finite,
     line_region,
     plfunc_zeros,
+    region_boolean,
     region_closure,
     region_equal,
     region_components,
@@ -77,6 +82,7 @@ from cutgrids.bordisms import (
     catalog,
     embedded_field,
     equivalent,
+    is_morphism,
     normalize,
     shrink_to_core,
     validate,
@@ -88,6 +94,7 @@ from oracles import (
     cuts_agree_part_by_part,
     pairwise_cut_disagreement,
     reference_compactness_failures,
+    reference_cut_disagreement,
     reference_cut_regions,
     reference_globularity_failures,
     reference_kept_slice,
@@ -1374,6 +1381,116 @@ def test_plane_disagreement_matches_the_pairwise_reference(first, second):
     check_disagreement_matches_the_pairwise_reference([first, second])
 
 
+def test_no_cuts_disagree_nowhere():
+    # and one cut disagrees exactly outside its own ambient
+    line = ambient_region(Ambient1D(((0, 4),), (3,)))
+    assert grids.cut_disagreement([], line) == PLRegion(1, ())
+    plane = ambient_region(Ambient2D(((0, 1, 0, 1),)))
+    assert grids.cut_disagreement([], plane) == PLRegion(2, ())
+    got = grids.cut_disagreement([(zeros_cut((1, "+")), Ambient1D(((0, 2),)))], line)
+    assert got.cells == (Seg(2, 4, True, False), CircleCell(0, 3))
+
+
+@st.composite
+def line_cut_lists(draw):
+    """Two or three cuts from line_cuts, each over an ambient of its own or
+    over the first cut's."""
+    first = draw(line_cuts())
+    return [first] + [draw(st.one_of(line_cuts(), line_cuts(first[1])))
+                      for _ in range(draw(st.integers(1, 2)))]
+
+
+def check_line_disagreement_is_the_reference_s(cut_ambs):
+    """The same cells as the one refinement, in the same order, within the
+    union of the ambients, within the first two ambients' intersection (as
+    equivalent builds it), and for the first cut alone."""
+    union = PLRegion(1, tuple(c for _cut, ambient in cut_ambs
+                              for c in ambient_region(ambient).cells))
+    meet = region_boolean("intersect", ambient_region(cut_ambs[0][1]),
+                          ambient_region(cut_ambs[1][1]))
+    for cuts, within in ((cut_ambs, union), (cut_ambs, meet), (cut_ambs[:1], union)):
+        got = grids.cut_disagreement(cuts, within)
+        assert got.cells == reference_cut_disagreement(cuts, within).cells
+
+
+@given(line_cut_lists())
+@settings(max_examples=200, deadline=None)
+def test_line_disagreement_is_the_reference_s(cut_ambs):
+    check_line_disagreement_is_the_reference_s(cut_ambs)
+
+
+def test_line_disagreement_on_circles_is_the_reference_s():
+    # circle 0 has one length in both ambients and circle 1 is a's alone;
+    # a whole record and zeros at 0 on circle 0, a whole circle 1
+    a = Ambient1D(((0, 4),), (3, 2))
+    b = Ambient1D(((2, INF),), (3,))
+    cut_a = Cut1D((ComponentCut1D("zeros", alternating([F(1)], "+")),
+                   ComponentCut1D("zeros", alternating([F(0), F(1)], "-")),
+                   ComponentCut1D("whole", (), "above")))
+    cut_b = Cut1D((ComponentCut1D("zeros", alternating([F(3)], "-")),
+                   ComponentCut1D("whole", (), "below")))
+    check_line_disagreement_is_the_reference_s([(cut_a, a), (cut_b, b)])
+    got = grids.cut_disagreement([(cut_a, a), (cut_b, b)], ambient_region(a))
+    # b is outside up to 2 and level at 3; on circle 0, b below meets a's
+    # zeros and its wrap gap, which is above
+    assert got.cells == (Seg(0, 2, False, True), Seg(3, 4, True, False),
+                         Arc(0, 3, 1, 0, True, True), CircleCell(1, 2))
+
+
+@pytest.mark.parametrize("cuts, within", [
+    ([(zeros_cut((0, "+")), FULL_LINE), (zeros_cut((1, "+"), (2, "+")), FULL_LINE)],
+     ambient_region(FULL_LINE)),
+    ([(zeros_cut((0, "+")), Ambient1D(((0, 1),)))], ambient_region(FULL_LINE)),
+    ([(zeros_cut((0, "+")), FULL_LINE), (wall(0), FULL_LINE)], ambient_region(FULL_LINE)),
+    ([(zeros_cut((0, "+")), FULL_PLANE)], ambient_region(FULL_PLANE)),
+    ([(zeros_cut((0, "+")), FULL_LINE)], ambient_region(FULL_PLANE)),
+], ids=["signs", "outside", "2d-cut", "2d-ambient", "2d-within"])
+def test_line_disagreement_raises_as_the_reference_does(cuts, within):
+    with pytest.raises(ArtifactError) as want:
+        reference_cut_disagreement(cuts, within)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        grids.cut_disagreement(cuts, within)
+
+
+def test_line_cut_disagreement_builds_no_partition_and_no_refinement(monkeypatch):
+    """equivalent and is_morphism read where two 1D cuts disagree from their
+    zeros; a planar pair is still one refinement, its partitions memoized."""
+    calls, inside = [], []
+    counts = {"_rebuild": 0, "cut_regions": 0}
+    real = grids.cut_disagreement
+
+    def disagreement(cuts, within):
+        calls.append(cuts)
+        inside.append(True)
+        try:
+            return real(cuts, within)
+        finally:
+            inside.pop()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args):
+            counts[name] += bool(inside)
+            return original(*args)
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(bordisms, "cut_disagreement", disagreement)
+    counted(plgeom, "_rebuild")
+    counted(grids, "cut_regions")
+    for name, phi, rebuilds in (("elbow_right", AffineMap.identity(1), 0),
+                                ("composable_pair_2d", AffineMap.identity(2), 1)):
+        b = catalog(name)
+        shrunk = shrink_to_core(b, 1)
+        for _warm in range(2):  # the second pass finds every partition memoized
+            calls.clear()
+            counts.update(_rebuild=0, cut_regions=0)
+            assert equivalent(b, shrunk) and is_morphism(phi, shrunk, b)
+        assert calls
+        assert counts == {"_rebuild": rebuilds * len(calls),
+                          "cut_regions": rebuilds * 2 * len(calls)}
+
+
 # ---------------------------------------------------------------------------
 # simplicial reindexing and relabelling (presheaf laws)
 # ---------------------------------------------------------------------------
@@ -1873,3 +1990,91 @@ def test_a_valid_bordism_is_equivalent_to_its_shrink(b, twice_eps):
     except NeighborhoodError:
         return
     assert equivalent(b, shrunk)
+
+
+def gap_and_zero_atoms(cuts, ambient):
+    """For each component of the ambient, (index, atoms, round) with its
+    atoms in order (round a circle when round is True): each zero of the
+    cuts is an atom with the zero as its one probe, and each gap between
+    merged zeros one with a point inside it and, where it reaches a finite
+    interval end, a point a step inside that end.  On each atom every cut
+    keeps one side, and an atom's closure adds only its neighbouring
+    zeros."""
+    out = []
+    lines = len(ambient.intervals)
+    for i in range(ambient.n_components()):
+        zs = sorted({p for cut in cuts for p, _s in cut.components[i].zeros})
+        if i < lines:
+            lo, hi = ambient.intervals[i]
+            stops = [lo, *zs, hi]
+            atoms = []
+            for k, (a, b) in enumerate(zip(stops, stops[1:])):
+                gap = [interval_rep(a, b)]
+                gap += [lo + F(1, 64)] if k == 0 and is_finite(lo) else []
+                gap += [hi - F(1, 64)] if k == len(zs) and is_finite(hi) else []
+                atoms.append(gap)
+                atoms += [[b]] if k < len(zs) else []
+            out.append((i, atoms, False))
+            continue
+        j = i - lines
+        length = ambient.circles[j]
+        atoms = [[("circle", j, length / 2)]] if not zs else []
+        for a, b in zip(zs, zs[1:] + [z + length for z in zs[:1]]):
+            atoms += [[("circle", j, a)], [("circle", j, interval_rep(a, b) % length)]]
+        out.append((i, atoms, True))
+    return out
+
+
+def equivalent_at_probes(b1, b2) -> bool:
+    """equivalent for two bordisms over one 1D ambient embedded by the
+    identity, from classify_point at the probes of gap_and_zero_atoms: the
+    cores hold the same probes, and no atom of core 1 is next to or on an
+    atom where the labels or some pair of cuts differ."""
+    ambient = b1.ambient
+    g1, g2 = b1.mgrid, b2.mgrid
+    cuts1 = [c for t in g1.grid.tuples for c in t.cuts]
+    cuts2 = [c for t in g2.grid.tuples for c in t.cuts]
+
+    def in_core(mg, i, p):
+        return bool(mg.labels[i]) and all(
+            classify_point(t.cuts[0], ambient, p) != "below"
+            and classify_point(t.cuts[-1], ambient, p) != "above"
+            for t in mg.grid.tuples)
+
+    def differs(i, p):
+        return g1.labels[i] != g2.labels[i] or any(
+            classify_point(c1, ambient, p) != classify_point(c2, ambient, p)
+            for c1, c2 in zip(cuts1, cuts2))
+
+    for i, atoms, round_ in gap_and_zero_atoms(cuts1 + cuts2, ambient):
+        for k, probes in enumerate(atoms):
+            core1 = [in_core(g1, i, p) for p in probes]
+            if core1 != [in_core(g2, i, p) for p in probes]:
+                return False
+            if not any(core1):
+                continue
+            near = [k - 1, k, k + 1] if len(atoms) > 1 else [k]
+            near = [n % len(atoms) if round_ else n for n in near]
+            if any(differs(i, p) for n in near if 0 <= n < len(atoms)
+                   for p in atoms[n]):
+                return False
+    return True
+
+
+@st.composite
+def line_bordism_and_a_moved_copy(draw):
+    """A grid from line_grids or nested_line_grids as an embedded bordism,
+    and the bordism with one zero of one cut moved (or unchanged when no
+    zero can move)."""
+    mg_amb = draw(st.one_of(line_grids(), nested_line_grids()))
+    other, ambient = draw(with_a_zero_moved(st.just(mg_amb)))
+    b = Bordism(ambient, mg_amb[0], embedded_field(1), AffineMap.identity(1))
+    return b, b.with_mgrid(other)
+
+
+@given(line_bordism_and_a_moved_copy())
+@settings(max_examples=300, deadline=None)
+def test_line_equivalence_is_that_at_the_probes(pair):
+    b1, b2 = pair
+    assert equivalent(b1, b2) == equivalent_at_probes(b1, b2)
+    assert equivalent(b2, b1) == equivalent_at_probes(b2, b1)
