@@ -311,9 +311,9 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     normalization the cores must be equal as point sets and every
     piece of cut or label data must agree on a neighborhood of the
     core (equivalently: the closed disagreement locus misses it).  Each
-    core is one refinement (grids.core), and each pair of cuts gives the
-    points of the common ambient where they differ (cut_disagreement: one
-    merge of the signed zeros on a line, one refinement on the plane)."""
+    core (grids.core) and each pair of cuts' points of the common ambient
+    where they differ (cut_disagreement) is one merge of the signed zeros
+    on a line and one refinement on the plane."""
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:

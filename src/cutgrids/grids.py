@@ -19,8 +19,9 @@ Cut data are frozen values, and ``==`` is the one structural comparison:
 equal cuts are written the same way.  Where only what a cut does to an
 ambient matters, compare sides instead: two cuts agree when
 ``cut_disagreement`` finds no point they classify differently, as
-``bordisms.is_morphism`` asks; on a 1D ambient it reads the sides from the
-signed zeros and builds no partition.
+``bordisms.is_morphism`` asks.  On a 1D ambient the order of a tuple, where
+cuts disagree and every slice and core are read from the signed zeros, with
+no partition.
 """
 
 from __future__ import annotations
@@ -528,15 +529,15 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
     and normalized to exact rationals, and the parts are frozen regions.
     One operation asks for the same partitions many times over (compactness
     slices, cores, globularity, rendering, the order of planar cuts; the
-    order of 1D cuts and where they disagree are read from their zeros
-    instead), and the repeats fall within that operation.  So the memo is
-    small: on the benchmark workloads 16 entries catch every repeat of a
-    planar operation and 98% of those of a linear one (traced seed 7, 6
-    rounds; 64 entries catch no more), while a larger memo adds few hits and
-    holds 2D regions that are not asked for again.  The
-    bound is also what keeps peak memory flat: a memo held on each cut
-    instead raised the linear workload's peak RSS past its bound.  An
-    exception is not memoized: an invalid cut raises every time."""
+    order of 1D cuts, where they disagree and their slices are read from
+    their zeros instead), and the repeats fall within that operation.  So
+    the memo is small: on the benchmark workloads (seed 7, 6 rounds) 16
+    entries catch every repeat, 187 of 355 planar calls and 6 of 312 linear
+    ones, as an unbounded memo does, while a larger memo holds 2D regions
+    that are not asked for again.  The bound is also what keeps peak
+    memory flat: a memo held on each cut instead raised the linear
+    workload's peak RSS past its bound.  An exception is not memoized: an
+    invalid cut raises every time."""
     parts: tuple[list, list, list] = ([], [], [])
     if isinstance(cut, Cut1D):
         if not isinstance(ambient, Ambient1D):
@@ -771,13 +772,33 @@ def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
                directions: Sequence[int],
                j: Sequence[int], jp: Sequence[int]) -> PLRegion:
     """The kept points of the closed slice between cut j_i and cut jp_i of
-    each chosen direction (no directions: the kept region), from one
-    refinement.  In a partition (above u level) n (below u level) is the
-    ambient minus (below u above), so the slice is the kept region minus
-    every chosen direction's below(cut j_i) and above(cut jp_i): one
-    region_disagreement with those parts as one partition."""
+    each chosen direction (no directions: the kept region).  In a partition
+    (above u level) n (below u level) is the ambient minus (below u above),
+    so the slice is the kept region minus every chosen direction's
+    below(cut j_i) and above(cut jp_i).
+
+    On a 1D ambient whose chosen cuts are all 1D, each cut is validated in
+    cut order (raising cut_regions' ValidationError), and _walk_1d keeps
+    the points of the kept region where no chosen lower cut is below and
+    no chosen upper cut is above, with no partition and no refinement.
+    Each circle is unrolled where the refinement of the kept region with
+    those parts unrolls it, at its least arc end: the kept region holds
+    whole circles only, and crossing signs alternate, also cyclically, so
+    every zero of a lower cut ends an arc of below and every zero of an
+    upper cut ends an arc of above.  The least zero is therefore the
+    refinement's first cut, as in cut_disagreement, and the cells are the
+    refinement's, in its order.  Otherwise the kept region and those parts
+    are refined once: one region_disagreement with the parts as one
+    partition."""
+    pairs = _slice_cuts(mg.grid, directions, j, jp)
+    cuts = [cut for pair in pairs for cut in pair]  # lower, upper, lower, ...
+    if isinstance(ambient, Ambient1D) and all(isinstance(c, Cut1D) for c in cuts):
+        for cut in cuts:
+            validate_cut(cut, ambient)
+        return _walk_1d([(cut, ambient) for cut in cuts],
+                        kept_region(mg, ambient), _in_slice)
     outside: list[PLRegion] = []
-    for lo_cut, hi_cut in _slice_cuts(mg.grid, directions, j, jp):
+    for lo_cut, hi_cut in pairs:
         outside += (cut_regions(lo_cut, ambient)[0],
                     cut_regions(hi_cut, ambient)[2])
     return region_disagreement(kept_region(mg, ambient), outside)
@@ -786,7 +807,8 @@ def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
 def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
     """The core: the closed slice between the extreme cuts of every
     direction, restricted to the kept (nonzero-label) components, as
-    kept_slice builds it with one refinement."""
+    kept_slice builds it: on a line one merge of the extreme cuts' signed
+    zeros, on the plane one refinement."""
     return kept_slice(mg, ambient, range(1, mg.grid.d + 1), [0] * mg.grid.d,
                       [t.m for t in mg.grid.tuples])
 
@@ -915,28 +937,26 @@ def _zero_events(comp: ComponentCut1D, i: int) -> list[tuple]:
             for k, (p, _s) in enumerate(comp.zeros)]
 
 
-def _sweep_1d(events: list[tuple], cover: int, sides: list,
-              lo, hi) -> tuple[list[tuple], list[bool]]:
+def _sweep_1d(events: list[tuple], cover: int, sides: list, lo, hi,
+              keep: Callable[[list], bool]) -> tuple[list[tuple], list[bool]]:
     """The line from lo to hi cut into atoms at the events' points, and
     whether each atom is kept.  Over the first gap, cover counts within's
     cells and sides holds each cut's side (None outside its ambient).  An
     event (c, i, at, past) sets cut i's side at c and past c; with i None,
     it adds at to the count at c and past to the count past c.  An atom is
-    kept when within covers it and the cuts do not all put it on one side."""
-    def kept(count: int, on: list) -> bool:
-        return count > 0 and (None in on or len(set(on)) > 1)
-
+    kept when within covers it and keep holds of the cuts' sides there:
+    _sides_differ for cut_disagreement, _in_slice for kept_slice."""
     # sorted and grouped by exact integer keys, as _lcm_keys keys criticals
     D = math.lcm(*{e[0].denominator for e in events})
     keyed = sorted(((c.numerator * (D // c.denominator), c, *rest)
                     for c, *rest in events), key=itemgetter(0))
     atoms: list[tuple] = []
-    keep: list[bool] = []
+    kept: list[bool] = []
     for _key, group in itertools.groupby(keyed, itemgetter(0)):
         group = list(group)
         c = group[0][1]
         atoms.append(("iv", lo, c))
-        keep.append(kept(cover, sides))
+        kept.append(cover > 0 and keep(sides))
         count, on = cover, sides.copy()
         for _key, _c, i, at, past in group:
             if i is None:
@@ -945,18 +965,30 @@ def _sweep_1d(events: list[tuple], cover: int, sides: list,
             else:
                 on[i], sides[i] = at, past
         atoms.append(("pt", c))
-        keep.append(kept(count, on))
+        kept.append(count > 0 and keep(on))
         lo = c
     atoms.append(("iv", lo, hi))
-    keep.append(kept(cover, sides))
-    return atoms, keep
+    kept.append(cover > 0 and keep(sides))
+    return atoms, kept
 
 
-def _line_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]],
-                       segs: list[Seg]) -> list[Seg]:
-    """cut_disagreement on the line: within's Segs count over the gaps they
-    span and at their closed ends; a cut is outside its ambient before its
-    first interval, at each finite end and between intervals, and inside an
+def _sides_differ(sides: list) -> bool:
+    """cut_disagreement's keep: the cuts do not all put the point on one
+    side (a cut outside its ambient among them)."""
+    return None in sides or len(set(sides)) > 1
+
+
+def _in_slice(sides: list) -> bool:
+    """kept_slice's keep, its cuts given as (lower, upper) pairs: no lower
+    cut puts the point below and no upper cut puts it above."""
+    return "below" not in sides[::2] and "above" not in sides[1::2]
+
+
+def _line_walk(cuts: Sequence[tuple[Cut1D, Ambient1D]], segs: list[Seg],
+               keep: Callable[[list], bool]) -> list[Seg]:
+    """_walk_1d on the line: within's Segs count over the gaps they span and
+    at their closed ends; a cut is outside its ambient before its first
+    interval, at each finite end and between intervals, and inside an
     interval sided by its zeros."""
     events: list[tuple] = []
     cover, sides = 0, []
@@ -978,18 +1010,19 @@ def _line_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]],
             if is_finite(hi):
                 events.append((hi, i, None, None))
         sides.append(side)
-    atoms, keep = _sweep_1d(events, cover, sides, NEG_INF, INF)
-    return [Seg(*run) for run in _line_runs(atoms, keep)]
+    atoms, kept = _sweep_1d(events, cover, sides, NEG_INF, INF, keep)
+    return [Seg(*run) for run in _line_runs(atoms, kept)]
 
 
-def _circle_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]], j: int,
-                         L: Fraction, cells: list) -> list:
-    """cut_disagreement on circle #j of circumference L, unrolled as the
-    refinement unrolls it: from c0, the least end of within's arcs and of
-    the cuts' zeros there (0 if there is none), to c0 + L.  The walk
-    starts in the gap before c0, the wrap gap, which within's whole
-    circles and its arcs that pass c0 cover; a cut whose ambient has no
-    such circle is outside it everywhere."""
+def _circle_walk(cuts: Sequence[tuple[Cut1D, Ambient1D]], j: int,
+                 L: Fraction, cells: list,
+                 keep: Callable[[list], bool]) -> list:
+    """_walk_1d on circle #j of circumference L, unrolled as the refinement
+    unrolls it: from c0, the least end of within's arcs and of the cuts'
+    zeros there (0 if there is none), to c0 + L.  The walk starts in the
+    gap before c0, the wrap gap, which within's whole circles and its arcs
+    that pass c0 cover; a cut whose ambient has no such circle is outside
+    it everywhere."""
     events: list[tuple] = []
     cover, sides, ends = 0, [], []
     for c in cells:
@@ -1010,8 +1043,31 @@ def _circle_disagreement(cuts: Sequence[tuple[Cut1D, Ambient1D]], j: int,
             sides.append(None)
     c0 = min(ends, default=Fraction(0))
     events.append((c0, None, 0, 0))
-    atoms, keep = _sweep_1d(events, cover, sides, c0 - L, c0 + L)
-    return _arc_cells(j, L, atoms[1:], keep[1:])  # from the point c0
+    atoms, kept = _sweep_1d(events, cover, sides, c0 - L, c0 + L, keep)
+    return _arc_cells(j, L, atoms[1:], kept[1:])  # from the point c0
+
+
+def _walk_1d(cuts: Sequence[tuple[Cut1D, Ambient1D]], within: PLRegion,
+             keep: Callable[[list], bool]) -> PLRegion:
+    """The points of within where keep holds of the sides of valid 1D cuts,
+    each over its own ambient: the line and each circle of within walked by
+    one sorted merge of within's cell ends, the cuts' ambient ends and
+    their zeros, where every side changes.  Gap sides follow
+    _component_parts_1d, as _gap_is_below reads them.  The atoms are those
+    of a refinement of within with the parts keep reads, coalesced as
+    _rebuild coalesces them, so the cells are that refinement's, in its
+    order."""
+    if within.dim != 1:
+        raise ArgumentError("region dimension mismatch")
+    segs = [c for c in within.cells if isinstance(c, Seg)]
+    circles: dict[tuple[int, Fraction], list] = {}
+    for c in within.cells:
+        if not isinstance(c, Seg):
+            circles.setdefault((c.circle, c.circumference), []).append(c)
+    cells = _line_walk(cuts, segs, keep) if segs else []
+    for key in sorted(circles):
+        cells += _circle_walk(cuts, *key, circles[key], keep)
+    return PLRegion(1, tuple(cells))
 
 
 def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> PLRegion:
@@ -1020,13 +1076,11 @@ def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> P
     none with no cut.
 
     When every cut and ambient is 1D, each cut is validated in cut order
-    (raising cut_regions' ValidationError), and the line and each circle
-    of within are walked by one sorted merge of within's cell ends, the
-    cuts' ambient ends and their zeros, where every side changes; gap
-    sides follow _component_parts_1d, as _gap_is_below reads them.  The
-    atoms are the refinement's, coalesced as _rebuild coalesces them, so
-    the cells are region_disagreement's, in its order.  Otherwise within
-    and every cut's partition are refined together once."""
+    (raising cut_regions' ValidationError), and _walk_1d keeps the points
+    where the sides differ: the atoms of the refinement of within with
+    every cut's partition, so the cells are region_disagreement's, in its
+    order.  kept_slice shares the walk.  Otherwise within and every cut's
+    partition are refined together once."""
     if not cuts:
         return PLRegion(within.dim, ())
     if not all(isinstance(cut, Cut1D) and isinstance(ambient, Ambient1D)
@@ -1035,17 +1089,7 @@ def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> P
             within, *(cut_regions(cut, ambient) for cut, ambient in cuts))
     for cut, ambient in cuts:
         validate_cut(cut, ambient)
-    if within.dim != 1:
-        raise ArgumentError("region dimension mismatch")
-    segs = [c for c in within.cells if isinstance(c, Seg)]
-    circles: dict[tuple[int, Fraction], list] = {}
-    for c in within.cells:
-        if not isinstance(c, Seg):
-            circles.setdefault((c.circle, c.circumference), []).append(c)
-    cells = _line_disagreement(cuts, segs) if segs else []
-    for key in sorted(circles):
-        cells += _circle_disagreement(cuts, *key, circles[key])
-    return PLRegion(1, tuple(cells))
+    return _walk_1d(cuts, within, _sides_differ)
 
 
 def globularity_failures(mg: MonoidalCutGrid,
@@ -1057,7 +1101,8 @@ def globularity_failures(mg: MonoidalCutGrid,
     refinement with their partitions, or on a line one merge of their
     zeros.  The core (cut j's level set, the later closed slice on kept
     components) is never built: one meet query reads those parts, and the
-    slice is one refinement (kept_slice over the later direction alone).
+    slice is kept_slice over the later direction alone (on a line one merge
+    of the extreme cuts' zeros, on the plane one refinement).
     Its witness, the meet's first atom, is its least point in (x, y) order
     (one inside an open atom has meet points just before it): a point-set
     fact."""
@@ -1218,9 +1263,21 @@ class AmbientEmbedding:
                     "circle components must match up to identity")
 
     def validate(self) -> None:
-        """Check the image of the source lies inside the target."""
+        """Check the image of the source lies inside the target.
+
+        On a line each circle goes to itself, and an open image interval,
+        being connected, lies in the union of the disjoint open target
+        intervals only inside one of them, the one holding its
+        representative point (as _component_images picks it): decided by
+        comparing ends.  A planar image is refined against the target."""
         img = image_ambient(self.source, self.map)
-        if not region_subset(ambient_region(img), ambient_region(self.target)):
+        if isinstance(img, Ambient1D):
+            assert isinstance(self.target, Ambient1D)
+            fits = all(any(a <= lo and hi <= b for a, b in self.target.intervals)
+                       for lo, hi in img.intervals)
+        else:
+            fits = region_subset(ambient_region(img), ambient_region(self.target))
+        if not fits:
             raise ValidationError(
                 "the embedding does not map the source into the target")
 

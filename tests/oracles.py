@@ -18,7 +18,10 @@ the reference for grids.tuple_is_ordered, which reads a 1D order from the
 signed zeros.
 Slices: region_between, the ambient met with each chosen direction's
 closed slice in turn, intersected with the kept region, the reference for
-grids.kept_slice; the chained slice between the extreme cuts, the
+grids.kept_slice; the kept region refined once with every chosen lower
+cut's below part and upper cut's above part, the reference for the cells of
+grids.kept_slice, which reads a 1D slice from the signed zeros; the chained
+slice between the extreme cuts, the
 reference for grids.core and for the slices and core of
 grids.extreme_slices; and compactness asked of the chained slice for every
 index pair, the reference for grids.compactness_failures.
@@ -266,6 +269,16 @@ def reference_kept_slice(mg, ambient, directions, j, jp) -> PLRegion:
     return region_boolean("intersect",
                           region_between(mg.grid, ambient, directions, j, jp),
                           kept_region(mg, ambient))
+
+
+def refined_kept_slice(mg, ambient, directions, j, jp) -> PLRegion:
+    """The kept region minus every chosen direction's below(cut j_i) and
+    above(cut jp_i): one refinement with those parts as one partition."""
+    outside: list[PLRegion] = []
+    for lo_cut, hi_cut in _slice_cuts(mg.grid, directions, j, jp):
+        outside += (cut_regions(lo_cut, ambient)[0],
+                    cut_regions(hi_cut, ambient)[2])
+    return region_disagreement(kept_region(mg, ambient), outside)
 
 
 def chain_core(mg, ambient) -> PLRegion:

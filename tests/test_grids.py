@@ -42,6 +42,7 @@ from cutgrids.plgeom import (
     region_is_compact_in,
     region_normalize,
     region_sample_point,
+    region_subset,
 )
 from cutgrids.grids import (
     AffineMap,
@@ -78,11 +79,13 @@ from cutgrids.bordisms import (
     FULL_LINE,
     FULL_PLANE,
     Bordism,
+    FieldDatum,
     bordism_pullback,
     catalog,
     embedded_field,
     equivalent,
     is_morphism,
+    metric_core_length,
     normalize,
     shrink_to_core,
     validate,
@@ -100,6 +103,7 @@ from oracles import (
     reference_kept_slice,
     reference_tuple_is_ordered,
     reference_vertex_core,
+    refined_kept_slice,
     region_between,
     region_contains_point,
 )
@@ -884,20 +888,24 @@ def plane_grids(draw):
     return MonoidalCutGrid(CutGrid(tuple(tuples)), 2, (draw(labels_that_may_drop()),)), ambient
 
 
-def check_slices_match_the_chained_reference(mg, ambient):
-    """For every set of directions and every index pair of each, the
-    one-refinement slice has the chained slice's points; and compactness
-    reports what the chained slices give."""
-    g = mg.grid
+def slice_index_lists(g):
+    """Every set of directions, none among them, with every index pair
+    j <= jp of each: (directions, j, jp)."""
     for k in range(g.d + 1):
         for dirs in itertools.combinations(range(1, g.d + 1), k):
             for combo in itertools.product(*(
                     [(j, jp) for j in range(g.tuples[i - 1].m + 1)
                      for jp in range(j, g.tuples[i - 1].m + 1)] for i in dirs)):
-                j = [a for a, _ in combo]
-                jp = [b for _, b in combo]
-                assert region_equal(kept_slice(mg, ambient, dirs, j, jp),
-                                    reference_kept_slice(mg, ambient, dirs, j, jp))
+                yield dirs, [a for a, _ in combo], [b for _, b in combo]
+
+
+def check_slices_match_the_chained_reference(mg, ambient):
+    """For every set of directions and every index pair of each, the
+    one-refinement slice has the chained slice's points; and compactness
+    reports what the chained slices give."""
+    for dirs, j, jp in slice_index_lists(mg.grid):
+        assert region_equal(kept_slice(mg, ambient, dirs, j, jp),
+                            reference_kept_slice(mg, ambient, dirs, j, jp))
     assert compactness_failures(mg, ambient) == reference_compactness_failures(
         mg, ambient)
 
@@ -907,6 +915,66 @@ def check_slices_match_the_chained_reference(mg, ambient):
 def test_line_slices_match_the_chained_reference(mg_amb):
     # nested_line_grids are ordered, so compactness takes its core shortcut
     check_slices_match_the_chained_reference(*mg_amb)
+
+
+@given(st.one_of(line_grids(), nested_line_grids()))
+@settings(max_examples=200, deadline=None)
+def test_line_kept_slice_is_the_refined_reference_s(mg_amb):
+    # the cells of the one refinement, in its order, for no direction,
+    # j == jp, inner cuts and the extremes alike; circles with zeros at 0,
+    # whole records, infinite ends and dropped components come from
+    # line_grids
+    mg, ambient = mg_amb
+    for dirs, j, jp in slice_index_lists(mg.grid):
+        got = kept_slice(mg, ambient, dirs, j, jp)
+        assert got.cells == refined_kept_slice(mg, ambient, dirs, j, jp).cells
+
+
+def broken_cut(cut: Cut1D, how: str, i: int):
+    """cut made invalid over its ambient: its last component record
+    dropped ("short"), or component i's last level point repeated
+    ("repeat"); or a planar cut in its place ("plane")."""
+    if how == "short":
+        return Cut1D(cut.components[:-1])
+    if how == "plane":
+        return wall(0)
+    comps = list(cut.components)
+    zs = comps[i].zeros or ((F(0), "+"),)
+    comps[i] = ComponentCut1D("zeros", zs + zs[-1:])
+    return Cut1D(tuple(comps))
+
+
+@st.composite
+def line_grids_with_broken_cuts(draw):
+    """A grid from line_grids with one or two of its cuts broken by
+    broken_cut, each its own way."""
+    mg, ambient = draw(line_grids())
+    tuples = [list(t.cuts) for t in mg.grid.tuples]
+    places = [(t, k) for t in range(len(tuples)) for k in range(len(tuples[t]))]
+    n = ambient.n_components()
+    for (t, k), how in zip(
+            draw(st.lists(st.sampled_from(places), min_size=1, max_size=2,
+                          unique=True)),
+            draw(st.permutations(["short", "repeat", "plane"]))):
+        tuples[t][k] = broken_cut(tuples[t][k], how, draw(st.integers(0, n - 1)))
+    grid = CutGrid(tuple(CutTuple(tuple(cuts)) for cuts in tuples))
+    return MonoidalCutGrid(grid, mg.ell, mg.labels), ambient
+
+
+@given(line_grids_with_broken_cuts())
+@settings(max_examples=150, deadline=None)
+def test_line_kept_slice_raises_as_the_refined_reference_does(mg_amb):
+    # the first broken cut in cut order names the failure; a planar cut
+    # keeps the refinement and its error
+    mg, ambient = mg_amb
+    for dirs, j, jp in slice_index_lists(mg.grid):
+        try:
+            want = refined_kept_slice(mg, ambient, dirs, j, jp)
+        except ArtifactError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                kept_slice(mg, ambient, dirs, j, jp)
+        else:
+            assert kept_slice(mg, ambient, dirs, j, jp).cells == want.cells
 
 
 # ---------------------------------------------------------------------------
@@ -1055,22 +1123,79 @@ def three_window_grid(zero_rows) -> Bordism:
 
 
 def test_a_line_validate_orders_its_cuts_with_no_partition(monkeypatch):
-    # the order is read from the zeros, so grids compares no regions, and
-    # only the core's two extreme cuts are partitioned
+    # the order and the core are read from the zeros, so grids compares no
+    # regions, partitions no cut and refines nothing for the core
     m = 8
     b = three_window_grid([(1 + j, 1 + j // 2, 1 + j) for j in range(m + 1)])
     subsets = []
     real = plgeom.region_subset
     monkeypatch.setattr(grids, "region_subset",
                         lambda a, c: subsets.append((a, c)) or real(a, c))
+    rebuilds = slice_rebuilds(monkeypatch)
     cut_regions.cache_clear()
     assert validate(b).passed
     assert subsets == []
-    assert cut_regions.cache_info().misses == 2
+    assert rebuilds == {"slices": 1, "_rebuild": 0}
+    assert cut_regions.cache_info().misses == 0
     cuts = b.mgrid.grid.tuples[0].cuts
     cut_regions(cuts[0], b.ambient)
     cut_regions(cuts[m], b.ambient)
     assert cut_regions.cache_info().misses == 2
+
+
+def slice_rebuilds(monkeypatch) -> dict:
+    """Counts of grids.kept_slice calls (core's among them) and of the
+    plgeom._rebuild calls made inside one, kept up to date as they run."""
+    counts = {"slices": 0, "_rebuild": 0}
+    inside = []
+    real_slice, real_rebuild = grids.kept_slice, plgeom._rebuild
+
+    def kept_slice(*args):
+        counts["slices"] += 1
+        inside.append(True)
+        try:
+            return real_slice(*args)
+        finally:
+            inside.pop()
+
+    def rebuild(*args):
+        counts["_rebuild"] += bool(inside)
+        return real_rebuild(*args)
+    monkeypatch.setattr(grids, "kept_slice", kept_slice)
+    monkeypatch.setattr(plgeom, "_rebuild", rebuild)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["circle_trace", "point1d", "three_window_grid"])
+def test_line_slices_build_no_partition_and_no_refinement(monkeypatch, name):
+    """validate, equivalent, is_morphism and metric_core_length read every
+    1D slice and core from the zeros: no cut_regions partition and no
+    _rebuild inside a slice."""
+    if name == "three_window_grid":
+        b = replace(three_window_grid([(1, 2, 3), (2, 3, 4), (4, 4, 5)]),
+                    field=embedded_field(1), embedding=AffineMap.identity(1))
+    else:
+        b = catalog(name)
+    shrunk = shrink_to_core(b, 1)
+    n = b.ambient.n_components()
+    metric = replace(b, field=FieldDatum("metric", (PLFunc.constant(1),) * n),
+                     embedding=None)
+    counts = slice_rebuilds(monkeypatch)
+    partitions = []
+    real = grids.cut_regions
+    monkeypatch.setattr(grids, "cut_regions",
+                        lambda *args: partitions.append(args) or real(*args))
+    assert validate(b).passed
+    assert equivalent(b, shrunk)
+    assert is_morphism(AffineMap.identity(1), shrunk, b)
+    if name == "three_window_grid":
+        with pytest.raises(ArgumentError, match="disconnected"):
+            metric_core_length(metric)
+    else:  # the whole circle, and one point
+        assert metric_core_length(metric) == {"circle_trace": 4, "point1d": 0}[name]
+    assert counts["slices"] >= 5
+    assert counts["_rebuild"] == 0
+    assert partitions == []
 
 
 def test_an_invalid_inner_cut_is_reported_and_raised_as_before():
@@ -1673,6 +1798,28 @@ def test_a_planar_pullback_missing_every_sheet_is_a_whole_cut():
     ycut, xcut = pulled_cuts((-1, 1, 1, 2), turn)
     assert xcut == Cut2D(2, (ComponentCut2D("whole", (), "above"),))
     assert ycut.axis == 1 and ycut.components[0].kind == "sheets"
+
+
+def test_a_line_embedding_must_map_each_interval_into_one_target_interval():
+    # (1/2, 3/2) lies in the closure of (0, 1) u (1, 2) but misses 1
+    target = Ambient1D(((0, 1), (1, 2)), (3,))
+    for image, fits in [(((F(1, 2), F(3, 2)),), False), (((0, 1), (1, 2)), True),
+                        (((F(1, 4), F(1, 2)), (F(3, 2), 2)), True),
+                        (((1, 2), (2, 3)), False), (((-1, 0),), False)]:
+        emb = AmbientEmbedding(Ambient1D(image, (3,)), target, AffineMap.identity(1))
+        assert region_subset(ambient_region(emb.source),
+                             ambient_region(target)) == fits
+        if fits:
+            emb.validate()
+        else:
+            with pytest.raises(ValidationError, match="^the embedding does not map "
+                               "the source into the target$"):
+                emb.validate()
+    stretch = AmbientEmbedding(Ambient1D(((0, 1),)), Ambient1D(((NEG_INF, 2),)),
+                               AffineMap.line(-2, 1))
+    stretch.validate()  # onto (-1, 1)
+    with pytest.raises(ValidationError):
+        replace(stretch, map=AffineMap.line(3, 0)).validate()  # onto (0, 3)
 
 
 def test_pullback_validates_the_embedding():
