@@ -151,8 +151,8 @@ def _plf_from_json(obj, where: str) -> PLFunc:
     if not isinstance(obj, dict):
         raise DocumentSyntaxError(f"{where}: expected a PL-function object")
     return PLFunc(
-        tuple(rational_from_text(b, where) for b in obj.get("breakpoints", ())),
-        tuple(rational_from_text(v, where) for v in obj.get("values", ())),
+        _rationals(obj.get("breakpoints", []), f"{where}.breakpoints"),
+        _rationals(obj.get("values", []), f"{where}.values"),
         rational_from_text(obj.get("left_slope", "0"), where),
         rational_from_text(obj.get("right_slope", "0"), where),
     )
@@ -248,7 +248,7 @@ def _sheets_from_json(items, where: str) -> tuple:
     for k, item in enumerate(items):
         at = f"{where}[{k}]"
         item = _object(item, at)
-        sheets.append(Sheet(_plf_from_json(item.get("graph"), at),
+        sheets.append(Sheet(_plf_from_json(item.get("graph"), f"{at}.graph"),
                             _sign_from_text(item.get("sign"), at)))
     return tuple(sheets)
 
@@ -290,7 +290,8 @@ def _field_from_json(obj, where: str) -> FieldDatum:
         return FieldDatum("trivial")
     if kind == "metric":
         return FieldDatum("metric", tuple(
-            _plf_from_json(w, where) for w in obj.get("densities", [])))
+            _plf_from_json(w, f"{where}.densities[{k}]")
+            for k, w in enumerate(obj.get("densities", []))))
     if kind == "embedded":
         td = obj.get("target_dim")
         if not _is_int(td):
@@ -440,9 +441,10 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
         field_kind=field_kind,
         target_dim=target_dim,
         emb_scale=rational_from_text(obj.get("emb_scale", "1"), where),
-        emb_shift=None if shift_obj is None else _plf_from_json(shift_obj, where),
-        densities=tuple(_plf_from_json(w, where)
-                        for w in obj.get("densities", [])),
+        emb_shift=(None if shift_obj is None
+                   else _plf_from_json(shift_obj, f"{where}.emb_shift")),
+        densities=tuple(_plf_from_json(w, f"{where}.densities[{k}]")
+                        for k, w in enumerate(obj.get("densities", []))),
         uple=_uple(obj, where))
 
 

@@ -269,33 +269,26 @@ def _side_of_count(first_sign: str, crossings: int) -> str:
     return "above" if even else "below"
 
 
-def _classify_on_interval(comp: ComponentCut1D, x: Fraction) -> str:
+def _gap_side(comp: ComponentCut1D, k: int) -> str:
+    """The side of the open gap of a 1D component cut that ends at its zero
+    k (k == len(zeros): the gap after the last zero), the one rule every 1D
+    side is read by: k crossings from the first zero's sign.  A whole
+    component has one gap, on its whole_sign.  On a valid circle cut the
+    gaps k == 0 and k == len(zeros) are the one wrap gap, and cyclic
+    alternation (an even number of zeros) makes them agree."""
     if comp.kind == "whole":
         return comp.whole_sign
+    return _side_of_count(comp.zeros[0][1], k)
+
+
+def _classify_on_interval(comp: ComponentCut1D, x: Fraction) -> str:
     before = 0
     for pos, _sign in comp.zeros:
         if x == pos:
             return "level"
         if pos < x:
             before += 1
-    return _side_of_count(comp.zeros[0][1], before)
-
-
-def _classify_on_circle(comp: ComponentCut1D, circumference: Fraction,
-                        theta: Fraction) -> str:
-    if comp.kind == "whole":
-        return comp.whole_sign
-    theta = theta % circumference
-    best: Optional[Fraction] = None
-    best_sign = ""
-    for pos, sign in comp.zeros:
-        if theta == pos:
-            return "level"
-        gap = (pos - theta) % circumference
-        if best is None or gap < best:
-            best, best_sign = gap, sign
-    # the next zero ahead is entered from its below side iff its sign is '+'
-    return "below" if best_sign == "+" else "above"
+    return _gap_side(comp, before)
 
 
 def _classify_on_box(comp: ComponentCut2D, axis: int,
@@ -318,7 +311,10 @@ def classify_point(cut: Cut, ambient: Ambient, point) -> str:
     """Side ('below' / 'level' / 'above') of a point of the ambient.
 
     1D points are either a rational (line) or ``("circle", idx, theta)``;
-    2D points are coordinate pairs.
+    2D points are coordinate pairs.  A 1D side is read by _gap_side from
+    the zeros before the point; a circle is read as the interval [0, L) at
+    theta mod L, which on a valid cut sides the wrap gap the same at both
+    of its ends.
     """
     if isinstance(cut, Cut1D):
         if not isinstance(ambient, Ambient1D):
@@ -327,9 +323,8 @@ def classify_point(cut: Cut, ambient: Ambient, point) -> str:
             _tag, idx, theta = point
             if idx not in range(len(ambient.circles)):
                 raise ArgumentError(f"no circle {idx} in the ambient")
-            comp_idx = len(ambient.intervals) + idx
-            return _classify_on_circle(
-                cut.components[comp_idx], ambient.circles[idx], fr(theta))
+            comp = cut.components[len(ambient.intervals) + idx]
+            return _classify_on_interval(comp, fr(theta) % ambient.circles[idx])
         x = fr(point)
         ci = ambient.component_of_line_point(x)
         return _classify_on_interval(cut.components[ci], x)
@@ -440,36 +435,28 @@ def _component_parts_1d(comp: ComponentCut1D, i: int,
                         ambient: Ambient1D) -> tuple[list, list, list]:
     """(below, level, above) cells of component i of a valid 1D cut.
 
-    The zeros are the level set, and the open gap that ends at a zero of
-    sign '+' is below, one that ends at a zero of sign '-' above.  On an
-    interval the gap after the last zero lies past that zero's crossing; on
-    a circle the gap ending at the first zero starts at the last one."""
+    The zeros are the level set, and each open gap between them lies on the
+    side _gap_side gives it.  An interval is cut at its zeros from lo to hi,
+    a whole one left as one gap; a circle's arcs run from each zero to the
+    next, the last one through the wrap gap back to the first zero."""
     parts: dict[str, list] = {"below": [], "level": [], "above": []}
     lines = len(ambient.intervals)
+    zs = [p for p, _s in comp.zeros]
     if i < lines:
         lo, hi = ambient.intervals[i]
-        if comp.kind == "whole":
-            parts[comp.whole_sign].append(Seg(lo, hi, False, False))
-        else:
-            start = lo
-            for p, sign in comp.zeros:
-                parts[_side_of_count(sign, 0)].append(
-                    Seg(start, p, False, False))
-                parts["level"].append(Seg(p, p, True, True))
-                start = p
-            parts[_side_of_count(comp.zeros[-1][1], 1)].append(
-                Seg(start, hi, False, False))
+        starts = [lo, *zs]
+        for k, (start, p) in enumerate(zip(starts, zs)):
+            parts[_gap_side(comp, k)].append(Seg(start, p, False, False))
+            parts["level"].append(Seg(p, p, True, True))
+        parts[_gap_side(comp, len(zs))].append(Seg(starts[-1], hi, False, False))
     else:
         j = i - lines
         length = ambient.circles[j]
         if comp.kind == "whole":
-            parts[comp.whole_sign].append(CircleCell(j, length))
-        else:
-            zs = comp.zeros
-            for (p, _s), (q, sign) in zip(zs, zs[1:] + zs[:1]):
-                parts[_side_of_count(sign, 0)].append(
-                    Arc(j, length, p, q, False, False))
-                parts["level"].append(Arc(j, length, q, q, True, True))
+            parts[_gap_side(comp, 0)].append(CircleCell(j, length))
+        for k, (p, q) in enumerate(zip(zs, zs[1:] + zs[:1]), start=1):
+            parts[_gap_side(comp, k)].append(Arc(j, length, p, q, False, False))
+            parts["level"].append(Arc(j, length, q, q, True, True))
     return parts["below"], parts["level"], parts["above"]
 
 
@@ -567,30 +554,19 @@ def cut_regions(cut: Cut, ambient: Ambient) -> tuple[PLRegion, PLRegion, PLRegio
 # ---------------------------------------------------------------------------
 
 
-def _gap_is_below(comp: ComponentCut1D, k: int) -> bool:
-    """Whether the open gap of a valid 1D component cut that ends at its
-    zero k (k == len(zeros): the gap after the last zero) is below, by
-    _component_parts_1d's rule; a whole component has one gap."""
-    zs = comp.zeros
-    if not zs:
-        return comp.whole_sign == "below"
-    if k < len(zs):
-        return zs[k][1] == "+"
-    return zs[-1][1] == "-"
-
-
 def _component_below_nests(lower: ComponentCut1D,
                            upper: ComponentCut1D) -> bool:
     """below(lower) within below(upper) on one component, by one merge of
     the two zero lists: on each open gap between consecutive merged zeros,
-    where both sides are constant, lower below means upper below.  A zero
-    needs no look of its own: lower is level at its own zeros, and at a
-    zero of upper alone lower keeps the side of the gaps around it, while
-    upper is above on one of them, since its side flips at each zero."""
+    where both sides are constant (as _gap_side reads them), lower below
+    means upper below.  A zero needs no look of its own: lower is level at
+    its own zeros, and at a zero of upper alone lower keeps the side of the
+    gaps around it, while upper is above on one of them, since its side
+    flips at each zero."""
     a, b = lower.zeros, upper.zeros
     i = k = 0
     while i < len(a) or k < len(b):
-        if _gap_is_below(lower, i) and not _gap_is_below(upper, k):
+        if _gap_side(lower, i) == "below" and _gap_side(upper, k) != "below":
             return False
         if k == len(b) or (i < len(a) and a[i][0] < b[k][0]):
             i += 1  # a zero of lower alone
@@ -599,31 +575,27 @@ def _component_below_nests(lower: ComponentCut1D,
         else:
             i += 1
             k += 1
-    return not _gap_is_below(lower, i) or _gap_is_below(upper, k)
+    return _gap_side(lower, i) != "below" or _gap_side(upper, k) == "below"
 
 
 def tuple_is_ordered(tup: CutTuple, ambient: Ambient) -> bool:
     """C_j <= C_{j+1} for all consecutive cuts (below-regions nest).
 
-    On a 1D ambient the order is read from the signed zeros, as
-    cut_regions reads a partition: each cut is validated in cut order
-    (raising cut_regions' ValidationError), then each consecutive pair is
-    compared on each component by one merge of their zero lists.  The
-    sides of both cuts are constant on every open gap between consecutive
-    merged zeros, so one look per gap decides the nesting exactly (see
-    _component_below_nests for the zeros themselves).  Gap sides follow
-    _component_parts_1d: the gap ending at a zero of sign s is
-    _side_of_count(s, 0), the one after the last zero _side_of_count(last
-    sign, 1).  On a circle the wrap gap is both, which cyclic alternation
-    makes agree, so the merge starts and ends in it.  A whole component
-    is its whole_sign everywhere.  Any other ambient compares the
-    below-regions by region_subset."""
+    Every cut is validated first, in cut order, also when m == 0 and on
+    the plane, so an invalid cut raises validate_cut's ValidationError.  On
+    a 1D ambient the order is then read from the signed zeros: each
+    consecutive pair is compared on each component by one merge of their
+    zero lists.  The sides of both cuts are constant on every open gap
+    between consecutive merged zeros, so one look per gap, by _gap_side,
+    decides the nesting exactly (see _component_below_nests for the zeros
+    themselves).  On a circle the merge starts and ends in the wrap gap.
+    Any other ambient compares the below-regions by region_subset."""
+    for cut in tup.cuts:
+        validate_cut(cut, ambient)
     if tup.m == 0:
         return True
     if isinstance(ambient, Ambient1D) and all(
             isinstance(c, Cut1D) for c in tup.cuts):
-        for cut in tup.cuts:
-            validate_cut(cut, ambient)
         return all(
             _component_below_nests(lo, hi)
             for lower, upper in zip(tup.cuts, tup.cuts[1:])
@@ -693,39 +665,35 @@ def _transversality_entry(g: CutGrid, i: int, ip: int) -> ReportEntry:
 
 def grid_check(g: CutGrid, ambient: Ambient) -> ValidationReport:
     """Well-formedness report: per-direction cut validity and ordering,
-    plus pairwise transversality between directions."""
-    entries: list[ReportEntry] = []
-    cuts_ok: list[bool] = []
+    plus pairwise transversality between directions.
+
+    One pass over the tuples: after the shared-axis check, one
+    tuple_is_ordered call per tuple validates its cuts and orders them.  A
+    ValidationError or ArgumentError fails cuts-valid[i] with its text and
+    skips ordered[i]; an UnsupportedDimensionError passes cuts-valid[i] and
+    fails ordered[i] with its text; otherwise both come from the answer.
+    The report lists every cuts-valid entry, then every ordered entry, then
+    the transversality entries."""
+    valid: list[ReportEntry] = []
+    ordered: list[ReportEntry] = []
     for i, tup in enumerate(g.tuples, start=1):
-        ok = True
-        detail = ""
         try:
             _tuple_axis(tup)
-            for cut in tup.cuts:
-                validate_cut(cut, ambient)
+            ok = tuple_is_ordered(tup, ambient)
+            detail = "" if ok else "below-regions do not nest"
         except (ValidationError, ArgumentError) as exc:
-            ok = False
-            detail = str(exc)
-        entries.append(ReportEntry(f"cuts-valid[{i}]", ok, detail))
-        cuts_ok.append(ok)
-    for i, tup in enumerate(g.tuples, start=1):
-        if not cuts_ok[i - 1]:
-            entries.append(ReportEntry(
+            valid.append(ReportEntry(f"cuts-valid[{i}]", False, str(exc)))
+            ordered.append(ReportEntry(
                 f"ordered[{i}]", False, "skipped: invalid cuts"))
             continue
-        if tup.m == 0:
-            entries.append(ReportEntry(f"ordered[{i}]", True))
-            continue
-        try:
-            ok = tuple_is_ordered(tup, ambient)
-            entries.append(ReportEntry(
-                f"ordered[{i}]", ok,
-                "" if ok else "below-regions do not nest"))
         except UnsupportedDimensionError as exc:
-            entries.append(ReportEntry(f"ordered[{i}]", False, str(exc)))
+            ok, detail = False, str(exc)
+        valid.append(ReportEntry(f"cuts-valid[{i}]", True))
+        ordered.append(ReportEntry(f"ordered[{i}]", ok, detail))
+    entries = valid + ordered
     for i in range(1, g.d + 1):
         for ip in range(i + 1, g.d + 1):
-            if cuts_ok[i - 1] and cuts_ok[ip - 1]:
+            if valid[i - 1].passed and valid[ip - 1].passed:
                 entries.append(_transversality_entry(g, i, ip))
             else:
                 entries.append(ReportEntry(
@@ -778,7 +746,7 @@ def kept_slice(mg: MonoidalCutGrid, ambient: Ambient,
     below(cut j_i) and above(cut jp_i).
 
     On a 1D ambient whose chosen cuts are all 1D, each cut is validated in
-    cut order (raising cut_regions' ValidationError), and _walk_1d keeps
+    cut order (raising validate_cut's ValidationError), and _walk_1d keeps
     the points of the kept region where no chosen lower cut is below and
     no chosen upper cut is above, with no partition and no refinement.
     Each circle is unrolled where the refinement of the kept region with
@@ -925,10 +893,6 @@ def relabel(mg: MonoidalCutGrid, u: GammaMorphism) -> MonoidalCutGrid:
 # ---------------------------------------------------------------------------
 
 
-def _gap_side(comp: ComponentCut1D, k: int) -> str:
-    return "below" if _gap_is_below(comp, k) else "above"
-
-
 def _zero_events(comp: ComponentCut1D, i: int) -> list[tuple]:
     """Cut i's events at the zeros of a valid component cut, for
     _sweep_1d: level at zero k, and past it the side of the gap that ends
@@ -1052,11 +1016,10 @@ def _walk_1d(cuts: Sequence[tuple[Cut1D, Ambient1D]], within: PLRegion,
     """The points of within where keep holds of the sides of valid 1D cuts,
     each over its own ambient: the line and each circle of within walked by
     one sorted merge of within's cell ends, the cuts' ambient ends and
-    their zeros, where every side changes.  Gap sides follow
-    _component_parts_1d, as _gap_is_below reads them.  The atoms are those
-    of a refinement of within with the parts keep reads, coalesced as
-    _rebuild coalesces them, so the cells are that refinement's, in its
-    order."""
+    their zeros, where every side changes.  Gap sides are _gap_side's, as
+    in _component_parts_1d.  The atoms are those of a refinement of within
+    with the parts keep reads, coalesced as _rebuild coalesces them, so the
+    cells are that refinement's, in its order."""
     if within.dim != 1:
         raise ArgumentError("region dimension mismatch")
     segs = [c for c in within.cells if isinstance(c, Seg)]
@@ -1076,7 +1039,7 @@ def cut_disagreement(cuts: Sequence[tuple[Cut, Ambient]], within: PLRegion) -> P
     none with no cut.
 
     When every cut and ambient is 1D, each cut is validated in cut order
-    (raising cut_regions' ValidationError), and _walk_1d keeps the points
+    (raising validate_cut's ValidationError), and _walk_1d keeps the points
     where the sides differ: the atoms of the refinement of within with
     every cut's partition, so the cells are region_disagreement's, in its
     order.  kept_slice shares the walk.  Otherwise within and every cut's

@@ -28,6 +28,9 @@ index pair, the reference for grids.compactness_failures.
 Plane partitions: each component's below, level and above parts
 intersected with its boxes one at a time, the reference for the one split
 per component of grids.cut_regions.
+Circle sides: the nearest zero ahead of a point, entered from its below
+side when its sign is '+', the reference for grids.classify_point on a
+circle, which reads the point's side by grids._gap_side at theta mod L.
 Cells: a Seg or Slab built as the dataclass-generated constructor built it,
 each field set from its argument and then checked and normalized by the
 rules of the former __post_init__, the reference for the one constructor
@@ -327,3 +330,18 @@ def reference_tuple_is_ordered(tup, ambient) -> bool:
     the next, by region_subset of the cut_regions partitions."""
     belows = [cut_regions(c, ambient)[0] for c in tup.cuts]
     return all(region_subset(lo, hi) for lo, hi in zip(belows, belows[1:]))
+
+
+def nearest_zero_ahead_side(comp, circumference, theta) -> str:
+    """Side of the point theta of a circle under a valid component cut:
+    level at a zero; otherwise the next zero ahead, wrapping past 0, is
+    entered from its below side when its sign is '+'."""
+    if comp.kind == "whole":
+        return comp.whole_sign
+    theta = fr(theta) % circumference
+    ahead = {}
+    for pos, sign in comp.zeros:
+        if theta == pos:
+            return "level"
+        ahead[(pos - theta) % circumference] = sign
+    return "below" if ahead[min(ahead)] == "+" else "above"

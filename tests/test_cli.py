@@ -282,6 +282,18 @@ def test_a_whole_component_without_a_side_exits_2(tmp_path, capsys, example,
         f"error: {kind}.{cuts}[0][0].components[0]: bad side None\n")
 
 
+def test_a_sheet_graph_that_is_not_an_array_exits_2(tmp_path, capsys):
+    # the strings were read as the breakpoints [1, 2] and values [3, 4]
+    def edit(p):
+        p["grid"][0][0]["components"][0]["sheets"][0]["graph"].update(
+            breakpoints="12", values="34")
+    f = edit_payload(tmp_path, catalog("composable_pair_2d"), "pair", edit)
+    assert main(["validate", f]) == 2
+    assert capsys.readouterr().err == (
+        "error: bordism.grid[0][0].components[0].sheets[0].graph.breakpoints: "
+        "expected an array\n")
+
+
 @pytest.mark.parametrize("example, key, value, where", [
     ("elbow_right", "intervals", [["0"]], "bordism.ambient.intervals[0]"),
     ("elbow_right", "intervals", ["0"], "bordism.ambient.intervals[0]"),

@@ -220,6 +220,53 @@ def test_a_whole_component_needs_its_side(example, cuts, kind):
     parse_document(json.dumps(obj), check=False)
 
 
+PL_FUNCTION_SITES = {
+    # a PL function of each kind of payload, and the path its errors name
+    "sheet graph": ("composable_pair_2d",
+                    ("grid", 0, 0, "components", 0, "sheets", 0, "graph"),
+                    "bordism.grid[0][0].components[0].sheets[0].graph"),
+    "metric density": ("metric_interval", ("field", "densities", 0),
+                       "bordism.field.densities[0]"),
+    "family zero": ("triangle_family",
+                    ("tuples", 0, 0, "components", 0, "zeros", 0, 0),
+                    "family.tuples[0][0].components[0].zeros[0][0]"),
+    "family shift": ("triangle_family", ("emb_shift",), "family.emb_shift"),
+}
+
+
+def pl_function_error(site, **entries):
+    """The syntax error of the catalog document of a PL_FUNCTION_SITES
+    site, its PL function's entries replaced by the given ones."""
+    example, path, _where = PL_FUNCTION_SITES[site]
+    obj = json.loads(serialize_document(document_for(catalog(example))))
+    parent = obj["payload"]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = {**(parent[path[-1]] or {}), **entries}  # a null shift too
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_document(json.dumps(obj))
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("site", PL_FUNCTION_SITES)
+def test_pl_function_breakpoints_and_values_must_be_arrays(site):
+    # a string is not read character by character as an array of rationals
+    where = PL_FUNCTION_SITES[site][2]
+    assert (pl_function_error(site, breakpoints="12", values="34")
+            == f"{where}.breakpoints: expected an array")
+    assert (pl_function_error(site, breakpoints=["0"], values="3")
+            == f"{where}.values: expected an array")
+
+
+@pytest.mark.parametrize("site", PL_FUNCTION_SITES)
+def test_a_bad_pl_function_entry_names_its_path(site):
+    where = PL_FUNCTION_SITES[site][2]
+    assert (pl_function_error(site, breakpoints=["0", "x"], values=["1", "2"])
+            == f"{where}.breakpoints[1]: malformed rational 'x'")
+    assert (pl_function_error(site, breakpoints=["0", "1"], values=["1", "2/4"])
+            == f"{where}.values[1]: non-canonical rational '2/4' (write '1/2')")
+
+
 def test_too_deep_a_document_is_a_syntax_error():
     texts = deeply_nested_documents()
     with pytest.raises(DocumentSyntaxError, match="^document nests too deeply$"):

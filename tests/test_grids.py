@@ -95,6 +95,7 @@ from cutgrids.render import render_svg
 from oracles import (
     chain_core,
     cuts_agree_part_by_part,
+    nearest_zero_ahead_side,
     pairwise_cut_disagreement,
     reference_compactness_failures,
     reference_cut_disagreement,
@@ -288,6 +289,32 @@ def test_classification_rejects_an_unknown_circle():
 def test_classification_of_whole_component():
     assert classify_point(whole_cut("above"), FULL_LINE, 17) == "above"
     assert classify_point(whole_cut("below"), FULL_LINE, 17) == "below"
+
+
+@st.composite
+def circle_cuts(draw):
+    """line_cuts over one to three circles and no interval."""
+    circles = draw(st.lists(st.integers(1, 6).map(F), min_size=1, max_size=3))
+    return draw(line_cuts(Ambient1D((), tuple(circles))))
+
+
+@given(circle_cuts())
+@settings(max_examples=200, deadline=None)
+def test_circle_sides_are_those_of_the_nearest_zero_ahead(cut_amb):
+    """classify_point on a circle, read as an interval at theta mod L,
+    against the nearest zero ahead: at every zero, at one point per gap,
+    at 0 and 1/8 before L in the wrap gap, and each shifted by L and -L."""
+    cut, ambient = cut_amb
+    for j, length in enumerate(ambient.circles):
+        comp = cut.components[j]
+        zs = [p for p, _s in comp.zeros]
+        wrapped = zs[1:] + [zs[0] + length] if zs else []
+        thetas = zs + [interval_rep(a, b) % length for a, b in zip(zs, wrapped)]
+        for theta in thetas + [F(0), length - F(1, 8)]:
+            want = nearest_zero_ahead_side(comp, length, theta)
+            for shift in (0, length, -length):
+                point = ("circle", j, theta + shift)
+                assert classify_point(cut, ambient, point) == want, (comp, point)
 
 
 def test_classification_on_a_box():
@@ -546,8 +573,13 @@ def box_parts(comp, axis, box):
     if comp.kind == "whole":
         parts[comp.whole_sign].append(band((x0, ylo), (x1, yhi)))
         return parts["below"], parts["level"], parts["above"]
-    sign = grids._side_of_count
     first, n = comp.sheets[0].sign, len(comp.sheets)
+
+    def sign(k):
+        # the band above k sheets: below under a '+' first sheet, the side
+        # flipping at each sheet crossed
+        return "below" if (k % 2 == 0) == (first == "+") else "above"
+
     if axis == 2:
         for sheet in comp.sheets:
             for seg in strict_between(sheet.graph, y0, y1, x0, x1):
@@ -561,7 +593,7 @@ def box_parts(comp, axis, box):
                 lower = clip_below(lower, y0)
             if k < n and y1 != INF:
                 upper = clip_above(upper, y1)
-            parts[sign(first, k)].append(band((x0, lower), (x1, upper)))
+            parts[sign(k)].append(band((x0, lower), (x1, upper)))
     else:
         walls = [sheet.graph.values[0] for sheet in comp.sheets]
         for c in walls:
@@ -571,7 +603,7 @@ def box_parts(comp, axis, box):
             lo = x0 if k == 0 else max(x0, walls[k - 1])
             hi = x1 if k == n else min(walls[k], x1)
             if lo < hi:
-                parts[sign(first, k)].append(band((lo, ylo), (hi, yhi)))
+                parts[sign(k)].append(band((lo, ylo), (hi, yhi)))
     return parts["below"], parts["level"], parts["above"]
 
 
@@ -1211,6 +1243,60 @@ def test_an_invalid_inner_cut_is_reported_and_raised_as_before():
         with pytest.raises(ValidationError) as caught:
             check()
         assert str(caught.value) == "component 1: level point 32 outside the component"
+
+
+def test_an_unsupported_order_passes_its_cuts_and_fails_its_order():
+    # slanted first-axis sheets are valid cuts whose regions are not built
+    slanted = [Cut2D(1, (ComponentCut2D("sheets", (Sheet(PLFunc.affine(F(1, 2), b), "+"),)),))
+               for b in (0, 1)]
+    report = grid_check(CutGrid((CutTuple(tuple(slanted)),)), FULL_PLANE)
+    assert [(e.name, e.passed, e.detail) for e in report.entries] == [
+        ("cuts-valid[1]", True, ""),
+        ("ordered[1]", False,
+         "region extraction for a first-axis cut needs vertical (constant) sheets"),
+    ]
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("triangle_interval", 5), ("elbow_right", 4), ("circle_trace", 6),
+    ("composable_pair_2d", 6), ("point2d", 2),
+])
+def test_validate_validates_each_cut_once_and_the_core_s_cuts_again(
+        monkeypatch, name, calls):
+    # grid_check validates each cut once, inside tuple_is_ordered, and a
+    # line core validates its two extreme cuts for its own contract
+    counts = {"validate_cut": 0}
+    original = grids.validate_cut
+
+    def counting(cut, ambient):
+        counts["validate_cut"] += 1
+        return original(cut, ambient)
+
+    monkeypatch.setattr(grids, "validate_cut", counting)
+    grids.cut_regions.cache_clear()
+    assert validate(catalog(name)).passed
+    assert counts["validate_cut"] == calls
+
+
+def test_the_order_raises_what_validation_raises():
+    def validation_text(cut, ambient):
+        with pytest.raises(ValidationError) as caught:
+            validate_cut(cut, ambient)
+        return str(caught.value)
+
+    unsorted = zeros_cut((1, "+"), (0, "-"))
+    line_on_plane = zeros_cut((0, "+"))
+    for tup, ambient, bad in (
+            (CutTuple((unsorted,)), FULL_LINE, unsorted),  # m = 0
+            (CutTuple((line_on_plane, zeros_cut((1, "+")))), FULL_PLANE,
+             line_on_plane)):
+        with pytest.raises(ValidationError) as caught:
+            tuple_is_ordered(tup, ambient)
+        assert str(caught.value) == validation_text(bad, ambient)
+    mg = MonoidalCutGrid(CutGrid((CutTuple((unsorted,)),)), 1, (1,))
+    with pytest.raises(ValidationError) as caught:
+        compactness_failures(mg, FULL_LINE)
+    assert str(caught.value) == "component 0: level points must strictly increase"
 
 
 @given(st.one_of(plane_grids(), wall_plane_grids()))
