@@ -14,6 +14,7 @@ deterministic SVG, and the command-line front end).
 from .errors import (
     ArgumentError,
     ArtifactError,
+    DocumentEncodingError,
     DocumentSyntaxError,
     DocumentValidationError,
     NeighborhoodError,

@@ -5,6 +5,13 @@ Rationals travel as strings ("p/q", or "p" when integral), infinities
 as "+inf"/"-inf", crossing signs as "+"/"-", labels and shapes as
 integer arrays.  Serialization is deterministic — equal values produce
 byte-identical text — and parsing is exact: no value is ever rounded.
+
+A document is written as its JSON tree, by one recursive writer that
+emits the text json.dumps(tree, indent=2) would: one entry a line, indented
+by two spaces a level, "," ending each line but the last of a container,
+": " after each key, and every string escaped to ASCII by json's C string
+encoder.  json itself takes its pure-Python encoder for any indent, at
+several times the cost.  It is read by json.loads.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .bordisms import (
     validate_family,
 )
 from .errors import (
+    DocumentEncodingError,
     DocumentSyntaxError,
     DocumentValidationError,
     ValidationError,
@@ -120,6 +128,13 @@ def _object(obj, where: str) -> dict:
     return obj
 
 
+def _array(v, where: str) -> list:
+    """v, which must be an array: a string or an object is not read as one."""
+    if not isinstance(v, list):
+        raise DocumentSyntaxError(f"{where}: expected an array")
+    return v
+
+
 def _is_int(v) -> bool:
     """An integer proper: JSON true/false load as bools, which are ints."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -153,9 +168,17 @@ def _plf_from_json(obj, where: str) -> PLFunc:
     return PLFunc(
         _rationals(obj.get("breakpoints", []), f"{where}.breakpoints"),
         _rationals(obj.get("values", []), f"{where}.values"),
-        rational_from_text(obj.get("left_slope", "0"), where),
-        rational_from_text(obj.get("right_slope", "0"), where),
+        rational_from_text(obj.get("left_slope", "0"), f"{where}.left_slope"),
+        rational_from_text(obj.get("right_slope", "0"), f"{where}.right_slope"),
     )
+
+
+def _densities(obj: dict, where: str) -> tuple:
+    """The PL densities of a metric field or a family, read from the array
+    under the key "densities"."""
+    at = f"{where}.densities"
+    return tuple(_plf_from_json(w, f"{at}[{k}]")
+                 for k, w in enumerate(_array(obj.get("densities", []), at)))
 
 
 def _val_to_json(v):
@@ -179,9 +202,7 @@ def _val_from_json(v, where: str):
 def _rows(rows, width: int, where: str):
     """(path, row) for each row of the array rows, every row an array of
     exactly width entries."""
-    if not isinstance(rows, list):
-        raise DocumentSyntaxError(f"{where}: expected an array")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_array(rows, where)):
         at = f"{where}[{i}]"
         if not isinstance(row, list) or len(row) != width:
             raise DocumentSyntaxError(f"{at}: expected an array of {width} entries")
@@ -190,9 +211,8 @@ def _rows(rows, width: int, where: str):
 
 def _rationals(row, where: str) -> tuple:
     """The rationals of the array row, each error naming its entry."""
-    if not isinstance(row, list):
-        raise DocumentSyntaxError(f"{where}: expected an array")
-    return tuple(rational_from_text(v, f"{where}[{j}]") for j, v in enumerate(row))
+    return tuple(rational_from_text(v, f"{where}[{j}]")
+                 for j, v in enumerate(_array(row, where)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +262,8 @@ def _zero_parser(position):
 
 def _sheets_from_json(items, where: str) -> tuple:
     """Planar level data: an array of {graph, sign} objects."""
-    if not isinstance(items, list):
-        raise DocumentSyntaxError(f"{where}: expected an array")
     sheets = []
-    for k, item in enumerate(items):
+    for k, item in enumerate(_array(items, where)):
         at = f"{where}[{k}]"
         item = _object(item, at)
         sheets.append(Sheet(_plf_from_json(item.get("graph"), f"{at}.graph"),
@@ -289,9 +307,7 @@ def _field_from_json(obj, where: str) -> FieldDatum:
     if kind == "trivial":
         return FieldDatum("trivial")
     if kind == "metric":
-        return FieldDatum("metric", tuple(
-            _plf_from_json(w, f"{where}.densities[{k}]")
-            for k, w in enumerate(obj.get("densities", []))))
+        return FieldDatum("metric", _densities(obj, where))
     if kind == "embedded":
         td = obj.get("target_dim")
         if not _is_int(td):
@@ -359,7 +375,7 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
         raise DocumentSyntaxError(f"{where}: grid needs one tuple per direction")
     tuples = tuple(
         CutTuple(tuple(_cut_from_json(c, dim, f"{where}.grid[{i}][{j}]")
-                       for j, c in enumerate(cuts)))
+                       for j, c in enumerate(_array(cuts, f"{where}.grid[{i}]"))))
         for i, cuts in enumerate(grid))
     ell = obj.get("ell")
     if not _is_int(ell):
@@ -413,11 +429,13 @@ def _family_to_json(fam: BordismFamily) -> dict:
 
 
 def _family_from_json(obj, where: str = "family") -> BordismFamily:
+    at = f"{where}.tuples"
     tuples = tuple(
         tuple(FamCut1D(_components_from_json(
-            cut, f"{where}.tuples[{i}][{j}]", FamComponentCut1D, "zeros",
-            _zero_parser(_plf_from_json))) for j, cut in enumerate(tup))
-        for i, tup in enumerate(obj.get("tuples", [])))
+            cut, f"{at}[{i}][{j}]", FamComponentCut1D, "zeros",
+            _zero_parser(_plf_from_json)))
+            for j, cut in enumerate(_array(tup, f"{at}[{i}]")))
+        for i, tup in enumerate(_array(obj.get("tuples", []), at)))
     ell = obj.get("ell")
     target_dim = obj.get("target_dim", 1)
     if not _is_int(ell) or not _is_int(target_dim):
@@ -428,8 +446,8 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
             f"{where}.field_kind: unknown field kind {field_kind!r}")
     shift_obj = obj.get("emb_shift")
     return BordismFamily(
-        t0=rational_from_text(obj.get("t0", "0"), where),
-        t1=rational_from_text(obj.get("t1", "1"), where),
+        t0=rational_from_text(obj.get("t0", "0"), f"{where}.t0"),
+        t1=rational_from_text(obj.get("t1", "1"), f"{where}.t1"),
         intervals=tuple(
             (_end_from_json(lo, f"{at}[0]"), _end_from_json(hi, f"{at}[1]"))
             for at, (lo, hi) in _rows(obj.get("intervals", []), 2,
@@ -440,11 +458,10 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
         labels=_ints(obj.get("labels"), f"{where}.labels"),
         field_kind=field_kind,
         target_dim=target_dim,
-        emb_scale=rational_from_text(obj.get("emb_scale", "1"), where),
+        emb_scale=rational_from_text(obj.get("emb_scale", "1"), f"{where}.emb_scale"),
         emb_shift=(None if shift_obj is None
                    else _plf_from_json(shift_obj, f"{where}.emb_shift")),
-        densities=tuple(_plf_from_json(w, f"{where}.densities[{k}]")
-                        for k, w in enumerate(obj.get("densities", []))),
+        densities=_densities(obj, where),
         uple=_uple(obj, where))
 
 
@@ -490,8 +507,8 @@ def _val_table(rows, width: int, where: str, keys: int = 1) -> dict:
 
 
 def _fincat_from_json(obj, where: str = "finite-category") -> FinCategory:
-    objects = tuple(_val_from_json(x, f"{where}.objects[{i}]")
-                    for i, x in enumerate(obj.get("objects", [])))
+    objects = tuple(_val_from_json(x, f"{where}.objects[{i}]") for i, x in
+                    enumerate(_array(obj.get("objects", []), f"{where}.objects")))
     arrows = _val_table(obj.get("arrows", []), 3, f"{where}.arrows")
     identity = _val_table(obj.get("identity", []), 2, f"{where}.identity")
     then = _val_table(obj.get("then", []), 3, f"{where}.then", keys=2)
@@ -543,9 +560,10 @@ def _sset_from_json(obj, where: str = "presheaf") -> TruncSSet:
     level = obj.get("level")
     if not _is_int(level) or level < 0:
         raise DocumentSyntaxError(f"{where}: level must be a natural number")
+    at = f"{where}.simplices"
     simplices = tuple(
-        frozenset(_val_from_json(v, f"{where}.simplices[{n}]") for v in lv)
-        for n, lv in enumerate(obj.get("simplices", [])))
+        frozenset(_val_from_json(v, f"{at}[{n}]") for v in _array(lv, f"{at}[{n}]"))
+        for n, lv in enumerate(_array(obj.get("simplices", []), at)))
     faces = _sset_maps(obj, "faces", where)
     degeneracies = _sset_maps(obj, "degeneracies", where)
     try:
@@ -609,13 +627,73 @@ def payload_report(doc: Document) -> ValidationReport:
     return _KINDS[doc.kind][3](doc.payload)
 
 
-def serialize_document(doc: Document) -> str:
+def _document_tree(doc: Document) -> dict:
+    """The JSON tree of a document: its header, name and payload."""
     kind = doc.kind
     out = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind}
     if doc.name is not None:
         out["name"] = doc.name
     out["payload"] = _KINDS[kind][1](doc.payload)
-    return json.dumps(out, indent=2) + "\n"
+    return out
+
+
+# the C function json.dumps writes strings with when ensure_ascii is set
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(v, indent: str, emit) -> None:
+    """Emit the parts of the text json.dumps(v, indent=2) writes for the
+    JSON tree v, nested where indent (a newline and spaces) starts a line.
+    Strings go through json's C encoder; a value of any other type than
+    str, int, bool, None, list or dict, and a key that is not a str, raise
+    DocumentEncodingError, a TypeError."""
+    if isinstance(v, str):
+        emit(_encode_str(v))
+    elif isinstance(v, list):
+        if not v:
+            emit("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for x in v:
+            emit(sep)
+            sep = "," + inner
+            _write_json(x, inner, emit)
+        emit(indent + "]")
+    elif isinstance(v, dict):
+        if not v:
+            emit("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            if not isinstance(k, str):
+                raise DocumentEncodingError(
+                    f"keys must be str, not {type(k).__name__}")
+            emit(sep + _encode_str(k) + ": ")
+            sep = "," + inner
+            _write_json(x, inner, emit)
+        emit(indent + "}")
+    elif v is None:
+        emit("null")
+    elif v is True:
+        emit("true")
+    elif v is False:
+        emit("false")
+    elif isinstance(v, int):
+        emit(int.__repr__(v))
+    else:
+        raise DocumentEncodingError(
+            f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def serialize_document(doc: Document) -> str:
+    """The document's text: its JSON tree as json.dumps(tree, indent=2)
+    writes it, then a newline."""
+    parts: list = []
+    _write_json(_document_tree(doc), "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_document(text: str, check: bool = True) -> Document:

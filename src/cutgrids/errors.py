@@ -49,6 +49,11 @@ class DocumentSyntaxError(ArtifactError):
         self.column = column
 
 
+class DocumentEncodingError(ArtifactError, TypeError):
+    """A value has no place in a document's JSON tree; a TypeError too, as
+    json.dumps raises for a value it cannot write."""
+
+
 class DocumentValidationError(ValidationError):
     """A parsed document's payload failed semantic validation; the
     full report rides along on ``.report``."""

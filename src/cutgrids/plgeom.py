@@ -95,7 +95,7 @@ def rational_to_text(x: End) -> str:
     infinity ("+inf"/"-inf"), as documents and failure details write it."""
     if not is_finite(x):
         return "+inf" if x > 0 else "-inf"
-    x = Fraction(x)
+    # an int and a Fraction both carry numerator and denominator
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

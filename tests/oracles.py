@@ -34,11 +34,16 @@ circle, which reads the point's side by grids._gap_side at theta mod L.
 Cells: a Seg or Slab built as the dataclass-generated constructor built it,
 each field set from its argument and then checked and normalized by the
 rules of the former __post_init__, the reference for the one constructor
-of each."""
+of each.
+Document text: a document's JSON tree written by json.dumps with indent=2,
+the reference for documents.serialize_document, which writes the same
+text with its own recursive writer."""
 
 import dataclasses
 import itertools
+import json
 
+from cutgrids.documents import _document_tree
 from cutgrids.errors import ValidationError
 from cutgrids.grids import (
     _component_parts_2d,
@@ -345,3 +350,8 @@ def nearest_zero_ahead_side(comp, circumference, theta) -> str:
             return "level"
         ahead[(pos - theta) % circumference] = sign
     return "below" if ahead[min(ahead)] == "+" else "above"
+
+
+def reference_serialize_document(doc) -> str:
+    """The text json's own encoder writes for the document's JSON tree."""
+    return json.dumps(_document_tree(doc), indent=2) + "\n"

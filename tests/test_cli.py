@@ -237,6 +237,9 @@ ZEROS = ["components", 0, "zeros"]
      "bordism.grid[0][0].components[0].sheets"),
     ("triangle_family", ["tuples", 0, 0] + ZEROS + [0], [{}],
      "family.tuples[0][0].components[0].zeros[0]"),
+    ("metric_interval", ["field", "densities"], {}, "bordism.field.densities"),
+    ("triangle_family", ["tuples"], {}, "family.tuples"),
+    ("triangle_family", ["densities"], "", "family.densities"),
 ])
 def test_validate_names_mistyped_nested_fields(tmp_path, capsys, example,
                                                path, value, where):

@@ -8,21 +8,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutgrids.bordisms import catalog
+from cutgrids.bordisms import CATALOG_NAMES, Bordism, catalog, embedded_field
 from cutgrids.documents import (
     FORMAT_NAME,
     Document,
+    _write_json,
     document_for,
     parse_document,
     rational_from_text,
     rational_to_text,
     serialize_document,
 )
-from cutgrids.errors import DocumentSyntaxError, DocumentValidationError
+from cutgrids.errors import (
+    DocumentEncodingError,
+    DocumentSyntaxError,
+    DocumentValidationError,
+)
 from cutgrids.finitecat import cyclic_group_category, nerve
-from cutgrids.plgeom import INF, NEG_INF
+from cutgrids.grids import (
+    AffineMap,
+    ComponentCut1D,
+    Cut1D,
+    CutGrid,
+    CutTuple,
+    MonoidalCutGrid,
+)
+from cutgrids.plgeom import INF, NEG_INF, Ambient1D
 
-from fixtures import chain_poset, deeply_nested_documents
+from fixtures import (
+    chain_poset,
+    cospan_poset,
+    deeply_nested_documents,
+    discrete_category,
+    disjoint_union_category,
+    parallel_pair_category,
+)
+from oracles import reference_serialize_document
 
 
 def elbow_text():
@@ -92,6 +113,124 @@ def test_names_survive_the_round_trip():
     assert parse_document(serialize_document(doc)).name == "my favourite point"
     anonymous = document_for(catalog("point1d"))
     assert parse_document(serialize_document(anonymous)).name is None
+
+
+# ---------------------------------------------------------------------------
+# the writer
+# ---------------------------------------------------------------------------
+
+# names with quotes, a backslash, control characters, U+2028 and characters
+# outside the BMP, each of which json escapes
+AWKWARD_NAMES = ['say "cut"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+                 "line\u2028separator", "emoji \U0001F600 \U00010000", "é ü 中", ""]
+
+
+@pytest.mark.parametrize("example", CATALOG_NAMES)
+def test_catalog_documents_are_written_as_json_writes_them(example):
+    payload = catalog(example)
+    for name in (None, example, *AWKWARD_NAMES):
+        doc = document_for(payload, name)
+        assert serialize_document(doc) == reference_serialize_document(doc)
+
+
+FINITE_CATEGORIES = {
+    "discrete": discrete_category(3),
+    "chain": chain_poset(2),
+    "cospan": cospan_poset(),
+    "parallel pair": parallel_pair_category(),
+    "disjoint union": disjoint_union_category(chain_poset(1), cospan_poset()),
+    "cyclic group": cyclic_group_category(3),
+}
+
+
+@pytest.mark.parametrize("fixture", FINITE_CATEGORIES)
+def test_finite_fixtures_are_written_as_json_writes_them(fixture):
+    category = FINITE_CATEGORIES[fixture]
+    for payload in (category, nerve(category, 0), nerve(category, 2)):
+        for name in (None, fixture):
+            doc = document_for(payload, name)
+            assert serialize_document(doc) == reference_serialize_document(doc)
+
+
+def written(tree) -> str:
+    parts = []
+    _write_json(tree, "\n", parts.append)
+    return "".join(parts)
+
+
+json_leaves = (st.none() | st.booleans() | st.text()
+               | st.integers() | st.integers(min_value=-10**60, max_value=10**60))
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner,
+                                                                max_size=4),
+    max_leaves=30)
+
+
+@given(json_trees)
+@settings(max_examples=300, deadline=None)
+def test_the_writer_writes_what_json_writes(tree):
+    assert written(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    1.5, [0, 2.0], {"a": float("inf")}, {1: "a"}, {"a": {None: 1}}, (1, 2),
+    {"a": [b"bytes"]}, F(1, 2)])
+def test_the_writer_refuses_what_documents_never_hold(tree):
+    # floats (json would write them), keys that are not strings (json would
+    # convert them) and tuples (json would write them as arrays) included
+    with pytest.raises(TypeError) as caught:
+        written(tree)
+    assert isinstance(caught.value, DocumentEncodingError)
+
+
+def linear_document(m: int) -> Document:
+    """A bordism on two windows of the line with m + 1 nested cuts, each
+    with one zero a window, as the linear benchmark builds them."""
+    windows = ((F(0), F(80)), (F(100), F(180)))
+    cuts = tuple(Cut1D(tuple(ComponentCut1D("zeros", ((lo + F(8 + 9 * j, 4), "+"),))
+                             for lo, _hi in windows))
+                 for j in range(m + 1))
+    mgrid = MonoidalCutGrid(CutGrid((CutTuple(cuts),)), 2, (1, 2))
+    return document_for(Bordism(Ambient1D(windows), mgrid, embedded_field(1),
+                                AffineMap.identity(1)), f"m={m}")
+
+
+@pytest.mark.parametrize("doc", [linear_document(32),
+                                 document_for(catalog("composable_pair_2d"))],
+                         ids=["linear m=32", "composable_pair_2d"])
+def test_the_writer_runs_no_pure_python_json_encoder(monkeypatch, doc):
+    # json takes _make_iterencode for any indent, once per json.dumps call
+    calls = []
+    make = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    text = serialize_document(doc)
+    assert len(calls) == 0
+    assert parse_document(text) == doc
+    reference_serialize_document(doc)
+    assert len(calls) == 1
+
+
+def test_rational_text_copies_no_rational(monkeypatch):
+    values = [F(-3, 4), F(5), F(0), 7, -2, 10**40, F(-10**40, 3)]
+    new = F.__new__
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    texts = [rational_to_text(v) for v in values]
+    assert calls == []
+    assert texts == ["-3/4", "5", "0", "7", "-2", str(10**40), f"-{10**40}/3"]
+    F(1)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +404,60 @@ def test_a_bad_pl_function_entry_names_its_path(site):
             == f"{where}.breakpoints[1]: malformed rational 'x'")
     assert (pl_function_error(site, breakpoints=["0", "1"], values=["1", "2/4"])
             == f"{where}.values[1]: non-canonical rational '2/4' (write '1/2')")
+    assert (pl_function_error(site, left_slope="x")
+            == f"{where}.left_slope: malformed rational 'x'")
+    assert (pl_function_error(site, right_slope="2/4")
+            == f"{where}.right_slope: non-canonical rational '2/4' (write '1/2')")
+
+
+@pytest.mark.parametrize("key", ["t0", "t1", "emb_scale"])
+def test_a_bad_family_rational_names_its_key(key):
+    obj = json.loads(serialize_document(document_for(catalog("triangle_family"))))
+    obj["payload"][key] = "x"
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_document(json.dumps(obj))
+    assert str(caught.value) == f"family.{key}: malformed rational 'x'"
+    obj["payload"][key] = 1.5
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_document(json.dumps(obj))
+    assert str(caught.value) == (
+        f"family.{key}: expected a rational string, got float")
+
+
+ARRAY_SITES = {
+    # an array of each kind of payload that is read entry by entry, and
+    # the path its error names
+    "metric densities": (lambda: catalog("metric_interval"),
+                         ("field", "densities"), "bordism.field.densities"),
+    "cuts of a direction": (lambda: catalog("elbow_right"),
+                            ("grid", 0), "bordism.grid[0]"),
+    "family tuples": (lambda: catalog("triangle_family"),
+                      ("tuples",), "family.tuples"),
+    "cuts of a family tuple": (lambda: catalog("triangle_family"),
+                               ("tuples", 0), "family.tuples[0]"),
+    "family densities": (lambda: catalog("triangle_family"),
+                         ("densities",), "family.densities"),
+    "objects": (lambda: chain_poset(2), ("objects",), "finite-category.objects"),
+    "simplices": (lambda: nerve(chain_poset(1), 1),
+                  ("simplices",), "presheaf.simplices"),
+    "simplices of a degree": (lambda: nerve(chain_poset(1), 1),
+                              ("simplices", 1), "presheaf.simplices[1]"),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+@pytest.mark.parametrize("value", [{}, "", "01", {"0": "1"}])
+def test_payload_arrays_must_be_arrays(site, value):
+    # none is read as an empty array or character by character
+    payload, path, where = ARRAY_SITES[site]
+    obj = json.loads(serialize_document(document_for(payload())))
+    parent = obj["payload"]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(DocumentSyntaxError) as caught:
+        parse_document(json.dumps(obj))
+    assert str(caught.value) == f"{where}: expected an array"
 
 
 def test_too_deep_a_document_is_a_syntax_error():
