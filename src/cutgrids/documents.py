@@ -135,6 +135,13 @@ def _array(v, where: str) -> list:
     return v
 
 
+def _cut_tuple(v, where: str) -> list:
+    """v, which must be an array holding at least one cut."""
+    if not _array(v, where):
+        raise DocumentSyntaxError(f"{where}: a cut tuple needs at least one cut")
+    return v
+
+
 def _is_int(v) -> bool:
     """An integer proper: JSON true/false load as bools, which are ints."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -375,7 +382,7 @@ def _bordism_from_json(obj, where: str = "bordism") -> Bordism:
         raise DocumentSyntaxError(f"{where}: grid needs one tuple per direction")
     tuples = tuple(
         CutTuple(tuple(_cut_from_json(c, dim, f"{where}.grid[{i}][{j}]")
-                       for j, c in enumerate(_array(cuts, f"{where}.grid[{i}]"))))
+                       for j, c in enumerate(_cut_tuple(cuts, f"{where}.grid[{i}]"))))
         for i, cuts in enumerate(grid))
     ell = obj.get("ell")
     if not _is_int(ell):
@@ -434,7 +441,7 @@ def _family_from_json(obj, where: str = "family") -> BordismFamily:
         tuple(FamCut1D(_components_from_json(
             cut, f"{at}[{i}][{j}]", FamComponentCut1D, "zeros",
             _zero_parser(_plf_from_json)))
-            for j, cut in enumerate(_array(tup, f"{at}[{i}]")))
+            for j, cut in enumerate(_cut_tuple(tup, f"{at}[{i}]")))
         for i, tup in enumerate(_array(obj.get("tuples", []), at)))
     ell = obj.get("ell")
     target_dim = obj.get("target_dim", 1)

@@ -9,6 +9,13 @@ is the composite "f followed by g".  Validation enumerates, since every
 carrier here is finite.  A category with an explicit table checks every
 composable pair, and so does a presheaf on it.
 
+A presheaf holds each restriction map as a row of positions: the elements
+of each object sit in one fixed order, and the row of an arrow gives, for
+each element of its target's set, the position of the image in its
+source's set.  The checks compose such rows, the label-splitting check
+counts pairs of positions, and the builders of label diagrams emit rows
+directly, so no element dict is made for them.
+
 The one exception is the base of label diagrams, ``gamma_segal_category``.
 It composes on demand, and a presheaf on it is checked for functoriality on
 generators: F(s;g) = F(s)∘F(g) for each elementary pointed map s and each
@@ -173,14 +180,22 @@ class FinFunctor:
 class FinPresheaf:
     """A contravariant set-valued functor on a finite category.
 
-    ``actions[f]`` for f: x -> y is the restriction map F(y) -> F(x), given
-    as a dict.  Functoriality is checked by enumeration: each action is
-    translated once into a list of positions, one per element of F(y) in a
-    fixed order, giving its image's position in F(x), so each pair the base
-    supplies through ``functoriality_pairs`` is checked by composing two
-    such lists.  A tabled base supplies every composable pair; the Γ base
-    of ``gamma_segal_category`` supplies its generators' pairs, which the
-    module docstring shows is enough.
+    ``actions[f]`` for f: x -> y is the restriction map F(y) -> F(x), read
+    as a mapping from element to element.  It is held as a row of
+    positions: each object keeps its elements in one fixed order,
+    ``tuple(sets[x])``, and the row of f lists, for each element of F(y) in
+    that order, the position of its image in F(x).  ``actions`` and each
+    ``actions[f]`` are read-only views of the rows, which compare, convert
+    and print as the dicts they stand for.
+
+    The constructor takes element dicts and turns each into its row; the
+    label builders of this module pass rows straight in.  Either way the
+    rows are checked once: each is a map F(y) -> F(x), identities act as
+    identities, and functoriality holds on each pair the base supplies
+    through ``functoriality_pairs``, by composing two rows.  A tabled base
+    supplies every composable pair; the Γ base of ``gamma_segal_category``
+    supplies its generators' pairs, which the module docstring shows is
+    enough.
     """
 
     base: FinCategory
@@ -188,41 +203,128 @@ class FinPresheaf:
     actions: Mapping[Arrow, Mapping]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", {x: frozenset(s) for x, s in self.sets.items()})
-        object.__setattr__(
-            self, "actions", {f: dict(a) for f, a in self.actions.items()}
-        )
-        for x in self.base.objects:
-            if x not in self.sets:
-                raise ArgumentError(f"no set assigned to object {x!r}")
-        order = {x: tuple(self.sets[x]) for x in self.base.objects}
-        position = {x: {e: i for i, e in enumerate(es)} for x, es in order.items()}
-        table = {}
+        self._hold_sets(self.sets)
+        order, position = self._order, self._position
+        rows = {}
         for f, (s, t) in self.base.arrows.items():
             act = self.actions.get(f)
             if act is None:
-                raise ArgumentError(f"no action for arrow {f!r}")
+                continue
             # act is a map F(t) -> F(s) exactly when every element of F(t)
-            # has an image in F(s) and act has no other key
+            # has an image in F(s) and act has no other key; None marks
+            # one that is not
             at = position[s]
             try:
                 row = [at[act[e]] for e in order[t]]
             except KeyError:
                 row = None
-            if row is None or len(act) != len(row):
-                raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
-            table[f] = row
+            rows[f] = row if row is not None and len(act) == len(row) else None
+        self._hold_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, base: FinCategory, sets: Mapping[Obj, frozenset],
+                   rows: Mapping[Arrow, list | None]) -> FinPresheaf:
+        """The presheaf whose action along f: x -> y is ``rows[f]``, a list
+        of positions into ``tuple(sets[x])``, one per element of
+        ``tuple(sets[y])``, or None for an action that is not a map; rows
+        holds the arrows in arrow order.  Checked as the constructor checks
+        the rows it makes."""
+        presheaf = object.__new__(cls)
+        object.__setattr__(presheaf, "base", base)
+        presheaf._hold_sets(sets)
+        presheaf._hold_rows(rows)
+        return presheaf
+
+    def _hold_sets(self, sets: Mapping[Obj, frozenset]) -> None:
+        """Freeze the sets, and fix each object's order and its elements'
+        positions in it."""
+        object.__setattr__(self, "sets", {x: frozenset(s) for x, s in sets.items()})
         for x in self.base.objects:
-            ident = self.actions[self.base.identity[x]]
-            if any(ident[e] != e for e in self.sets[x]):
+            if x not in self.sets:
+                raise ArgumentError(f"no set assigned to object {x!r}")
+        order = {x: tuple(self.sets[x]) for x in self.base.objects}
+        position = {x: {e: i for i, e in enumerate(es)} for x, es in order.items()}
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_position", position)
+
+    def _hold_rows(self, rows: Mapping[Arrow, list | None]) -> None:
+        """Check the rows and keep them as the actions."""
+        base, order = self.base, self._order
+        for f, (s, t) in base.arrows.items():
+            if f not in rows:
+                raise ArgumentError(f"no action for arrow {f!r}")
+            row = rows[f]
+            if row is None or len(row) != len(order[t]) or row and not (
+                    0 <= min(row) and max(row) < len(order[s])):
+                raise ArgumentError(f"action of {f!r} is not a map F({t!r}) -> F({s!r})")
+        for x in base.objects:
+            if rows[base.identity[x]] != list(range(len(order[x]))):
                 raise ArgumentError(f"identity action at {x!r} is not the identity")
-        for (f, g), h in self.base.functoriality_pairs():
-            af = table[f]
-            if table[h] != [af[i] for i in table[g]]:
+        last = None
+        for (f, g), h in base.functoriality_pairs():
+            if f is not last:  # pairs come in runs of one f: one lookup per run
+                last, at = f, rows[f].__getitem__
+            if rows[h] != list(map(at, rows[g])):
                 raise ArgumentError(f"contravariant functoriality fails at {f!r};{g!r}")
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "actions", _Actions(base.arrows, order, self._position, rows))
 
     def act(self, f: Arrow, element):
-        return self.actions[f][element]
+        s, t = self.base.arrows[f]
+        return self._order[s][self._rows[f][self._position[t][element]]]
+
+
+class _Actions(Mapping):
+    """``FinPresheaf.actions``: each arrow's restriction map, in arrow order,
+    as a view of its row."""
+
+    __slots__ = ("_arrows", "_order", "_position", "_rows")
+
+    def __init__(self, arrows, order, position, rows) -> None:
+        self._arrows, self._order, self._position, self._rows = arrows, order, position, rows
+
+    def __getitem__(self, f: Arrow) -> _Action:
+        row = self._rows[f]
+        s, t = self._arrows[f]
+        return _Action(self._order[t], self._position[t], self._order[s], row)
+
+    def __contains__(self, f) -> bool:
+        return f in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Action(Mapping):
+    """One restriction map F(t) -> F(s): the element at position i of F(t)
+    goes to the element at position row[i] of F(s)."""
+
+    __slots__ = ("_domain", "_position", "_codomain", "_row")
+
+    def __init__(self, domain: tuple, position: dict, codomain: tuple, row: list) -> None:
+        self._domain, self._position, self._codomain, self._row = (
+            domain, position, codomain, row)
+
+    def __getitem__(self, element):
+        return self._codomain[self._row[self._position[element]]]
+
+    def __contains__(self, element) -> bool:
+        return element in self._position
+
+    def __iter__(self):
+        return iter(self._domain)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._domain, map(self._codomain.__getitem__, self._row))))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +409,12 @@ class TruncSSet:
     def face(self, k: int, i: int, x):
         return self.faces[(k, i)][x]
 
-    def vertex(self, k: int, j: int, x):
-        """The j-th vertex of a k-simplex, via iterated faces."""
-        cur, deg = x, k
-        while deg > j:
-            cur = self.faces[(deg, deg)][cur]
-            deg -= 1
-        while deg > 0:
-            cur = self.faces[(deg, 0)][cur]
-            deg -= 1
-        return cur
+    def vertex(self, k: int, j: int, xs: list) -> list:
+        """The j-th vertex of each k-simplex of xs, via iterated faces: the
+        last face down to degree j, then the first face down to degree 0,
+        each applied to the whole list in turn."""
+        return _images(xs, *(self.faces[(deg, deg)] for deg in range(k, j, -1)),
+                       *(self.faces[(deg, 0)] for deg in range(j, 0, -1)))
 
     def restriction_maps(self, alpha: MonotoneMap) -> list[Mapping]:
         """The face and degeneracy maps whose composite is X(alpha), for a
@@ -479,24 +577,28 @@ def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
 
     The map is checked injective and into the fibre product, and then onto
     it by counting: the fibre product has, for each v in X_b, as many pairs
-    as there are u in X_a ending at v's first vertex."""
+    as there are u in X_a ending at v's first vertex.  Vertices are read for
+    all of X_a and X_b at once, and each test is one pass over the two
+    lists of restrictions."""
     if a < 0 or b < 0:
         raise ArgumentError("chain lengths must be nonnegative")
     if a + b > sset.level:
         raise ArgumentError(f"level {sset.level} too low for a+b={a + b}")
     init = MonotoneMap(a, a + b, tuple(range(a + 1)))
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
-    end = {u: sset.vertex(a, a, u) for u in sset.simplices[a]}
-    start = {v: sset.vertex(b, 0, v) for v in sset.simplices[b]}
+    xa, xb = list(sset.simplices[a]), list(sset.simplices[b])
+    end = dict(zip(xa, sset.vertex(a, a, xa)))
+    start = dict(zip(xb, sset.vertex(b, 0, xb)))
     xs = list(sset.simplices[a + b])
-    pairs = set()
-    for u, v in zip(_images(xs, *sset.restriction_maps(init)),
-                    _images(xs, *sset.restriction_maps(fin))):
-        if (u, v) in pairs or u not in end or v not in start or end[u] != start[v]:
-            return False
-        pairs.add((u, v))
+    us = _images(xs, *sset.restriction_maps(init))
+    vs = _images(xs, *sset.restriction_maps(fin))
+    if not (end.keys() >= set(us) and start.keys() >= set(vs)):
+        return False
+    if len(set(zip(us, vs))) != len(xs) or list(map(end.__getitem__, us)) != list(
+            map(start.__getitem__, vs)):
+        return False
     ends = Counter(end.values())
-    return len(pairs) == sum(ends[w] for w in start.values())
+    return len(xs) == sum(map(ends.__getitem__, start.values()))
 
 
 def check_completeness_nerve(category: FinCategory) -> bool:
@@ -541,9 +643,9 @@ class _GammaBase(FinCategory):
         """Each generator s with each arrow g out of its target, composed
         without then's composability test, which such a pair always passes."""
         for s in self.generators:
-            out_of_source = self.out_of[s[1]]
+            out_of_source, action = self.out_of[s[1]], s[3]
             for g in self.out_of[s[2]].values():
-                yield (s, g), out_of_source[gamma_compose_actions(g[3], s[3])]
+                yield (s, g), out_of_source[gamma_compose_actions(g[3], action)]
 
 
 class _ComposablePairs(Mapping):
@@ -565,6 +667,10 @@ class _ComposablePairs(Mapping):
     def __len__(self) -> int:
         c = self._category
         return sum(len(c.out_of[b]) for _, b in c.arrows.values())
+
+    def __repr__(self) -> str:
+        """Names the base by its size; composes nothing."""
+        return f"<then-table of gamma_segal_category({self._category.objects[-1]})>"
 
 
 def gamma_segal_category(n: int) -> FinCategory:
@@ -622,7 +728,11 @@ def segal_projection_arrows(kappa: int, ell: int) -> tuple[Arrow, Arrow]:
 
 def check_segal_gamma(presheaf: FinPresheaf, kappa: int, ell: int) -> bool:
     """Strict label-splitting condition: X<kappa+ell> -> X<kappa> x X<ell> is
-    a bijection and X<0> is a singleton."""
+    a bijection and X<0> is a singleton.
+
+    The map is read from the rows of the two splitting arrows: it is
+    injective when no two elements share a pair of image positions, and
+    then onto when there are as many elements as pairs."""
     if kappa < 0 or ell < 0:
         raise ArgumentError("label counts must be nonnegative")
     if kappa + ell not in presheaf.sets:
@@ -630,16 +740,12 @@ def check_segal_gamma(presheaf: FinPresheaf, kappa: int, ell: int) -> bool:
     if len(presheaf.sets[0]) != 1:
         return False
     p1, p2 = segal_projection_arrows(kappa, ell)
-    if p1 not in presheaf.actions or p2 not in presheaf.actions:
+    rows = presheaf._rows
+    if p1 not in rows or p2 not in rows:
         raise ArgumentError("presheaf does not carry the splitting arrows")
-    seen = set()
-    for x in presheaf.sets[kappa + ell]:
-        key = (presheaf.act(p1, x), presheaf.act(p2, x))
-        if key in seen:
-            return False
-        seen.add(key)
-    full = {(u, v) for u in presheaf.sets[kappa] for v in presheaf.sets[ell]}
-    return seen == full
+    r1 = rows[p1]
+    return len(set(zip(r1, rows[p2]))) == len(r1) == len(
+        presheaf.sets[kappa]) * len(presheaf.sets[ell])
 
 
 def monoid_power_presheaf(elements: Iterable, add: Callable, zero, n: int) -> FinPresheaf:
@@ -653,17 +759,21 @@ def monoid_power_presheaf(elements: Iterable, add: Callable, zero, n: int) -> Fi
     column: for every listed tuple, the sum of its entries at those
     positions, ``reduce(add, ..., zero)`` in position order, as the
     label-by-label definition adds them.  An action zips the columns of its
-    preimages, so each sum is computed once per size, not once per arrow."""
+    preimages into image tuples and looks up each one's position in E^a, so
+    each sum is computed once per size, not once per arrow, and the
+    presheaf is built from its rows.  A sum outside E leaves its action's
+    row None, which the check reports as not a map."""
     elems = tuple(elements)
     base = gamma_segal_category(n)
     sets = {k: frozenset(itertools.product(elems, repeat=k)) for k in base.objects}
-    listed = {k: list(s) for k, s in sets.items()}
+    listed = {k: tuple(s) for k, s in sets.items()}
+    position = {k: {y: i for i, y in enumerate(ys)} for k, ys in listed.items()}
     columns: dict[int, dict[tuple[int, ...], list]] = {k: {} for k in base.objects}
-    actions = {}
+    rows: dict[Arrow, list | None] = {}
     for f, (a, b) in base.arrows.items():
         ys, column = listed[b], columns[b]
         if a == 0:
-            actions[f] = dict.fromkeys(ys, ())
+            rows[f] = [0] * len(ys)
             continue
         preimages: list[list[int]] = [[] for _ in range(a + 1)]
         for i, image in enumerate(f[3]):
@@ -673,16 +783,21 @@ def monoid_power_presheaf(elements: Iterable, add: Callable, zero, n: int) -> Fi
             if pre not in column:
                 column[pre] = [reduce(add, map(y.__getitem__, pre), zero) for y in ys]
             picked.append(column[pre])
-        actions[f] = dict(zip(ys, zip(*picked)))
-    return FinPresheaf(base, sets, actions)
+        try:
+            rows[f] = list(map(position[a].__getitem__, zip(*picked)))
+        except KeyError:
+            rows[f] = None
+    return FinPresheaf._from_rows(base, sets, rows)
 
 
 def constant_gamma_presheaf(value_set: Iterable, n: int) -> FinPresheaf:
+    """The label diagram with one value set at every size, every arrow
+    acting as the identity: one identity row shared by all arrows."""
     base = gamma_segal_category(n)
     vs = frozenset(value_set)
-    sets = {k: vs for k in base.objects}
-    actions = {f: {v: v for v in vs} for f in base.arrows}
-    return FinPresheaf(base, sets, actions)
+    identity = list(range(len(vs)))
+    return FinPresheaf._from_rows(base, dict.fromkeys(base.objects, vs),
+                                  dict.fromkeys(base.arrows, identity))
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,21 @@ rules of the former __post_init__, the reference for the one constructor
 of each.
 Document text: a document's JSON tree written by json.dumps with indent=2,
 the reference for documents.serialize_document, which writes the same
-text with its own recursive writer."""
+text with its own recursive writer.
+Presheaves: the checks of finitecat.FinPresheaf on element dicts, with
+functoriality tested element by element over every pair of the
+then-table, the reference for the check on position rows; and the
+label-splitting map compared with the whole product set, the reference
+for finitecat.check_segal_gamma, which counts distinct pairs of
+positions."""
 
 import dataclasses
 import itertools
 import json
 
 from cutgrids.documents import _document_tree
-from cutgrids.errors import ValidationError
+from cutgrids.errors import ArgumentError, ValidationError
+from cutgrids.finitecat import segal_projection_arrows
 from cutgrids.grids import (
     _component_parts_2d,
     _point_text,
@@ -355,3 +362,50 @@ def nearest_zero_ahead_side(comp, circumference, theta) -> str:
 def reference_serialize_document(doc) -> str:
     """The text json's own encoder writes for the document's JSON tree."""
     return json.dumps(_document_tree(doc), indent=2) + "\n"
+
+
+def reference_presheaf_error(base, sets, actions):
+    """The checks of FinPresheaf on element dicts, with functoriality
+    tested element by element: the message of the first check that fails,
+    or None."""
+    for x in base.objects:
+        if x not in sets:
+            return f"no set assigned to object {x!r}"
+    for f, (s, t) in base.arrows.items():
+        act = actions.get(f)
+        if act is None:
+            return f"no action for arrow {f!r}"
+        if set(act) != set(sets[t]) or not set(act.values()) <= set(sets[s]):
+            return f"action of {f!r} is not a map F({t!r}) -> F({s!r})"
+    for x in base.objects:
+        ident = actions[base.identity[x]]
+        if any(ident[e] != e for e in sets[x]):
+            return f"identity action at {x!r} is not the identity"
+    for (f, g), h in base.then_table.items():
+        af, ag, ah = actions[f], actions[g], actions[h]
+        for e in sets[base.dst(g)]:
+            if af[ag[e]] != ah[e]:
+                return f"contravariant functoriality fails at {f!r};{g!r}"
+    return None
+
+
+def reference_check_segal_gamma(sets, actions, kappa: int, ell: int) -> bool:
+    """X<kappa+ell> -> X<kappa> x X<ell> is injective with image the whole
+    product set, and X<0> is a singleton: the sets and the action dicts
+    of a presheaf on gamma_segal_category."""
+    if kappa < 0 or ell < 0:
+        raise ArgumentError("label counts must be nonnegative")
+    if kappa + ell not in sets:
+        raise ArgumentError(f"size {kappa + ell} outside the diagram")
+    if len(sets[0]) != 1:
+        return False
+    p1, p2 = segal_projection_arrows(kappa, ell)
+    if p1 not in actions or p2 not in actions:
+        raise ArgumentError("presheaf does not carry the splitting arrows")
+    seen = set()
+    for x in sets[kappa + ell]:
+        key = (actions[p1][x], actions[p2][x])
+        if key in seen:
+            return False
+        seen.add(key)
+    return seen == {(u, v) for u in sets[kappa] for v in sets[ell]}

@@ -285,6 +285,22 @@ def test_a_whole_component_without_a_side_exits_2(tmp_path, capsys, example,
         f"error: {kind}.{cuts}[0][0].components[0]: bad side None\n")
 
 
+@pytest.mark.parametrize("example, kind, cuts", [
+    ("elbow_right", "bordism", "grid"),
+    ("triangle_family", "family", "tuples"),
+])
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_an_empty_cut_tuple_fails_at_parse_naming_its_path(tmp_path, capsys, example,
+                                                         kind, cuts, command):
+    # a family's empty tuple used to parse and fail the check with exit 1
+    f = edit_payload(tmp_path, catalog(example), example,
+                     lambda p: p[cuts].__setitem__(0, []))
+    assert main([command, f, "-o", str(tmp_path / "out.svg")]
+                if command == "render" else [command, f]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {kind}.{cuts}[0]: a cut tuple needs at least one cut\n")
+
+
 def test_a_sheet_graph_that_is_not_an_array_exits_2(tmp_path, capsys):
     # the strings were read as the breakpoints [1, 2] and values [3, 4]
     def edit(p):

@@ -1,6 +1,10 @@
 """Finite categories, nerves, presheaves, and the strict locality checkers."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +39,7 @@ from fixtures import (chain_poset, constant_multisimplex_presheaf, cospan_poset,
                       discrete_category, discrete_factor, disjoint_union_category,
                       parallel_pair_category, preorder_diagnostics,
                       representable_multisimplex_presheaf, restrict, sset_factor)
+from oracles import reference_check_segal_gamma, reference_presheaf_error
 
 
 # ---------------------------------------------------------------------------
@@ -61,47 +66,63 @@ def small_categories(draw, max_objects=4):
     return cat
 
 
-def representable_presheaf(cat: FinCategory, c) -> FinPresheaf:
+def representable_spec(cat: FinCategory, c) -> tuple:
+    """(base, sets, action dicts) of the presheaf Hom(-, c)."""
     sets = {x: frozenset(cat.hom(x, c)) for x in cat.objects}
     actions = {
         f: {h: cat.then(f, h) for h in sets[cat.dst(f)]} for f in cat.arrows
     }
-    return FinPresheaf(cat, sets, actions)
+    return cat, sets, actions
 
 
-def constant_presheaf(cat: FinCategory, values) -> FinPresheaf:
+def representable_presheaf(cat: FinCategory, c) -> FinPresheaf:
+    return FinPresheaf(*representable_spec(cat, c))
+
+
+def constant_spec(cat: FinCategory, values) -> tuple:
     vs = frozenset(values)
     sets = {x: vs for x in cat.objects}
     actions = {f: {v: v for v in vs} for f in cat.arrows}
-    return FinPresheaf(cat, sets, actions)
+    return cat, sets, actions
 
 
-def coproduct_presheaf(p: FinPresheaf, q: FinPresheaf) -> FinPresheaf:
+def constant_presheaf(cat: FinCategory, values) -> FinPresheaf:
+    return FinPresheaf(*constant_spec(cat, values))
+
+
+def coproduct_spec(p: tuple, q: tuple) -> tuple:
+    (base, p_sets, p_actions), (_, q_sets, q_actions) = p, q
     sets = {
-        x: frozenset({(0, e) for e in p.sets[x]} | {(1, e) for e in q.sets[x]})
-        for x in p.base.objects
+        x: frozenset({(0, e) for e in p_sets[x]} | {(1, e) for e in q_sets[x]})
+        for x in base.objects
     }
     actions = {}
-    for f in p.base.arrows:
-        y = p.base.dst(f)
+    for f in base.arrows:
+        y = base.dst(f)
         actions[f] = {
-            (i, e): (i, (p if i == 0 else q).act(f, e)) for (i, e) in sets[y]
+            (i, e): (i, (p_actions if i == 0 else q_actions)[f][e]) for (i, e) in sets[y]
         }
-    return FinPresheaf(p.base, sets, actions)
+    return base, sets, actions
 
 
 @st.composite
-def small_presheaves(draw):
+def small_presheaf_specs(draw):
+    """(base, sets, action dicts) of a representable presheaf, a constant
+    one, or the coproduct of the two, on a small category."""
     cat = draw(small_categories())
     kind = draw(st.integers(0, 2))
     if kind == 0:
-        return representable_presheaf(cat, draw(st.sampled_from(cat.objects)))
+        return representable_spec(cat, draw(st.sampled_from(cat.objects)))
     if kind == 1:
         size = draw(st.integers(0, 3))
-        return constant_presheaf(cat, range(size))
-    p = representable_presheaf(cat, draw(st.sampled_from(cat.objects)))
-    q = constant_presheaf(cat, range(draw(st.integers(1, 2))))
-    return coproduct_presheaf(p, q)
+        return constant_spec(cat, range(size))
+    p = representable_spec(cat, draw(st.sampled_from(cat.objects)))
+    q = constant_spec(cat, range(draw(st.integers(1, 2))))
+    return coproduct_spec(p, q)
+
+
+def small_presheaves():
+    return small_presheaf_specs().map(lambda spec: FinPresheaf(*spec))
 
 
 def graph_components(cat: FinCategory) -> set:
@@ -227,30 +248,6 @@ def test_presheaf_rejects_a_broken_composite():
         FinPresheaf(chain, p.sets, bad_actions)
 
 
-def reference_presheaf_error(base: FinCategory, sets, actions):
-    """The checks of FinPresheaf with functoriality tested element by
-    element: the message of the first check that fails, or None."""
-    for x in base.objects:
-        if x not in sets:
-            return f"no set assigned to object {x!r}"
-    for f, (s, t) in base.arrows.items():
-        act = actions.get(f)
-        if act is None:
-            return f"no action for arrow {f!r}"
-        if set(act) != set(sets[t]) or not set(act.values()) <= set(sets[s]):
-            return f"action of {f!r} is not a map F({t!r}) -> F({s!r})"
-    for x in base.objects:
-        ident = actions[base.identity[x]]
-        if any(ident[e] != e for e in sets[x]):
-            return f"identity action at {x!r} is not the identity"
-    for (f, g), h in base.then_table.items():
-        af, ag, ah = actions[f], actions[g], actions[h]
-        for e in sets[base.dst(g)]:
-            if af[ag[e]] != ah[e]:
-                return f"contravariant functoriality fails at {f!r};{g!r}"
-    return None
-
-
 @given(small_presheaves(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_functoriality_check_matches_the_element_loop(presheaf, data):
@@ -331,7 +328,12 @@ def test_nerve_faces_compose_inner_and_drop_outer():
 def test_nerve_vertices():
     n = nerve(chain_poset(2), 2)
     x = (("le", 0, 1), ("le", 1, 2))
-    assert [n.vertex(2, j, x) for j in (0, 1, 2)] == [0, 1, 2]
+    assert [n.vertex(2, j, [x]) for j in (0, 1, 2)] == [[0], [1], [2]]
+    for k in range(3):
+        xs = sorted(n.simplices[k], key=repr)
+        for j in range(k + 1):
+            assert n.vertex(k, j, xs) == [restrict(n, MonotoneMap(0, k, (j,)), x)
+                                          for x in xs]
 
 
 def test_restrict_along_degeneracy_inserts_identity():
@@ -402,7 +404,7 @@ def segal_by_target_set(sset, a, b):
     pairs = [(restrict(sset, init, x), restrict(sset, fin, x))
              for x in sset.simplices[a + b]]
     target = {(u, v) for u in sset.simplices[a] for v in sset.simplices[b]
-              if sset.vertex(a, a, u) == sset.vertex(b, 0, v)}
+              if sset.vertex(a, a, [u]) == sset.vertex(b, 0, [v])}
     return len(set(pairs)) == len(pairs) and set(pairs) == target
 
 
@@ -415,6 +417,16 @@ def twisted_pair():
         faces[(2, i)] = {"x": "f", "y": "g"}
     return TruncSSet(2, ({0, 1}, {"f", "g"}, {"x", "y"}), faces, {},
                      validate=False)
+
+
+@pytest.mark.parametrize("face", [2, 0], ids=["X_a", "X_b"])
+def test_chain_decomposition_is_false_where_a_restriction_leaves_its_set(face):
+    # the last face gives the initial edge and the first face the final one
+    sset = twisted_pair()
+    faces = {key: dict(m) for key, m in sset.faces.items()}
+    faces[(2, face)]["x"] = "h"
+    leaving = TruncSSet(2, sset.simplices, faces, {}, validate=False)
+    assert check_segal_delta(leaving, 1, 1) is False
 
 
 @st.composite
@@ -814,15 +826,101 @@ def test_gamma_presheaves_at_size_five_compose_per_generator(monkeypatch):
     assert 0 < calls <= len(base.arrows) * len(base.generators)
 
 
+GAMMA_MONOIDS = {"sum mod 2": (range(2), lambda a, b: (a + b) % 2),
+                 "max": (range(3), max)}
+GAMMA_KINDS = ("constant", *GAMMA_MONOIDS)
+
+
+def gamma_presheaf(kind: str, n: int) -> FinPresheaf:
+    if kind == "constant":
+        return constant_gamma_presheaf({"a", "b"}, n)
+    elements, add = GAMMA_MONOIDS[kind]
+    return monoid_power_presheaf(elements, add, 0, n)
+
+
 @st.composite
 def gamma_presheaves(draw):
     n = draw(st.integers(1, 3))
-    kind = draw(st.integers(0, 2))
-    if kind == 0:
-        return constant_gamma_presheaf({"a", "b"}, n)
-    if kind == 1:
-        return monoid_power_presheaf(range(2), lambda a, b: (a + b) % 2, 0, n)
-    return monoid_power_presheaf(range(3), max, 0, n)
+    return gamma_presheaf(GAMMA_KINDS[draw(st.integers(0, 2))], n)
+
+
+@st.composite
+def presheaves_with_their_actions(draw):
+    """(presheaf, action dicts, n): a presheaf of small_presheaf_specs or a
+    representable one on gamma_segal_category(n), with the dicts it was
+    built from, or a gamma_presheaves kind with the dicts its definition
+    gives label by label; n is None off the Gamma base."""
+    which = draw(st.integers(0, 2))
+    if which == 0:
+        base, sets, actions = draw(small_presheaf_specs())
+        return FinPresheaf(base, sets, actions), actions, None
+    n = draw(st.integers(1, 3))
+    if which == 1:
+        base, sets, actions = representable_spec(gamma_segal_category(n),
+                                                 draw(st.integers(0, n)))
+        return FinPresheaf(base, sets, actions), actions, n
+    kind = draw(st.sampled_from(GAMMA_KINDS))
+    p = gamma_presheaf(kind, n)
+    if kind == "constant":
+        return p, {f: {v: v for v in p.sets[0]} for f in p.base.arrows}, n
+    _, add = GAMMA_MONOIDS[kind]
+    return p, reference_monoid_actions(p.base, p.sets, add, 0), n
+
+
+@given(presheaves_with_their_actions())
+@settings(max_examples=80, deadline=None)
+def test_presheaves_read_as_their_action_dicts(case):
+    # in the same order, by the actions view and by act; the Segal
+    # splitting as the product-set reference decides it from the dicts
+    p, want, n = case
+    assert list(p.actions) == list(want)
+    for f, act in want.items():
+        assert dict(p.actions[f]) == act
+        assert list(p.actions[f].items()) == list(act.items())
+        assert [p.act(f, e) for e in act] == list(act.values())
+    if n is not None:
+        for kappa in range(n + 1):
+            for ell in range(n + 1 - kappa):
+                assert check_segal_gamma(p, kappa, ell) is reference_check_segal_gamma(
+                    p.sets, want, kappa, ell)
+    assert FinPresheaf(p.base, p.sets, dict(p.actions)) == p
+    assert FinPresheaf(p.base, p.sets, want) == p
+    with pytest.raises(TypeError):
+        hash(p)
+
+
+def test_presheaves_on_one_base_differ_where_an_action_differs():
+    p = constant_presheaf(cyclic_group_category(2), range(2))
+    swapped = dict(p.actions)
+    swapped[("z", 1)] = {0: 1, 1: 0}
+    q = FinPresheaf(p.base, p.sets, swapped)
+    assert q != p and q.actions != p.actions and q.actions[("z", 0)] == p.actions[("z", 0)]
+    assert q.actions[("z", 1)] == {0: 1, 1: 0} != p.actions[("z", 1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: monoid_power_presheaf(range(3), max, 0, 3),
+    lambda: constant_gamma_presheaf({"a", "b"}, 3),
+], ids=["max", "constant"])
+def test_a_gamma_build_composes_once_per_generator_pair(build, monkeypatch):
+    calls = 0
+    compose = finitecat.gamma_compose_actions
+
+    def counted(first, second):
+        nonlocal calls
+        calls += 1
+        return compose(first, second)
+
+    monkeypatch.setattr(finitecat, "gamma_compose_actions", counted)
+    p = build()
+    assert calls == 534 == sum(len(p.base.out_of[s[2]]) for s in p.base.generators)
+
+
+def test_a_gamma_build_at_size_three_holds_every_action_entry():
+    p = monoid_power_presheaf(range(3), max, 0, 3)
+    assert len(p.actions) == 144
+    assert sum(map(len, p.actions.values())) == 3_004 == sum(
+        len(p.sets[t]) for _, t in p.base.arrows.values())
 
 
 @given(gamma_presheaves(), st.data())
@@ -918,15 +1016,44 @@ def first_nonzero(x, y):
     return x if x else y
 
 
+def actions_of_rows(base: FinCategory, sets, rows) -> dict:
+    """The element dicts that rows of positions into tuple(sets[x]) stand
+    for."""
+    order = {x: tuple(sets[x]) for x in base.objects}
+    return {f: dict(zip(order[t], map(order[s].__getitem__, rows[f])))
+            for f, (s, t) in base.arrows.items()}
+
+
+def rows_of(p: FinPresheaf) -> dict:
+    """Each action of p as the row of positions the builders pass."""
+    position = {x: {e: i for i, e in enumerate(p.sets[x])} for x in p.base.objects}
+    return {f: [position[s][v] for v in p.actions[f].values()]
+            for f, (s, _) in p.base.arrows.items()}
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_monoid_power_sums_add_in_position_order(n, monkeypatch):
     # the presheaf of a noncommutative monoid is not functorial, so the
-    # actions are read before FinPresheaf would reject them
-    monkeypatch.setattr(finitecat, "FinPresheaf", lambda base, sets, actions: (
-        base, sets, actions))
-    base, sets, actions = monoid_power_presheaf(range(3), first_nonzero, 0, n)
+    # rows are read before FinPresheaf would reject them, and read back as
+    # element dicts
+    monkeypatch.setattr(FinPresheaf, "_from_rows", classmethod(
+        lambda cls, base, sets, rows: (base, sets, rows)))
+    base, sets, rows = monoid_power_presheaf(range(3), first_nonzero, 0, n)
     want = reference_monoid_actions(base, sets, first_nonzero, 0)
-    assert listed_actions(actions) == listed_actions(want)
+    assert listed_actions(actions_of_rows(base, sets, rows)) == listed_actions(want)
+
+
+@pytest.mark.parametrize("bad", ["short", "past the end", "negative"])
+def test_the_rows_path_refuses_a_row_that_is_not_a_map(bad):
+    p = monoid_power_presheaf(range(2), max, 0, 2)
+    rows = rows_of(p)
+    assert FinPresheaf._from_rows(p.base, p.sets, rows) == p
+    f = ("g", 1, 2, (1, 1))
+    rows[f] = {"short": rows[f][:-1], "past the end": [2, *rows[f][1:]],
+               "negative": [-1, *rows[f][1:]]}[bad]
+    with pytest.raises(ArgumentError) as caught:
+        FinPresheaf._from_rows(p.base, p.sets, rows)
+    assert str(caught.value) == "action of ('g', 1, 2, (1, 1)) is not a map F(2) -> F(1)"
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -959,6 +1086,49 @@ def test_monoid_powers_sum_each_preimage_once_per_size(n, size, calls):
 def test_constant_gamma_presheaf_acts_trivially(n):
     c = constant_gamma_presheaf({"a", "b"}, n)
     assert c.actions == {f: {"a": "a", "b": "b"} for f in c.base.arrows}
+
+
+REPR_DIGESTS = {
+    "constant": ["635c10a2164da79dc2ff43925f04ecb7e94bea6623bde54ac4287f8a622ddf14",
+                 "f436f028524d1764df30de03518e4683a439ba69ccff25dc54f179459c092be4",
+                 "4677f69f05e8b08be90487c5af8d18e195c75ce32115c89214668cc2e92be309"],
+    "sum mod 2": ["ca8fd6852647aeffbe2e224badc1cd5d00334761478b666a89ca20ba70db9e6e",
+                  "0699b6f8378a011684679b64d349f032931a61d352c97b5a79c5e1e332d09725",
+                  "7ffc482930126241c35f8f69e58214d1445821be94438991c4489b673f2e4674"],
+    "max": ["a2cfd5599f2534a649f9ad0ef27a6a06a26c8787e900a47815b3f8555e18e24a",
+            "9e88b77de0d680d81df8635b8f3bbd767c3e82eac61c81bcbeb96e311f8ed046",
+            "86b74cb1390d8203ec1b2fdda0ec9c01300d5632df4656f038e000e6575154f1"],
+}
+
+
+def test_gamma_presheaf_reprs_are_pinned():
+    # the sha256 of repr at n = 1, 2, 3 for each kind of gamma_presheaves,
+    # in a process of its own: the constant kind's value set is of strings,
+    # whose order in a frozenset follows the per-process string hash
+    script = (
+        "import hashlib\n"
+        "from cutgrids.finitecat import constant_gamma_presheaf, monoid_power_presheaf\n"
+        "for n in (1, 2, 3):\n"
+        "    for p in (constant_gamma_presheaf({'a', 'b'}, n),\n"
+        "              monoid_power_presheaf(range(2), lambda a, b: (a + b) % 2, 0, n),\n"
+        "              monoid_power_presheaf(range(3), max, 0, n)):\n"
+        "        print(hashlib.sha256(repr(p).encode()).hexdigest())\n")
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": "0",
+             "PYTHONPATH": str(Path(finitecat.__file__).parents[1])})
+    got = run.stdout.split()
+    assert {kind: got[i::3] for i, kind in enumerate(REPR_DIGESTS)} == REPR_DIGESTS
+
+
+def test_the_gamma_then_table_repr_names_its_size_and_composes_nothing(monkeypatch):
+    p = monoid_power_presheaf(range(2), max, 0, 2)
+    calls = []
+    monkeypatch.setattr(finitecat, "gamma_compose_actions",
+                        lambda *pair: calls.append(pair))
+    assert repr(p.base.then_table) == "<then-table of gamma_segal_category(2)>"
+    assert "then_table=<then-table of gamma_segal_category(2)>)" in repr(p)
+    assert calls == []
 
 
 def test_fat_basepoint_fails_label_splitting():
