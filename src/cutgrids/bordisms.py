@@ -37,6 +37,7 @@ from .errors import (
 from .grids import (
     _compactness_failures,
     _component_images,
+    _interval_inside,
     AffineMap,
     AmbientEmbedding,
     Cut1D,
@@ -51,7 +52,6 @@ from .grids import (
     component_levels,
     core,
     cut_disagreement,
-    extreme_slices,
     globularity_failures,
     grid_check,
     image_ambient,
@@ -84,6 +84,7 @@ from .plgeom import (
     region_boolean,
     region_closure,
     region_components,
+    region_disagreement,
     region_equal,
     region_sample_point,
     region_subset,
@@ -294,16 +295,12 @@ def normalize(b: Bordism) -> Bordism:
         image_ambient(b.ambient, aff), b.ambient, aff.inverse()))
 
 
-def _labels_disagreement(b1: Bordism, b2: Bordism) -> list:
-    cells: list = []
-    for c1 in range(b1.ambient.n_components()):
-        r1 = component_region(b1.ambient, c1)
-        for c2 in range(b2.ambient.n_components()):
-            if b1.mgrid.labels[c1] == b2.mgrid.labels[c2]:
-                continue
-            r2 = component_region(b2.ambient, c2)
-            cells.extend(region_boolean("intersect", r1, r2).cells)
-    return cells
+def _label_parts(b: Bordism) -> list[PLRegion]:
+    """Part v of b's ambient, for v in 0..ell: the components labelled v."""
+    cells: list[list] = [[] for _ in range(b.mgrid.ell + 1)]
+    for ci, lab in enumerate(b.mgrid.labels):
+        cells[lab].extend(component_region(b.ambient, ci).cells)
+    return [PLRegion(b.ambient.dim, tuple(c)) for c in cells]
 
 
 def equivalent(b1: Bordism, b2: Bordism) -> bool:
@@ -313,7 +310,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
     core (equivalently: the closed disagreement locus misses it).  Each
     core (grids.core) and each pair of cuts' points of the common ambient
     where they differ (cut_disagreement) is one merge of the signed zeros
-    on a line and one refinement on the plane."""
+    on a line and one refinement on the plane; where labels differ, one
+    region_disagreement of the common ambient with both _label_parts."""
     _require_embedded(b1)
     _require_embedded(b2)
     if b1.shape != b2.shape:
@@ -326,7 +324,8 @@ def equivalent(b1: Bordism, b2: Bordism) -> bool:
         return False
     common = region_boolean("intersect", ambient_region(n1.ambient),
                             ambient_region(n2.ambient))
-    diff_cells: list = _labels_disagreement(n1, n2)
+    diff_cells = list(region_disagreement(
+        common, _label_parts(n1), _label_parts(n2)).cells)
     for t1, t2 in zip(n1.mgrid.grid.tuples, n2.mgrid.grid.tuples):
         for c1, c2 in zip(t1.cuts, t2.cuts):
             diff_cells.extend(cut_disagreement(
@@ -513,28 +512,19 @@ def shrink_to_core(b: Bordism, eps) -> Bordism:
     """Restrict the bordism to the box-structured eps-neighborhood of
     its core: each connected core component contributes its bounding
     box inflated by eps.  The result is equivalent to the input, and
-    shrinking twice equals shrinking once with the smaller eps.  The core
-    is read in the cells of the chain grids.extreme_slices builds, the
-    core render draws."""
+    shrinking twice equals shrinking once with the smaller eps.  The boxes
+    come in the order region_components finds grids.core's components."""
     eps = fr(eps)
     if eps <= 0:
         raise ArgumentError("eps must be positive")
-    # The boxes come from the chain's cells, not from core's: a planar
-    # ambient's boxes are in the order region_components finds the core's
-    # components over those cells, and on the unmerged 2D form that order
-    # is not a fact about the points, so core's cells could reorder them.
-    components = region_components(extreme_slices(b.mgrid, b.ambient)[1])
-    amb_reg = ambient_region(b.ambient)
-    if isinstance(b.ambient, Ambient1D):
-        new_ambient = _shrunk_ambient_1d(b.ambient, components, eps, amb_reg)
-    else:
-        new_ambient = _shrunk_ambient_2d(b.ambient, components, eps, amb_reg)
+    components = region_components(core(b.mgrid, b.ambient))
+    new_ambient = (_shrunk_ambient_1d if isinstance(b.ambient, Ambient1D)
+                   else _shrunk_ambient_2d)(b.ambient, components, eps)
     return bordism_pullback(b, AmbientEmbedding(
         new_ambient, b.ambient, AffineMap.identity(b.ambient.dim)))
 
 
-def _shrunk_ambient_1d(ambient: Ambient1D, components, eps,
-                       amb_reg) -> Ambient1D:
+def _shrunk_ambient_1d(ambient: Ambient1D, components, eps) -> Ambient1D:
     intervals: list[tuple] = []
     core_circles: set[int] = set()
     for comp in components:
@@ -549,8 +539,7 @@ def _shrunk_ambient_1d(ambient: Ambient1D, components, eps,
         if xr is None:
             raise NeighborhoodError("core component is unbounded")
         lo, hi = xr[0] - eps, xr[1] + eps
-        if not region_subset(
-                PLRegion(1, (Seg(lo, hi, False, False),)), amb_reg):
+        if not _interval_inside(lo, hi, ambient):
             raise NeighborhoodError(
                 f"the {eps}-neighborhood of [{xr[0]}, {xr[1]}] leaves "
                 f"the ambient")
@@ -576,8 +565,8 @@ def _merge_intervals(intervals: list[tuple], ambient: Ambient1D) -> list[tuple]:
     return out
 
 
-def _shrunk_ambient_2d(ambient: Ambient2D, components, eps,
-                       amb_reg) -> Ambient2D:
+def _shrunk_ambient_2d(ambient: Ambient2D, components, eps) -> Ambient2D:
+    amb_reg = ambient_region(ambient)
     boxes: list[tuple] = []
     for comp in components:
         xr, yr = region_bbox(comp)

@@ -668,6 +668,12 @@ class _ComposablePairs(Mapping):
         c = self._category
         return sum(len(c.out_of[b]) for _, b in c.arrows.values())
 
+    def __eq__(self, other) -> bool:
+        """Against another Gamma table by size, composing nothing."""
+        if isinstance(other, _ComposablePairs):
+            return self._category.objects == other._category.objects
+        return super().__eq__(other)
+
     def __repr__(self) -> str:
         """Names the base by its size; composes nothing."""
         return f"<then-table of gamma_segal_category({self._category.objects[-1]})>"

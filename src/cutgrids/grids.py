@@ -784,8 +784,8 @@ def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
 def extreme_slices(mg: MonoidalCutGrid,
                    ambient: Ambient) -> tuple[list[PLRegion], PLRegion]:
     """Each direction's closed slice between its extreme cuts, and the
-    core, as chains of booleans whose cells render draws and
-    shrink_to_core reads.  Direction i's piece is (above u level)(cut 0) n
+    core, as chains of booleans whose cells render draws (other readers
+    of the core read core).  Direction i's piece is (above u level)(cut 0) n
     (below u level)(cut m_i) over the whole ambient, and its slice the
     ambient met with that piece.  The core is direction 1's slice met with
     each later piece in turn, then with the kept region: the points of
@@ -1228,21 +1228,25 @@ class AmbientEmbedding:
     def validate(self) -> None:
         """Check the image of the source lies inside the target.
 
-        On a line each circle goes to itself, and an open image interval,
-        being connected, lies in the union of the disjoint open target
-        intervals only inside one of them, the one holding its
-        representative point (as _component_images picks it): decided by
-        comparing ends.  A planar image is refined against the target."""
+        On a line each circle goes to itself and each open image interval
+        lies inside the target interval holding its representative point
+        (_interval_inside); a planar image is refined against the target."""
         img = image_ambient(self.source, self.map)
         if isinstance(img, Ambient1D):
             assert isinstance(self.target, Ambient1D)
-            fits = all(any(a <= lo and hi <= b for a, b in self.target.intervals)
+            fits = all(_interval_inside(lo, hi, self.target)
                        for lo, hi in img.intervals)
         else:
             fits = region_subset(ambient_region(img), ambient_region(self.target))
         if not fits:
             raise ValidationError(
                 "the embedding does not map the source into the target")
+
+
+def _interval_inside(lo, hi, ambient: Ambient1D) -> bool:
+    """Whether the open interval (lo, hi), being connected, lies inside
+    one of the ambient's disjoint open intervals, by comparing ends."""
+    return any(a <= lo and hi <= b for a, b in ambient.intervals)
 
 
 def image_ambient(ambient: Ambient, aff: AffineMap) -> Ambient:

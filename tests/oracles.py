@@ -25,6 +25,10 @@ slice between the extreme cuts, the
 reference for grids.core and for the slices and core of
 grids.extreme_slices; and compactness asked of the chained slice for every
 index pair, the reference for grids.compactness_failures.
+Shrink: the boxes read from the components of chain_core, the
+reference for bordisms.shrink_to_core, which reads grids.core.  Labels:
+one meet per pair of components whose labels differ, the reference for
+the one region_disagreement of bordisms.equivalent.
 Plane partitions: each component's below, level and above parts
 intersected with its boxes one at a time, the reference for the one split
 per component of grids.cut_regions.
@@ -49,13 +53,20 @@ import dataclasses
 import itertools
 import json
 
-from cutgrids.documents import _document_tree
-from cutgrids.errors import ArgumentError, ValidationError
+from cutgrids.bordisms import (
+    _shrunk_ambient_1d,
+    _shrunk_ambient_2d,
+    bordism_pullback,
+)
+from cutgrids.documents import _document_tree, document_for, serialize_document
+from cutgrids.errors import ArgumentError, ArtifactError, ValidationError
 from cutgrids.finitecat import segal_projection_arrows
 from cutgrids.grids import (
     _component_parts_2d,
     _point_text,
     _slice_cuts,
+    AffineMap,
+    AmbientEmbedding,
     cut_regions,
     kept_region,
     vertex_grid,
@@ -63,6 +74,7 @@ from cutgrids.grids import (
 from cutgrids.plgeom import (
     INF,
     NEG_INF,
+    Ambient1D,
     Arc,
     CircleCell,
     PLFunc,
@@ -78,6 +90,7 @@ from cutgrids.plgeom import (
     region_boolean,
     region_closure,
     region_bounded,
+    region_components,
     region_disagreement,
     region_equal,
     region_is_compact_in,
@@ -303,6 +316,39 @@ def chain_core(mg, ambient) -> PLRegion:
     g = mg.grid
     return reference_kept_slice(mg, ambient, range(1, g.d + 1), [0] * g.d,
                                 [t.m for t in g.tuples])
+
+
+def reference_shrink_to_core(b, eps):
+    """shrink_to_core(b, eps) with the boxes read from the components of
+    chain_core, in the order region_components finds them in its cells."""
+    components = region_components(chain_core(b.mgrid, b.ambient))
+    shrink = (_shrunk_ambient_1d if isinstance(b.ambient, Ambient1D)
+              else _shrunk_ambient_2d)
+    return bordism_pullback(b, AmbientEmbedding(
+        shrink(b.ambient, components, fr(eps)), b.ambient,
+        AffineMap.identity(b.ambient.dim)))
+
+
+def shrink_outcome(shrink, b, eps) -> str:
+    """The text of shrink(b, eps)'s document, or the name and text of the
+    error it raises."""
+    try:
+        return serialize_document(document_for(shrink(b, eps)))
+    except ArtifactError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def pairwise_label_disagreement(b1, b2) -> PLRegion:
+    """Points where two bordisms' labels differ: the meet of each pair of
+    components, one of each, whose labels differ."""
+    cells: list = []
+    for c1 in range(b1.ambient.n_components()):
+        r1 = component_region(b1.ambient, c1)
+        for c2 in range(b2.ambient.n_components()):
+            if b1.mgrid.labels[c1] != b2.mgrid.labels[c2]:
+                cells.extend(region_boolean(
+                    "intersect", r1, component_region(b2.ambient, c2)).cells)
+    return PLRegion(b1.ambient.dim, tuple(cells))
 
 
 def reference_compactness_failures(mg, ambient) -> list[str]:

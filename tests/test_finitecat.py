@@ -1131,6 +1131,22 @@ def test_the_gamma_then_table_repr_names_its_size_and_composes_nothing(monkeypat
     assert calls == []
 
 
+def test_gamma_then_tables_compare_by_size_and_compose_nothing(monkeypatch):
+    # Mapping's comparison composed every pair: 466 compositions at n = 2
+    # and 19,732 at n = 3
+    p2, q2, p3 = (monoid_power_presheaf(range(2), max, 0, n) for n in (2, 2, 3))
+    calls = []
+    compose = finitecat.gamma_compose_actions
+    monkeypatch.setattr(finitecat, "gamma_compose_actions",
+                        lambda *pair: calls.append(pair) or compose(*pair))
+    assert p2 == q2
+    assert p2 != p3
+    assert p2.base.then_table != p3.base.then_table
+    assert calls == []
+    table = gamma_segal_category(1).then_table
+    assert table == dict(table.items()) and table != {}
+
+
 def test_fat_basepoint_fails_label_splitting():
     p = constant_gamma_presheaf({"a", "b"}, 2)
     assert check_segal_gamma(p, 1, 1) is False

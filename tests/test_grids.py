@@ -37,6 +37,7 @@ from cutgrids.plgeom import (
     plfunc_zeros,
     region_boolean,
     region_closure,
+    region_disagreement,
     region_equal,
     region_components,
     region_is_compact_in,
@@ -97,16 +98,19 @@ from oracles import (
     cuts_agree_part_by_part,
     nearest_zero_ahead_side,
     pairwise_cut_disagreement,
+    pairwise_label_disagreement,
     reference_compactness_failures,
     reference_cut_disagreement,
     reference_cut_regions,
     reference_globularity_failures,
     reference_kept_slice,
+    reference_shrink_to_core,
     reference_tuple_is_ordered,
     reference_vertex_core,
     refined_kept_slice,
     region_between,
     region_contains_point,
+    shrink_outcome,
 )
 
 F = Fraction
@@ -1490,8 +1494,8 @@ def test_rendering_the_pair_builds_each_piece_once(monkeypatch):
     # with warm partitions each direction's piece takes three booleans, its
     # slice one, and the core two more on direction 1's slice and one with
     # the kept region: 10, where a region_between per slice made 17.
-    # shrink_to_core reads the same chain, so it makes the same 10: it also
-    # builds direction 2's slice, which it does not read
+    # shrink_to_core reads core's one refinement, so it makes none, where
+    # reading the chain made the same 10
     b = catalog("composable_pair_2d")
     render_svg(b)  # fills the cut_regions memo
     calls = []
@@ -1503,7 +1507,24 @@ def test_rendering_the_pair_builds_each_piece_once(monkeypatch):
     assert len(calls) == 10
     calls.clear()
     shrink_to_core(b, F(1, 4))
-    assert len(calls) == 10
+    assert calls == []
+
+
+def test_the_wobbled_pair_shrinks_on_core_and_stays_equivalent(monkeypatch):
+    # the pair with a tent of height 1/4 and half-width 1/2 is valid in uple
+    # mode; the chain core of its boolean ops has 5,641 cells, too many for
+    # one region_components refinement under 2 GB, and core has 145
+    mg, ambient = perturbed_pair(F(1, 4), F(1, 2))
+    b = Bordism(ambient, mg, embedded_field(2), AffineMap.identity(2), True)
+    assert validate(b).passed
+    sizes = []
+    real = bordisms.region_components
+    monkeypatch.setattr(bordisms, "region_components",
+                        lambda region: sizes.append(len(region.cells))
+                        or real(region))
+    shrunk = shrink_to_core(b, F(1, 8))
+    assert sizes == [145]
+    assert equivalent(b, shrunk)
 
 
 def check_extreme_slices_are_the_chains(mg, ambient):
@@ -2223,6 +2244,30 @@ def test_a_valid_bordism_is_equivalent_to_its_shrink(b, twice_eps):
     except NeighborhoodError:
         return
     assert equivalent(b, shrunk)
+
+
+@given(valid_grids(), st.sampled_from([F(1, 8), F(1, 4), F(1, 2), F(1)]))
+@settings(max_examples=60, deadline=None)
+def test_shrinking_on_core_matches_the_chain_reference(mg_amb, eps):
+    # the same document, or the same error, as reading the chain's core
+    mg, ambient = mg_amb
+    b = Bordism(ambient, mg, embedded_field(ambient.dim),
+                AffineMap.identity(ambient.dim))
+    assert shrink_outcome(shrink_to_core, b, eps) == \
+        shrink_outcome(reference_shrink_to_core, b, eps)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_label_locus_matches_the_pairwise_reference(data):
+    b = data.draw(embedded_bordisms())
+    other = data.draw(st.one_of(same_shape_variants(b), raised_label(b)))
+    n1, n2 = normalize(b), normalize(other)
+    common = region_boolean("intersect", ambient_region(n1.ambient),
+                            ambient_region(n2.ambient))
+    got = region_disagreement(common, bordisms._label_parts(n1),
+                              bordisms._label_parts(n2))
+    assert region_equal(got, pairwise_label_disagreement(n1, n2))
 
 
 def gap_and_zero_atoms(cuts, ambient):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutgrids import bordisms, grids, plgeom
 from cutgrids.bordisms import (
     FULL_PLANE,
     Bordism,
@@ -39,7 +40,11 @@ from cutgrids.grids import (
 from cutgrids.plgeom import Ambient2D, PLFunc
 from cutgrids.render import render_svg
 
-from oracles import reference_globularity_failures
+from oracles import (
+    reference_globularity_failures,
+    reference_shrink_to_core,
+    shrink_outcome,
+)
 
 F = Fraction
 
@@ -219,3 +224,29 @@ def test_globularity_matches_the_pairwise_reference(name):
     for c in (b, shrink_to_core(b, eps)):
         assert globularity_failures(c.mgrid, c.ambient) == \
             reference_globularity_failures(c.mgrid, c.ambient)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shrinking_on_core_matches_the_chain_reference(name):
+    build, eps, _others = CASES[name]
+    b = build()
+    for e in (F(1, 8), F(1, 4), F(1, 2), F(1), eps):
+        assert shrink_outcome(shrink_to_core, b, e) == \
+            shrink_outcome(reference_shrink_to_core, b, e)
+
+
+def test_equivalence_with_the_shrink_builds_one_boolean(monkeypatch):
+    # with warm partitions the common ambient is the one region_boolean and
+    # the points whose labels differ one region_disagreement, where a meet
+    # per pair of components with different labels made 3
+    build, eps, _others = CASES["pairs_side_by_side"]
+    b = build()
+    shrunk = shrink_to_core(b, eps)
+    assert equivalent(b, shrunk)  # fills the cut_regions memo
+    calls = []
+    real = plgeom.region_boolean
+    for module in (plgeom, grids, bordisms):
+        monkeypatch.setattr(module, "region_boolean",
+                            lambda *args: calls.append(args) or real(*args))
+    assert equivalent(b, shrunk)
+    assert len(calls) == 1
