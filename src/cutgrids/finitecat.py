@@ -409,13 +409,6 @@ class TruncSSet:
     def face(self, k: int, i: int, x):
         return self.faces[(k, i)][x]
 
-    def vertex(self, k: int, j: int, xs: list) -> list:
-        """The j-th vertex of each k-simplex of xs, via iterated faces: the
-        last face down to degree j, then the first face down to degree 0,
-        each applied to the whole list in turn."""
-        return _images(xs, *(self.faces[(deg, deg)] for deg in range(k, j, -1)),
-                       *(self.faces[(deg, 0)] for deg in range(j, 0, -1)))
-
     def restriction_maps(self, alpha: MonotoneMap) -> list[Mapping]:
         """The face and degeneracy maps whose composite is X(alpha), for a
         monotone map alpha: [a] -> [level-part], in the order they apply to
@@ -578,8 +571,9 @@ def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
     The map is checked injective and into the fibre product, and then onto
     it by counting: the fibre product has, for each v in X_b, as many pairs
     as there are u in X_a ending at v's first vertex.  Vertices are read for
-    all of X_a and X_b at once, and each test is one pass over the two
-    lists of restrictions."""
+    all of X_a and X_b at once, as restrictions along the vertex maps
+    [0] -> [a] at a and [0] -> [b] at 0, and each test is one pass over the
+    two lists of restrictions."""
     if a < 0 or b < 0:
         raise ArgumentError("chain lengths must be nonnegative")
     if a + b > sset.level:
@@ -587,8 +581,8 @@ def check_segal_delta(sset: TruncSSet, a: int, b: int) -> bool:
     init = MonotoneMap(a, a + b, tuple(range(a + 1)))
     fin = MonotoneMap(b, a + b, tuple(range(a, a + b + 1)))
     xa, xb = list(sset.simplices[a]), list(sset.simplices[b])
-    end = dict(zip(xa, sset.vertex(a, a, xa)))
-    start = dict(zip(xb, sset.vertex(b, 0, xb)))
+    end = dict(zip(xa, _images(xa, *sset.restriction_maps(MonotoneMap(0, a, (a,))))))
+    start = dict(zip(xb, _images(xb, *sset.restriction_maps(MonotoneMap(0, b, (0,))))))
     xs = list(sset.simplices[a + b])
     us = _images(xs, *sset.restriction_maps(init))
     vs = _images(xs, *sset.restriction_maps(fin))

@@ -781,27 +781,21 @@ def core(mg: MonoidalCutGrid, ambient: Ambient) -> PLRegion:
                       [t.m for t in mg.grid.tuples])
 
 
-def extreme_slices(mg: MonoidalCutGrid,
-                   ambient: Ambient) -> tuple[list[PLRegion], PLRegion]:
-    """Each direction's closed slice between its extreme cuts, and the
-    core, as chains of booleans whose cells render draws (other readers
-    of the core read core).  Direction i's piece is (above u level)(cut 0) n
-    (below u level)(cut m_i) over the whole ambient, and its slice the
-    ambient met with that piece.  The core is direction 1's slice met with
-    each later piece in turn, then with the kept region: the points of
-    core(mg, ambient), in the cells of the chain."""
+def extreme_slices(mg: MonoidalCutGrid, ambient: Ambient) -> list[PLRegion]:
+    """Each direction's closed slice between its extreme cuts, as the
+    chain of booleans whose cells render shades.  Direction i's piece is
+    (above u level)(cut 0) n (below u level)(cut m_i) over the whole
+    ambient, and its slice the ambient met with that piece.  The core is
+    core's one refinement, not a meet of these slices."""
     amb = ambient_region(ambient)
     slices: list[PLRegion] = []
-    chain = amb
     for t in mg.grid.tuples:
         _, lo_l, lo_a = cut_regions(t.cuts[0], ambient)
         hi_b, hi_l, _ = cut_regions(t.cuts[-1], ambient)
         piece = region_boolean("intersect", region_boolean("union", lo_a, lo_l),
                                region_boolean("union", hi_b, hi_l))
         slices.append(region_boolean("intersect", amb, piece))
-        chain = (slices[0] if len(slices) == 1
-                 else region_boolean("intersect", chain, piece))
-    return slices, region_boolean("intersect", chain, kept_region(mg, ambient))
+    return slices
 
 
 def compactness_failures(mg: MonoidalCutGrid,

@@ -1,11 +1,13 @@
 """Deterministic SVG pictures of bordisms.
 
 The drawing shows, per direction, the shaded region between the extreme
-cuts, every cut curve with a small orientation arrow toward its "above"
-side, zero markers on 1D cuts, the core highlighted, and component
-labels.  Identical inputs produce byte-identical output: all geometry
-is derived from exact rationals through a fixed formatting routine, and
-element order is fixed by the data, never by hash iteration.
+cuts (grids.extreme_slices), every cut curve with a small orientation
+arrow toward its "above" side, zero markers on 1D cuts, the core
+(grids.core) highlighted, and component labels.  Identical inputs
+produce byte-identical output: all geometry is derived from exact
+rationals through a fixed formatting routine, and element order is fixed
+by the data, never by hash iteration.  Floats appear only here, so a
+window or circle that floats cannot hold is refused.
 
 CSS classes (used by the structural tests and stable across versions):
 ``cut-path``, ``zero-marker``, ``orientation-arrow``, ``core-marker``,
@@ -21,7 +23,7 @@ from typing import Optional, Union
 
 from .bordisms import Bordism
 from .errors import ArgumentError
-from .grids import Cut1D, Cut2D, extreme_slices
+from .grids import Cut1D, Cut2D, core, extreme_slices
 from .plgeom import (
     Ambient1D,
     Ambient2D,
@@ -43,6 +45,8 @@ _HEIGHT_1D = 160
 _MARGIN = 24
 
 _DIR_FILLS = ("#c8dcf5", "#f5d8c8", "#d8f5c8")
+# the least positive float and the greatest, as exact rationals
+_FLOAT_RANGE = (Fraction(math.ulp(0.0)), Fraction(math.nextafter(math.inf, 0.0)))
 
 
 def _fmt(v: float) -> str:
@@ -84,13 +88,11 @@ class _View:
 
 def _default_window(b: Bordism, core: PLRegion):
     xr, yr = region_bbox(core)
-    if xr is None:
+    is2d = isinstance(b.ambient, Ambient2D)
+    if xr is None or (is2d and yr is None):
         raise ArgumentError(
             "the core gives no finite viewport; pass an explicit window")
-    if isinstance(b.ambient, Ambient2D):
-        if yr is None:
-            raise ArgumentError(
-                "the core gives no finite viewport; pass an explicit window")
+    if is2d:
         return (xr[0] - 1, xr[1] + 1, yr[0] - 1, yr[1] + 1)
     return (xr[0] - 1, xr[1] + 1, Fraction(-1), Fraction(1))
 
@@ -110,8 +112,7 @@ def _checked_window(window) -> tuple:
 
 
 def _graph_xs(f: PLFunc, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    xs = [lo] + [x for x in f.breakpoints if lo < x < hi] + [hi]
-    return xs
+    return [lo] + [x for x in f.breakpoints if lo < x < hi] + [hi]
 
 
 def _sheet_points(graph: PLFunc, axis: int, view: _View) -> list[str]:
@@ -135,9 +136,7 @@ def _slab_polygon(cell: Slab, view: _View) -> Optional[str]:
         return None
 
     def level(bound, x) -> Fraction:
-        if isinstance(bound, PLFunc):
-            return view.clamp_y(bound(x))
-        return view.clamp_y(bound)
+        return view.clamp_y(bound(x) if isinstance(bound, PLFunc) else bound)
 
     xs = [lo, hi]
     for bound in (cell.lower, cell.upper):
@@ -222,10 +221,9 @@ def _render_1d(b: Bordism, slices: list[PLRegion], core: PLRegion,
                         spot = spots[k - len(amb.intervals)]
                         mx, my = _circle_point(spot, pos)
                         px, py = view.px(mx), view.py(my)
-                        angle = 90.0 if sign == "+" else 270.0
                     else:
                         px, py = view.px(pos), axis_y
-                        angle = 90.0 if sign == "+" else 270.0
+                    angle = 90.0 if sign == "+" else 270.0
                     out.append(
                         f'<circle class="zero-marker" data-direction="{di + 1}" '
                         f'data-cut="{ci}" cx="{_fmt(px)}" cy="{_fmt(py)}" '
@@ -260,9 +258,7 @@ def _render_1d(b: Bordism, slices: list[PLRegion], core: PLRegion,
     for k in range(amb.n_components()):
         kind, data = amb.component_kind(k)
         if kind == "interval":
-            lo, hi = data
-            x = view.clamp_x(lo if is_finite(lo) else view.x0)
-            px, py = view.px(x) + 6, axis_y - 18
+            px, py = view.px(view.clamp_x(data[0])) + 6, axis_y - 18
         else:
             spot = spots[k - len(amb.intervals)]
             px, py = view.px(spot[0]), view.py(spot[1])
@@ -318,14 +314,10 @@ def _render_2d(b: Bordism, slices: list[PLRegion], core: PLRegion,
                         f'<polyline class="cut-path" '
                         f'data-direction="{di + 1}" data-cut="{ci}" '
                         f'points="{" ".join(pts)}" fill="none"/>')
-                    mid = pts[len(pts) // 2] if len(pts) % 2 else None
-                    if mid is None:
-                        a = pts[len(pts) // 2 - 1].split(",")
-                        bpt = pts[len(pts) // 2].split(",")
-                        mx = (float(a[0]) + float(bpt[0])) / 2
-                        my = (float(a[1]) + float(bpt[1])) / 2
-                    else:
-                        mx, my = (float(v) for v in mid.split(","))
+                    # the middle point, or the midpoint of the middle two
+                    a, c = (pts[k].split(",")
+                            for k in ((len(pts) - 1) // 2, len(pts) // 2))
+                    mx, my = ((float(u) + float(w)) / 2 for u, w in zip(a, c))
                     if cut.axis == 2:
                         angle = 0.0 if sheet.sign == "+" else 180.0
                     else:
@@ -368,26 +360,46 @@ _STYLE = (
 )
 
 
+def _view(b: Bordism, window: tuple, height: int) -> _View:
+    """The view of the settled window, once floats hold every number the
+    drawing scales by: the window's ends and pixel scales, and on a line
+    each circle's circumference."""
+    try:
+        view = _View(*window, height)
+        held = all(map(math.isfinite, (view.sx, view.sy, *map(float, window))))
+    except (OverflowError, ZeroDivisionError):
+        held = False
+    if not held:
+        raise ArgumentError(
+            "the window cannot be drawn: floats cannot hold its ends or sides")
+    circles = b.ambient.circles if isinstance(b.ambient, Ambient1D) else ()
+    for j, L in enumerate(circles):
+        if not _FLOAT_RANGE[0] <= L <= _FLOAT_RANGE[1]:
+            raise ArgumentError(f"circle {j} cannot be drawn: floats cannot "
+                                f"hold its circumference")
+    return view
+
+
 def render_svg(b: Bordism, window=None) -> str:
     """Render a bordism (d <= 2) to SVG text.
 
     ``window`` is (x0, x1) or (x0, x1, y0, y1) in exact rationals; when
     omitted, the core's bounding box padded by 1 is used, and an
-    unbounded or empty core is an error.
+    unbounded or empty core is an error, as is a window or circle that
+    floats cannot hold.
 
-    Each direction's shaded slice and the highlighted core come from one
-    grids.extreme_slices call, which builds each direction's piece once
-    and draws from the cells of its chain; the core has the points of
-    grids.core.  An explicit window is checked before that call, so a
-    malformed one costs no region work.
+    The highlighted core, and the default window, come from one
+    grids.core call; each direction's shaded slice from
+    grids.extreme_slices.  An explicit window's form is checked before
+    either, so a malformed one costs no region work.
     """
     if window is not None:
         window = _checked_window(window)
-    slices, core = extreme_slices(b.mgrid, b.ambient)
-    x0, x1, y0, y1 = window or _default_window(b, core)
+    kept_core = core(b.mgrid, b.ambient)
     is2d = isinstance(b.ambient, Ambient2D)
     height = _HEIGHT_2D if is2d else _HEIGHT_1D
-    view = _View(x0, x1, y0, y1, height)
+    view = _view(b, window or _default_window(b, kept_core), height)
+    slices = extreme_slices(b.mgrid, b.ambient)
     out: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
@@ -395,8 +407,8 @@ def render_svg(b: Bordism, window=None) -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     if is2d:
-        _render_2d(b, slices, core, view, out)
+        _render_2d(b, slices, kept_core, view, out)
     else:
-        _render_1d(b, slices, core, view, out)
+        _render_1d(b, slices, kept_core, view, out)
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -2,17 +2,23 @@
 cospan, parallel-pair and disjoint-union categories with a preorder
 diagnostic; constant and representable presheaves on multisimplices; the
 discrete and the simplicial factors of an external product; the action
-of a truncated simplicial set along any monotone map; and documents that
-nest too deeply to parse."""
+of a truncated simplicial set along any monotone map; documents that
+nest too deeply to parse; and the composable pair with a tent pushed into
+its outer sheets."""
 
 import itertools
 import json
+from fractions import Fraction
 
+from cutgrids.bordisms import catalog
 from cutgrids.documents import document_for, serialize_document
 from cutgrids.errors import ArgumentError
 from cutgrids.finitecat import (Arrow, FinCategory, MultisimplexPresheaf, Obj,
                                 OneDirectionPresheaf, TruncSSet, _images,
                                 poset_category)
+from cutgrids.grids import (ComponentCut2D, Cut2D, CutGrid, CutTuple,
+                            MonoidalCutGrid, Sheet)
+from cutgrids.plgeom import PLFunc
 from cutgrids.shapes import (MonotoneMap, Multisimplex, MultisimplexOperator,
                              compose_operators)
 
@@ -160,3 +166,24 @@ def deeply_nested_documents() -> dict[str, str]:
         "array": "[" * 200_000 + "]" * 200_000,
         "object": json.dumps(obj).replace('"DEEP"', "[" * 900 + "0" + "]" * 900),
     }
+
+
+def perturbed_pair(tent_height=Fraction(1, 4), half_width=Fraction(1, 8)):
+    """composable_pair_2d with a tent pushed into its outer y-sheets at
+    x = 0: down into the lowest, up into the highest."""
+    b = catalog("composable_pair_2d")
+    tent = PLFunc.from_points(
+        [(-half_width, 0), (Fraction(0), tent_height), (half_width, 0)])
+    low, mid, high = b.mgrid.grid.tuples[1].cuts
+
+    def resheet(cut, f):
+        sign = cut.components[0].sheets[0].sign
+        return Cut2D(cut.axis, (ComponentCut2D("sheets", (Sheet(f, sign),)),))
+
+    new_dir2 = CutTuple((
+        resheet(low, low.components[0].sheets[0].graph.sub(tent)),
+        mid,
+        resheet(high, high.components[0].sheets[0].graph.add(tent)),
+    ))
+    grid = CutGrid((b.mgrid.grid.tuples[0], new_dir2))
+    return MonoidalCutGrid(grid, b.mgrid.ell, b.mgrid.labels), b.ambient

@@ -20,15 +20,17 @@ Slices: region_between, the ambient met with each chosen direction's
 closed slice in turn, intersected with the kept region, the reference for
 grids.kept_slice; the kept region refined once with every chosen lower
 cut's below part and upper cut's above part, the reference for the cells of
-grids.kept_slice, which reads a 1D slice from the signed zeros; the chained
-slice between the extreme cuts, the
-reference for grids.core and for the slices and core of
-grids.extreme_slices; and compactness asked of the chained slice for every
-index pair, the reference for grids.compactness_failures.
-Shrink: the boxes read from the components of chain_core, the
-reference for bordisms.shrink_to_core, which reads grids.core.  Labels:
-one meet per pair of components whose labels differ, the reference for
-the one region_disagreement of bordisms.equivalent.
+grids.kept_slice, which reads a 1D slice from the signed zeros; one
+direction's chained slice between its extreme cuts, the reference for the
+slices of grids.extreme_slices; the chained slice between every
+direction's extreme cuts, chain_core, the reference for grids.core; and
+compactness asked of the chained slice for every index pair, the
+reference for grids.compactness_failures.
+Shrink and render: the boxes read from the components of chain_core, the
+reference for bordisms.shrink_to_core, and the picture drawn around
+chain_core, the reference for render.render_svg; both read grids.core.
+Labels: one meet per pair of components whose labels differ, the
+reference for the one region_disagreement of bordisms.equivalent.
 Plane partitions: each component's below, level and above parts
 intersected with its boxes one at a time, the reference for the one split
 per component of grids.cut_regions.
@@ -47,17 +49,21 @@ functoriality tested element by element over every pair of the
 then-table, the reference for the check on position rows; and the
 label-splitting map compared with the whole product set, the reference
 for finitecat.check_segal_gamma, which counts distinct pairs of
-positions."""
+positions.  Vertices: the j-th vertex of a k-simplex by iterated faces,
+the reference for the vertex restrictions of finitecat.check_segal_delta."""
 
 import dataclasses
 import itertools
 import json
+
+import pytest
 
 from cutgrids.bordisms import (
     _shrunk_ambient_1d,
     _shrunk_ambient_2d,
     bordism_pullback,
 )
+from cutgrids import render
 from cutgrids.documents import _document_tree, document_for, serialize_document
 from cutgrids.errors import ArgumentError, ArtifactError, ValidationError
 from cutgrids.finitecat import segal_projection_arrows
@@ -311,8 +317,7 @@ def refined_kept_slice(mg, ambient, directions, j, jp) -> PLRegion:
 
 def chain_core(mg, ambient) -> PLRegion:
     """The chained slice between every direction's extreme cuts on the
-    kept components, the reference for grids.core and for the core of
-    grids.extreme_slices."""
+    kept components, the reference for grids.core."""
     g = mg.grid
     return reference_kept_slice(mg, ambient, range(1, g.d + 1), [0] * g.d,
                                 [t.m for t in g.tuples])
@@ -327,6 +332,23 @@ def reference_shrink_to_core(b, eps):
     return bordism_pullback(b, AmbientEmbedding(
         shrink(b.ambient, components, fr(eps)), b.ambient,
         AffineMap.identity(b.ambient.dim)))
+
+
+def reference_render_svg(b, window=None) -> str:
+    """render_svg(b, window) with the core read from chain_core."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "core", chain_core)
+        return render.render_svg(b, window)
+
+
+def drawing_outside_core(draw, b, window=None) -> list[str]:
+    """The lines of draw(b, window)'s SVG outside the core's core-*
+    elements, or the name and text of the error it raises."""
+    try:
+        svg = draw(b, window)
+    except ArtifactError as exc:
+        return [f"{type(exc).__name__}: {exc}"]
+    return [line for line in svg.splitlines() if 'class="core-' not in line]
 
 
 def shrink_outcome(shrink, b, eps) -> str:
@@ -455,3 +477,13 @@ def reference_check_segal_gamma(sets, actions, kappa: int, ell: int) -> bool:
             return False
         seen.add(key)
     return seen == {(u, v) for u in sets[kappa] for v in sets[ell]}
+
+
+def iterated_face_vertices(sset, k: int, j: int, xs: list) -> list:
+    """The j-th vertex of each k-simplex of xs: the last face down to degree
+    j, then the first face down to degree 0."""
+    for deg in range(k, j, -1):
+        xs = [sset.faces[(deg, deg)][x] for x in xs]
+    for deg in range(j, 0, -1):
+        xs = [sset.faces[(deg, 0)][x] for x in xs]
+    return xs

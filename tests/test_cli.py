@@ -6,19 +6,23 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cutgrids
 from cutgrids import grids, plgeom, render
-from cutgrids.bordisms import catalog, shrink_to_core
+from cutgrids.bordisms import Bordism, catalog, embedded_field, shrink_to_core
 from cutgrids.cli import main
 from cutgrids.documents import document_for, parse_document, serialize_document
 from cutgrids.errors import ArgumentError
 from cutgrids.finitecat import TruncSSet, nerve
+from cutgrids.grids import (AffineMap, ComponentCut1D, Cut1D, CutGrid, CutTuple,
+                            MonoidalCutGrid)
+from cutgrids.plgeom import Ambient1D
 
-from fixtures import chain_poset, deeply_nested_documents
+from fixtures import chain_poset, deeply_nested_documents, perturbed_pair
 
 
 def write_doc(tmp_path, payload, stem):
@@ -547,18 +551,87 @@ def test_render_of_a_family_refuses_an_empty_t(tmp_path, capsys):
 def test_a_bad_window_is_refused_before_any_region_work(tmp_path,
                                                         monkeypatch):
     calls = []
-    real = render.extreme_slices
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(render, "extreme_slices", counted)
+    for name in ("core", "extreme_slices"):
+        real = getattr(render, name)
+        monkeypatch.setattr(render, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
     f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
     assert main(["render", f, "--window=3,-3"]) == 1
     with pytest.raises(ArgumentError, match="x0,x1 or x0,x1,y0,y1"):
         render.render_svg(catalog("elbow_right"), (0, 1, 2))
     assert calls == []
+
+
+def test_render_of_the_wobbled_pair_draws_the_core_of_one_refinement(
+        tmp_path, monkeypatch):
+    # the pair with a tent of height 1/4 and half-width 1/2 is valid in uple
+    # mode; the boolean chain's core has 5,641 cells, too many for one
+    # region_components refinement under 2 GB, and core has 145
+    mg, ambient = perturbed_pair(Fraction(1, 4), Fraction(1, 2))
+    f = write_doc(tmp_path, Bordism(ambient, mg, embedded_field(2),
+                                    AffineMap.identity(2), True), "wobble")
+    sizes = []
+    real = render.region_components
+
+    def counted(region):
+        sizes.append(len(region.cells))
+        assert len(region.cells) <= 145
+        return real(region)
+
+    monkeypatch.setattr(render, "region_components", counted)
+    out = tmp_path / "wobble.svg"
+    assert main(["validate", f]) == 0
+    assert main(["render", f, "-o", str(out)]) == 0
+    assert sizes == [145]
+    assert out.read_text().startswith("<svg")
+
+
+def render_in_a_process(*args):
+    """cutgrids render run as a program: its exit code and stderr."""
+    done = subprocess.run(
+        [sys.executable, "-m", "cutgrids.cli", "render", *args],
+        capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(cutgrids.__file__).parents[1])})
+    return done.returncode, done.stderr
+
+
+WINDOW_BEYOND_FLOATS = (
+    "error: the window cannot be drawn: floats cannot hold its ends or sides\n")
+
+
+def test_render_refuses_a_default_window_beyond_floats(tmp_path):
+    # the core [10**400, 10**400 + 1] padded by 1 has ends past float range
+    f = write_doc(tmp_path, catalog("elbow_right", 10**400, 10**400 + 1),
+                  "far")
+    assert main(["validate", f]) == 0
+    code, err = render_in_a_process(f)
+    assert (code, err) == (1, WINDOW_BEYOND_FLOATS)
+    assert "Traceback" not in err
+
+
+def test_render_refuses_a_window_too_narrow_for_floats(tmp_path):
+    # a side of 10**-400 is 0 as a float, so no pixel scale exists
+    f = write_doc(tmp_path, catalog("elbow_right"), "elbow")
+    code, err = render_in_a_process(f, "--window=0,1/1" + "0" * 400)
+    assert (code, err) == (1, WINDOW_BEYOND_FLOATS)
+    assert "Traceback" not in err
+
+
+def test_render_refuses_a_circle_beyond_floats(tmp_path):
+    # the window (0, 2) is drawable; the circle of circumference 10**400 is not
+    cut = Cut1D((ComponentCut1D(
+        "zeros", ((Fraction(0), "+"), (Fraction(1), "-"))),))
+    b = Bordism(Ambient1D((), (Fraction(10**400),)),
+                MonoidalCutGrid(CutGrid((CutTuple((cut,)),)), 1, (1,)),
+                embedded_field(1), AffineMap.identity(1))
+    f = write_doc(tmp_path, b, "circle")
+    assert main(["validate", f]) == 0
+    code, err = render_in_a_process(f, "--window=0,2")
+    assert (code, err) == (
+        1, "error: circle 0 cannot be drawn: floats cannot hold its "
+           "circumference\n")
+    assert "Traceback" not in err
 
 
 def test_a_shape_mismatch_names_both_shapes(tmp_path, capsys):

@@ -93,9 +93,11 @@ from cutgrids.bordisms import (
 )
 from cutgrids.render import render_svg
 
+from fixtures import perturbed_pair
 from oracles import (
     chain_core,
     cuts_agree_part_by_part,
+    drawing_outside_core,
     nearest_zero_ahead_side,
     pairwise_cut_disagreement,
     pairwise_label_disagreement,
@@ -104,6 +106,7 @@ from oracles import (
     reference_cut_regions,
     reference_globularity_failures,
     reference_kept_slice,
+    reference_render_svg,
     reference_shrink_to_core,
     reference_tuple_is_ordered,
     reference_vertex_core,
@@ -1371,27 +1374,6 @@ def test_generated_grids_are_valid_compact_globular(mg_amb):
 # globularity
 # ---------------------------------------------------------------------------
 
-def perturbed_pair(tent_height=F(1, 4), half_width=F(1, 8)):
-    """composable_pair_2d with a tent pushed into its outer y-sheets at
-    x = 0: down into the lowest, up into the highest."""
-    b = catalog("composable_pair_2d")
-    tent = PLFunc.from_points(
-        [(-half_width, 0), (F(0), tent_height), (half_width, 0)])
-    low, mid, high = b.mgrid.grid.tuples[1].cuts
-
-    def resheet(cut, f):
-        sign = cut.components[0].sheets[0].sign
-        return Cut2D(cut.axis, (ComponentCut2D("sheets", (Sheet(f, sign),)),))
-
-    new_dir2 = CutTuple((
-        resheet(low, low.components[0].sheets[0].graph.sub(tent)),
-        mid,
-        resheet(high, high.components[0].sheets[0].graph.add(tent)),
-    ))
-    grid = CutGrid((b.mgrid.grid.tuples[0], new_dir2))
-    return MonoidalCutGrid(grid, b.mgrid.ell, b.mgrid.labels), b.ambient
-
-
 def test_graph_disagreement_at_a_wall_breaks_globularity():
     base = catalog("composable_pair_2d")
     assert is_globular(base.mgrid, base.ambient) is True
@@ -1491,11 +1473,11 @@ def test_validating_the_pair_with_warm_partitions_builds_no_boolean(monkeypatch)
 
 
 def test_rendering_the_pair_builds_each_piece_once(monkeypatch):
-    # with warm partitions each direction's piece takes three booleans, its
-    # slice one, and the core two more on direction 1's slice and one with
-    # the kept region: 10, where a region_between per slice made 17.
-    # shrink_to_core reads core's one refinement, so it makes none, where
-    # reading the chain made the same 10
+    # with warm partitions each direction's piece takes three booleans and
+    # its slice one: 8, where a region_between per slice made 17 and
+    # chaining the core from the slices two and one more with the kept
+    # region made 10.  The core is core's one refinement, so shrink_to_core
+    # makes none either
     b = catalog("composable_pair_2d")
     render_svg(b)  # fills the cut_regions memo
     calls = []
@@ -1504,7 +1486,7 @@ def test_rendering_the_pair_builds_each_piece_once(monkeypatch):
         monkeypatch.setattr(module, "region_boolean",
                             lambda *args: calls.append(args) or real(*args))
     render_svg(b)
-    assert len(calls) == 10
+    assert len(calls) == 8
     calls.clear()
     shrink_to_core(b, F(1, 4))
     assert calls == []
@@ -1529,17 +1511,15 @@ def test_the_wobbled_pair_shrinks_on_core_and_stays_equivalent(monkeypatch):
 
 def check_extreme_slices_are_the_chains(mg, ambient):
     """Each direction's slice has the cells of the reference region_between
-    over it alone, and the core those of the chained slice of every
-    direction on the kept components, whose points are those of core.
-    Only the points are compared with core: its cells are one
-    refinement's, and on a circle even a chain's cells depend on where
-    the unrolling starts."""
+    over it alone, and core the points of the chained slice of every
+    direction on the kept components.  Only the points are compared with
+    the chain: core's cells are one refinement's, and on a circle even a
+    chain's cells depend on where the unrolling starts."""
     g = mg.grid
-    slices, got_core = extreme_slices(mg, ambient)
-    assert slices == [region_between(g, ambient, (i,), (0,), (t.m,))
-                      for i, t in enumerate(g.tuples, start=1)]
-    assert got_core == chain_core(mg, ambient)
-    assert region_equal(core(mg, ambient), got_core)
+    assert extreme_slices(mg, ambient) == [
+        region_between(g, ambient, (i,), (0,), (t.m,))
+        for i, t in enumerate(g.tuples, start=1)]
+    assert region_equal(core(mg, ambient), chain_core(mg, ambient))
 
 
 @given(st.one_of(line_grids(), nested_line_grids()))
@@ -1552,6 +1532,21 @@ def test_line_slices_and_core_are_the_chains(mg_amb):
 @settings(max_examples=60, deadline=None)
 def test_plane_slices_and_core_are_the_chains(mg_amb):
     check_extreme_slices_are_the_chains(*mg_amb)
+
+
+@given(st.one_of(plane_grids(), line_grids(), nested_line_grids()))
+@settings(max_examples=90, deadline=None)
+def test_render_draws_what_the_chain_core_draws(mg_amb):
+    # the same SVG lines outside the core's elements, or the same error,
+    # as render with its core read from the chain; a fixed window too,
+    # since an unbounded core has no default one
+    mg, ambient = mg_amb
+    dim = ambient.dim
+    b = Bordism(ambient, mg, embedded_field(dim), AffineMap.identity(dim))
+    for window in (None, (-6, 6, -6, 6)[:2 * dim]):
+        assert drawing_outside_core(render_svg, b, window) == \
+            drawing_outside_core(reference_render_svg, b, window)
+    assert region_equal(core(mg, ambient), chain_core(mg, ambient))
 
 
 def check_disagreement_matches_the_pairwise_reference(cut_ambs):
